@@ -18,6 +18,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Options configure one DDT run. The campaign envelope (workers, pipeline
@@ -82,8 +83,8 @@ type Options struct {
 
 // Scenario values for Options.Scenario.
 const (
-	ScenarioLinear = "linear"
-	ScenarioPnP    = "pnp"
+	ScenarioLinear = workload.ScenarioLinear
+	ScenarioPnP    = workload.ScenarioPnP
 )
 
 // DefaultOptions mirror the paper's configuration: annotations on,
@@ -264,45 +265,19 @@ func chargeIntr(s *vm.State) {
 
 // DefaultRegistry returns the stock simulated registry hive shared by
 // engine runs, trace replays, and concrete fuzz executions.
-func DefaultRegistry() map[string]uint32 {
-	return map[string]uint32{
-		"MaximumMulticastList": 4,
-		"NetworkAddress":       0,
-		"Speed":                100,
-		"Duplex":               1,
-		"TxRingSize":           8,
-		"RxRingSize":           8,
-		"SampleRate":           44100,
-		"BufferMs":             10,
-	}
-}
+func DefaultRegistry() map[string]uint32 { return workload.Registry(nil) }
 
 // EffectiveRegistry returns the registry hive the run boots with: defaults
 // plus option overrides. Trace files embed it so replays see the same
 // configuration.
 func (e *Engine) EffectiveRegistry() map[string]uint32 {
-	reg := DefaultRegistry()
-	for k, v := range e.Opts.Registry {
-		reg[k] = v
-	}
-	return reg
+	return workload.Registry(e.Opts.Registry)
 }
 
 // NewBootState builds the state in which the OS just loaded the driver:
 // image mapped and granted, kernel booted, registry populated.
 func (e *Engine) NewBootState() *vm.State {
-	s := e.M.NewRootState()
-	ks := kernel.NewKState()
-	ks.Grant(kernel.Region{
-		Lo: isa.ImageBase, Hi: e.Img.LimitVA(),
-		Kind: kernel.RegionImage, Writable: true, Tag: "driver image",
-	})
-	for k, v := range e.EffectiveRegistry() {
-		ks.Registry[k] = v
-	}
-	s.Kernel = ks
-	s.HW = &hw.DeviceState{}
-	return s
+	return workload.Boot(e.M, e.Img, e.EffectiveRegistry())
 }
 
 // recordBug deduplicates, solves the input model, and stores a bug. Safe

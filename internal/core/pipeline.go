@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 
-	"repro/internal/binimg"
 	"repro/internal/campaign"
 	"repro/internal/exerciser"
-	"repro/internal/expr"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 	"repro/internal/workq"
 )
 
@@ -27,8 +25,9 @@ import (
 //
 // The moving parts:
 //
-//   - phaseSpec reifies the workload (workload.go's imperative phase chain)
-//     as data: per phase, an applicability test and an invocation builder.
+//   - the workload plan (internal/workload) is the phase list: per phase, an
+//     applicability test, the invocation it makes and its outgoing edges;
+//     Engine.invoke forks a base into it.
 //   - pipeSeed is a phase-transition work item ("invoke base into phase j"),
 //     carried by a workq.Queue — the engine-side consumer the workq package
 //     was generalized for: promotions land on the completing worker's own
@@ -49,359 +48,6 @@ import (
 // Gate phases (DriverEntry, Initialize) keep their stronger semantics: no
 // success means the rest of the workload is not exercised.
 
-// phaseSpec describes one workload phase to both graph walkers (the
-// barriered runGraph and the pipelined explorer).
-type phaseSpec struct {
-	name string
-	// gate phases stop the workload when they produce no success.
-	gate bool
-	// applicable reports whether this phase applies to a base state (the
-	// entry point is registered / a DPC is pending).
-	applicable func(e *Engine, base *vm.State) bool
-	// invoke forks base into this phase's invocation state(s) — including
-	// the interrupt-at-entry sibling where the barriered phase loop makes
-	// one — tagging each with the phase index. It does not push them.
-	invoke func(e *Engine, base *vm.State, phase int) []*vm.State
-	// succs are this phase's outgoing scenario-graph edges. nil means
-	// linear fallthrough to the next phase in the plan — the shape every
-	// pre-graph plan keeps, bit-identically. Edges must point forward
-	// (edge.to > this phase's index) so plan order stays a topological
-	// order for both walkers.
-	succs []phaseEdge
-	// drain marks the DPC fixpoint node: a success that still has pending
-	// DPCs re-enters this phase instead of moving on.
-	drain bool
-}
-
-// phaseEdge is one outgoing scenario-graph edge. A nil when matches every
-// state; predicates route alternatives (e.g. RemoveDevice only after a
-// surprise removal).
-type phaseEdge struct {
-	to   int
-	when func(*Engine, *vm.State) bool
-}
-
-// stdPhase builds the standard phase shape shared by every entry point:
-// fork the base, prep, invoke with args, plus the symbolic-interrupt
-// sibling when an ISR is registered (mirroring Engine.phase).
-func stdPhase(name string, gate bool, pcOf func(*kernel.KState) uint32,
-	argsOf func(*Engine, *vm.State) []*expr.Expr, prep func(*vm.State)) phaseSpec {
-
-	mk := func(e *Engine, base *vm.State, phase int, pc uint32) *vm.State {
-		st := e.M.ForkState(base)
-		st.Phase = phase
-		if prep != nil {
-			prep(st)
-		}
-		var args []*expr.Expr
-		if argsOf != nil {
-			args = argsOf(e, st)
-		}
-		e.K.InvokeSym(st, name, pc, args...)
-		return st
-	}
-	return phaseSpec{
-		name: name,
-		gate: gate,
-		applicable: func(e *Engine, base *vm.State) bool {
-			return pcOf(kernel.Of(base)) != 0
-		},
-		invoke: func(e *Engine, base *vm.State, phase int) []*vm.State {
-			pc := pcOf(kernel.Of(base))
-			if pc == 0 {
-				return nil
-			}
-			st := mk(e, base, phase, pc)
-			out := []*vm.State{st}
-			if e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && name != "ISR" && e.intrBudgetLeft(base) {
-				alt := mk(e, base, phase, pc)
-				chargeIntr(alt)
-				out = append(out, alt)
-			}
-			return out
-		},
-	}
-}
-
-// dpcPhase dispatches one pending timer/DPC callback at DISPATCH_LEVEL
-// (mirroring Engine.drainDPCs; no interrupt sibling there either). The
-// drain flag makes successes with a non-empty DPC queue re-enter this
-// phase — the pipelined form of the barriered fixpoint drain.
-func dpcPhase() phaseSpec {
-	return phaseSpec{
-		name:  "DPC",
-		drain: true,
-		applicable: func(e *Engine, base *vm.State) bool {
-			return len(kernel.Of(base).PendingDPCs) > 0
-		},
-		invoke: func(e *Engine, base *vm.State, phase int) []*vm.State {
-			if len(kernel.Of(base).PendingDPCs) == 0 {
-				return nil
-			}
-			st := e.M.ForkState(base)
-			st.Phase = phase
-			sks := kernel.Of(st)
-			dpc := sks.TakeDPC()
-			sks.IRQL = kernel.DispatchLevel
-			sks.InDpc = true
-			e.K.InvokeSym(st, "DPC:"+dpc.Label, dpc.FuncPC, expr.Const(dpc.Ctx))
-			return []*vm.State{st}
-		},
-	}
-}
-
-// isrPhase delivers a direct device interrupt while otherwise idle.
-func isrPhase() phaseSpec {
-	return stdPhase("ISR", false,
-		func(ks *kernel.KState) uint32 {
-			if ks.ISRRegistered {
-				return ks.ISRPC
-			}
-			return 0
-		},
-		func(e *Engine, s *vm.State) []*expr.Expr {
-			return []*expr.Expr{expr.Const(adapterHandle)}
-		},
-		func(s *vm.State) { kernel.Of(s).IRQL = kernel.DeviceLevel })
-}
-
-// phasePlan reifies the driver class's workload as an ordered phase list.
-// Phase 0 is always DriverEntry.
-//
-// This is deliberately a second expression of the workload in workload.go
-// (networkWorkload/audioWorkload): the barriered loop's exact push order
-// is pinned bit-for-bit by the sequential golden values, and its DPC drain
-// mixes pass-through bases with DPC successes in a way a phase-level loop
-// expresses but a per-base pipeline handles structurally — so neither side
-// can consume the other's form without changing pinned semantics. The two
-// MUST be kept in sync: a phase added, reordered, or re-argumented in one
-// file must change the other, and TestPipelinedFindsSameBugs is the tripwire.
-func (e *Engine) phasePlan() []phaseSpec {
-	plan := []phaseSpec{{
-		name:       "DriverEntry",
-		gate:       true,
-		applicable: func(*Engine, *vm.State) bool { return true },
-		invoke: func(e *Engine, base *vm.State, phase int) []*vm.State {
-			st := e.M.ForkState(base)
-			st.Phase = phase
-			e.K.Invoke(st, "DriverEntry", e.Img.Entry)
-			return []*vm.State{st}
-		},
-	}}
-
-	handleArg := func(*Engine, *vm.State) []*expr.Expr {
-		return []*expr.Expr{expr.Const(adapterHandle)}
-	}
-
-	switch e.Img.Device.Class {
-	case binimg.ClassNetwork:
-		mp := func(ks *kernel.KState) *kernel.MiniportChars {
-			if ks.Miniport == nil {
-				return &kernel.MiniportChars{}
-			}
-			return ks.Miniport
-		}
-		infoArgs := func(concreteOID uint32) func(*Engine, *vm.State) []*expr.Expr {
-			return func(e *Engine, s *vm.State) []*expr.Expr {
-				var oid *expr.Expr
-				if e.Opts.Annotations {
-					oid = e.K.FreshSymbol(s, "oid", expr.OriginArgument)
-				} else {
-					oid = expr.Const(concreteOID)
-				}
-				buf := e.makeInfoBuffer(s)
-				return []*expr.Expr{expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64)}
-			}
-		}
-		plan = append(plan,
-			stdPhase("Initialize", true,
-				func(ks *kernel.KState) uint32 { return mp(ks).InitializePC },
-				handleArg, nil),
-			stdPhase("Send", false,
-				func(ks *kernel.KState) uint32 { return mp(ks).SendPC },
-				func(e *Engine, s *vm.State) []*expr.Expr {
-					pkt := e.makeSymbolicPacket(s)
-					return []*expr.Expr{expr.Const(adapterHandle), expr.Const(pkt)}
-				}, nil),
-			stdPhase("QueryInformation", false,
-				func(ks *kernel.KState) uint32 { return mp(ks).QueryInfoPC },
-				infoArgs(kernel.OIDGenSupportedList), nil),
-			stdPhase("SetInformation", false,
-				func(ks *kernel.KState) uint32 { return mp(ks).SetInfoPC },
-				infoArgs(kernel.OIDGenCurrentPacketFil), nil),
-			isrPhase(),
-			dpcPhase(),
-			stdPhase("Halt", false,
-				func(ks *kernel.KState) uint32 { return mp(ks).HaltPC },
-				handleArg, nil),
-		)
-	case binimg.ClassAudio:
-		au := func(ks *kernel.KState) *kernel.AudioChars {
-			if ks.Audio == nil {
-				return &kernel.AudioChars{}
-			}
-			return ks.Audio
-		}
-		plan = append(plan,
-			stdPhase("Initialize", true,
-				func(ks *kernel.KState) uint32 { return au(ks).InitializePC },
-				handleArg, nil),
-			stdPhase("Play", false,
-				func(ks *kernel.KState) uint32 { return au(ks).PlayPC },
-				func(e *Engine, s *vm.State) []*expr.Expr {
-					buf := e.makeAudioBuffer(s)
-					return []*expr.Expr{expr.Const(adapterHandle), expr.Const(buf), expr.Const(256)}
-				}, nil),
-			isrPhase(),
-			dpcPhase(),
-			stdPhase("Stop", false,
-				func(ks *kernel.KState) uint32 { return au(ks).StopPC },
-				handleArg, nil),
-			stdPhase("Halt", false,
-				func(ks *kernel.KState) uint32 { return au(ks).HaltPC },
-				handleArg, nil),
-		)
-	case binimg.ClassStorage:
-		plan = append(plan, e.storagePhases(handleArg)...)
-	}
-	return plan
-}
-
-// scenarioKind selects the workload scenario: an explicit Options.Scenario
-// wins; otherwise storage-class drivers default to the PnP/power scenario
-// graph and every other class to its linear plan (which "pnp" does not
-// change either — only storage defines PnP/power phases today).
-func (e *Engine) scenarioKind() string {
-	if e.Opts.Scenario != "" {
-		return e.Opts.Scenario
-	}
-	if e.Img.Device.Class == binimg.ClassStorage {
-		return ScenarioPnP
-	}
-	return ScenarioLinear
-}
-
-// storagePhases builds the storage-class workload. Under ScenarioLinear it
-// is the familiar straight line (Initialize, Read, Write, ISR, DPC, Halt).
-// Under ScenarioPnP it is a scenario graph layering the PnP/power
-// alternatives of a real OS onto that data path:
-//
-//	0 DriverEntry ─ 1 Initialize ─ 2 Read ─ 3 Write ─ 4 ISR ─┬─ 5 CancelIo ──────────┐
-//	                                                         ├─ 6 Suspend ─ 7 Resume ┤
-//	                                                         └─ 8 SurpriseRemoval ───┤
-//	                                                  ┌──────────────────────────────┘
-//	                                                  9 DPC ─┬─(removed)─ 10 RemoveDevice ─ 11 Halt
-//	                                                         └─(else)──────────────────────── Halt
-//
-// CancelIo's interrupt-at-entry sibling is the IRP-cancellation-vs-ISR
-// race; SurpriseRemoval flips the device to removed (all further hardware
-// reads return all-ones) BEFORE invoking the PnP handler, exactly as a
-// yanked card behaves; the DPC drain after each alternative is where
-// completion callbacks touch whatever the alternative left behind.
-func (e *Engine) storagePhases(handleArg func(*Engine, *vm.State) []*expr.Expr) []phaseSpec {
-	sc := func(ks *kernel.KState) *kernel.StorageChars {
-		if ks.Storage == nil {
-			return &kernel.StorageChars{}
-		}
-		return ks.Storage
-	}
-	blockArgs := func(e *Engine, s *vm.State) []*expr.Expr {
-		buf := e.makeStorageBuffer(s)
-		return []*expr.Expr{expr.Const(adapterHandle), expr.Const(buf), expr.Const(0x80)}
-	}
-	pnpArgs := func(minor uint32) func(*Engine, *vm.State) []*expr.Expr {
-		return func(e *Engine, s *vm.State) []*expr.Expr {
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(minor)}
-		}
-	}
-	powerArgs := func(state uint32) func(*Engine, *vm.State) []*expr.Expr {
-		return func(e *Engine, s *vm.State) []*expr.Expr {
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(kernel.IrpMnSetPower), expr.Const(state)}
-		}
-	}
-
-	phases := []phaseSpec{
-		stdPhase("Initialize", true,
-			func(ks *kernel.KState) uint32 { return sc(ks).InitializePC },
-			handleArg, nil),
-		stdPhase("Read", false,
-			func(ks *kernel.KState) uint32 { return sc(ks).ReadPC },
-			blockArgs, nil),
-		stdPhase("Write", false,
-			func(ks *kernel.KState) uint32 { return sc(ks).WritePC },
-			blockArgs, nil),
-		isrPhase(),
-	}
-	if e.scenarioKind() != ScenarioPnP {
-		return append(phases,
-			dpcPhase(),
-			stdPhase("Halt", false,
-				func(ks *kernel.KState) uint32 { return sc(ks).HaltPC },
-				handleArg, nil),
-		)
-	}
-	phases = append(phases,
-		stdPhase("CancelIo", false, // 5
-			func(ks *kernel.KState) uint32 { return sc(ks).CancelPC },
-			handleArg, nil),
-		stdPhase("Suspend", false, // 6
-			func(ks *kernel.KState) uint32 { return sc(ks).PowerPC },
-			powerArgs(kernel.PowerDeviceD3), nil),
-		stdPhase("Resume", false, // 7
-			func(ks *kernel.KState) uint32 { return sc(ks).PowerPC },
-			powerArgs(kernel.PowerDeviceD0), nil),
-		stdPhase("SurpriseRemoval", false, // 8
-			func(ks *kernel.KState) uint32 { return sc(ks).PnpPC },
-			pnpArgs(kernel.IrpMnSurpriseRemoval),
-			func(s *vm.State) {
-				// The card is gone before the driver hears about it.
-				hw.Of(s).Removed = true
-				kernel.Of(s).Removed = true
-			}),
-		dpcPhase(), // 9
-		stdPhase("RemoveDevice", false, // 10
-			func(ks *kernel.KState) uint32 { return sc(ks).PnpPC },
-			pnpArgs(kernel.IrpMnRemoveDevice), nil),
-		stdPhase("Halt", false, // 11
-			func(ks *kernel.KState) uint32 { return sc(ks).HaltPC },
-			handleArg, nil),
-	)
-	removed := func(e *Engine, s *vm.State) bool { return kernel.Of(s).Removed }
-	notRemoved := func(e *Engine, s *vm.State) bool { return !kernel.Of(s).Removed }
-	// Indices below are plan indices (this slice is appended after the
-	// DriverEntry phase 0, so slice index k is plan index k+1).
-	phases[3].succs = []phaseEdge{{to: 5}, {to: 6}, {to: 8}} // ISR → alternatives
-	phases[4].succs = []phaseEdge{{to: 9}}                   // CancelIo → DPC
-	phases[5].succs = []phaseEdge{{to: 7}}                   // Suspend → Resume
-	phases[6].succs = []phaseEdge{{to: 9}}                   // Resume → DPC
-	phases[7].succs = []phaseEdge{{to: 9}}                   // SurpriseRemoval → DPC
-	phases[8].succs = []phaseEdge{{to: 10, when: removed}, {to: 11, when: notRemoved}}
-	phases[9].succs = []phaseEdge{{to: 11}} // RemoveDevice → Halt
-	return phases
-}
-
-// phaseRanks computes each phase's scheduling rank — its longest-path
-// depth from DriverEntry. Edges only point forward, so one in-order sweep
-// relaxes every edge after its source is final. On a linear plan ranks
-// equal plan indices.
-func phaseRanks(plan []phaseSpec) []int {
-	ranks := make([]int, len(plan))
-	for i, sp := range plan {
-		if sp.succs == nil {
-			if i+1 < len(plan) && ranks[i+1] < ranks[i]+1 {
-				ranks[i+1] = ranks[i] + 1
-			}
-			continue
-		}
-		for _, edge := range sp.succs {
-			if ranks[edge.to] < ranks[i]+1 {
-				ranks[edge.to] = ranks[i] + 1
-			}
-		}
-	}
-	return ranks
-}
-
 // pipeSeed is one phase-transition work item: invoke base into phase.
 type pipeSeed struct {
 	base  *vm.State
@@ -412,7 +58,7 @@ type pipeSeed struct {
 // phase bookkeeping, all guarded by the runner's coordinator lock.
 type pipeLedger struct {
 	campaign.Ledger
-	spec phaseSpec
+	node *workload.Node
 
 	// bases are this phase's input states, kept for the zero-success
 	// fallback (bounded: promotions into a phase are KeepStates-capped).
@@ -449,6 +95,7 @@ type pipeItem struct {
 type pipeRun struct {
 	e       *Engine
 	r       *campaign.Runner[*pipeItem]
+	plan    workload.Plan
 	phases  []*pipeLedger
 	ledgers []*campaign.Ledger // the campaign view of phases, same order
 	seeds   *workq.Queue[pipeSeed]
@@ -468,12 +115,12 @@ func (e *Engine) testDriverPipelined(ctx context.Context) (*Report, error) {
 		// graphs weight by depth rank, not list position: alternative
 		// branches at equal depth compete fairly (on a linear plan ranks
 		// equal indices, so this is the original phase-weighted pick).
-		e.Sched.SetHeuristic(exerciser.NewPhaseRankMinBlockCount(e.Sched.Counts(), phaseRanks(plan)))
+		e.Sched.SetHeuristic(exerciser.NewPhaseRankMinBlockCount(e.Sched.Counts(), plan.Ranks()))
 	}
-	p := &pipeRun{e: e, seeds: workq.New[pipeSeed](e.Opts.Workers)}
-	for _, sp := range plan {
-		l := &pipeLedger{spec: sp}
-		l.Name = sp.name
+	p := &pipeRun{e: e, plan: plan, seeds: workq.New[pipeSeed](e.Opts.Workers)}
+	for i := range plan {
+		l := &pipeLedger{node: &plan[i]}
+		l.Name = plan[i].Name
 		p.phases = append(p.phases, l)
 		p.ledgers = append(p.ledgers, &l.Ledger)
 	}
@@ -513,7 +160,7 @@ func (e *Engine) testDriverPipelined(ctx context.Context) (*Report, error) {
 	e.mu.Lock()
 	for _, l := range p.phases {
 		e.phaseStats = append(e.phaseStats, PhaseStat{
-			Name:         l.spec.name,
+			Name:         l.node.Name,
 			Exited:       l.Exited,
 			Succeeded:    l.Succeeded,
 			Promoted:     l.Promoted,
@@ -526,14 +173,18 @@ func (e *Engine) testDriverPipelined(ctx context.Context) (*Report, error) {
 	return e.Report(), nil
 }
 
-// exec runs one work item outside the coordinator lock: expand a seed into
-// its invocation states, or step a frontier state to completion.
+// exec runs one work item: expand a seed into its invocation states (under
+// the coordinator lock), or step a frontier state to completion (outside
+// it).
 func (p *pipeRun) exec(w int, it *pipeItem) {
 	switch {
 	case it.seed != nil:
-		it.out = p.phases[it.seed.phase].spec.invoke(p.e, it.seed.base, it.seed.phase)
+		// One base may be seeded into several phases (a scenario fan-out,
+		// a zero-success fallback), and forking writes to the parent
+		// state, so expansions of a shared base must not run concurrently.
+		p.r.Locked(func() { it.out = p.e.invoke(p.plan, it.seed.phase, it.seed.base) })
 	case it.st != nil:
-		p.e.runPath(p.ectxs[w], it.st, p.phases[it.st.Phase].spec.name, &it.res)
+		p.e.runPath(p.ectxs[w], it.st, p.plan[it.st.Phase].Name, &it.res)
 		p.perPaths[w]++
 	}
 }
@@ -620,17 +271,8 @@ func (p *pipeRun) seedOnward(w int, base *vm.State, fromPhase int) {
 // fallthrough). The visited set dedupes skip-through on diamond shapes —
 // two alternatives converging on the same DPC node must seed it once.
 func (p *pipeRun) seedAlong(w int, base *vm.State, i int, visited map[int]bool) {
-	sp := p.phases[i].spec
-	if sp.succs == nil {
-		if i+1 < len(p.phases) {
-			p.seedInto(w, base, i+1, visited)
-		}
-		return
-	}
-	for _, edge := range sp.succs {
-		if edge.when == nil || edge.when(p.e, base) {
-			p.seedInto(w, base, edge.to, visited)
-		}
+	for _, j := range p.plan.Next(nil, i, base) {
+		p.seedInto(w, base, j, visited)
 	}
 }
 
@@ -641,11 +283,11 @@ func (p *pipeRun) seedInto(w int, base *vm.State, j int, visited map[int]bool) {
 		return
 	}
 	visited[j] = true
-	if p.phases[j].spec.applicable(p.e, base) {
+	if p.plan[j].Applies(base) {
 		p.enqueueSeed(w, base, j)
 		return
 	}
-	if p.phases[j].spec.gate {
+	if p.plan[j].Gate {
 		return
 	}
 	p.seedAlong(w, base, j, visited)
@@ -695,15 +337,13 @@ func (p *pipeRun) pathDone(w int, st *vm.State, res *PhaseResult) {
 	}
 	hasDPCs := len(kernel.Of(done).PendingDPCs) > 0
 	switch {
-	case success && l.spec.drain && hasDPCs &&
-		l.Drained < p.e.Opts.KeepStates*maxDPCRounds:
+	case success && l.node.Drain && hasDPCs &&
+		l.Drained < p.e.Opts.KeepStates*workload.MaxDPCRounds:
 		// Drain phase with work left: re-enter the same phase (the
 		// pipelined form of drainDPCs' fixpoint rounds). Not charged to
 		// Promoted — the fixpoint must not eat the forward budget.
 		l.Drained++
-		ks := kernel.Of(done)
-		ks.InDpc = false
-		ks.IRQL = kernel.PassiveLevel
+		normalize(done)
 		p.enqueueSeed(w, done, st.Phase)
 	case success && (l.Promoted < p.e.Opts.KeepStates ||
 		(hasDPCs && l.PromotedDPC < p.e.Opts.KeepStates)):
@@ -714,9 +354,7 @@ func (p *pipeRun) pathDone(w int, st *vm.State, res *PhaseResult) {
 		}
 		// Promoted bases must not leak DPC/IRQL context into the next
 		// phase (the barriered loop normalizes carried states the same way).
-		ks := kernel.Of(done)
-		ks.InDpc = false
-		ks.IRQL = kernel.PassiveLevel
+		normalize(done)
 		p.seedOnward(w, done, st.Phase)
 	}
 	p.reap(w)
@@ -739,9 +377,9 @@ func (p *pipeRun) reap(w int) {
 		}
 		l.Done = true
 		dbgPhases.printf("pipeline phase %-20s drained: exited=%-4d succ=%-3d promoted=%d\n",
-			l.spec.name, l.Exited, l.Succeeded, l.Promoted)
+			l.node.Name, l.Exited, l.Succeeded, l.Promoted)
 		dbgPhases.gauges("pipeline", p.gaugeRows())
-		if !l.spec.gate && l.SeedsIn > 0 && l.Succeeded == 0 {
+		if !l.node.Gate && l.SeedsIn > 0 && l.Succeeded == 0 {
 			for _, b := range l.bases {
 				p.seedOnward(w, b, i)
 			}
@@ -757,7 +395,7 @@ func (p *pipeRun) gaugeRows() []phaseGauge {
 	rows := make([]phaseGauge, 0, len(p.phases))
 	for _, l := range p.phases {
 		rows = append(rows, phaseGauge{
-			Name:     l.spec.name,
+			Name:     l.node.Name,
 			Queued:   l.Queued + l.PendingSeeds,
 			InFlight: l.InFlight + l.Expanding,
 			Exited:   l.Exited,

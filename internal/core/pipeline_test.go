@@ -96,7 +96,7 @@ func TestPipelinedPhaseOrdering(t *testing.T) {
 			e := NewEngine(img, opts)
 			plan := e.phasePlan()
 			drain := func(phase int) bool {
-				return phase >= 0 && phase < len(plan) && plan[phase].drain
+				return phase >= 0 && phase < len(plan) && plan[phase].Drain
 			}
 
 			type completion struct {

@@ -2,20 +2,20 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
-	"repro/internal/binimg"
-	"repro/internal/expr"
 	"repro/internal/kernel"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // The workload generator is our Device Path Exerciser (§4.3): it invokes
 // each registered entry point the way the OS would — load, initialize,
 // exercise the data path (one packet / one playback, §5.2), query and set
 // driver information with symbolic OIDs, drain DPCs, deliver interrupts,
-// halt — and lets symbolic execution fan out from each invocation.
+// halt — and lets symbolic execution fan out from each invocation. The
+// plan itself lives in internal/workload; this file is its barriered
+// walker.
 
 // pipelined reports whether this engine explores cross-phase (no workload
 // phase barriers): Options.Pipeline with a real worker pool.
@@ -47,73 +47,65 @@ func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
 		// we found.
 		return e.Report(), nil
 	}
-	bases := res.Succeeded
-
-	switch e.Img.Device.Class {
-	case binimg.ClassNetwork:
-		bases = e.networkWorkload(ctx, bases)
-	case binimg.ClassAudio:
-		bases = e.audioWorkload(ctx, bases)
-	case binimg.ClassStorage:
-		// Storage drivers run the scenario graph (PnP/power/surprise
-		// removal); the plan is shared with the pipelined explorer.
-		bases = e.runGraph(ctx, e.phasePlan(), bases)
-	default:
-		// No class-specific data path: still exercise halt if registered.
-	}
-	_ = bases
+	e.runGraph(ctx, e.phasePlan(), res.Succeeded)
 	return e.Report(), nil
 }
 
-// phase runs one entry phase across all base states. It returns the new
-// bases (successful outcomes) and whether any invocation succeeded; when
-// none did, the old bases are returned so the caller can decide whether the
-// remaining workload still makes sense.
-//
-// NOTE: the workload below exists in a second, data-driven form in
-// pipeline.go (phasePlan) for the barrier-free explorer. Any phase added,
-// reordered, or re-argumented here must be mirrored there — see the
-// phasePlan comment for why the two cannot share one definition.
-func (e *Engine) phase(ctx context.Context, bases []*vm.State, name string, pcOf func(ks *kernel.KState) uint32,
-	argsOf func(s *vm.State) []*expr.Expr, prep func(s *vm.State)) ([]*vm.State, bool) {
-
-	any := false
-	for _, base := range bases {
-		ks := kernel.Of(base)
-		pc := pcOf(ks)
-		if pc == 0 {
+// runGraph walks the workload plan under the barriered explorer: every
+// node's invocations across all of its input states are explored to
+// completion before the next node starts. Edges only point forward, so plan
+// index order is a topological order and a single in-order sweep visits
+// every node after all of its predecessors. Node 0 (DriverEntry) has
+// already run; bases are its successes, routed along node 0's edges.
+func (e *Engine) runGraph(ctx context.Context, plan workload.Plan, bases []*vm.State) {
+	in := make([][]*vm.State, len(plan))
+	route := func(i int, out []*vm.State) {
+		var next []int
+		for _, s := range out {
+			for _, j := range plan.Next(next[:0], i, s) {
+				in[j] = append(in[j], s)
+			}
+		}
+	}
+	route(0, bases)
+	for i := 1; i < len(plan); i++ {
+		if len(in[i]) == 0 {
 			continue
 		}
-		any = true
-		st := e.M.ForkState(base)
-		if prep != nil {
-			prep(st)
+		var out []*vm.State
+		var ok bool
+		if plan[i].Drain {
+			out, ok = e.drainDPCs(ctx, plan, i, in[i]), true
+		} else {
+			out, ok = e.runNode(ctx, plan, i, in[i])
 		}
-		var args []*expr.Expr
-		if argsOf != nil {
-			args = argsOf(st)
+		if !ok && plan[i].Gate {
+			// Gate with zero successes: this subtree of the scenario ends —
+			// the OS only exercises the data path, and eventually Halt, on
+			// an adapter that initialized successfully.
+			continue
 		}
-		e.K.InvokeSym(st, name, pc, args...)
-		e.Sched.Push(st)
+		// Zero-success non-gate nodes return their inputs unchanged
+		// (pass-through), so routing out is always right.
+		route(i, out)
+	}
+}
 
-		if e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && name != "ISR" && e.intrBudgetLeft(base) {
-			alt := e.M.ForkState(base)
-			if prep != nil {
-				prep(alt)
-			}
-			var altArgs []*expr.Expr
-			if argsOf != nil {
-				altArgs = argsOf(alt)
-			}
-			e.K.InvokeSym(alt, name, pc, altArgs...)
-			chargeIntr(alt)
-			e.Sched.Push(alt)
+// runNode runs plan node i over its input states: invoke, explore, then
+// carry forward at most KeepStates successes. It returns the inputs and
+// false when nothing applied or nothing succeeded.
+func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases []*vm.State) ([]*vm.State, bool) {
+	any := false
+	for _, base := range bases {
+		for _, st := range e.invoke(plan, i, base) {
+			any = true
+			e.Sched.Push(st)
 		}
 	}
 	if !any {
 		return bases, false
 	}
-	res := e.Explore(ctx, name)
+	res := e.Explore(ctx, plan[i].Name)
 	if len(res.Succeeded) == 0 {
 		return bases, false
 	}
@@ -126,149 +118,9 @@ func (e *Engine) phase(ctx context.Context, bases []*vm.State, name string, pcOf
 	if len(res.Succeeded) > e.Opts.KeepStates {
 		res.Succeeded = res.Succeeded[:e.Opts.KeepStates]
 	}
-	// Normalize carried state: phases must not leak DPC/IRQL context.
-	for _, s := range res.Succeeded {
-		ks := kernel.Of(s)
-		ks.InDpc = false
-		ks.IRQL = kernel.PassiveLevel
-	}
+	normalize(res.Succeeded...)
 	return res.Succeeded, true
 }
-
-// adapterHandle is the opaque per-adapter context the kernel hands to
-// network entry points.
-const adapterHandle uint32 = 0x7000_0001
-
-func (e *Engine) networkWorkload(ctx context.Context, bases []*vm.State) []*vm.State {
-	mp := func(ks *kernel.KState) *kernel.MiniportChars {
-		if ks.Miniport == nil {
-			return &kernel.MiniportChars{}
-		}
-		return ks.Miniport
-	}
-
-	// Initialize. Interrupt registration happens inside; the boundary hook
-	// begins injecting as soon as the ISR is registered — this is the
-	// window where the RTL8029 init race lives.
-	bases, initialized := e.phase(ctx, bases, "Initialize",
-		func(ks *kernel.KState) uint32 { return mp(ks).InitializePC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	if !initialized {
-		// The OS only exercises the data path — and eventually Halt — on
-		// an adapter that initialized successfully.
-		return bases
-	}
-
-	// Send one packet with symbolic contents and symbolic (bounded) length.
-	bases, _ = e.phase(ctx, bases, "Send",
-		func(ks *kernel.KState) uint32 { return mp(ks).SendPC },
-		func(s *vm.State) []*expr.Expr {
-			pkt := e.makeSymbolicPacket(s)
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(pkt)}
-		},
-		nil)
-
-	// QueryInformation / SetInformation with a fully symbolic OID — the
-	// unexpected-OID crashes of Table 2 need exactly this. Symbolic entry
-	// arguments are concrete-to-symbolic conversion hints (§3.4): in
-	// default, annotation-free mode "driver entry point arguments are not
-	// touched" and a representative concrete OID is used instead.
-	infoArgs := func(concreteOID uint32) func(s *vm.State) []*expr.Expr {
-		return func(s *vm.State) []*expr.Expr {
-			var oid *expr.Expr
-			if e.Opts.Annotations {
-				oid = e.K.FreshSymbol(s, "oid", expr.OriginArgument)
-			} else {
-				oid = expr.Const(concreteOID)
-			}
-			buf := e.makeInfoBuffer(s)
-			return []*expr.Expr{expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64)}
-		}
-	}
-	bases, _ = e.phase(ctx, bases, "QueryInformation",
-		func(ks *kernel.KState) uint32 { return mp(ks).QueryInfoPC },
-		infoArgs(kernel.OIDGenSupportedList), nil)
-	bases, _ = e.phase(ctx, bases, "SetInformation",
-		func(ks *kernel.KState) uint32 { return mp(ks).SetInfoPC },
-		infoArgs(kernel.OIDGenCurrentPacketFil), nil)
-
-	// Direct ISR delivery (device interrupt while otherwise idle).
-	bases, _ = e.phase(ctx, bases, "ISR",
-		func(ks *kernel.KState) uint32 {
-			if ks.ISRRegistered {
-				return ks.ISRPC
-			}
-			return 0
-		},
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		func(s *vm.State) { kernel.Of(s).IRQL = kernel.DeviceLevel })
-
-	// Drain queued DPCs (timer callbacks) at DISPATCH_LEVEL.
-	bases = e.drainDPCs(ctx, bases)
-
-	// Halt: everything must be released afterwards.
-	bases, _ = e.phase(ctx, bases, "Halt",
-		func(ks *kernel.KState) uint32 { return mp(ks).HaltPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	return bases
-}
-
-func (e *Engine) audioWorkload(ctx context.Context, bases []*vm.State) []*vm.State {
-	au := func(ks *kernel.KState) *kernel.AudioChars {
-		if ks.Audio == nil {
-			return &kernel.AudioChars{}
-		}
-		return ks.Audio
-	}
-
-	bases, initialized := e.phase(ctx, bases, "Initialize",
-		func(ks *kernel.KState) uint32 { return au(ks).InitializePC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	if !initialized {
-		return bases
-	}
-
-	// Play a small sound: the paper's audio workload (§5.2).
-	bases, _ = e.phase(ctx, bases, "Play",
-		func(ks *kernel.KState) uint32 { return au(ks).PlayPC },
-		func(s *vm.State) []*expr.Expr {
-			buf := e.makeAudioBuffer(s)
-			return []*expr.Expr{expr.Const(adapterHandle), expr.Const(buf), expr.Const(256)}
-		},
-		nil)
-
-	bases, _ = e.phase(ctx, bases, "ISR",
-		func(ks *kernel.KState) uint32 {
-			if ks.ISRRegistered {
-				return ks.ISRPC
-			}
-			return 0
-		},
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		func(s *vm.State) { kernel.Of(s).IRQL = kernel.DeviceLevel })
-
-	bases = e.drainDPCs(ctx, bases)
-
-	bases, _ = e.phase(ctx, bases, "Stop",
-		func(ks *kernel.KState) uint32 { return au(ks).StopPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-
-	bases, _ = e.phase(ctx, bases, "Halt",
-		func(ks *kernel.KState) uint32 { return au(ks).HaltPC },
-		func(s *vm.State) []*expr.Expr { return []*expr.Expr{expr.Const(adapterHandle)} },
-		nil)
-	return bases
-}
-
-// maxDPCRounds bounds the DPC-drain fixpoint: a DPC body may itself queue
-// another DPC, and an unbounded drain would never terminate on such a
-// driver. Eight rounds comfortably covers every corpus driver while still
-// converging when a callback re-queues itself.
-const maxDPCRounds = 8
 
 // drainDPCs dispatches pending timer/DPC callbacks at DISPATCH_LEVEL with
 // the DPC flag set (where the Intel Pro/100 spinlock bug manifests). A
@@ -276,34 +128,27 @@ const maxDPCRounds = 8
 // ISR inserted — so the drain runs to a fixpoint: each round pops one DPC
 // per state and explores it, until no carried state has work left. States
 // whose queue is already empty ride through a round unchanged.
-func (e *Engine) drainDPCs(ctx context.Context, bases []*vm.State) []*vm.State {
-	for round := 0; round < maxDPCRounds; round++ {
+func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases []*vm.State) []*vm.State {
+	for round := 0; round < workload.MaxDPCRounds; round++ {
 		var out []*vm.State
 		ran := false
 		for _, base := range bases {
-			if len(kernel.Of(base).PendingDPCs) == 0 {
+			sts := e.invoke(plan, i, base)
+			if len(sts) == 0 {
 				out = append(out, base)
 				continue
 			}
 			ran = true
-			st := e.M.ForkState(base)
-			sks := kernel.Of(st)
-			dpc := sks.TakeDPC()
-			sks.IRQL = kernel.DispatchLevel
-			sks.InDpc = true
-			e.K.InvokeSym(st, "DPC:"+dpc.Label, dpc.FuncPC, expr.Const(dpc.Ctx))
-			e.Sched.Push(st)
+			for _, st := range sts {
+				e.Sched.Push(st)
+			}
 		}
 		if !ran {
 			return bases
 		}
-		res := e.Explore(ctx, "DPC")
-		for _, s := range res.Succeeded {
-			ks := kernel.Of(s)
-			ks.InDpc = false
-			ks.IRQL = kernel.PassiveLevel
-			out = append(out, s)
-		}
+		res := e.Explore(ctx, plan[i].Name)
+		normalize(res.Succeeded...)
+		out = append(out, res.Succeeded...)
 		if len(out) == 0 {
 			return bases
 		}
@@ -312,191 +157,45 @@ func (e *Engine) drainDPCs(ctx context.Context, bases []*vm.State) []*vm.State {
 	return bases
 }
 
-// runGraph executes a scenario graph — a phasePlan whose specs may carry
-// successor edges — under the barriered explorer. Edges only point forward
-// (phasePlan builds them that way), so plan index order is a topological
-// order and a single in-order sweep visits every node after all of its
-// predecessors. Node 0 (DriverEntry) has already run; bases are its
-// successes, routed along node 0's edges. The return value collects the
-// graph's leaves: states that completed a terminal node (or stalled at a
-// failed gate).
-func (e *Engine) runGraph(ctx context.Context, plan []phaseSpec, bases []*vm.State) []*vm.State {
-	in := make([][]*vm.State, len(plan))
-	leaves := e.routeGraph(plan, 0, bases, in)
-	for i := 1; i < len(plan); i++ {
-		if len(in[i]) == 0 {
-			continue
-		}
-		out, ok := e.runGraphNode(ctx, plan[i], i, in[i])
-		if !ok && plan[i].gate {
-			// Gate with zero successes: this subtree of the scenario ends
-			// (the linear loop's "!initialized" early return). Its inputs
-			// are the subtree's final states.
-			leaves = append(leaves, in[i]...)
-			continue
-		}
-		// Zero-success non-gate nodes return their inputs unchanged (the
-		// linear loop's pass-through), so routing out is always right.
-		leaves = append(leaves, e.routeGraph(plan, i, out, in)...)
+// invoke forks base into plan node i's invocation state(s), each tagged
+// with the phase index: the invocation itself, plus the interrupt-at-entry
+// sibling when the node admits one, an ISR is registered and the path's
+// interrupt budget allows. It does not push them.
+func (e *Engine) invoke(plan workload.Plan, i int, base *vm.State) []*vm.State {
+	n := &plan[i]
+	if !n.Applies(base) {
+		return nil
 	}
-	return leaves
+	env := workload.Env{K: e.K, Annotations: e.Opts.Annotations}
+	mk := func() *vm.State {
+		st := e.M.ForkState(base)
+		st.Phase = i
+		name, pc, args := n.Enter(env, st)
+		e.K.InvokeSym(st, name, pc, args...)
+		return st
+	}
+	st := mk()
+	out := []*vm.State{st}
+	if n.EntryInterrupt() && e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && e.intrBudgetLeft(base) {
+		alt := mk()
+		chargeIntr(alt)
+		out = append(out, alt)
+	}
+	return out
 }
 
-// routeGraph sends the states leaving node i along its outgoing edges,
-// appending them to each matching target's input list. nil succs is linear
-// fallthrough to i+1; a state matching no edge (or leaving the last node)
-// is a leaf and is returned.
-func (e *Engine) routeGraph(plan []phaseSpec, i int, out []*vm.State, in [][]*vm.State) []*vm.State {
-	sp := plan[i]
-	if sp.succs == nil {
-		if i+1 < len(plan) {
-			in[i+1] = append(in[i+1], out...)
-			return nil
-		}
-		return out
-	}
-	var leaves []*vm.State
-	for _, s := range out {
-		routed := false
-		for _, edge := range sp.succs {
-			if edge.when == nil || edge.when(e, s) {
-				in[edge.to] = append(in[edge.to], s)
-				routed = true
-			}
-		}
-		if !routed {
-			leaves = append(leaves, s)
-		}
-	}
-	return leaves
-}
-
-// runGraphNode runs one scenario-graph node over its input states,
-// mirroring Engine.phase's explore/sort/cap/normalize sequence but driving
-// the invocation through the node's phaseSpec (so the barriered and
-// pipelined walkers exercise identical invocations). Drain nodes delegate
-// to the DPC fixpoint.
-func (e *Engine) runGraphNode(ctx context.Context, sp phaseSpec, idx int, bases []*vm.State) ([]*vm.State, bool) {
-	if sp.drain {
-		return e.drainDPCs(ctx, bases), true
-	}
-	any := false
-	for _, base := range bases {
-		for _, st := range sp.invoke(e, base, idx) {
-			any = true
-			e.Sched.Push(st)
-		}
-	}
-	if !any {
-		return bases, false
-	}
-	res := e.Explore(ctx, sp.name)
-	if len(res.Succeeded) == 0 {
-		return bases, false
-	}
-	sort.SliceStable(res.Succeeded, func(i, j int) bool {
-		return len(kernel.Of(res.Succeeded[i]).PendingDPCs) > len(kernel.Of(res.Succeeded[j]).PendingDPCs)
-	})
-	if len(res.Succeeded) > e.Opts.KeepStates {
-		res.Succeeded = res.Succeeded[:e.Opts.KeepStates]
-	}
-	for _, s := range res.Succeeded {
+// normalize clears the DPC/IRQL context of states carried into the next
+// phase: phases must not leak it.
+func normalize(states ...*vm.State) {
+	for _, s := range states {
 		ks := kernel.Of(s)
 		ks.InDpc = false
 		ks.IRQL = kernel.PassiveLevel
 	}
-	return res.Succeeded, true
 }
 
-// makeSymbolicPacket builds the one-packet Send workload: a packet header
-// { dataPtr, length } plus a payload whose leading bytes are symbolic. The
-// length is symbolic but constrained to the buffer size — the soundness
-// requirement §7 contrasts with RevNIC ("constrained not to be greater
-// than the original, to avoid buffer overflows").
-func (e *Engine) makeSymbolicPacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr) // kernel-owned: the driver must not free it
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if e.Opts.Annotations {
-		length := e.K.FreshSymbol(s, "packet_len", expr.OriginPacket)
-		s.AddConstraint(expr.UGe(length, expr.Const(14)))
-		s.AddConstraint(expr.ULe(length, expr.Const(payload)))
-		s.Mem.Write(addr+4, 4, length)
-		for i := uint32(0); i < 16; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(data+i, 1, b)
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-// makeInfoBuffer allocates the kernel-owned information buffer passed to
-// Query/SetInformation.
-func (e *Engine) makeInfoBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	return addr
-}
-
-// makeStorageBuffer allocates a 128-byte block-I/O buffer whose leading
-// bytes are symbolic. The fuzzer's storage workload mirrors this
-// positionally (symbol k here is feed word k there) — keep the two in sync.
-func (e *Engine) makeStorageBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(128, "blkbuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.Opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("blk_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*9&0xFF))
-		}
-	}
-	return addr
-}
-
-// makeAudioBuffer allocates a playback buffer with symbolic leading
-// samples.
-func (e *Engine) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.Opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := e.K.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
+// phasePlan is the engine's workload plan: the class plan in the scenario
+// Options.Scenario selects.
+func (e *Engine) phasePlan() workload.Plan {
+	return workload.Build(e.Img, e.Opts.Scenario)
 }

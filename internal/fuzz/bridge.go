@@ -25,9 +25,8 @@ import (
 
 // FromBug converts a symbolic-engine bug into a corpus feed: every symbol
 // minted on the bug path contributes its solved value, in creation order —
-// the same order the concrete executor consumes feed words (the executor's
-// workload construction mirrors core/workload.go injection for injection;
-// TestHybridLoop's race reproduction is the regression guard for that
+// the same order the concrete executor consumes feed words, since both walk
+// the one workload plan (TestInjectionOrderMatchesEngine pins the
 // alignment). Values are passed through encodeWord so the executor's clamp
 // reproduces the exact witness. Interrupt injections map to the fuzzer's
 // IRQ schedule; annotation forks taken on the path bias the feed's fork

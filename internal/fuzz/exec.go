@@ -7,7 +7,6 @@ import (
 	"repro/internal/annot"
 	"repro/internal/binimg"
 	"repro/internal/checkers"
-	"repro/internal/core"
 	"repro/internal/exerciser"
 	"repro/internal/expr"
 	"repro/internal/hw"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Options configure one concrete executor.
@@ -31,8 +31,6 @@ type Options struct {
 	MaxInterrupts int
 	// LoopThreshold is the infinite-loop heuristic's per-block repeat bound.
 	LoopThreshold uint64
-	// MaxDPCs bounds the DPC-drain phase.
-	MaxDPCs int
 	// Registry overrides/extends the default registry hive.
 	Registry map[string]uint32
 	// Persist enables persistent-mode execution: the executor snapshots the
@@ -79,7 +77,6 @@ func DefaultOptions() Options {
 		MaxStepsPerEntry: 30_000,
 		MaxInterrupts:    4,
 		LoopThreshold:    1_000,
-		MaxDPCs:          8,
 		LazyTrace:        true,
 	}
 }
@@ -168,6 +165,12 @@ type Executor struct {
 	opts Options
 	cov  *exerciser.Coverage
 
+	// plan is the workload this executor walks, built once; env lends the
+	// plan's argument builders the feed-answering kernel.
+	plan workload.Plan
+	env  workload.Env
+	next []int // scratch for the edge targets route chooses among
+
 	// TimeBase supplies the global instruction-count offset for coverage
 	// series sampling (the fuzzer wires the fleet-wide step counter here).
 	TimeBase func() uint64
@@ -212,6 +215,8 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	}
 	e.k.SymbolPolicy = e.symbolPolicy
 	e.k.ForkPolicy = e.forkPolicy
+	e.plan = workload.Build(img, "")
+	e.env = workload.Env{K: e.k, Annotations: opts.Annotations}
 	if opts.NoSuperblocks {
 		e.m.DisableSuperblocks = true
 	}
@@ -383,13 +388,9 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 		}
 		e.resumeFrom(sn, feed, res)
 		s := e.m.ResumeState(sn.state)
-		if sn.stage == stageBooted {
-			fin = e.classWorkload(s, res)
-		} else {
-			fin = e.dataWorkload(s, res)
-		}
+		fin = e.walk(s, e.route(s, sn.node), res)
 	} else {
-		fin = e.runWorkload(e.bootState(), res)
+		fin = e.walk(workload.Boot(e.m, e.img, workload.Registry(e.opts.Registry)), 0, res)
 	}
 
 	e.flushCoverage()
@@ -469,12 +470,18 @@ func (e *Executor) serveMemo(sn *snapshot, feed *Feed, res *ExecResult) *ExecRes
 	return res
 }
 
-// recordSnapshot captures a resumable snapshot of s at the given stage.
-func (e *Executor) recordSnapshot(stage snapStage, s *vm.State, res *ExecResult) {
+// recordSnapshot captures a resumable snapshot of s after the gate at plan
+// node i.
+func (e *Executor) recordSnapshot(i int, s *vm.State, res *ExecResult) {
 	if e.snaps == nil {
 		return
 	}
+	stage := stageInitialized
+	if i == 0 {
+		stage = stageBooted
+	}
 	sn := e.captureContext(stage, res)
+	sn.node = i
 	sn.owner = e.execID
 	sn.state = e.m.SnapshotState(s)
 	e.snaps.add(sn)
@@ -526,251 +533,68 @@ func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 	return sn
 }
 
-func (e *Executor) bootState() *vm.State {
-	s := e.m.NewRootState()
-	ks := kernel.NewKState()
-	ks.Grant(kernel.Region{
-		Lo: isa.ImageBase, Hi: e.img.LimitVA(),
-		Kind: kernel.RegionImage, Writable: true, Tag: "driver image",
-	})
-	for k, v := range core.DefaultRegistry() {
-		ks.Registry[k] = v
-	}
-	for k, v := range e.opts.Registry {
-		ks.Registry[k] = v
-	}
-	s.Kernel = ks
-	s.HW = &hw.DeviceState{}
-	return s
-}
-
-// runWorkload drives the workload chain from a cold boot: DriverEntry, then
-// the class workload the OS would run, concretely, one path. It returns the
-// state the execution ended on.
-func (e *Executor) runWorkload(s *vm.State, res *ExecResult) *vm.State {
-	s, ok := e.runEntry(s, "DriverEntry", e.img.Entry, nil, res)
-	if !ok {
-		e.recordTerminal(s, res)
-		return s
-	}
-	e.recordSnapshot(stageBooted, s, res)
-	return e.classWorkload(s, res)
-}
-
-// classWorkload runs the Initialize gate for the device class and, on
-// success, the data path. A boot that ends the execution here — Initialize
-// crashed, was killed, or returned non-success, or the class has no
-// workload — is memoized as a terminal snapshot: its outcome was a pure
-// function of the consumed boot prefix.
-func (e *Executor) classWorkload(s *vm.State, res *ExecResult) *vm.State {
-	var initPC uint32
-	switch e.img.Device.Class {
-	case binimg.ClassNetwork:
-		if m := kernel.Of(s).Miniport; m != nil {
-			initPC = m.InitializePC
+// walk drives s through the workload plan from node i on the execution's
+// single path and returns the state the execution ended on. Nodes whose
+// entry is not registered are skipped; the drain node runs once per queued
+// DPC, up to workload.MaxDPCRounds. A crash or kill ends the execution, and
+// so does a gate that does not run and return success. After each passed
+// gate the state is snapshotted (persistent mode); a failed gate's outcome
+// is a pure function of the consumed boot prefix, so it is memoized as a
+// terminal snapshot.
+func (e *Executor) walk(s *vm.State, i int, res *ExecResult) *vm.State {
+	for ; i >= 0; i = e.route(s, i) {
+		n := &e.plan[i]
+		visits := 1
+		if n.Drain {
+			visits = workload.MaxDPCRounds
 		}
-	case binimg.ClassAudio:
-		if a := kernel.Of(s).Audio; a != nil {
-			initPC = a.InitializePC
+		passed := !n.Gate
+		for v := 0; v < visits && n.Applies(s); v++ {
+			name, pc, args := n.Enter(e.env, s)
+			var ok bool
+			var status uint32
+			if s, ok, status = e.runEntry(s, name, pc, args, res); !ok {
+				if n.Gate {
+					e.recordTerminal(s, res)
+				}
+				return s
+			}
+			passed = !n.Gate || status == kernel.StatusSuccess
 		}
-	case binimg.ClassStorage:
-		if st := kernel.Of(s).Storage; st != nil {
-			initPC = st.InitializePC
+		if !passed {
+			e.recordTerminal(s, res)
+			return s
 		}
-	default:
-		e.recordTerminal(s, res)
-		return s
-	}
-	adapter := expr.Const(adapterHandle)
-	s2, ok, status := e.runEntryStatus(s, "Initialize", initPC, []*expr.Expr{adapter}, res)
-	if !ok || status != kernel.StatusSuccess {
-		// The OS only exercises the data path — and eventually Halt — on an
-		// adapter that initialized successfully.
-		e.recordTerminal(s2, res)
-		return s2
-	}
-	e.recordSnapshot(stageInitialized, s2, res)
-	return e.dataWorkload(s2, res)
-}
-
-// dataWorkload exercises the post-Initialize phases for the device class.
-func (e *Executor) dataWorkload(s *vm.State, res *ExecResult) *vm.State {
-	switch e.img.Device.Class {
-	case binimg.ClassNetwork:
-		return e.networkData(s, res)
-	case binimg.ClassAudio:
-		return e.audioData(s, res)
-	case binimg.ClassStorage:
-		return e.storageData(s, res)
+		if n.Gate {
+			e.recordSnapshot(i, s, res)
+		}
 	}
 	return s
 }
 
-// adapterHandle mirrors the workload generator's opaque per-adapter context.
-const adapterHandle uint32 = 0x7000_0001
-
-func (e *Executor) networkData(s *vm.State, res *ExecResult) *vm.State {
-	// Entry PCs and kernel state are re-read from the live state after
-	// every phase: runEntry may return a forked successor whose KState is a
-	// distinct object.
-	mp := func() *kernel.MiniportChars {
-		if m := kernel.Of(s).Miniport; m != nil {
-			return m
-		}
-		return &kernel.MiniportChars{}
+// route picks the plan node the execution moves on to after node i, or -1
+// when it leaves the plan. Where several edges apply, the feed's fork
+// stream picks one: a bit per edge from the last edge down to the second,
+// the first set bit taking its edge and the first edge taken otherwise —
+// on the storage graph, surprise removal, then suspend, else cancellation.
+// Mutating the fork stream therefore walks every scenario branch.
+func (e *Executor) route(s *vm.State, i int) int {
+	e.next = e.plan.Next(e.next[:0], i, s)
+	if len(e.next) == 0 {
+		return -1
 	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if pkt := e.makePacket(s); pkt != 0 {
-		if s, ok = e.runEntry(s, "Send", mp().SendPC, []*expr.Expr{adapter, expr.Const(pkt)}, res); !ok {
-			return s
+	for j := len(e.next) - 1; j > 0; j-- {
+		if e.reader.forkBit() {
+			return e.next[j]
 		}
 	}
-	if s, ok = e.runEntry(s, "QueryInformation", mp().QueryInfoPC, e.infoArgs(s, adapter, kernel.OIDGenSupportedList), res); !ok {
-		return s
-	}
-	if s, ok = e.runEntry(s, "SetInformation", mp().SetInfoPC, e.infoArgs(s, adapter, kernel.OIDGenCurrentPacketFil), res); !ok {
-		return s
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	if s, ok = e.drainDPCs(s, res); !ok {
-		return s
-	}
-	s, _ = e.runEntry(s, "Halt", mp().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-func (e *Executor) audioData(s *vm.State, res *ExecResult) *vm.State {
-	au := func() *kernel.AudioChars {
-		if a := kernel.Of(s).Audio; a != nil {
-			return a
-		}
-		return &kernel.AudioChars{}
-	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if buf := e.makeAudioBuffer(s); buf != 0 {
-		if s, ok = e.runEntry(s, "Play", au().PlayPC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(256)}, res); !ok {
-			return s
-		}
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	if s, ok = e.drainDPCs(s, res); !ok {
-		return s
-	}
-	if s, ok = e.runEntry(s, "Stop", au().StopPC, []*expr.Expr{adapter}, res); !ok {
-		return s
-	}
-	s, _ = e.runEntry(s, "Halt", au().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-// storageData exercises the storage data path plus ONE scenario-graph
-// alternative per execution: feed fork-bits pick surprise removal,
-// suspend/resume, or IRP cancellation — the concrete mirror of the
-// symbolic scenario graph's alternative edges (core/pipeline.go
-// storagePhases), so mutation of the fork-bit stream walks every branch.
-func (e *Executor) storageData(s *vm.State, res *ExecResult) *vm.State {
-	sc := func() *kernel.StorageChars {
-		if st := kernel.Of(s).Storage; st != nil {
-			return st
-		}
-		return &kernel.StorageChars{}
-	}
-	adapter := expr.Const(adapterHandle)
-	var ok bool
-
-	if buf := e.makeStorageBuffer(s); buf != 0 {
-		if s, ok = e.runEntry(s, "Read", sc().ReadPC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(0x80)}, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "Write", sc().WritePC, []*expr.Expr{adapter, expr.Const(buf), expr.Const(0x80)}, res); !ok {
-			return s
-		}
-	}
-	if s, ok = e.runISR(s, adapter, res); !ok {
-		return s
-	}
-	removal := e.reader.forkBit()
-	suspend := !removal && e.reader.forkBit()
-	switch {
-	case removal:
-		// The card is gone before the driver hears about it; every
-		// hardware read from here on returns all-ones.
-		hw.Of(s).Removed = true
-		kernel.Of(s).Removed = true
-		if s, ok = e.runEntry(s, "SurpriseRemoval", sc().PnpPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSurpriseRemoval)}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "RemoveDevice", sc().PnpPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnRemoveDevice)}, res); !ok {
-			return s
-		}
-	case suspend:
-		if s, ok = e.runEntry(s, "Suspend", sc().PowerPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSetPower), expr.Const(kernel.PowerDeviceD3)}, res); !ok {
-			return s
-		}
-		if s, ok = e.runEntry(s, "Resume", sc().PowerPC, []*expr.Expr{adapter, expr.Const(kernel.IrpMnSetPower), expr.Const(kernel.PowerDeviceD0)}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-	default:
-		if s, ok = e.runEntry(s, "CancelIo", sc().CancelPC, []*expr.Expr{adapter}, res); !ok {
-			return s
-		}
-		if s, ok = e.drainDPCs(s, res); !ok {
-			return s
-		}
-	}
-	s, _ = e.runEntry(s, "Halt", sc().HaltPC, []*expr.Expr{adapter}, res)
-	return s
-}
-
-func (e *Executor) runISR(s *vm.State, adapter *expr.Expr, res *ExecResult) (*vm.State, bool) {
-	ks := kernel.Of(s)
-	if !ks.ISRRegistered || ks.ISRPC == 0 {
-		return s, true
-	}
-	ks.IRQL = kernel.DeviceLevel
-	return e.runEntry(s, "ISR", ks.ISRPC, []*expr.Expr{adapter}, res)
-}
-
-func (e *Executor) drainDPCs(s *vm.State, res *ExecResult) (*vm.State, bool) {
-	for n := 0; n < e.opts.MaxDPCs; n++ {
-		ks := kernel.Of(s)
-		if len(ks.PendingDPCs) == 0 {
-			break
-		}
-		dpc := ks.TakeDPC()
-		ks.IRQL = kernel.DispatchLevel
-		ks.InDpc = true
-		var ok bool
-		if s, ok = e.runEntry(s, "DPC:"+dpc.Label, dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}, res); !ok {
-			return s, false
-		}
-	}
-	return s, true
+	return e.next[0]
 }
 
 // runEntry invokes one entry and steps it to completion. It returns the
-// state the path ended on (which may be a forked successor of s) and false
-// when the execution is over (crash, kill, or unresolvable entry).
-func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Expr, res *ExecResult) (*vm.State, bool) {
-	fin, ok, _ := e.runEntryStatus(s, name, pc, args, res)
-	return fin, ok
-}
-
-func (e *Executor) runEntryStatus(s *vm.State, name string, pc uint32, args []*expr.Expr, res *ExecResult) (*vm.State, bool, uint32) {
+// state the path ended on (which may be a forked successor of s), false
+// when the execution is over (crash or kill), and the entry's status.
+func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Expr, res *ExecResult) (*vm.State, bool, uint32) {
 	if pc == 0 {
 		return s, true, kernel.StatusSuccess
 	}
@@ -870,92 +694,4 @@ func (e *Executor) recordCrash(s *vm.State, entry string, err error, res *ExecRe
 		Entry:       entry,
 		InInterrupt: s.InInterrupt > 0,
 	}
-}
-
-// makePacket mirrors the workload generator's one-packet Send payload
-// (core/workload.go makeSymbolicPacket), with feed-fed contents where the
-// engine would inject symbols. The injection sites must stay in the same
-// order as the engine's — the concolic bridge maps feed words to symbols
-// positionally (TestHybridLoop guards the alignment end-to-end).
-func (e *Executor) makePacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr) // kernel-owned: the driver must not free it
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if e.opts.Annotations {
-		s.Mem.Write(addr+4, 4, e.k.FreshSymbol(s, "packet_len", expr.OriginPacket))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket))
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-func (e *Executor) infoArgs(s *vm.State, adapter *expr.Expr, concreteOID uint32) []*expr.Expr {
-	ks := kernel.Of(s)
-	buf, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return nil
-	}
-	delete(ks.Allocs, buf)
-	var oid *expr.Expr
-	if e.opts.Annotations {
-		oid = e.k.FreshSymbol(s, "oid", expr.OriginArgument)
-	} else {
-		oid = expr.Const(concreteOID)
-	}
-	return []*expr.Expr{adapter, oid, expr.Const(buf), expr.Const(64)}
-}
-
-// makeStorageBuffer mirrors core/workload.go makeStorageBuffer; the
-// injection sites must stay positionally aligned for the concolic bridge.
-func (e *Executor) makeStorageBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(128, "blkbuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("blk_byte_%d", i), expr.OriginPacket))
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*9&0xFF))
-		}
-	}
-	return addr
-}
-
-func (e *Executor) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if e.opts.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, e.k.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket))
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
 }

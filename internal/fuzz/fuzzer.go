@@ -250,9 +250,6 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 	if cfg.Exec.LoopThreshold == 0 {
 		cfg.Exec.LoopThreshold = def.LoopThreshold
 	}
-	if cfg.Exec.MaxDPCs == 0 {
-		cfg.Exec.MaxDPCs = def.MaxDPCs
-	}
 	if cfg.Persist {
 		cfg.Exec.Persist = true
 	}

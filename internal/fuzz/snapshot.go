@@ -5,7 +5,7 @@ import (
 )
 
 // Persistent-mode executors (Options.Persist) skip re-driving the boot
-// phases — bootState → DriverEntry → Initialize — for feeds whose boot
+// phases — boot state → DriverEntry → Initialize — for feeds whose boot
 // prefix was already executed once. This is the concrete-fuzzer analogue of
 // the paper's "fork at injection points" insight (§4.1.2): an initialized
 // driver state is a complete system snapshot, so every execution sharing
@@ -17,8 +17,8 @@ import (
 //
 // Three snapshot stages cover the boot outcomes:
 //
-//   - stageBooted: DriverEntry returned; resume re-dispatches the class
-//     workload (Initialize onward).
+//   - stageBooted: DriverEntry returned success; resume walks the plan from
+//     Initialize onward.
 //   - stageInitialized: Initialize returned success; resume runs the data
 //     path directly — the headline skip.
 //   - stageTerminal: the boot prefix alone decided the whole execution (a
@@ -56,6 +56,9 @@ const (
 // executor needs to continue (or conclude) an execution from it.
 type snapshot struct {
 	stage snapStage
+	// node is the plan node (a gate) the snapshot was taken after; resume
+	// routes along its edges.
+	node int
 	// state is the frozen post-boot state; nil for stageTerminal.
 	state *vm.State
 	// owner identifies the executor (SnapFabric.register) that recorded the

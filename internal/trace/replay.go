@@ -12,6 +12,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/solver"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // Result reports the outcome of replaying a trace.
@@ -85,18 +86,7 @@ func Replay(f *File, img *binimg.Image) (*Result, error) {
 	r.k.SymbolPolicy = r.symbolPolicy
 	r.k.ForkPolicy = r.forkPolicy
 
-	s := r.m.NewRootState()
-	ks := kernel.NewKState()
-	ks.Grant(kernel.Region{
-		Lo: isa.ImageBase, Hi: img.LimitVA(),
-		Kind: kernel.RegionImage, Writable: true, Tag: "driver image",
-	})
-	for k, v := range f.Registry {
-		ks.Registry[k] = v
-	}
-	s.Kernel = ks
-
-	if err := r.run(s); err != nil {
+	if err := r.run(workload.Boot(r.m, img, f.Registry)); err != nil {
 		return nil, err
 	}
 	r.res.Steps = r.m.Steps.Load()
@@ -163,147 +153,24 @@ func (r *replayer) maybeInject(s *vm.State) {
 	}
 }
 
-// resolveEntry prepares the invocation of the named entry on s, mirroring
-// the workload generator's conventions.
-func (r *replayer) resolveEntry(s *vm.State, name string) (uint32, []*expr.Expr, bool) {
-	const adapterHandle uint32 = 0x7000_0001
-	ks := kernel.Of(s)
-	adapter := expr.Const(adapterHandle)
-
-	pcOf := func(mini func(*kernel.MiniportChars) uint32, audio func(*kernel.AudioChars) uint32) uint32 {
-		if ks.Miniport != nil && mini != nil {
-			return mini(ks.Miniport)
-		}
-		if ks.Audio != nil && audio != nil {
-			return audio(ks.Audio)
-		}
-		return 0
-	}
-
-	switch name {
-	case "DriverEntry":
-		return r.m.Img.Entry, nil, true
-	case "Initialize":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.InitializePC },
-			func(a *kernel.AudioChars) uint32 { return a.InitializePC })
-		return pc, []*expr.Expr{adapter}, pc != 0
-	case "Send":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.SendPC }, nil)
-		pkt := r.makePacket(s)
-		return pc, []*expr.Expr{adapter, expr.Const(pkt)}, pc != 0
-	case "QueryInformation":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.QueryInfoPC }, nil)
-		return pc, r.infoArgs(s, adapter), pc != 0
-	case "SetInformation":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.SetInfoPC }, nil)
-		return pc, r.infoArgs(s, adapter), pc != 0
-	case "Halt":
-		pc := pcOf(func(m *kernel.MiniportChars) uint32 { return m.HaltPC },
-			func(a *kernel.AudioChars) uint32 { return a.HaltPC })
-		return pc, []*expr.Expr{adapter}, pc != 0
-	case "ISR":
-		if !ks.ISRRegistered {
-			return 0, nil, false
-		}
-		ks.IRQL = kernel.DeviceLevel
-		return ks.ISRPC, []*expr.Expr{adapter}, true
-	case "Play":
-		pc := pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.PlayPC })
-		buf := r.makeAudioBuffer(s)
-		return pc, []*expr.Expr{adapter, expr.Const(buf), expr.Const(256)}, pc != 0
-	case "Stop":
-		pc := pcOf(nil, func(a *kernel.AudioChars) uint32 { return a.StopPC })
-		return pc, []*expr.Expr{adapter}, pc != 0
-	}
-	if len(name) > 4 && name[:4] == "DPC:" {
-		if len(ks.PendingDPCs) == 0 {
-			return 0, nil, false
-		}
-		dpc := ks.PendingDPCs[0]
-		ks.PendingDPCs = ks.PendingDPCs[1:]
-		ks.IRQL = kernel.DispatchLevel
-		ks.InDpc = true
-		return dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}, true
-	}
-	return 0, nil, false
-}
-
-// makePacket mirrors the workload's symbolic packet, with recorded values.
-func (r *replayer) makePacket(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	const payload = 64
-	addr, err := ks.HeapAlloc(8+payload, "sendpkt", "packet", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	data := addr + 8
-	s.Mem.Write(addr, 4, expr.Const(data))
-	if r.file.Annotations {
-		length := r.k.FreshSymbol(s, "packet_len", expr.OriginPacket)
-		s.Mem.Write(addr+4, 4, length)
-		for i := uint32(0); i < 16; i++ {
-			b := r.k.FreshSymbol(s, fmt.Sprintf("packet_byte_%d", i), expr.OriginPacket)
-			s.Mem.Write(data+i, 1, b)
-		}
-	} else {
-		s.Mem.Write(addr+4, 4, expr.Const(42))
-		for i := uint32(0); i < 16; i++ {
-			s.Mem.Write(data+i, 1, expr.Const(uint32(0x40+i)))
-		}
-	}
-	for i := uint32(16); i < payload; i++ {
-		s.Mem.Write(data+i, 1, expr.Const(0))
-	}
-	return addr
-}
-
-func (r *replayer) infoArgs(s *vm.State, adapter *expr.Expr) []*expr.Expr {
-	ks := kernel.Of(s)
-	buf, err := ks.HeapAlloc(64, "infobuf", "param", s.ICount, 0)
-	if err != nil {
-		return []*expr.Expr{adapter, expr.Const(0), expr.Const(0), expr.Const(64)}
-	}
-	delete(ks.Allocs, buf)
-	var oid *expr.Expr
-	if r.file.Annotations {
-		oid = r.k.FreshSymbol(s, "oid", expr.OriginArgument)
-	} else {
-		oid = expr.Const(kernel.OIDGenSupportedList)
-	}
-	return []*expr.Expr{adapter, oid, expr.Const(buf), expr.Const(64)}
-}
-
-func (r *replayer) makeAudioBuffer(s *vm.State) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(256, "audiobuf", "param", s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
-	if r.file.Annotations {
-		for i := uint32(0); i < 8; i++ {
-			b := r.k.FreshSymbol(s, fmt.Sprintf("sample_%d", i), expr.OriginPacket)
-			s.Mem.Write(addr+i, 1, b)
-		}
-	} else {
-		for i := uint32(0); i < 8; i++ {
-			s.Mem.Write(addr+i, 1, expr.Const(i*17&0xFF))
-		}
-	}
-	return addr
-}
-
 // run executes the recorded entry chain and checks the failure.
 func (r *replayer) run(s *vm.State) error {
-	entries := r.file.Entries()
-	for idx, entry := range entries {
-		pc, args, ok := r.resolveEntry(s, entry)
-		if !ok || pc == 0 {
+	plan := workload.Build(r.m.Img, "")
+	env := workload.Env{K: r.k, Annotations: r.file.Annotations}
+	for idx, entry := range r.file.Entries() {
+		// Each recorded entry resolves to its plan node (a DPC entry to the
+		// drain node), which prepares the invocation exactly as the live
+		// run did.
+		i := plan.Index(entry)
+		if i < 0 || !plan[i].Applies(s) {
 			r.diverge("entry %q unresolvable at step %d", entry, idx)
 			return nil
 		}
-		r.k.InvokeSym(s, entry, pc, args...)
+		name, pc, args := plan[i].Enter(env, s)
+		if name != entry {
+			r.diverge("entry %q resolved to %q at step %d", entry, name, idx)
+		}
+		r.k.InvokeSym(s, name, pc, args...)
 		for s.Status == vm.StatusRunning {
 			r.maybeInject(s)
 			next, err := r.m.Step(s)
@@ -338,7 +205,7 @@ func (r *replayer) run(s *vm.State) error {
 			r.record(err)
 			return nil
 		}
-		// Reset context the way the workload does between phases.
+		// Reset context the way every walker does between phases.
 		ks := kernel.Of(s)
 		ks.InDpc = false
 		ks.IRQL = kernel.PassiveLevel

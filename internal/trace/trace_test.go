@@ -81,7 +81,7 @@ func TestTraceSummary(t *testing.T) {
 // bug comes with a trace that re-executes deterministically to the same
 // failure — the zero-false-positive evidence.
 func TestReplayReproducesEveryTable2Bug(t *testing.T) {
-	for _, driver := range []string{"rtl8029", "amd-pcnet", "intel-pro1000", "intel-pro100", "ensoniq-audiopci", "intel-ac97"} {
+	for _, driver := range []string{"rtl8029", "amd-pcnet", "intel-pro1000", "intel-pro100", "ensoniq-audiopci", "intel-ac97", "promise-ultra133"} {
 		e, bugs := findBugs(t, driver)
 		img, _ := corpus.Build(driver, corpus.Buggy)
 		for _, b := range bugs {
@@ -110,5 +110,34 @@ func TestReplayRejectsWrongImage(t *testing.T) {
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte("not a trace")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestReplayAnnotationFree: the §3.5 guarantee holds in DDT's default,
+// annotation-free mode too, where entry arguments are the plan's concrete
+// representatives (each Query/SetInformation OID, fixed buffer patterns)
+// rather than injection points.
+func TestReplayAnnotationFree(t *testing.T) {
+	for _, driver := range corpus.Names() {
+		img, err := corpus.Build(driver, corpus.Buggy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Annotations = false
+		e := core.NewEngine(img, opts)
+		if _, err := e.TestDriver(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range e.Bugs() {
+			res, err := Replay(New(b, driver, false, e.EffectiveRegistry()), img)
+			if err != nil {
+				t.Fatalf("%s/%s: replay error: %v", driver, b.Class, err)
+			}
+			if !res.Reproduced {
+				t.Errorf("%s: bug [%s] at %#x NOT reproduced: %s (divergences: %v)",
+					driver, b.Class, b.Fault.PC, res, res.Divergences)
+			}
+		}
 	}
 }
