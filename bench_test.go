@@ -412,57 +412,43 @@ func BenchmarkStepLoopConcrete(b *testing.B) {
 	}
 }
 
-// BenchmarkFuzzSharedSnapshotFabric measures what the campaign-wide
-// snapshot fabric buys over per-worker snapshot stores: the same 4-worker
-// persistent campaign run with one shared fabric versus private ones
-// (Config.PrivateSnapshots). Reported per mode: us/exec (lower is better —
-// the gate-tracked form), the number of cold boots the fleet paid
-// (cold-execs), and for the shared run the cross-worker hit count. With
-// private stores every worker cold-boots each hot prefix itself; the
-// fabric pays for each roughly once.
+// BenchmarkFuzzSharedSnapshotFabric measures a 4-worker persistent
+// campaign over the campaign-wide snapshot fabric. Reported: us/exec
+// (lower is better — the gate-tracked form), the number of cold boots the
+// fleet paid (cold-execs), and the cross-worker hit count. The fabric pays
+// for each hot boot prefix roughly once, however many workers resume it.
 func BenchmarkFuzzSharedSnapshotFabric(b *testing.B) {
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
 	if err != nil {
 		b.Fatal(err)
 	}
-	campaign := func(private bool) (*fuzz.Report, time.Duration) {
-		cfg := fuzz.DefaultConfig()
-		cfg.Workers = 4
-		cfg.MaxExecs = 6_000
-		cfg.MinimizeBudget = 1
-		cfg.Persist = true
-		cfg.PrivateSnapshots = private
+	cfg := fuzz.DefaultConfig()
+	cfg.Workers = 4
+	cfg.MaxExecs = 6_000
+	cfg.MinimizeBudget = 1
+	cfg.Persist = true
+	var elapsed time.Duration
+	var cold, hits float64
+	var execs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		rep, err := fuzz.New(img, cfg).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		return rep, time.Since(start)
-	}
-	var sharedT, privateT time.Duration
-	var sharedCold, privateCold, sharedHits float64
-	var sharedExecs, privateExecs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh, st := campaign(false)
-		pr, pt := campaign(true)
-		sharedT += st
-		privateT += pt
-		sharedCold += float64(sh.ColdExecs)
-		privateCold += float64(pr.ColdExecs)
-		sharedHits += float64(sh.SnapSharedHits)
-		sharedExecs += sh.Execs
-		privateExecs += pr.Execs
+		elapsed += time.Since(start)
+		cold += float64(rep.ColdExecs)
+		hits += float64(rep.SnapSharedHits)
+		execs += rep.Execs
 	}
 	b.StopTimer()
 	n := float64(b.N)
-	b.ReportMetric(float64(sharedT.Microseconds())/float64(sharedExecs), "us/exec-shared")
-	b.ReportMetric(float64(privateT.Microseconds())/float64(privateExecs), "us/exec-private")
-	b.ReportMetric(sharedCold/n, "cold-execs-shared")
-	b.ReportMetric(privateCold/n, "cold-execs-private")
-	b.ReportMetric(sharedHits/n, "shared-hits")
-	b.Logf("4-worker persistent campaign: shared fabric %d cold boots (%d cross-worker hits), private caches %d cold boots",
-		uint64(sharedCold/n), uint64(sharedHits/n), uint64(privateCold/n))
+	b.ReportMetric(float64(elapsed.Microseconds())/float64(execs), "us/exec-shared")
+	b.ReportMetric(cold/n, "cold-execs-shared")
+	b.ReportMetric(hits/n, "shared-hits")
+	b.Logf("4-worker persistent campaign: shared fabric %d cold boots (%d cross-worker hits)",
+		uint64(cold/n), uint64(hits/n))
 }
 
 // BenchmarkCoverageFuzzVsSymbolicVsHybrid compares coverage over simulated

@@ -16,8 +16,7 @@
 //	-workers n     parallel fuzzing workers (default 1: deterministic)
 //	-execs n       execution budget (default 20000; 0 = unbounded, needs
 //	               -timeout)
-//	-timeout d     wall-clock budget, e.g. 30s (0 = none); -time is a
-//	               deprecated alias
+//	-timeout d     wall-clock budget, e.g. 30s (0 = none)
 //	-seed n        base RNG seed (deterministic per worker)
 //	-pipeline      with -hybrid, dissolve workload phase barriers in the
 //	               symbolic engine passes
@@ -81,7 +80,6 @@ func main() {
 	managerURL := flag.String("manager", "", "attach to a ddtd campaign manager at this base URL")
 	name := flag.String("name", "", "worker name reported to the manager (default host-pid)")
 	oneShot := flag.Bool("oneshot", false, "with -manager: exit after the first completed lease")
-	campaign.DeprecatedAlias(flag.CommandLine, "time", "timeout")
 	flag.Parse()
 
 	if *managerURL != "" {

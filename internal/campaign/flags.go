@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"flag"
-	"fmt"
 	"time"
 )
 
@@ -67,18 +66,6 @@ func RegisterFlags(fs *flag.FlagSet, mask FlagMask) *Flags {
 		fs.DurationVar(&f.Timeout, "timeout", 0, "campaign wall-clock bound (0 = none)")
 	}
 	return f
-}
-
-// DeprecatedAlias re-registers the already-registered flag named
-// canonical under old, so legacy invocations keep working for one
-// release. Both names write the same value; the usage string marks the
-// alias deprecated. Panics if canonical is not registered on fs.
-func DeprecatedAlias(fs *flag.FlagSet, old, canonical string) {
-	g := fs.Lookup(canonical)
-	if g == nil {
-		panic(fmt.Sprintf("campaign.DeprecatedAlias: flag -%s not registered", canonical))
-	}
-	fs.Var(g.Value, old, "deprecated alias of -"+canonical)
 }
 
 // Options folds the parsed flags into a campaign options envelope.

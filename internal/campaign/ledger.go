@@ -58,15 +58,6 @@ func (l *Ledger) BeginFlight() {
 	}
 }
 
-// TotalActivity sums live work across a set of ledgers.
-func TotalActivity(ls []*Ledger) int {
-	n := 0
-	for _, l := range ls {
-		n += l.Activity()
-	}
-	return n
-}
-
 // AllDone reports whether every ledger in the set has drained.
 func AllDone(ls []*Ledger) bool {
 	for _, l := range ls {

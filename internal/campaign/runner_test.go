@@ -252,11 +252,11 @@ func TestLedgerAccounting(t *testing.T) {
 		t.Fatalf("ledger = %+v", l)
 	}
 	set := []*Ledger{l, {Name: "Halt", Done: true}}
-	if TotalActivity(set) != 3 || AllDone(set) {
+	if AllDone(set) {
 		t.Fatal("set helpers broken")
 	}
 	l.Queued, l.InFlight, l.Done = 0, 0, true
-	if !AllDone(set) || TotalActivity(set) != 0 {
+	if !AllDone(set) || l.Activity() != 0 {
 		t.Fatal("set helpers broken after drain")
 	}
 }
@@ -264,8 +264,7 @@ func TestLedgerAccounting(t *testing.T) {
 func TestRegisterFlagsAndAliases(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := RegisterFlags(fs, FlagsAll)
-	DeprecatedAlias(fs, "time", "timeout")
-	if err := fs.Parse([]string{"-workers", "8", "-pipeline", "-seed", "42", "-time", "3s"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "8", "-pipeline", "-seed", "42", "-timeout", "3s"}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Workers != 8 || !f.Pipeline || f.Seed != 42 || f.Timeout != 3*time.Second {

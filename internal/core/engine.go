@@ -263,10 +263,6 @@ func chargeIntr(s *vm.State) {
 	s.Meta[metaInjectISR] = 1
 }
 
-// DefaultRegistry returns the stock simulated registry hive shared by
-// engine runs, trace replays, and concrete fuzz executions.
-func DefaultRegistry() map[string]uint32 { return workload.Registry(nil) }
-
 // EffectiveRegistry returns the registry hive the run boots with: defaults
 // plus option overrides. Trace files embed it so replays see the same
 // configuration.
@@ -540,22 +536,6 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) {
 			res.Succeeded = append(res.Succeeded, s)
 		}
 		e.mu.Unlock()
-	}
-}
-
-// InvokeEntry seeds the scheduler with an entry invocation on a fork of
-// base, plus (when enabled and registered) a sibling that takes an
-// interrupt immediately at entry start.
-func (e *Engine) InvokeEntry(base *vm.State, name string, pc uint32, args ...*expr.Expr) {
-	st := e.M.ForkState(base)
-	e.K.InvokeSym(st, name, pc, args...)
-	e.Sched.Push(st)
-
-	if e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && e.intrBudgetLeft(base) {
-		alt := e.M.ForkState(base)
-		e.K.InvokeSym(alt, name, pc, args...)
-		chargeIntr(alt)
-		e.Sched.Push(alt)
 	}
 }
 

@@ -84,30 +84,3 @@ func TestFuzzerCancelQuiescence(t *testing.T) {
 		t.Fatalf("coverage grew after Run returned: %d -> %d", blocks0, n)
 	}
 }
-
-// TestFuzzerStopBeforeRun pins the Stop/Run startup race the deprecated
-// Stop method used to lose: a Stop that lands before Run has built the
-// campaign runner must still terminate the campaign promptly.
-func TestFuzzerStopBeforeRun(t *testing.T) {
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	cfg.MaxExecs = 0
-	f := New(img, cfg)
-	f.Stop()
-	done := make(chan struct{})
-	go func() {
-		if _, err := f.Run(context.Background()); err != nil {
-			t.Error(err)
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run ignored a Stop issued before it started")
-	}
-}

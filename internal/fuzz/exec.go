@@ -52,11 +52,6 @@ type Options struct {
 	// superblock determinism suite proves it); the switch exists for those
 	// proofs and for the step-loop benchmarks.
 	NoSuperblocks bool `json:",omitempty"`
-	// NoCompiledSpans disables the VM's pre-lowered micro-op dispatch and
-	// falls back to per-instruction decode inside spans. Execution is
-	// bit-identical either way (the compiled-span determinism suite proves
-	// it); the switch exists for those proofs and for dispatch benchmarks.
-	NoCompiledSpans bool `json:",omitempty"`
 	// LazyTrace runs executions trace-free: no TraceNode chain is built,
 	// recorded, or allocated (ExecResult.Trace is nil). Execution is a pure
 	// function of (feed, schedule), so the full chain for the rare feeds
@@ -219,9 +214,6 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	e.env = workload.Env{K: e.k, Annotations: opts.Annotations}
 	if opts.NoSuperblocks {
 		e.m.DisableSuperblocks = true
-	}
-	if opts.NoCompiledSpans {
-		e.m.DisableCompiledSpans = true
 	}
 	if opts.LazyTrace {
 		e.m.DisableTrace = true

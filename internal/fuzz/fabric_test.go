@@ -93,6 +93,12 @@ func TestFuzzCampaignSuperblocksBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(on.CoverageSeries, off.CoverageSeries) {
 		t.Fatal("coverage series diverged")
 	}
+	if on.LazyTraceReexecs != off.LazyTraceReexecs {
+		t.Fatalf("lazy-trace re-executions %d vs %d", on.LazyTraceReexecs, off.LazyTraceReexecs)
+	}
+	if on.LazyTraceReexecs == 0 {
+		t.Fatal("lazy campaign triaged crashes without any traced re-execution")
+	}
 }
 
 // TestSharedSnapshotFabricConcurrent drives N executors against ONE

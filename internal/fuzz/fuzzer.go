@@ -46,12 +46,6 @@ type Config struct {
 	// All workers share one snapshot fabric, so the fleet cold-boots each
 	// boot prefix once, not once per worker.
 	Persist bool
-	// PrivateSnapshots reverts persistent mode to per-worker snapshot
-	// stores (the pre-fabric behaviour): every worker cold-boots each
-	// prefix itself. An escape hatch and the baseline side of
-	// BenchmarkFuzzSharedSnapshotFabric; results are bit-identical either
-	// way.
-	PrivateSnapshots bool
 	// Dict mines a dictionary of instruction immediates (OID constants,
 	// magic values) from the driver image and enables the mutator's
 	// dictionary-splice operators.
@@ -201,12 +195,6 @@ type Fuzzer struct {
 	dict     *Dictionary
 	findings *campaign.Findings
 
-	// runner is the active campaign runner, published before workers start
-	// so Stop can reach a Run already in flight.
-	runner atomic.Pointer[campaign.Runner[*Feed]]
-	// stopped remembers a Stop that arrived before Run built the runner.
-	stopped atomic.Bool
-
 	execsDone    atomic.Uint64
 	triageExecs  atomic.Uint64
 	lazyReexecs  atomic.Uint64
@@ -220,8 +208,7 @@ type Fuzzer struct {
 	seedCount    int
 
 	// fabric is the campaign-wide snapshot store every worker executor
-	// shares (nil unless Persist; nil with PrivateSnapshots, where each
-	// executor builds its own).
+	// shares (nil unless Persist).
 	fabric *SnapFabric
 }
 
@@ -254,7 +241,7 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 		cfg.Exec.Persist = true
 	}
 	var fabric *SnapFabric
-	if cfg.Exec.Persist && !cfg.PrivateSnapshots {
+	if cfg.Exec.Persist {
 		if cfg.Exec.Fabric == nil {
 			cfg.Exec.Fabric = NewSnapFabric()
 		}
@@ -302,21 +289,6 @@ func (f *Fuzzer) InjectSeeds(feeds []*Feed) {
 	}
 }
 
-// Stop asks the campaign to wind down: workers finish their in-flight
-// execution and exit, and Run returns the report of the work done so far.
-// Safe to call from any goroutine (signal handlers, RPC loops) and
-// idempotent.
-//
-// Deprecated: cancel the context passed to Run instead. Both paths share
-// the same quiescence contract — results of executions still in flight at
-// cancellation are not admitted, so the report is frozen when Run returns.
-func (f *Fuzzer) Stop() {
-	f.stopped.Store(true)
-	if r := f.runner.Load(); r != nil {
-		r.Stop()
-	}
-}
-
 // Crashes returns the deduplicated crashes found so far, in discovery
 // order. Safe to call while the campaign runs — the periodic manager
 // report reads it mid-flight.
@@ -329,9 +301,9 @@ func (f *Fuzzer) Stats() (execs, instructions uint64) {
 }
 
 // Run executes the campaign over a campaign.Runner and returns its
-// report. ctx cancels the campaign mid-run with the same quiescence
-// contract as Stop: in-flight executions finish but their results are not
-// admitted, so corpus, crashes, and coverage are frozen when Run returns.
+// report. Cancelling ctx stops the campaign mid-run: in-flight executions
+// finish but their results are not admitted, so corpus, crashes, and
+// coverage are frozen when Run returns.
 func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	start := time.Now()
 
@@ -375,11 +347,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 		func(w int, feed *Feed) { f.execOne(r, execs[w], mus[w], w, feed) },
 	)
 	r.BindFindings(f.findings)
-	f.runner.Store(r)
-	if f.stopped.Load() {
-		// A Stop that raced ahead of Run: wind down immediately.
-		r.Stop()
-	}
 	r.Run(ctx)
 
 	elapsed := time.Since(start)
@@ -432,7 +399,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 // (fresh seeds and neighbors of fresh coverage); a nil item tells the
 // executor to synthesize a feed itself (corpus mutation or generation),
 // outside the coordinator lock so mutation stays parallel. The frontier
-// never drains — the campaign ends on a budget, cancellation, or Stop.
+// never drains — the campaign ends on a budget or cancellation.
 type fuzzFrontier struct{ f *Fuzzer }
 
 // Next pops the worker's triage shard (stealing when empty); nil means

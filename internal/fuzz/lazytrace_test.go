@@ -1,14 +1,10 @@
 package fuzz
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
-	"repro/internal/binimg"
 	"repro/internal/corpus"
-	"repro/internal/exerciser"
 )
 
 // TestLazyTraceRematerialization is the trace-on-demand contract: for every
@@ -94,93 +90,5 @@ func TestLazyTraceEagerRunTracedPassthrough(t *testing.T) {
 	compareExec(t, "eager passthrough", a, b)
 	if b.Trace == nil {
 		t.Fatal("eager RunTraced returned no trace")
-	}
-}
-
-// TestCompiledSpanExecBitIdentity is the per-execution half of the compiled
-// span contract: for every corpus driver, dispatching spans through the
-// pre-lowered micro-op table (default) is bit-identical — steps, coverage,
-// crash identity, consumed cursors, and the full trace event chain — to the
-// per-instruction decode path (Options.NoCompiledSpans), in both cold-start
-// and persistent mode, over the same snapshot-stressing schedule the
-// superblock suite uses (interrupts landing mid-span included).
-func TestCompiledSpanExecBitIdentity(t *testing.T) {
-	for _, name := range corpus.Names() {
-		t.Run(name, func(t *testing.T) {
-			for _, persist := range []bool{false, true} {
-				fastOpts := eagerOptions()
-				fastOpts.Persist = persist
-				slowOpts := eagerOptions()
-				slowOpts.Persist = persist
-				slowOpts.NoCompiledSpans = true
-
-				img, err := corpus.Build(name, corpus.Buggy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				blocks := len(binimg.StaticBlocks(img))
-				fast := NewExecutor(img, exerciser.NewCoverage(blocks), fastOpts)
-				slow := NewExecutor(img, exerciser.NewCoverage(blocks), slowOpts)
-
-				mu := NewMutator(5)
-				for i, f := range persistFeeds(mu, 15) {
-					a := fast.Run(f)
-					b := slow.Run(f)
-					compareExec(t, fmt.Sprintf("persist=%v feed %d", persist, i), a, b)
-				}
-			}
-		})
-	}
-}
-
-// TestFuzzCampaignCompiledSpansBitIdentical is the campaign-level half: a
-// full single-worker campaign with micro-op dispatch on is bit-identical to
-// one decoding per instruction — same crash set, same minimized
-// reproducers, same coverage series, same instruction totals.
-func TestFuzzCampaignCompiledSpansBitIdentical(t *testing.T) {
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	campaign := func(noCS bool) *Report {
-		cfg := DefaultConfig()
-		cfg.Workers = 1
-		cfg.MaxExecs = 4_000
-		cfg.Persist = true
-		cfg.Exec.NoCompiledSpans = noCS
-		rep, err := New(img, cfg).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	on := campaign(false)
-	off := campaign(true)
-	if !reflect.DeepEqual(crashKeys(on), crashKeys(off)) {
-		t.Fatalf("bug sets differ:\n  compiled: %v\n  decoded: %v", crashKeys(on), crashKeys(off))
-	}
-	if len(on.Crashes) == 0 {
-		t.Fatal("campaign found no crashes — equality is vacuous")
-	}
-	for k, f := range on.CrashFeeds {
-		if !f.Equal(off.CrashFeeds[k]) {
-			t.Fatalf("minimized reproducer for %s differs", k)
-		}
-	}
-	if on.Instructions != off.Instructions {
-		t.Fatalf("simulated instructions %d vs %d", on.Instructions, off.Instructions)
-	}
-	if on.BlocksCovered != off.BlocksCovered || on.CorpusSize != off.CorpusSize {
-		t.Fatalf("coverage/corpus: %d/%d vs %d/%d",
-			on.BlocksCovered, on.CorpusSize, off.BlocksCovered, off.CorpusSize)
-	}
-	if !reflect.DeepEqual(on.CoverageSeries, off.CoverageSeries) {
-		t.Fatal("coverage series diverged")
-	}
-	if on.LazyTraceReexecs != off.LazyTraceReexecs {
-		t.Fatalf("lazy-trace re-executions %d vs %d", on.LazyTraceReexecs, off.LazyTraceReexecs)
-	}
-	if on.LazyTraceReexecs == 0 {
-		t.Fatal("lazy campaign triaged crashes without any traced re-execution")
 	}
 }

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -220,12 +221,27 @@ func (m *Manager) handleTrends(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---------------------------------------------------------------
 
+// maxRPCBody bounds one worker RPC request body. The largest bodies a
+// fleet sends are report and sync requests carrying new crashes and corpus
+// entries, about 17 KB at most in a two-worker loopback fleet on the
+// evaluation drivers; the bound is three orders of magnitude above that,
+// so only a broken or hostile client reaches it.
+const maxRPCBody = 16 << 20
+
+// decode reads one JSON request body of at most maxRPCBody bytes. An
+// oversized body answers 413, a malformed one 400.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	return false
 }
 
 func writeJSONResp(w http.ResponseWriter, v any) {

@@ -3,6 +3,7 @@ package manager
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -211,6 +212,37 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown crash = HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestServerRejectsOversizedBody streams a request body one byte over
+// maxRPCBody, generated on the fly rather than held in memory, at the
+// report and sync endpoints: the server must stop reading at the bound
+// and answer 413.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	_, srv := newTestServer(t, Config{}, time.Minute)
+	const prefix = `{"driver":"`
+	for _, path := range []string{PathReport, PathSync} {
+		body := io.MultiReader(strings.NewReader(prefix),
+			io.LimitReader(repeatByte('a'), maxRPCBody+1-int64(len(prefix))))
+		resp, err := http.Post(srv.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body = HTTP %d, want 413", path, resp.StatusCode)
+		}
 	}
 }
 

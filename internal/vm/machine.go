@@ -88,12 +88,6 @@ type Machine struct {
 	// identical either way.
 	DisableSuperblocks bool
 
-	// DisableCompiledSpans makes runSpan dispatch through the fastExec
-	// switch (re-decoding each instruction per visit) instead of the
-	// pre-lowered micro-op table. Both paths are instruction-exact; the
-	// bit-identity suites run them against each other.
-	DisableCompiledSpans bool
-
 	// DisableTrace starts root states with a nil trace chain, so no trace
 	// events are recorded or allocated anywhere on the path (TraceNode
 	// methods are nil-safe). Execution semantics are unaffected — a trace
@@ -105,9 +99,9 @@ type Machine struct {
 	instrs    []isa.Instr
 	decodeErr []error
 
-	// uops[i] is the pre-lowered span micro-op for instruction i: the
-	// compiled form of the fastExec dispatch decision, computed once from
-	// the immutable image and shared read-only by every worker.
+	// uops[i] is the pre-lowered span micro-op for instruction i,
+	// computed once from the immutable image and shared read-only by
+	// every worker.
 	uops []uop
 
 	// spanLen[i] is the length of the straight-line span starting at

@@ -5,14 +5,12 @@ import (
 	"repro/internal/isa"
 )
 
-// uop is one pre-lowered span micro-op: the dispatch decision fastExec
-// makes by re-decoding `in.Op` through a switch on every visit is made
-// once per instruction slot at NewMachine time instead, leaving only a
-// direct call through fn with the operands already extracted. A uop either
-// completes the instruction against the scratch concrete register file
-// (returning true) or reports false to route that one instruction through
-// the general exec — the exact contract of fastExec, so the two dispatch
-// paths are interchangeable per instruction.
+// uop is one pre-lowered span micro-op: the opcode dispatch is decided
+// once per instruction slot at NewMachine time, leaving only a direct call
+// through fn with the operands already extracted. A uop either completes
+// the instruction against the scratch concrete register file (returning
+// true) or reports false to route that one instruction through the general
+// exec, which stays the reference semantics for every instruction.
 type uop struct {
 	fn  func(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool
 	alu func(x, y uint32) uint32
@@ -63,9 +61,10 @@ func uopAluRI(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
 	return true
 }
 
-// aluFn returns the concrete ALU function for op. The arithmetic is
-// aluConcrete's, case for case — both replicate the expr constant folds
-// bit for bit, which is what keeps the compiled path invisible.
+// aluFn returns the concrete ALU function for op, for every two-operand
+// ALU operation (register and immediate forms share these). The arithmetic
+// replicates the expr constant folds bit for bit, which is what keeps the
+// compiled path invisible to every observer.
 func aluFn(op isa.Opcode) func(x, y uint32) uint32 {
 	switch op {
 	case isa.ADD, isa.ADDI:
@@ -192,16 +191,8 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	}
 	loadScratch()
 
-	compiled := !m.DisableCompiledSpans
 	for executed < maxN {
-		var done bool
-		if compiled {
-			u := &m.uops[i]
-			done = u.fn(u, &conc, &known, &dirty)
-		} else {
-			done = fastExec(&m.instrs[i], &conc, &known, &dirty)
-		}
-		if done {
+		if u := &m.uops[i]; u.fn(u, &conc, &known, &dirty) {
 			executed++
 			i++
 			continue
@@ -237,80 +228,4 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	s.ICount = base + executed
 	creditTo(executed)
 	return []*State{s}, nil
-}
-
-// fastExec executes one pure register instruction over the scratch
-// concrete register file, or reports false if the instruction needs the
-// general path (memory, I/O, or a source register that is not concrete).
-// The arithmetic replicates the expr constant folds bit for bit — this is
-// what makes the fast path invisible to every observer.
-func fastExec(in *isa.Instr, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
-	var v uint32
-	switch in.Op {
-	case isa.NOP:
-		return true
-	case isa.MOVI:
-		v = in.Imm
-	case isa.MOV:
-		if *known&(1<<in.Rs1) == 0 {
-			return false
-		}
-		v = conc[in.Rs1]
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIVU, isa.REMU,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR:
-		if *known&(1<<in.Rs1) == 0 || *known&(1<<in.Rs2) == 0 {
-			return false
-		}
-		v = aluConcrete(in.Op, conc[in.Rs1], conc[in.Rs2])
-	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI,
-		isa.SHLI, isa.SHRI, isa.SARI, isa.MULI:
-		if *known&(1<<in.Rs1) == 0 {
-			return false
-		}
-		v = aluConcrete(in.Op, conc[in.Rs1], in.Imm)
-	default:
-		// Memory, stack, and port instructions always take the general
-		// path: they need the COW memory, checker hooks, and trace events.
-		return false
-	}
-	conc[in.Rd] = v
-	*known |= 1 << in.Rd
-	*dirty |= 1 << in.Rd
-	return true
-}
-
-// aluConcrete mirrors the expr package's constant-fold semantics for every
-// two-operand ALU operation (register and immediate forms share these).
-func aluConcrete(op isa.Opcode, x, y uint32) uint32 {
-	switch op {
-	case isa.ADD, isa.ADDI:
-		return x + y
-	case isa.SUB:
-		return x - y
-	case isa.MUL, isa.MULI:
-		return x * y
-	case isa.DIVU:
-		if y == 0 {
-			return 0xFFFFFFFF
-		}
-		return x / y
-	case isa.REMU:
-		if y == 0 {
-			return x
-		}
-		return x % y
-	case isa.AND, isa.ANDI:
-		return x & y
-	case isa.OR, isa.ORI:
-		return x | y
-	case isa.XOR, isa.XORI:
-		return x ^ y
-	case isa.SHL, isa.SHLI:
-		return x << (y & 31)
-	case isa.SHR, isa.SHRI:
-		return x >> (y & 31)
-	case isa.SAR, isa.SARI:
-		return uint32(int32(x) >> (y & 31))
-	}
-	panic("vm: aluConcrete on non-ALU opcode")
 }
