@@ -76,6 +76,6 @@ type Summary struct {
 	// Elapsed is the campaign wall-clock time.
 	Elapsed time.Duration
 	// Canceled reports whether the campaign ended by context cancellation
-	// or an explicit Stop rather than by draining its work or budgets.
+	// rather than by draining its work or budgets.
 	Canceled bool
 }

@@ -81,9 +81,9 @@ func NewRunner[T any](opts Options, frontier Frontier[T], exec func(w int, item 
 // watches. Call before Run.
 func (r *Runner[T]) BindFindings(f *Findings) { r.findings = f }
 
-// Run executes the campaign until the frontier drains, a budget trips, the
-// context is canceled, or Stop is called. It returns only after every
-// worker has quiesced: no executor callback is in flight once Run returns.
+// Run executes the campaign until the frontier drains, a budget trips, or
+// the context is canceled. It returns only after every worker has
+// quiesced: no executor callback is in flight once Run returns.
 func (r *Runner[T]) Run(ctx context.Context) {
 	start := time.Now()
 	r.mu.Lock()
@@ -213,14 +213,6 @@ func (r *Runner[T]) cancelLocked() {
 	r.stopLocked()
 }
 
-// Stop cancels the campaign: workers finish their in-flight item and
-// exit, and Canceled starts reporting true. Safe from any goroutine;
-// idempotent. Prefer canceling the Run context; Stop exists for callers
-// without one.
-func (r *Runner[T]) Stop() {
-	r.cancel()
-}
-
 // cancel ends the campaign recording that the end came from cancellation
 // rather than a drained frontier or an exhausted budget.
 func (r *Runner[T]) cancel() {
@@ -229,8 +221,8 @@ func (r *Runner[T]) cancel() {
 	r.mu.Unlock()
 }
 
-// Canceled reports whether the campaign was canceled (context
-// cancellation or an explicit Stop), as opposed to ending naturally.
+// Canceled reports whether the campaign was canceled by its context, as
+// opposed to ending naturally.
 // Executor callbacks consult it to drop result admission after
 // cancellation — the post-cancel quiescence contract: once a callback
 // observes Canceled, it must not admit new corpus entries or findings, so

@@ -567,11 +567,43 @@ func ExtractByte(x *Expr, i uint) *Expr {
 }
 
 // ConcatBytes assembles a 32-bit word from four byte-valued expressions,
-// b0 being the least significant.
+// b0 being the least significant. When the bytes are exactly the four
+// ExtractBytes of one word x (a stored word read back), the result is x
+// itself rather than the shift-and-or chain that denotes it.
 func ConcatBytes(b0, b1, b2, b3 *Expr) *Expr {
+	if x := bytesOf(b0, b1, b2, b3); x != nil {
+		return x
+	}
 	w := Or(b0, Shl(b1, Const(8)))
 	w = Or(w, Shl(b2, Const(16)))
 	return Or(w, Shl(b3, Const(24)))
+}
+
+// ConcatBytes2 assembles a 16-bit value from two byte-valued expressions,
+// b0 being the least significant. When the bytes are the two low
+// ExtractBytes of one word x, the result is x's low half, And(0xFFFF, x).
+func ConcatBytes2(b0, b1 *Expr) *Expr {
+	if x := bytesOf(b0, b1); x != nil {
+		return And(Const(0xFFFF), x)
+	}
+	return Or(b0, Shl(b1, Const(8)))
+}
+
+// bytesOf returns the word x when bs[k] is structurally ExtractByte(x, k)
+// for every k, with bs[0] = And(0xFF, x) naming x; otherwise nil. The
+// match is exact, so folding the re-assembly to x never changes a value.
+func bytesOf(bs ...*Expr) *Expr {
+	b0 := bs[0]
+	if b0.Op != OpAnd || b0.X.Op != OpConst || b0.X.C != 0xFF {
+		return nil
+	}
+	x := b0.Y
+	for k := 1; k < len(bs); k++ {
+		if !Equal(bs[k], ExtractByte(x, uint(k))) {
+			return nil
+		}
+	}
+	return x
 }
 
 // ZeroExt8 masks x to its low 8 bits.

@@ -157,6 +157,33 @@ func TestExtractConcatBytes(t *testing.T) {
 	}
 }
 
+// TestConcatBytesFold: re-assembling the bytes of one word yields the word
+// (or its low half), and only when every byte matches.
+func TestConcatBytesFold(t *testing.T) {
+	x := Add(Const(0x1000), Sym(0))
+	y := Sym(1)
+	b := func(w *Expr, i uint) *Expr { return ExtractByte(w, i) }
+	if got := ConcatBytes(ZeroExt8(x), b(x, 1), b(x, 2), b(x, 3)); got != x {
+		t.Errorf("4 bytes: got %v, want %v", got, x)
+	}
+	if got, want := ConcatBytes2(ZeroExt8(x), b(x, 1)), And(Const(0xFFFF), x); !Equal(got, want) {
+		t.Errorf("2 bytes: got %v, want %v", got, want)
+	}
+
+	shifted := Lshr(x, Const(8))
+	for name, e := range map[string]*Expr{
+		"swapped":    ConcatBytes(b(x, 1), b(x, 0), b(x, 2), b(x, 3)),
+		"two words":  ConcatBytes(b(x, 0), b(x, 1), b(x, 2), b(y, 3)),
+		"shifted":    ConcatBytes(b(x, 1), b(x, 2), b(x, 3), Const(0)),
+		"swapped 2":  ConcatBytes2(b(x, 1), b(x, 0)),
+		"two words2": ConcatBytes2(b(x, 0), b(y, 1)),
+	} {
+		if Equal(e, x) || Equal(e, y) || Equal(e, shifted) || e.Op != OpOr {
+			t.Errorf("%s: folded to %v", name, e)
+		}
+	}
+}
+
 func TestSymbolTable(t *testing.T) {
 	tab := NewSymbolTable()
 	a := tab.Fresh("hw_read_0", OriginHardware, 0x1000, 5)

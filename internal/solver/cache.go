@@ -75,12 +75,17 @@ func (c *Cache) shard(key uint64) *cacheShard {
 	return &c.shards[(key>>48)%cacheShards]
 }
 
-// get returns the cached result for key, counting the hit or miss.
-func (c *Cache) get(key uint64) (cacheEntry, bool) {
+// get returns the cached result for the constraints cs under key, counting
+// the hit or miss. A Sat entry whose model does not satisfy cs answered
+// another query whose key collided; it counts as a miss.
+func (c *Cache) get(key uint64, cs []*expr.Expr) (cacheEntry, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	sh.mu.Unlock()
+	if ok && e.res == Sat && !satisfies(cs, e.model) {
+		ok = false
+	}
 	if ok {
 		c.hits.Add(1)
 	} else {

@@ -5,16 +5,25 @@
 // Device-driver path constraints live in a narrow fragment: comparisons of
 // symbolic inputs (hardware register reads, registry values, packet bytes)
 // against constants, simple linear offsets, bit masks, and boolean
-// combinations thereof. The solver is sound always (a Sat answer comes with
-// a model that is verified by evaluation; an Unsat answer is only produced
-// by sound interval reasoning) and complete in practice for this fragment
-// via exhaustive candidate-set search and randomized probing. Answers it
-// cannot decide are reported as Unknown, which DDT's exerciser treats as
-// "do not explore" (a coverage loss, never a false positive — matching the
-// paper's accuracy discipline).
+// combinations thereof. The solver is sound always: a Sat answer comes with
+// a model that is verified by evaluation (also when it comes from the
+// cache), and an Unsat answer is only produced by sound reasoning.
+//
+// A query is decided in stages. Interval propagation narrows per-symbol
+// unsigned ranges. A refutation pass then evaluates every constraint over
+// ranges plus known bits and answers Unsat when one can only be 0; it
+// never narrows what the later stages see. Exhaustive search over
+// boundary candidates, greedy repair and randomized probing look for a
+// model. Candidates come from the query's constants in sorted order, so
+// the model a query gets is deterministic. Answers the solver cannot
+// decide are reported as Unknown, which DDT's exerciser treats as "do not
+// explore" (a coverage loss, never a false positive — matching the paper's
+// accuracy discipline).
 package solver
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 )
 
@@ -121,7 +130,7 @@ func (s *Solver) Check(cs []*expr.Expr) (Result, expr.Assignment) {
 	}
 
 	key := hashConstraints(live)
-	if e, ok := s.cache.get(key); ok {
+	if e, ok := s.cache.get(key, live); ok {
 		s.Stats.CacheHits++
 		return e.res, cloneAssignment(e.model)
 	}
@@ -155,15 +164,25 @@ func (s *Solver) Model(cs []*expr.Expr) expr.Assignment {
 	return m
 }
 
+// hashConstraints keys a query by its constraints regardless of their
+// order. Member hashes are mixed and summed: unlike a XOR, a sum does not
+// cancel a constraint that appears twice (path constraints are not
+// deduplicated), so {a, a, b} and {b} get different keys.
 func hashConstraints(cs []*expr.Expr) uint64 {
-	// Order-insensitive combination: constraint sets arrive in append order,
-	// but logically they are sets.
-	var h uint64 = 0x8b3e5e3c9d2f1a77
+	h := uint64(len(cs))
 	for _, c := range cs {
-		h ^= c.Hash() * 0x9E3779B97F4A7C15
+		h += mix64(c.Hash())
 	}
-	h ^= uint64(len(cs)) << 32
 	return h
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 func cloneAssignment(a expr.Assignment) expr.Assignment {
@@ -197,6 +216,11 @@ func (s *Solver) solve(cs []*expr.Expr) (Result, expr.Assignment) {
 		if !changed {
 			break
 		}
+	}
+
+	// Abstract refutation: answers Unsat or nothing, and leaves ivs as is.
+	if refute(cs, ivs) {
+		return Unsat, nil
 	}
 
 	// Candidate construction.
@@ -386,19 +410,22 @@ func (s *Solver) candidates(cs []*expr.Expr, syms []expr.SymID, ivs map[expr.Sym
 	for _, c := range cs {
 		collectConsts(c, consts)
 	}
+	// Walk the constants in sorted order: the pool order decides which
+	// model the search finds first, so it must not follow map iteration.
+	cl := make([]uint32, 0, len(consts))
+	for v := range consts {
+		cl = append(cl, v)
+	}
+	slices.Sort(cl)
 	base := []uint32{0, 1, 2, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF}
 	var pool []uint32
 	pool = append(pool, base...)
-	for v := range consts {
+	for _, v := range cl {
 		pool = append(pool, v, v+1, v-1)
 	}
 	// Pairwise differences catch linear offsets (Eq(c, Add(k, x)) already
 	// folds in the simplifier, but Sub/And compositions may not).
-	if len(consts) <= 24 {
-		cl := make([]uint32, 0, len(consts))
-		for v := range consts {
-			cl = append(cl, v)
-		}
+	if len(cl) <= 24 {
 		for i := range cl {
 			for j := range cl {
 				if i != j {

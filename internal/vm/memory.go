@@ -198,9 +198,7 @@ func (m *Memory) Read(addr uint32, size uint32) *expr.Expr {
 				return expr.Const(uint32(p.data[off]) | uint32(p.data[off+1])<<8)
 			}
 		}
-		b0 := m.LoadByte(addr)
-		b1 := m.LoadByte(addr + 1)
-		return expr.Or(b0, expr.Shl(b1, expr.Const(8)))
+		return expr.ConcatBytes2(m.LoadByte(addr), m.LoadByte(addr+1))
 	case 4:
 		if off := addr & 0xFFF; off <= PageSize-4 {
 			if p := m.lookup(addr >> 12); p == nil {

@@ -503,6 +503,13 @@ func TestSymbolicMemoryBytes(t *testing.T) {
 			t.Errorf("read-back mismatch for %#x: %v", tv, got)
 		}
 	}
+	// The byte re-assembly folds back to the stored word (and its low half).
+	if !expr.Equal(got, sym) {
+		t.Errorf("word read back as %v, want %v", got, sym)
+	}
+	if half, want := mem.Read(0x3000, 2), expr.And(expr.Const(0xFFFF), sym); !expr.Equal(half, want) {
+		t.Errorf("halfword read back as %v, want %v", half, want)
+	}
 	if mem.SymbolicByteCount() != 4 {
 		t.Errorf("symbolic bytes = %d", mem.SymbolicByteCount())
 	}
