@@ -171,33 +171,113 @@ func apiSurface(dir string) ([]string, error) {
 }
 
 // typeLines renders one exported type: structs become a header plus one
-// line per exported field, everything else collapses the underlying type
-// onto the header line.
+// line per exported field, interfaces a header plus one line per exported
+// method or embedded element (comments dropped, so editing a doc comment
+// never moves the lock), everything else collapses the underlying type
+// onto the header line. Type parameters render as [T any].
 func typeLines(fset *token.FileSet, s *ast.TypeSpec) []string {
-	name := s.Name.Name
-	if s.TypeParams != nil {
-		name += renderNode(fset, s.TypeParams)
-	}
-	st, isStruct := s.Type.(*ast.StructType)
-	if !isStruct {
-		return []string{fmt.Sprintf("type %s %s", name, renderNode(fset, s.Type))}
-	}
-	lines := []string{fmt.Sprintf("type %s struct", name)}
-	for _, field := range st.Fields.List {
-		if len(field.Names) == 0 {
-			// Embedded field: exported when its base type name is.
-			if base, exported := baseTypeName(field.Type); exported {
-				lines = append(lines, fmt.Sprintf("type %s struct, embedded %s", name, base))
+	name := s.Name.Name + typeParams(fset, s.TypeParams)
+	switch t := s.Type.(type) {
+	case *ast.StructType:
+		lines := []string{fmt.Sprintf("type %s struct", name)}
+		for _, field := range t.Fields.List {
+			if len(field.Names) == 0 {
+				// Embedded field: exported when its base type name is.
+				if base, exported := baseTypeName(field.Type); exported {
+					lines = append(lines, fmt.Sprintf("type %s struct, embedded %s", name, base))
+				}
+				continue
 			}
-			continue
-		}
-		for _, fn := range field.Names {
-			if fn.IsExported() {
-				lines = append(lines, fmt.Sprintf("type %s struct, field %s %s", name, fn.Name, renderNode(fset, field.Type)))
+			for _, fn := range field.Names {
+				if fn.IsExported() {
+					lines = append(lines, fmt.Sprintf("type %s struct, field %s %s", name, fn.Name, renderNode(fset, field.Type)))
+				}
 			}
 		}
+		return lines
+	case *ast.InterfaceType:
+		lines := []string{fmt.Sprintf("type %s interface", name)}
+		for _, m := range t.Methods.List {
+			if len(m.Names) == 0 {
+				lines = append(lines, fmt.Sprintf("type %s interface, embedded %s", name, renderNode(fset, m.Type)))
+				continue
+			}
+			for _, mn := range m.Names {
+				if mn.IsExported() {
+					lines = append(lines, fmt.Sprintf("type %s interface, method %s %s", name, mn.Name, renderNode(fset, m.Type)))
+				}
+			}
+		}
+		return lines
 	}
-	return lines
+	return []string{fmt.Sprintf("type %s %s", name, renderNode(fset, s.Type))}
+}
+
+// typeParams renders a type parameter list field by field ("[K, V any]"),
+// or "" for a non-generic type. go/printer cannot print the bare
+// *ast.FieldList itself.
+func typeParams(fset *token.FileSet, fl *ast.FieldList) string {
+	if fl == nil || len(fl.List) == 0 {
+		return ""
+	}
+	fields := make([]string, 0, len(fl.List))
+	for _, f := range fl.List {
+		names := make([]string, 0, len(f.Names))
+		for _, n := range f.Names {
+			names = append(names, n.Name)
+		}
+		fields = append(fields, strings.Join(names, ", ")+" "+renderNode(fset, f.Type))
+	}
+	return "[" + strings.Join(fields, ", ") + "]"
+}
+
+// TestTypeLinesRendersGenerics: generic types render their type parameters
+// as source-style brackets, and an interface renders one line per method
+// with its comments dropped.
+func TestTypeLinesRendersGenerics(t *testing.T) {
+	const src = `package p
+
+// Frontier picks work.
+type Frontier[T any] interface {
+	// Next picks the next item.
+	Next(w int) (T, Verdict)
+	fmt.Stringer
+	hidden()
+}
+
+// Pair holds two values.
+type Pair[K comparable, V any] struct {
+	Key   K
+	Value V
+	note  string
+}
+
+// Set is a set.
+type Set[K, V comparable] map[K]V
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, decl := range f.Decls {
+		for _, spec := range decl.(*ast.GenDecl).Specs {
+			got = append(got, typeLines(fset, spec.(*ast.TypeSpec))...)
+		}
+	}
+	want := []string{
+		"type Frontier[T any] interface",
+		"type Frontier[T any] interface, method Next func(w int) (T, Verdict)",
+		"type Frontier[T any] interface, embedded fmt.Stringer",
+		"type Pair[K comparable, V any] struct",
+		"type Pair[K comparable, V any] struct, field Key K",
+		"type Pair[K comparable, V any] struct, field Value V",
+		"type Set[K, V comparable] map[K]V",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("typeLines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // recvTypeName unwraps a method receiver to its base type name, reporting

@@ -520,31 +520,23 @@ func BenchmarkFullRunPro1000(b *testing.B) {
 }
 
 // BenchmarkExploreParallelSpeedup measures the parallel symbolic engine's
-// scaling curve: a full rtl8029 session at 1, 2, and 4 workers — barriered
-// and, for the multi-worker counts, cross-phase pipelined — with the
+// scaling curve: a full rtl8029 session at 1, 2, and 4 workers, with the
 // per-count wall clock and the speedup-vs-sequential reported as metrics
 // (workers=1 is the deterministic sequential engine; the parallel runs
-// share one solver query cache). The speedup-at-4 metrics are the
-// headline: on a multi-core host the barriered run should exceed 1.5x and
-// the pipelined run should beat the barriered one (no idle workers at
-// phase boundaries); on a single-CPU host (GOMAXPROCS=1) no wall-clock
-// speedup is physically possible and the metrics report the concurrency
-// overhead instead. This benchmark is one of the two the CI bench
-// regression gate tracks (cmd/benchgate).
+// share one solver query cache). The speedup-at-4 metric is the headline:
+// on a multi-core host it should exceed 1.5x; on a single-CPU host
+// (GOMAXPROCS=1) no wall-clock speedup is physically possible and the
+// metrics report the concurrency overhead instead. This benchmark is one
+// of the two the CI bench regression gate tracks (cmd/benchgate).
 func BenchmarkExploreParallelSpeedup(b *testing.B) {
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
 	if err != nil {
 		b.Fatal(err)
 	}
-	type series struct {
-		workers  int
-		pipeline bool
-	}
-	configs := []series{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}}
-	session := func(s series) time.Duration {
+	counts := []int{1, 2, 4}
+	session := func(workers int) time.Duration {
 		opts := core.DefaultOptions()
-		opts.Workers = s.workers
-		opts.Pipeline = s.pipeline
+		opts.Workers = workers
 		eng := core.NewEngine(img, opts)
 		start := time.Now()
 		if _, err := eng.TestDriver(context.Background()); err != nil {
@@ -552,27 +544,20 @@ func BenchmarkExploreParallelSpeedup(b *testing.B) {
 		}
 		return time.Since(start)
 	}
-	elapsed := map[series]time.Duration{}
+	elapsed := map[int]time.Duration{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range configs {
-			elapsed[s] += session(s)
+		for _, w := range counts {
+			elapsed[w] += session(w)
 		}
 	}
 	b.StopTimer()
-	seq := elapsed[series{1, false}]
-	for _, s := range configs[1:] {
-		name := fmt.Sprintf("speedup@%dworkers", s.workers)
-		if s.pipeline {
-			name += "-pipelined"
-		}
-		b.ReportMetric(float64(seq)/float64(elapsed[s]), name)
+	seq := elapsed[1]
+	for _, w := range counts[1:] {
+		b.ReportMetric(float64(seq)/float64(elapsed[w]), fmt.Sprintf("speedup@%dworkers", w))
 	}
 	b.ReportMetric(float64(seq.Milliseconds())/float64(b.N), "ms/seq-session")
-	b.ReportMetric(float64(elapsed[series{4, false}].Milliseconds())/float64(b.N), "ms/4worker-session")
-	b.ReportMetric(float64(elapsed[series{4, true}].Milliseconds())/float64(b.N), "ms/4worker-pipelined")
-	b.Logf("GOMAXPROCS=%d: sequential %v, 4 workers barriered %v, 4 workers pipelined %v",
-		runtime.GOMAXPROCS(0), seq/time.Duration(b.N),
-		elapsed[series{4, false}]/time.Duration(b.N),
-		elapsed[series{4, true}]/time.Duration(b.N))
+	b.ReportMetric(float64(elapsed[4].Milliseconds())/float64(b.N), "ms/4worker-session")
+	b.Logf("GOMAXPROCS=%d: sequential %v, 4 workers %v",
+		runtime.GOMAXPROCS(0), seq/time.Duration(b.N), elapsed[4]/time.Duration(b.N))
 }

@@ -15,7 +15,7 @@ func benchOut(name string, samples ...float64) string {
 	sb.WriteString("goos: linux\ngoarch: amd64\npkg: repro\n")
 	for _, ns := range samples {
 		fmt.Fprintf(&sb,
-			"%s-8 \t       3\t%8.0f ns/op\t      %.1f ms/seq-session\t      %.1f ms/4worker-session\t         1.068 speedup@4workers-pipelined\n",
+			"%s-8 \t       3\t%8.0f ns/op\t      %.1f ms/seq-session\t      %.1f ms/4worker-session\t         1.068 speedup@4workers\n",
 			name, ns, ns/10, ns/20)
 	}
 	sb.WriteString("--- BENCH: " + name + "\n    bench_test.go:1: GOMAXPROCS=4: log line\nPASS\nok  \trepro\t12.3s\n")

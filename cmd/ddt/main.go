@@ -18,8 +18,6 @@
 //	                 resume, surprise removal, IRP cancellation); the default
 //	                 picks per driver class (storage: pnp, others: linear)
 //	-workers n       parallel campaign workers (1 = sequential, deterministic)
-//	-pipeline        with -workers > 1, explore across workload phases without
-//	                 barriers (prints per-phase concurrency stats)
 //	-seed n          campaign random seed (uniform across commands)
 //	-timeout d       campaign wall-clock bound (0 = none)
 //	-expect          with -corpus, compare the found bug classes against the

@@ -40,12 +40,9 @@ func main() {
 	abl := flag.Bool("ablation", false, "annotation ablation")
 	fz := flag.Bool("fuzz", false, "fuzzer throughput and mode comparison")
 	par := flag.Bool("parallel", false, "parallel exploration scaling and solver-cache stats")
-	pipe := flag.Bool("pipeline", false, "cross-phase pipelined exploration: barriered vs pipelined wall clock and per-phase concurrency")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected sections to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	// -pipeline is this command's report-section selector, so only the
-	// non-conflicting subset of the uniform campaign flag surface registers.
-	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagWorkers|campaign.FlagSeed|campaign.FlagTimeout)
+	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagsAll)
 	flag.Parse()
 
 	// Profile wiring matches ddtfuzz: CPU profile brackets the run,
@@ -61,7 +58,7 @@ func main() {
 		defer writeHeapProfile(*memProfile)
 	}
 
-	all := !*t1 && !*t2 && !*f2 && !*f3 && !*dv && !*sdvF && !*abl && !*fz && !*par && !*pipe
+	all := !*t1 && !*t2 && !*f2 && !*f3 && !*dv && !*sdvF && !*abl && !*fz && !*par
 
 	if all || *t1 {
 		infos, err := experiments.Table1()
@@ -130,55 +127,6 @@ func main() {
 	if all || *par {
 		check(parallelSection(cf.Workers))
 	}
-	if all || *pipe {
-		check(pipelineSection(cf.Workers))
-	}
-}
-
-// pipelineSection compares barriered and cross-phase pipelined exploration
-// at the same worker count: wall clock, bug count, and — the point of the
-// exercise — the per-phase concurrency ledger. A non-zero peak in-flight
-// for a phase while its predecessor was still exiting paths is the barrier
-// removal made visible.
-func pipelineSection(flagWorkers int) error {
-	fmt.Println("== Cross-phase pipelined exploration ==")
-	fmt.Printf("  host CPUs: %d\n", runtime.NumCPU())
-	w := flagWorkers
-	if w < 2 {
-		w = 4
-	}
-	for _, driver := range []string{"rtl8029", "amd-pcnet"} {
-		for _, pipelined := range []bool{false, true} {
-			img, err := corpus.Build(driver, corpus.Buggy)
-			if err != nil {
-				return err
-			}
-			opts := core.DefaultOptions()
-			opts.Workers = w
-			opts.Pipeline = pipelined
-			eng := core.NewEngine(img, opts)
-			start := time.Now()
-			rep, err := eng.TestDriver(context.Background())
-			if err != nil {
-				return err
-			}
-			mode := "barriered"
-			if pipelined {
-				mode = "pipelined"
-			}
-			fmt.Printf("  %-10s workers=%d %-9s elapsed=%-12v bugs=%d paths=%d\n",
-				driver, w, mode, time.Since(start).Round(time.Microsecond),
-				len(rep.Bugs), rep.PathsExplored)
-			if pipelined {
-				fmt.Println("    phase                exited  succ  promoted  peak-inflight  peak-queued")
-				for _, p := range rep.Phases {
-					fmt.Printf("    %-20s %6d %5d %9d %14d %12d\n",
-						p.Name, p.Exited, p.Succeeded, p.Promoted, p.PeakInFlight, p.PeakQueued)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // parallelSection measures the concurrent symbolic frontier: wall clock and

@@ -18,8 +18,6 @@
 //	               -timeout)
 //	-timeout d     wall-clock budget, e.g. 30s (0 = none)
 //	-seed n        base RNG seed (deterministic per worker)
-//	-pipeline      with -hybrid, dissolve workload phase barriers in the
-//	               symbolic engine passes
 //	-persist       persistent-mode executors: snapshot the initialized boot
 //	               state per boot prefix and resume later executions from it
 //	               (bit-identical results, multi-x execs/sec; the report
@@ -123,7 +121,6 @@ func main() {
 	if *hybrid {
 		eopts := core.DefaultOptions()
 		eopts.Workers = *engineWorkers
-		eopts.Pipeline = cf.Pipeline
 		h, err := fuzz.Hybrid(context.Background(), img, cfg, eopts, 2)
 		if err != nil && h == nil {
 			fatal(err)

@@ -3,15 +3,13 @@
 // fork at injection points, record findings — and this package owns the
 // loop's machinery exactly once: the condvar-coordinated worker pool with
 // context-based cancellation (Runner), the campaign envelope configuration
-// embedded by every mode's options (Options), the per-(entry, phase)
-// budget ledgers (Ledger), fleet-safe finding deduplication (Findings),
-// and the uniform CLI flag surface (Flags).
+// embedded by every mode's options (Options), fleet-safe finding
+// deduplication (Findings), and the uniform CLI flag surface (Flags).
 //
 // The exploration modes plug in as frontier policies: the barriered
-// symbolic engine, the cross-phase pipelined engine, and the
-// coverage-guided fuzzer are each a Frontier implementation plus an
-// executor callback over one Runner. New frontiers — distributed,
-// directed, scenario-graph — slot in the same way and inherit the pool,
+// symbolic engine and the coverage-guided fuzzer are each a one-method
+// Frontier plus an executor callback over one Runner. New frontiers —
+// distributed, directed — slot in the same way and inherit the pool,
 // budgets, stop conditions, and cancellation for free.
 package campaign
 
@@ -25,16 +23,12 @@ import (
 // mode-specific option structs (core.Options, fuzz.Config, ddt.Config)
 // embed it, so workers, budgets, seeds, and stop conditions are configured
 // the same way — and mean the same thing — whether the campaign explores
-// symbolically, pipelined, or concretely.
+// symbolically or concretely.
 type Options struct {
 	// Workers is the number of parallel campaign workers. 0 or 1 runs the
 	// campaign on a single worker, which for the symbolic engine is
 	// bit-identical to the original sequential semantics.
 	Workers int
-	// Pipeline, with Workers > 1, dissolves cross-path phase barriers in
-	// frontiers that have them (the symbolic workload explorer). Frontier
-	// policies without phases ignore it.
-	Pipeline bool
 	// Seed makes the campaign's random streams deterministic (the fuzzer
 	// derives per-worker streams as Seed+workerID). Frontiers without
 	// randomness ignore it; directed/mutation frontiers must honor it.
@@ -50,7 +44,7 @@ type Options struct {
 	StopAtFirstBug bool
 	// Coverage, when non-nil, replaces the campaign's own coverage
 	// recorder; the hybrid loop passes one shared thread-safe recorder so
-	// symbolic, pipelined, and fuzz coverage accumulate into one map.
+	// symbolic and fuzz coverage accumulate into one map.
 	Coverage *exerciser.Coverage
 }
 

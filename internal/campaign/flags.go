@@ -16,22 +16,19 @@ const (
 )
 
 // FlagMask selects which of the uniform campaign flags a command
-// registers. Commands that repurpose a name (ddtbench's -pipeline is a
-// report-section selector) simply leave that bit out.
+// registers. Commands that repurpose a name simply leave that bit out.
 type FlagMask uint
 
 const (
 	// FlagWorkers registers -workers.
 	FlagWorkers FlagMask = 1 << iota
-	// FlagPipeline registers -pipeline.
-	FlagPipeline
 	// FlagSeed registers -seed.
 	FlagSeed
 	// FlagTimeout registers -timeout.
 	FlagTimeout
 
 	// FlagsAll registers the full uniform surface.
-	FlagsAll = FlagWorkers | FlagPipeline | FlagSeed | FlagTimeout
+	FlagsAll = FlagWorkers | FlagSeed | FlagTimeout
 )
 
 // Flags holds the parsed uniform campaign flags. Register the surface
@@ -40,8 +37,6 @@ const (
 type Flags struct {
 	// Workers is the parsed -workers value.
 	Workers int
-	// Pipeline is the parsed -pipeline value.
-	Pipeline bool
 	// Seed is the parsed -seed value.
 	Seed int64
 	// Timeout is the parsed -timeout value.
@@ -49,15 +44,12 @@ type Flags struct {
 }
 
 // RegisterFlags registers the selected subset of the uniform campaign
-// flag surface (-workers, -pipeline, -seed, -timeout) on fs with the
+// flag surface (-workers, -seed, -timeout) on fs with the
 // uniform names and defaults, and returns the destination struct.
 func RegisterFlags(fs *flag.FlagSet, mask FlagMask) *Flags {
 	f := &Flags{Workers: DefaultWorkers, Seed: DefaultSeed}
 	if mask&FlagWorkers != 0 {
 		fs.IntVar(&f.Workers, "workers", DefaultWorkers, "parallel campaign workers (1 = deterministic sequential)")
-	}
-	if mask&FlagPipeline != 0 {
-		fs.BoolVar(&f.Pipeline, "pipeline", false, "with -workers > 1, dissolve workload phase barriers")
 	}
 	if mask&FlagSeed != 0 {
 		fs.Int64Var(&f.Seed, "seed", DefaultSeed, "campaign random seed")
@@ -72,7 +64,6 @@ func RegisterFlags(fs *flag.FlagSet, mask FlagMask) *Flags {
 func (f *Flags) Options() Options {
 	return Options{
 		Workers:  f.Workers,
-		Pipeline: f.Pipeline,
 		Seed:     f.Seed,
 		Duration: f.Timeout,
 	}

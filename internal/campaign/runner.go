@@ -12,33 +12,22 @@ type Verdict int
 const (
 	// Dispatch hands the returned item to the worker.
 	Dispatch Verdict = iota
-	// Wait parks the worker until another worker produces work (or the
-	// campaign stops). Use when the frontier is momentarily empty but
-	// in-flight work may refill it.
-	Wait
-	// Drained reports the frontier empty with nothing left that could
-	// refill it except in-flight work: the runner parks the worker while
-	// items are still running, and consults Idle once nothing is.
+	// Drained reports the frontier empty. While other items are still
+	// running the runner parks the worker (in-flight work may refill the
+	// frontier; Runner.Wake unparks it); once nothing is running the
+	// campaign ends.
 	Drained
 	// Stop ends the whole campaign now (a frontier-owned budget tripped).
 	Stop
 )
 
-// Frontier is a campaign's work-selection policy. All three methods are
-// invoked under the Runner's coordinator lock, so implementations need no
-// locking of their own for state touched only here; use Runner.Locked for
-// frontier mutations driven from outside (fork pushes from execution
-// hooks).
+// Frontier is a campaign's work-selection policy. Next is invoked under
+// the Runner's coordinator lock, so an implementation needs no locking of
+// its own for state touched only there. Executors do their own result
+// accounting; an executor that refills the frontier calls Runner.Wake.
 type Frontier[T any] interface {
 	// Next picks the next work item for worker w.
 	Next(w int) (T, Verdict)
-	// Retire absorbs a completed item: budget accounting, promotions,
-	// result bookkeeping.
-	Retire(w int, item T)
-	// Idle is consulted when every worker is idle and Next reported
-	// Drained: return true to end the campaign, or false after producing
-	// new work (e.g. a zero-success phase fallback reseeded later phases).
-	Idle(w int) bool
 }
 
 // Runner drives one campaign: a pool of Options.Workers goroutines pulling
@@ -111,7 +100,7 @@ func (r *Runner[T]) Run(ctx context.Context) {
 					return
 				}
 				r.exec(w, item)
-				r.retire(w, item)
+				r.retire(w)
 			}
 		}(w)
 	}
@@ -174,28 +163,20 @@ func (r *Runner[T]) next(ctx context.Context, w int) (T, bool) {
 			return zero, false
 		case Drained:
 			if r.running == 0 {
-				if r.frontier.Idle(w) {
-					r.stopLocked()
-					return zero, false
-				}
-				// Idle produced new work: wake the parked pool for it too.
-				r.cond.Broadcast()
-				continue
+				r.stopLocked()
+				return zero, false
 			}
-			r.cond.Wait()
-		case Wait:
 			r.cond.Wait()
 		}
 	}
 }
 
 // retire books one completed item and re-examines the pool.
-func (r *Runner[T]) retire(w int, item T) {
+func (r *Runner[T]) retire(w int) {
 	r.mu.Lock()
 	r.running--
 	r.retired++
 	r.perWorker[w]++
-	r.frontier.Retire(w, item)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -238,17 +219,6 @@ func (r *Runner[T]) Canceled() bool {
 // from an execution hook).
 func (r *Runner[T]) Wake() {
 	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// Locked runs fn under the coordinator lock and wakes the pool afterwards.
-// Frontier mutations driven from executor callbacks (seed expansion,
-// mid-path fork pushes) go through here so frontier state and worker
-// wake-ups stay consistent.
-func (r *Runner[T]) Locked(fn func()) {
-	r.mu.Lock()
-	fn()
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }

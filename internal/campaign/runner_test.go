@@ -4,17 +4,15 @@ import (
 	"context"
 	"flag"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // listFrontier hands out a fixed list of ints in order.
 type listFrontier struct {
-	items   []int
-	next    int
-	retired []int
-	idles   int
-	refill  func(f *listFrontier) bool // Idle hook; nil = done
+	items []int
+	next  int
 }
 
 func (f *listFrontier) Next(w int) (int, Verdict) {
@@ -24,16 +22,6 @@ func (f *listFrontier) Next(w int) (int, Verdict) {
 		return it, Dispatch
 	}
 	return 0, Drained
-}
-
-func (f *listFrontier) Retire(w int, item int) { f.retired = append(f.retired, item) }
-
-func (f *listFrontier) Idle(w int) bool {
-	f.idles++
-	if f.refill != nil {
-		return f.refill(f)
-	}
-	return true
 }
 
 func TestRunnerSingleWorkerOrder(t *testing.T) {
@@ -51,9 +39,6 @@ func TestRunnerSingleWorkerOrder(t *testing.T) {
 	s := r.Summary()
 	if s.Started != 6 || s.Retired != 6 || s.Workers != 1 || s.Canceled {
 		t.Fatalf("summary = %+v", s)
-	}
-	if len(f.retired) != 6 {
-		t.Fatalf("frontier saw %d retirements, want 6", len(f.retired))
 	}
 }
 
@@ -171,34 +156,23 @@ func TestRunnerDuration(t *testing.T) {
 	}
 }
 
-func TestRunnerIdleRefill(t *testing.T) {
-	// The frontier drains once, Idle refills it once, the second Idle ends
-	// the campaign — the pipelined reap-fallback shape.
-	f := &listFrontier{items: []int{1, 2}}
-	f.refill = func(f *listFrontier) bool {
-		if f.idles == 1 {
-			f.items = append(f.items, 3, 4)
-			return false
-		}
-		return true
-	}
-	var got []int
-	r := NewRunner(Options{Workers: 1}, f, func(w, item int) { got = append(got, item) })
-	r.Run(context.Background())
-	if len(got) != 4 {
-		t.Fatalf("executed %v, want 4 items across the refill", got)
-	}
-	if f.idles != 2 {
-		t.Fatalf("Idle consulted %d times, want 2", f.idles)
-	}
-}
-
 func TestRunnerWaitWake(t *testing.T) {
-	// Work produced from an executor via Locked must wake parked workers.
-	var mu sync.Mutex
+	// Work an executor pushes from outside the coordinator lock must reach
+	// workers parked on a drained frontier as soon as the executor calls
+	// Wake — the barriered engine's fork push, where the pushing path keeps
+	// running. Item k pushes k+1 and blocks until another worker has
+	// started it, so no retirement can wake the pool in its place.
+	const workers = 4
+	var mu sync.Mutex // guards pending and produced, like the engine's scheduler lock
 	pending := []int{1}
 	produced := 0
+	started := make([]chan struct{}, workers+1)
+	for i := range started {
+		started[i] = make(chan struct{})
+	}
 	f := frontierFunc(func(w int) (int, Verdict) {
+		mu.Lock()
+		defer mu.Unlock()
 		if len(pending) > 0 {
 			it := pending[0]
 			pending = pending[1:]
@@ -207,31 +181,36 @@ func TestRunnerWaitWake(t *testing.T) {
 		return 0, Drained
 	})
 	var r *Runner[int]
-	var execs int
-	r = NewRunner(Options{Workers: 4}, f, func(w, item int) {
+	var execs atomic.Int64
+	r = NewRunner(Options{Workers: workers}, f, func(w, item int) {
+		execs.Add(1)
+		close(started[item])
+		if item == workers {
+			return
+		}
+		// Give the idle workers time to park on the drained frontier.
+		time.Sleep(20 * time.Millisecond)
 		mu.Lock()
-		execs++
+		pending = append(pending, item+1)
+		produced++
 		mu.Unlock()
-		if item < 5 {
-			r.Locked(func() {
-				pending = append(pending, item+1)
-				produced++
-			})
+		r.Wake()
+		select {
+		case <-started[item+1]:
+		case <-time.After(5 * time.Second):
+			t.Errorf("item %d: no parked worker picked up item %d after Wake", item, item+1)
 		}
 	})
 	r.Run(context.Background())
-	if execs != 5 || produced != 4 {
-		t.Fatalf("execs=%d produced=%d, want 5 and 4", execs, produced)
+	if execs.Load() != workers || produced != workers-1 {
+		t.Fatalf("execs=%d produced=%d, want %d and %d", execs.Load(), produced, workers, workers-1)
 	}
 }
 
-// frontierFunc adapts a Next func into a Frontier with no-op Retire and
-// always-done Idle.
+// frontierFunc adapts a Next func into a Frontier.
 type frontierFunc func(w int) (int, Verdict)
 
 func (f frontierFunc) Next(w int) (int, Verdict) { return f(w) }
-func (f frontierFunc) Retire(w int, item int)    {}
-func (f frontierFunc) Idle(w int) bool           { return true }
 
 func TestFindingsDedup(t *testing.T) {
 	f := NewFindings()
@@ -243,42 +222,24 @@ func TestFindingsDedup(t *testing.T) {
 	}
 }
 
-func TestLedgerAccounting(t *testing.T) {
-	l := &Ledger{Name: "Send"}
-	l.AddQueued(3)
-	l.BeginFlight()
-	l.Queued--
-	if l.Activity() != 3 || l.PeakQueued != 3 || l.PeakInFlight != 1 {
-		t.Fatalf("ledger = %+v", l)
-	}
-	set := []*Ledger{l, {Name: "Halt", Done: true}}
-	if AllDone(set) {
-		t.Fatal("set helpers broken")
-	}
-	l.Queued, l.InFlight, l.Done = 0, 0, true
-	if !AllDone(set) || l.Activity() != 0 {
-		t.Fatal("set helpers broken after drain")
-	}
-}
-
 func TestRegisterFlagsAndAliases(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := RegisterFlags(fs, FlagsAll)
-	if err := fs.Parse([]string{"-workers", "8", "-pipeline", "-seed", "42", "-timeout", "3s"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "8", "-seed", "42", "-timeout", "3s"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Workers != 8 || !f.Pipeline || f.Seed != 42 || f.Timeout != 3*time.Second {
+	if f.Workers != 8 || f.Seed != 42 || f.Timeout != 3*time.Second {
 		t.Fatalf("flags = %+v", f)
 	}
 	o := f.Options()
-	if o.Workers != 8 || !o.Pipeline || o.Seed != 42 || o.Duration != 3*time.Second {
+	if o.Workers != 8 || o.Seed != 42 || o.Duration != 3*time.Second {
 		t.Fatalf("options = %+v", o)
 	}
 
 	// Subset registration leaves unselected names free for the command.
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
 	f2 := RegisterFlags(fs2, FlagWorkers|FlagSeed)
-	if fs2.Lookup("pipeline") != nil || fs2.Lookup("timeout") != nil {
+	if fs2.Lookup("timeout") != nil {
 		t.Fatal("subset registration leaked flags")
 	}
 	if err := fs2.Parse([]string{"-workers", "2"}); err != nil {

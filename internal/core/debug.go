@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 )
 
 // phaseDebug is the DDT_DEBUG_PHASES reporter. All per-phase timing and
-// gauge lines go through one process-wide mutex, so output from parallel
-// workers — or from several engines running at once (benchmarks, the
-// hybrid loop) — never interleaves mid-line. The pre-pipeline engine
-// printed straight from the explore path, which garbled lines under
-// workers>1; routing through here is the fix, and the pipelined mode's
-// per-phase in-flight/queued gauges ride the same channel.
+// per-worker lines go through one process-wide mutex, so output from
+// parallel workers — or from several engines running at once (benchmarks,
+// the hybrid loop) — never interleaves mid-line.
 type phaseDebug struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -36,34 +32,6 @@ func (d *phaseDebug) printf(format string, args ...any) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fmt.Fprintf(d.w, format, args...)
-}
-
-// phaseGauge is one phase's live pipeline occupancy, snapshotted under the
-// pipeline coordinator's lock.
-type phaseGauge struct {
-	Name     string
-	Queued   int // states waiting in the frontier
-	InFlight int // states being stepped plus seeds being expanded
-	Exited   int // completed paths so far
-}
-
-// gauges renders a per-phase in-flight/queued snapshot as a single line,
-// e.g. "  gauges: Initialize q=3 run=2 done=17 | Send q=1 run=1 done=0".
-func (d *phaseDebug) gauges(prefix string, rows []phaseGauge) {
-	if !d.enabled() {
-		return
-	}
-	parts := make([]string, 0, len(rows))
-	for _, g := range rows {
-		if g.Queued == 0 && g.InFlight == 0 && g.Exited == 0 {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s q=%d run=%d done=%d", g.Name, g.Queued, g.InFlight, g.Exited))
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "(idle)")
-	}
-	d.printf("  %s gauges: %s\n", prefix, strings.Join(parts, " | "))
 }
 
 // workerPaths renders the per-worker retired-path distribution.

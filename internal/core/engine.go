@@ -21,8 +21,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configure one DDT run. The campaign envelope (workers, pipeline
-// mode, stop conditions, wall-clock bound, shared coverage) is the embedded
+// Options configure one DDT run. The campaign envelope (workers, stop
+// conditions, wall-clock bound, shared coverage) is the embedded
 // campaign.Options — the same envelope fuzz.Config and ddt.Config embed —
 // and the remaining fields are the symbolic engine's own knobs.
 //
@@ -32,9 +32,9 @@ import (
 // over one shared query cache — the explored path SET is then
 // schedule-dependent, but every reported bug remains a sound,
 // solver-witnessed path, and completed paths are canonically ordered by
-// state ID before KeepStates selection. Pipeline (with Workers > 1)
-// dissolves the cross-path workload phase barriers while preserving
-// per-path phase order. Duration bounds the whole TestDriver session.
+// state ID before KeepStates selection. Every worker count walks the
+// workload phase by phase: a phase's paths all finish before the next
+// phase starts. Duration bounds the whole TestDriver session.
 // Seed and MaxExecs are accepted for envelope uniformity and unused here.
 type Options struct {
 	campaign.Options
@@ -138,19 +138,6 @@ type Engine struct {
 	// notify, during a parallel explore, wakes workers blocked on an empty
 	// frontier after a push.
 	notify func()
-
-	// pipe is the active pipelined run, nil otherwise. Set before the
-	// pipelined worker pool starts and cleared after it joins, so worker
-	// reads need no lock.
-	pipe *pipeRun
-
-	// testOnSeed / testOnPathDone are test-only observation hooks for the
-	// pipelined explorer, both invoked under the pipeline coordinator's
-	// lock: testOnPathDone fires when a popped path retires (with its phase
-	// and success verdict), testOnSeed fires when a base state is invoked
-	// into a phase. The phase-ordering invariant test uses them.
-	testOnSeed     func(base *vm.State, phase int)
-	testOnPathDone func(s *vm.State, phase int, success bool)
 }
 
 // metaInjectISR marks a forked state that should receive an interrupt
@@ -413,7 +400,8 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 
 // barrierFrontier is the barriered engine's frontier policy: one entry
 // phase over the shared scheduler, stopping when the per-phase path budget
-// trips. The campaign runner owns all pool coordination.
+// trips. The campaign runner owns all pool coordination; runPath does the
+// result accounting.
 type barrierFrontier struct {
 	e   *Engine
 	res *PhaseResult
@@ -433,21 +421,9 @@ func (f *barrierFrontier) Next(w int) (*vm.State, campaign.Verdict) {
 	return nil, campaign.Drained
 }
 
-// Retire is a no-op: runPath does its own result accounting.
-func (f *barrierFrontier) Retire(w int, st *vm.State) {}
-
-// Idle confirms the drain: an empty frontier with no path in flight ends
-// the phase.
-func (f *barrierFrontier) Idle(w int) bool { return true }
-
 // pushState queues a forked sibling and, during a parallel explore, wakes
-// a blocked worker for it. During a pipelined run the push goes through
-// the pipeline coordinator so the per-phase queued ledger stays exact.
+// a blocked worker for it.
 func (e *Engine) pushState(n *vm.State) {
-	if p := e.pipe; p != nil {
-		p.pushForked(n)
-		return
-	}
 	e.Sched.Push(n)
 	if f := e.notify; f != nil {
 		f()
@@ -564,7 +540,6 @@ func (e *Engine) Report() *Report {
 		SolverCacheHits:      cs.Hits,
 		SolverCacheEvictions: cs.Evictions,
 		Workers:              workers,
-		Pipelined:            e.pipelined(),
 		Phases:               phases,
 		SymbolsMade:          e.M.Syms.Len(),
 	}

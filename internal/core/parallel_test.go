@@ -123,14 +123,17 @@ func TestParallelExploreFindsSameBugs(t *testing.T) {
 }
 
 // TestParallelFixedVariantIsClean: zero false positives must hold under
-// parallelism too — the corrected rtl8029 finds nothing with 4 workers.
+// parallelism too — the corrected golden drivers find nothing with 4
+// workers.
 func TestParallelFixedVariantIsClean(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 4
-	rep := runDDT(t, "rtl8029", corpus.Fixed, opts)
-	if len(rep.Bugs) != 0 {
-		t.Errorf("fixed rtl8029 with 4 workers reported %d bug(s): %v",
-			len(rep.Bugs), sortedBugKeys(rep))
+	for _, driver := range []string{"rtl8029", "amd-pcnet"} {
+		opts := DefaultOptions()
+		opts.Workers = 4
+		rep := runDDT(t, driver, corpus.Fixed, opts)
+		if len(rep.Bugs) != 0 {
+			t.Errorf("fixed %s with 4 workers reported %d bug(s): %v",
+				driver, len(rep.Bugs), sortedBugKeys(rep))
+		}
 	}
 }
 
@@ -158,4 +161,35 @@ func TestParallelReportsCacheStats(t *testing.T) {
 	// the fields exist and the query aggregate includes worker solvers.
 	t.Logf("queries=%d hits=%d evictions=%d",
 		rep.SolverQueries, rep.SolverCacheHits, rep.SolverCacheEvictions)
+}
+
+// TestPhaseLedgerSumsToPaths: on every corpus driver, sequentially and
+// with a worker pool, the report's per-phase ledger starts at DriverEntry,
+// no phase overshoots its path budget by more than the paths other
+// workers had in flight, and the Exited column accounts for every
+// explored path exactly once.
+func TestPhaseLedgerSumsToPaths(t *testing.T) {
+	for _, driver := range corpus.Names() {
+		for _, workers := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			rep := runDDT(t, driver, corpus.Buggy, opts)
+			if len(rep.Phases) == 0 || rep.Phases[0].Name != "DriverEntry" {
+				t.Errorf("%s workers=%d: phases %+v do not start at DriverEntry", driver, workers, rep.Phases)
+				continue
+			}
+			exited := 0
+			for _, p := range rep.Phases {
+				exited += p.Exited
+				if p.Exited > opts.MaxPathsPerEntry+workers-1 {
+					t.Errorf("%s workers=%d: phase %s exited %d paths, budget %d",
+						driver, workers, p.Name, p.Exited, opts.MaxPathsPerEntry)
+				}
+			}
+			if exited != rep.PathsExplored {
+				t.Errorf("%s workers=%d: phase ledger exited %d != report paths %d",
+					driver, workers, exited, rep.PathsExplored)
+			}
+		}
+	}
 }

@@ -93,19 +93,13 @@ type Report struct {
 	// Workers is how many exploration workers the run used (1 =
 	// sequential).
 	Workers int
-	// Pipelined reports whether the run dissolved the workload phase
-	// barriers (Options.Pipeline with Workers > 1).
-	Pipelined bool
-	// Phases is the per-phase outcome ledger in workload order. Barriered
-	// runs fill the outcome columns; pipelined runs additionally record the
-	// concurrency columns (peak in-flight / peak queued), which is how the
-	// barrier-removal win shows up: a non-zero peak for phase k+1 while
-	// phase k was still exiting paths.
+	// Phases is the per-phase outcome ledger in workload order: one row
+	// per explored phase (a DPC drain adds one row per round), so the
+	// Exited column sums to PathsExplored.
 	Phases []PhaseStat
 }
 
-// PhaseStat is one workload phase's outcome and (for pipelined runs)
-// concurrency footprint.
+// PhaseStat is one explored workload phase's outcome.
 type PhaseStat struct {
 	// Name is the entry phase ("DriverEntry", "Initialize", "Send", ...).
 	Name string
@@ -113,17 +107,6 @@ type PhaseStat struct {
 	Exited int
 	// Succeeded counts paths that exited with StatusSuccess.
 	Succeeded int
-	// Promoted counts successes that seeded a later phase (capped at
-	// KeepStates).
-	Promoted int
-	// SeedsIn counts base states that were invoked into this phase.
-	SeedsIn int
-	// PeakInFlight is the maximum number of this phase's paths being
-	// stepped at once (pipelined runs only).
-	PeakInFlight int
-	// PeakQueued is the maximum number of this phase's states waiting in
-	// the frontier at once (pipelined runs only).
-	PeakQueued int
 }
 
 // CoveragePointOut mirrors exerciser.CoveragePoint in the public report.
@@ -159,13 +142,6 @@ func (r *Report) String() string {
 		r.BlocksCovered, r.BlocksStatic, 100*r.RelativeCoverage())
 	fmt.Fprintf(&sb, "  solver: %d queries, %d cache hits, %d evictions\n",
 		r.SolverQueries, r.SolverCacheHits, r.SolverCacheEvictions)
-	if r.Pipelined {
-		sb.WriteString("  pipelined phases (exited/succ/promoted, peak in-flight/queued):\n")
-		for _, p := range r.Phases {
-			fmt.Fprintf(&sb, "    %-20s %4d /%3d /%2d   peak %2d /%3d\n",
-				p.Name, p.Exited, p.Succeeded, p.Promoted, p.PeakInFlight, p.PeakQueued)
-		}
-	}
 	if len(r.Bugs) == 0 {
 		sb.WriteString("  no bugs found\n")
 		return sb.String()

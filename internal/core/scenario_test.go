@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -36,29 +37,38 @@ func storageBugClasses(t *testing.T, rep *Report) []string {
 }
 
 // TestStorageScenarioFindsBothBugs: the barriered engine walks the PnP
-// scenario graph and finds exactly the two planted bugs. The "kernel
-// crash" half FAILS if drainDPCs regresses to one-shot (it lives in the
-// second queued DPC); the "memory corruption" half fails if the
-// surprise-removal path is unreachable.
+// scenario graph and finds exactly the two planted bugs, sequentially and
+// with a worker pool (under -race in CI this is the scenario walk's race
+// regression test). The "kernel crash" half FAILS if drainDPCs regresses
+// to one-shot (it lives in the second queued DPC); the "memory corruption"
+// half fails if the surprise-removal path is unreachable.
 func TestStorageScenarioFindsBothBugs(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
-	rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
-	want := []string{"kernel crash", "memory corruption"}
-	if got := storageBugClasses(t, rep); !reflect.DeepEqual(got, want) {
-		t.Fatalf("bug classes = %v, want %v\n%s", got, want, rep)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
+			want := []string{"kernel crash", "memory corruption"}
+			if got := storageBugClasses(t, rep); !reflect.DeepEqual(got, want) {
+				t.Fatalf("bug classes = %v, want %v\n%s", got, want, rep)
+			}
+		})
 	}
 }
 
 // TestStorageScenarioFixedIsClean: the corrected variant survives the
 // full scenario graph with zero reports (no false positives from the
-// removal/power machinery itself).
+// removal/power machinery itself), sequentially and with a worker pool.
 func TestStorageScenarioFixedIsClean(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
-	rep := runDDT(t, "promise-ultra133", corpus.Fixed, opts)
-	if len(rep.Bugs) != 0 {
-		t.Fatalf("fixed promise-ultra133 reported %d bug(s):\n%s", len(rep.Bugs), rep)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			rep := runDDT(t, "promise-ultra133", corpus.Fixed, opts)
+			if len(rep.Bugs) != 0 {
+				t.Fatalf("fixed promise-ultra133 reported %d bug(s):\n%s", len(rep.Bugs), rep)
+			}
+		})
 	}
 }
 

@@ -17,12 +17,6 @@ import (
 // plan itself lives in internal/workload; this file is its barriered
 // walker.
 
-// pipelined reports whether this engine explores cross-phase (no workload
-// phase barriers): Options.Pipeline with a real worker pool.
-func (e *Engine) pipelined() bool {
-	return e.Opts.Pipeline && e.Opts.Workers > 1
-}
-
 // TestDriver runs the complete workload against the image and returns the
 // bug report. This is the top-level "Test Now button" (§1). ctx cancels
 // the session mid-run; Opts.Duration, when set, bounds its wall-clock time.
@@ -31,9 +25,6 @@ func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.Opts.Duration)
 		defer cancel()
-	}
-	if e.pipelined() {
-		return e.testDriverPipelined(ctx)
 	}
 	boot := e.NewBootState()
 
@@ -157,10 +148,10 @@ func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases
 	return bases
 }
 
-// invoke forks base into plan node i's invocation state(s), each tagged
-// with the phase index: the invocation itself, plus the interrupt-at-entry
-// sibling when the node admits one, an ISR is registered and the path's
-// interrupt budget allows. It does not push them.
+// invoke forks base into plan node i's invocation state(s): the
+// invocation itself, plus the interrupt-at-entry sibling when the node
+// admits one, an ISR is registered and the path's interrupt budget allows.
+// It does not push them.
 func (e *Engine) invoke(plan workload.Plan, i int, base *vm.State) []*vm.State {
 	n := &plan[i]
 	if !n.Applies(base) {
@@ -169,7 +160,6 @@ func (e *Engine) invoke(plan workload.Plan, i int, base *vm.State) []*vm.State {
 	env := workload.Env{K: e.K, Annotations: e.Opts.Annotations}
 	mk := func() *vm.State {
 		st := e.M.ForkState(base)
-		st.Phase = i
 		name, pc, args := n.Enter(env, st)
 		e.K.InvokeSym(st, name, pc, args...)
 		return st

@@ -54,68 +54,26 @@ func TestSchedulerMinBlockCount(t *testing.T) {
 	}
 }
 
-func phased(id uint64, pc uint32, phase int) *vm.State {
-	s := runnable(id, pc)
-	s.Phase = phase
-	return s
-}
-
-// TestSchedulerPhaseMinBlockCount: the pipelined explorer's heuristic picks
-// the earliest phase present, then min-block-count within it.
-func TestSchedulerPhaseMinBlockCount(t *testing.T) {
-	s := NewScheduler(10)
-	s.SetHeuristic(NewPhaseMinBlockCount(s.Counts()))
-	s.Record(0x100)
-	s.Record(0x100)
-	s.Record(0x200)
-	s.Push(phased(1, 0x100, 2)) // later phase: deprioritized despite counts
-	s.Push(phased(2, 0x100, 1)) // earliest phase, hot block
-	s.Push(phased(3, 0x200, 1)) // earliest phase, cooler block: first pick
-	s.Push(phased(4, 0x300, 3)) // cold block but latest phase
-	for i, want := range []uint64{3, 2, 1, 4} {
-		if got := s.Pop().ID; got != want {
-			t.Errorf("pop %d = state %d, want %d", i, got, want)
-		}
-	}
-	if s.HeuristicName() != "phase-min-block-count" {
-		t.Errorf("heuristic name %q", s.HeuristicName())
-	}
-}
-
-// TestSchedulerPhaseCounts: the queued-per-phase gauge behind the pipelined
-// debug output.
-func TestSchedulerPhaseCounts(t *testing.T) {
-	s := NewScheduler(10)
-	s.Push(phased(1, 0x100, 0))
-	s.Push(phased(2, 0x100, 1))
-	s.Push(phased(3, 0x200, 1))
-	pc := s.PhaseCounts()
-	if pc[0] != 1 || pc[1] != 2 {
-		t.Errorf("phase counts = %v, want {0:1 1:2}", pc)
-	}
-	s.Pop()
-	if total := s.Len(); total != 2 {
-		t.Errorf("len after pop = %d", total)
-	}
-}
-
-// TestSchedulerPushReportsAcceptance: Push must tell the caller whether the
-// state landed in the frontier — the pipelined queued ledger depends on it.
+// TestSchedulerPushReportsAcceptance: which pushes land in the frontier
+// is observable through Len and Dropped — a push under the cap is queued,
+// one over the cap is counted as dropped, and nil or non-runnable states
+// are neither queued nor counted.
 func TestSchedulerPushReportsAcceptance(t *testing.T) {
 	s := NewScheduler(1)
-	if !s.Push(runnable(1, 0)) {
-		t.Error("first push rejected")
+	s.Push(runnable(1, 0))
+	if s.Len() != 1 || s.Dropped() != 0 {
+		t.Errorf("first push: len=%d dropped=%d, want 1 and 0", s.Len(), s.Dropped())
 	}
-	if s.Push(runnable(2, 0)) {
-		t.Error("over-cap push accepted")
+	s.Push(runnable(2, 0))
+	if s.Len() != 1 || s.Dropped() != 1 {
+		t.Errorf("over-cap push: len=%d dropped=%d, want 1 and 1", s.Len(), s.Dropped())
 	}
-	if s.Push(nil) {
-		t.Error("nil push accepted")
-	}
+	s.Push(nil)
 	dead := runnable(3, 0)
 	dead.Status = vm.StatusKilled
-	if s.Push(dead) {
-		t.Error("non-runnable push accepted")
+	s.Push(dead)
+	if s.Len() != 1 || s.Dropped() != 1 {
+		t.Errorf("nil/non-runnable pushes: len=%d dropped=%d, want 1 and 1", s.Len(), s.Dropped())
 	}
 }
 

@@ -58,22 +58,19 @@ func (s *Scheduler) SetHeuristic(h Heuristic) { s.heuristic = h }
 // HeuristicName returns the active heuristic's name.
 func (s *Scheduler) HeuristicName() string { return s.heuristic.Name() }
 
-// Push queues a runnable state. It reports whether the state was accepted:
-// false means the MaxStates cap dropped it (the pipelined explorer keeps a
-// per-phase queued ledger and must know). Existing callers may ignore the
-// result.
-func (s *Scheduler) Push(st *vm.State) bool {
+// Push queues a runnable state; past the MaxStates cap the state is
+// dropped and counted (see Dropped).
+func (s *Scheduler) Push(st *vm.State) {
 	if st == nil || st.Status != vm.StatusRunning {
-		return false
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.MaxStates > 0 && len(s.queue) >= s.MaxStates {
 		s.dropped++
-		return false
+		return
 	}
 	s.queue = append(s.queue, st)
-	return true
 }
 
 // Pop removes and returns the next state per the heuristic, or nil when
@@ -126,19 +123,6 @@ func (s *Scheduler) BlockCount(pc uint32) uint64 {
 // scheduler's lock).
 func (s *Scheduler) Counts() map[uint32]uint64 { return s.blockCounts }
 
-// PhaseCounts returns how many queued states belong to each workload phase
-// (states carry their phase tag; see vm.State.Phase). The pipelined
-// explorer's debug gauges read this.
-func (s *Scheduler) PhaseCounts() map[int]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]int)
-	for _, st := range s.queue {
-		out[st.Phase]++
-	}
-	return out
-}
-
 // MinBlockCount is the default heuristic: schedule the state whose current
 // block has been executed the fewest times globally. It naturally avoids
 // states stuck in polling loops — the exact rationale of §4.3.
@@ -162,61 +146,6 @@ func (h *MinBlockCount) Pick(queue []*vm.State) int {
 	for i := 1; i < len(queue); i++ {
 		if c := h.counts[queue[i].PC]; c < bestCount {
 			best, bestCount = i, c
-		}
-	}
-	return best
-}
-
-// PhaseMinBlockCount is the pipelined explorer's heuristic over a
-// mixed-phase frontier: prefer the EARLIEST workload phase present in the
-// queue, breaking ties with the min-block-count rule within that phase.
-// Earliest-first keeps the pipeline shallow and bounds frontier memory: the
-// only cross-phase fan-out is promotion (capped at KeepStates per phase),
-// so the frontier holds the fork tail of one draining phase plus a bounded
-// seed set for its successors, instead of deep stacks of half-finished
-// phases. Pipelining still happens exactly where the barrier used to stall:
-// when the earliest phase has fewer runnable states than workers, the
-// spare workers pick up later-phase work instead of idling.
-type PhaseMinBlockCount struct {
-	counts map[uint32]uint64
-	// ranks maps a phase index to its scheduling weight. nil (or an
-	// out-of-range phase) weighs a phase by its own index — the linear
-	// plan's ordering. Scenario graphs pass depth ranks so alternative
-	// branches at equal depth compete at equal weight.
-	ranks []int
-}
-
-// NewPhaseMinBlockCount builds the phase-weighted heuristic over a
-// scheduler's counts (see Scheduler.Counts).
-func NewPhaseMinBlockCount(counts map[uint32]uint64) *PhaseMinBlockCount {
-	return &PhaseMinBlockCount{counts: counts}
-}
-
-// NewPhaseRankMinBlockCount builds the phase-weighted heuristic with an
-// explicit phase→rank table (see PhaseMinBlockCount.ranks).
-func NewPhaseRankMinBlockCount(counts map[uint32]uint64, ranks []int) *PhaseMinBlockCount {
-	return &PhaseMinBlockCount{counts: counts, ranks: ranks}
-}
-
-// Name implements Heuristic.
-func (*PhaseMinBlockCount) Name() string { return "phase-min-block-count" }
-
-func (h *PhaseMinBlockCount) rank(phase int) int {
-	if phase >= 0 && phase < len(h.ranks) {
-		return h.ranks[phase]
-	}
-	return phase
-}
-
-// Pick implements Heuristic.
-func (h *PhaseMinBlockCount) Pick(queue []*vm.State) int {
-	best := 0
-	bestRank := h.rank(queue[0].Phase)
-	bestCount := h.counts[queue[0].PC]
-	for i := 1; i < len(queue); i++ {
-		r, c := h.rank(queue[i].Phase), h.counts[queue[i].PC]
-		if r < bestRank || (r == bestRank && c < bestCount) {
-			best, bestRank, bestCount = i, r, c
 		}
 	}
 	return best

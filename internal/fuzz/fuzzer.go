@@ -26,8 +26,7 @@ import (
 // derives the per-worker random streams (Seed+workerID — a single-worker
 // run with a fixed seed is fully reproducible); StopAtFirstBug ends the
 // campaign at the first deduplicated crash; Coverage, when non-nil,
-// replaces the fuzzer's own recorder. Pipeline is accepted for envelope
-// uniformity and ignored (the fuzzer has no phase barriers to dissolve).
+// replaces the fuzzer's own recorder.
 type Config struct {
 	campaign.Options
 	// CorpusDir, when set, is loaded as initial seeds and receives the
@@ -407,12 +406,6 @@ type fuzzFrontier struct{ f *Fuzzer }
 func (q fuzzFrontier) Next(w int) (*Feed, campaign.Verdict) {
 	return q.f.queue.Pop(w), campaign.Dispatch
 }
-
-// Retire is a no-op: execOne does its own result accounting.
-func (q fuzzFrontier) Retire(w int, feed *Feed) {}
-
-// Idle is unreachable: Next always dispatches.
-func (q fuzzFrontier) Idle(w int) bool { return true }
 
 // execOne runs one campaign execution: synthesize the feed if the
 // frontier handed none, execute, and admit the results — unless the

@@ -323,7 +323,7 @@ func (ks *KState) Fork() vm.Forkable {
 // TakeDPC pops the head of the pending-DPC queue. For DPCs queued via
 // KeInsertQueueDpc it clears the backing object's queued flag so the
 // driver may re-queue it; timer DPCs (Obj == 0) are unaffected. All
-// dispatch sites (barriered, pipelined, fuzz) must pop through here.
+// dispatch sites (symbolic engine, fuzz) must pop through here.
 func (ks *KState) TakeDPC() DPC {
 	d := ks.PendingDPCs[0]
 	ks.PendingDPCs = ks.PendingDPCs[1:]

@@ -365,7 +365,7 @@ wait:
 }
 
 // runSymbolicLease executes one symbolic-mode lease: a (optionally
-// pipelined, multi-worker) engine session, heartbeating while it runs, and
+// multi-worker) engine session, heartbeating while it runs, and
 // a final report converting every bug into a crash entry with a
 // bridge-derived reproducer feed.
 func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *CampaignLease, syncEvery time.Duration) error {
@@ -377,7 +377,6 @@ func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *
 	if lease.EngineWorkers > 0 {
 		opts.Workers = lease.EngineWorkers
 	}
-	opts.Pipeline = lease.Pipeline
 	cov := exerciser.NewCoverage(len(binimg.StaticBlocks(img)))
 	opts.Coverage = cov
 

@@ -97,10 +97,8 @@ type CampaignLease struct {
 	Seed       int64  `json:"seed,omitempty"`
 	Persist    bool   `json:"persist,omitempty"`
 	Dict       bool   `json:"dict,omitempty"`
-	// Symbolic-mode switches: engine worker count and cross-phase
-	// pipelining.
-	EngineWorkers int  `json:"engine_workers,omitempty"`
-	Pipeline      bool `json:"pipeline,omitempty"`
+	// EngineWorkers is the symbolic-mode engine worker count.
+	EngineWorkers int `json:"engine_workers,omitempty"`
 	// Seeds is the manager's current corpus for the driver, shipped as
 	// initial seeds so a fresh worker starts from fleet knowledge instead
 	// of from scratch.
@@ -200,9 +198,8 @@ type CampaignSpec struct {
 	Seed    int64 `json:"seed,omitempty"`
 	Persist bool  `json:"persist,omitempty"`
 	Dict    bool  `json:"dict,omitempty"`
-	// Symbolic-mode knobs.
-	EngineWorkers int  `json:"engine_workers,omitempty"`
-	Pipeline      bool `json:"pipeline,omitempty"`
+	// EngineWorkers is the symbolic-mode engine worker count.
+	EngineWorkers int `json:"engine_workers,omitempty"`
 }
 
 // Config is the ddtd campaign config file format.

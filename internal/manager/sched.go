@@ -163,7 +163,6 @@ func (s *Scheduler) Poll(workerID string) *CampaignLease {
 			Persist:       spec.Persist,
 			Dict:          spec.Dict,
 			EngineWorkers: spec.EngineWorkers,
-			Pipeline:      spec.Pipeline,
 		}
 	}
 	return nil

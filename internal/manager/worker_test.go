@@ -2,8 +2,10 @@ package manager
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"syscall"
 	"testing"
@@ -126,6 +128,41 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	sums := m.State.Summaries()
 	if len(sums) != 1 || sums[0].Execs < budget {
 		t.Fatalf("fleet summaries = %+v, want >= %d execs merged", sums, budget)
+	}
+}
+
+// TestFleetSymbolicSlot runs one symbolic-mode slot end to end: a config
+// as ddtd loads it (a campaign file written for the removed pipelined mode
+// still carries "pipeline": true, which must keep loading), handed out
+// through the scheduler to one one-shot worker that runs the barriered
+// engine with engine_workers. The slot completes and the merged crash set
+// holds exactly rtl8029's Table 2 classes.
+func TestFleetSymbolicSlot(t *testing.T) {
+	const raw = `{"campaigns": [{"id": "sym", "driver": "rtl8029", "mode": "symbolic",
+		"engine_workers": 2, "pipeline": true}]}`
+	var cfg Config
+	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	m, srv := startManager(t, cfg, time.Minute)
+	if err := RunWorker(context.Background(), workerCfg(srv, "w1")); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Sched.Done() {
+		t.Fatal("symbolic slot did not complete")
+	}
+
+	spec, _ := corpus.Get("rtl8029")
+	want := make(map[string]bool)
+	for _, c := range spec.ExpectedBugs {
+		want[c] = true
+	}
+	got := make(map[string]bool)
+	for _, e := range m.State.Crashes("rtl8029") {
+		got[e.Class] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet crash classes = %v, want rtl8029's Table 2 classes %v", got, want)
 	}
 }
 

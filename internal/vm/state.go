@@ -99,13 +99,6 @@ type State struct {
 	// for reports ("QueryInformation", "ISR", ...).
 	EntryName string
 
-	// Phase is the workload-phase index this state belongs to (0 =
-	// DriverEntry). The pipelined explorer tags every invocation state with
-	// its phase and forks inherit it, so a mixed-phase frontier can be
-	// scheduled phase-aware and budgeted per (entry, phase). The barriered
-	// explorer leaves it at zero.
-	Phase int
-
 	// Trace accumulates per-path events as a persistent chain.
 	Trace *TraceNode
 
@@ -169,7 +162,6 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 		Depth:       s.Depth + 1,
 		InInterrupt: s.InInterrupt,
 		EntryName:   s.EntryName,
-		Phase:       s.Phase,
 		Trace:       trace,
 		BlockStart:  s.BlockStart,
 		PendFault:   s.PendFault,

@@ -4,9 +4,9 @@
 // buffers each invocation receives, and the scenario graph (PnP/power
 // alternatives) layered on top for classes that register those handlers.
 //
-// The plan is mode-neutral data. Four walkers consume it: the barriered
-// symbolic engine and the pipelined one (internal/core), the concrete fuzz
-// executor (internal/fuzz) and trace replay (internal/trace). Each keeps
+// The plan is mode-neutral data. Three walkers consume it: the barriered
+// symbolic engine (internal/core), the concrete fuzz executor
+// (internal/fuzz) and trace replay (internal/trace). Each keeps
 // only what is specific to its mode — forking and interrupt siblings,
 // feed-driven edge choice, name-driven resolution — so an entry added,
 // reordered or re-argumented here changes every mode at once, and the
@@ -131,27 +131,6 @@ func (p Plan) Next(dst []int, i int, s *vm.State) []int {
 		}
 	}
 	return dst
-}
-
-// Ranks computes each node's longest-path depth from DriverEntry. Edges
-// only point forward, so one in-order sweep relaxes every edge after its
-// source is final. On a linear plan ranks equal plan indices.
-func (p Plan) Ranks() []int {
-	ranks := make([]int, len(p))
-	relax := func(i, j int) {
-		if ranks[j] < ranks[i]+1 {
-			ranks[j] = ranks[i] + 1
-		}
-	}
-	for i := range p {
-		if p[i].succs == nil && i+1 < len(p) {
-			relax(i, i+1)
-		}
-		for _, e := range p[i].succs {
-			relax(i, e.to)
-		}
-	}
-	return ranks
 }
 
 // Index returns the plan index of the node named name, or -1. A DPC entry

@@ -40,9 +40,6 @@ func TestStoragePlanShape(t *testing.T) {
 		t.Errorf("Halt routes to %v, want nothing", got)
 	}
 
-	if got := plan.Ranks(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 5, 6, 5, 7, 8, 9}) {
-		t.Errorf("ranks = %v", got)
-	}
 	if plan.Index("DPC:kdpc") != 9 || plan.Index("SurpriseRemoval") != 8 || plan.Index("Send") != -1 {
 		t.Error("entry names resolve to the wrong nodes")
 	}

@@ -5,8 +5,7 @@
 // the symbolic engine's frontier deliberately is NOT — the frontier needs
 // the global min-block-count heuristic (§4.3) over the whole queue, which
 // a per-shard steal discipline cannot express, so it stays in
-// exerciser.Scheduler. Future per-phase pipelines and multi-process
-// distribution are the intended additional consumers.
+// exerciser.Scheduler.
 //
 // The discipline: each worker pushes follow-up work to its own shard and
 // pops from it LIFO (freshest work first — locality: the item most related

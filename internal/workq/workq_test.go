@@ -57,12 +57,11 @@ func TestSingleShardFallback(t *testing.T) {
 	}
 }
 
-// TestPhaseTaggedConsumer models the symbolic engine's pipelined seed
-// queue — the first engine-side consumer of this package: items carry a
-// workload phase tag, workers push follow-up items for the NEXT phase onto
-// their own shard while peers steal, and the whole flood must drain with
-// every item consumed exactly once and every consumed item's phase within
-// range (run with -race; this is the consumer's race regression test).
+// TestPhaseTaggedConsumer models a consumer whose items fan out level by
+// level: items carry a phase tag, workers push follow-up items for the
+// NEXT phase onto their own shard while peers steal, and the whole flood
+// must drain with every item consumed exactly once and every consumed
+// item's phase within range (run with -race).
 func TestPhaseTaggedConsumer(t *testing.T) {
 	type seed struct {
 		phase int
