@@ -193,3 +193,77 @@ func TestPhaseLedgerSumsToPaths(t *testing.T) {
 		}
 	}
 }
+
+// The TestPipelined* tests check the whole phase pipeline under a worker
+// pool: every phase of a driver's workload plan is seeded by the survivors
+// of the phases before it, so a lost or misrouted hand-off between phases
+// shows up as a missing bug, a false positive, or an early stop that
+// never happens. The TestParallel* tests check the two golden drivers; the
+// bug-set and fixed-variant checks here take the rest of the corpus, the
+// storage scenario graph included.
+
+// nonGoldenDrivers lists the corpus drivers outside seedGolden.
+func nonGoldenDrivers() []string {
+	var out []string
+	for _, name := range corpus.Names() {
+		if _, golden := seedGolden[name]; !golden {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestPipelinedFindsSameBugs: with 4 workers every non-golden corpus
+// driver reports exactly its expected bug classes, the same multiset the
+// sequential engine reports (TestTable2EveryDriverEveryBug,
+// TestSampleDriverBugs, TestStorageScenarioFindsBothBugs).
+func TestPipelinedFindsSameBugs(t *testing.T) {
+	for _, driver := range nonGoldenDrivers() {
+		spec, _ := corpus.Get(driver)
+		opts := DefaultOptions()
+		opts.Workers = 4
+		rep := runDDT(t, driver, corpus.Buggy, opts)
+		got := make([]string, 0, len(rep.Bugs))
+		for _, b := range rep.Bugs {
+			got = append(got, b.Class)
+		}
+		want := append([]string(nil), spec.ExpectedBugs...)
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s workers=4: bug classes %v, want %v", driver, got, want)
+		}
+	}
+}
+
+// TestPipelinedFixedVariantIsClean: with 4 workers the corrected build of
+// every non-golden corpus driver reports nothing.
+func TestPipelinedFixedVariantIsClean(t *testing.T) {
+	for _, driver := range nonGoldenDrivers() {
+		opts := DefaultOptions()
+		opts.Workers = 4
+		rep := runDDT(t, driver, corpus.Fixed, opts)
+		for _, b := range rep.Bugs {
+			t.Errorf("%s fixed workers=4: FALSE POSITIVE %s", driver, b.Describe())
+		}
+	}
+}
+
+// TestPipelinedStopAtFirstBug: StopAtFirstBug ends a 4-worker walk of
+// each golden driver early. The run still reports a bug, and it explores
+// fewer paths than the full sequential walk (seedGolden).
+func TestPipelinedStopAtFirstBug(t *testing.T) {
+	for driver, want := range seedGolden {
+		opts := DefaultOptions()
+		opts.Workers = 4
+		opts.StopAtFirstBug = true
+		rep := runDDT(t, driver, corpus.Buggy, opts)
+		if len(rep.Bugs) == 0 {
+			t.Errorf("%s: no bug found with StopAtFirstBug", driver)
+		}
+		if rep.PathsExplored >= want.paths {
+			t.Errorf("%s: StopAtFirstBug explored %d paths, full sequential walk %d: the stop did not end the walk early",
+				driver, rep.PathsExplored, want.paths)
+		}
+	}
+}
