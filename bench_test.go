@@ -282,6 +282,60 @@ func BenchmarkFuzzExecsPerSec(b *testing.B) {
 	b.ReportMetric(float64(rep.Instructions)/float64(rep.Execs), "instrs/exec")
 }
 
+// BenchmarkFuzzWarmExec measures the steady-state cost of one warm fuzz
+// execution, free of campaign start-up: a deterministic single-worker
+// rtl8029 campaign supplies its corpus feeds, one persistent executor
+// warms a private snapshot fabric on them, and each benchmark op is
+// warmExecPasses passes of that executor over every feed. Reported: us/exec
+// (wall per execution) and, with -benchmem, allocs/op (per op over the
+// fixed feed list), so even a short -benchtime measures hundreds of warm
+// executions and not set-up.
+func BenchmarkFuzzWarmExec(b *testing.B) {
+	const warmExecPasses = 50
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := fuzz.DefaultConfig()
+	cfg.Workers = 1
+	cfg.MaxExecs = 2_000
+	cfg.Seed = 1
+	cfg.Persist = true
+	f := fuzz.New(img, cfg)
+	rep, err := f.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	feeds := f.Corpus().Snapshot()
+	opts := rep.Exec
+	opts.Fabric = fuzz.NewSnapFabric()
+	e := fuzz.NewExecutor(img, nil, opts)
+	warm := 0
+	for _, feed := range feeds {
+		e.Run(feed) // record the boot snapshots
+	}
+	for _, feed := range feeds {
+		if e.Run(feed).Warm {
+			warm++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		for p := 0; p < warmExecPasses; p++ {
+			for _, feed := range feeds {
+				e.Run(feed)
+			}
+		}
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(elapsed.Nanoseconds())/1e3/float64(b.N*warmExecPasses*len(feeds)), "us/exec")
+	b.ReportMetric(float64(len(feeds)), "feeds")
+	b.ReportMetric(float64(warm)/float64(len(feeds)), "warm-share")
+}
+
 // BenchmarkFuzzPersistentVsColdStart measures what persistent-mode
 // execution buys: the same deterministic single-worker campaign run twice —
 // cold-start (every execution re-drives DriverEntry/Initialize) and

@@ -229,3 +229,52 @@ func TestInstallersSeparate(t *testing.T) {
 		t.Error("WDM annotation missing")
 	}
 }
+
+// TestForkPolicyPrimaryOutcomeForksNothing: under a replay ForkPolicy that
+// keeps the primary outcome, an alloc-failure annotation charges the fork
+// budget and nothing else — no throwaway clone, so the live state's memory
+// overlay depth, Machine.Forks and the state ID sequence are untouched.
+// Under a policy that takes the alternative, the live state takes it.
+func TestForkPolicyPrimaryOutcomeForksNothing(t *testing.T) {
+	const src = `
+.import ExAllocatePoolWithTag
+.entry e
+.text
+e:
+    push lr
+    movi r0, 0
+    movi r1, 16
+    movi r2, 1
+    call ExAllocatePoolWithTag
+    pop  lr
+    ret
+`
+	for _, takeAlt := range []bool{false, true} {
+		k, s := harness(t, src)
+		k.ForkPolicy = func(*vm.State, string) bool { return takeAlt }
+		depth := s.Mem.Depth()
+		final, forked, err := k.M.Run(s, 1000)
+		if err != nil || len(forked) != 0 || final != s || s.Status != vm.StatusExited {
+			t.Fatalf("takeAlt=%v: run ended %v with %d forks, err %v", takeAlt, final.Status, len(forked), err)
+		}
+		if got := kernel.Of(s).AllocFailForks; got != 1 {
+			t.Errorf("takeAlt=%v: AllocFailForks = %d, want 1", takeAlt, got)
+		}
+		if got := s.Mem.Depth(); got != depth {
+			t.Errorf("takeAlt=%v: live memory depth %d -> %d", takeAlt, depth, got)
+		}
+		if got := k.M.Forks.Load(); got != 0 {
+			t.Errorf("takeAlt=%v: Machine.Forks = %d, want 0", takeAlt, got)
+		}
+		if next := k.M.NewRootState().ID; next != s.ID+1 {
+			t.Errorf("takeAlt=%v: next state ID %d, want %d (an ID was consumed)", takeAlt, next, s.ID+1)
+		}
+		ret, _ := s.RegConcrete(isa.R0)
+		if takeAlt && ret != 0 {
+			t.Errorf("alternative taken but the allocation returned %#x, want NULL", ret)
+		}
+		if !takeAlt && ret == 0 {
+			t.Error("primary outcome kept but the allocation returned NULL")
+		}
+	}
+}

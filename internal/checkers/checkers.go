@@ -182,7 +182,7 @@ func (LeakChecker) CheckEntryExit(s *vm.State, entry string, status uint32) erro
 // appears on the same path indicates the driver is stuck (polling a
 // hardware register that symbolic hardware will never change, waiting on a
 // flag an interrupt should set, ...).
-// The visit counts live on the state itself (vm.State.LoopCounts), not in
+// The visit counts live on the state itself (vm.State.VisitBlock), not in
 // the checker: states migrate freely between parallel workers, and a
 // terminated state's accounting dies with it — no shared map, no Forget
 // bookkeeping, no cross-path attribution.
@@ -197,17 +197,13 @@ func NewLoopChecker(threshold uint64) *LoopChecker {
 }
 
 // Visit records a block entry and reports a fault when the threshold is
-// crossed on one path. Forks reset the count (vm.State.Fork does not copy
-// LoopCounts): loop detection is per contiguous path segment, which only
-// delays detection.
+// crossed on one path. Forks reset the count (vm.State.Fork does not carry
+// the loop accounting): loop detection is per contiguous path segment,
+// which only delays detection.
 func (c *LoopChecker) Visit(s *vm.State, pc uint32) error {
-	if s.LoopCounts == nil {
-		s.LoopCounts = make(map[uint32]uint64)
-	}
-	s.LoopCounts[pc]++
-	if s.LoopCounts[pc] >= c.Threshold {
+	if n := s.VisitBlock(pc); n >= c.Threshold {
 		return vm.Faultf("loop", pc, "basic block %#x executed %d times on one path without progress (infinite loop / hang)",
-			pc, s.LoopCounts[pc])
+			pc, n)
 	}
 	return nil
 }

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/expr"
 	"repro/internal/isa"
 	"repro/internal/kernel"
+	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
@@ -147,11 +149,11 @@ func TestLoopChecker(t *testing.T) {
 	if err := lc.Visit(s2, 0x100100); err != nil {
 		t.Errorf("fresh state triggered: %v", err)
 	}
-	// Forked children restart the count: State.Fork does not copy
-	// LoopCounts (loop detection is per contiguous path segment).
+	// Forked children restart the count: State.Fork does not carry the
+	// loop accounting (loop detection is per contiguous path segment).
 	child := s.Fork(9)
-	if child.LoopCounts != nil {
-		t.Errorf("fork inherited loop counts: %v", child.LoopCounts)
+	if n := child.LoopCount(0x100100); n != 0 {
+		t.Errorf("fork inherited loop counts: %d", n)
 	}
 	if err := lc.Visit(child, 0x100100); err != nil {
 		t.Errorf("fork triggered immediately: %v", err)
@@ -194,5 +196,54 @@ func TestClassifyISREntry(t *testing.T) {
 	f := vm.Faultf("crash", 0, "x")
 	if got := Classify(f, s); got != "race condition" {
 		t.Errorf("ISR-entry fault = %q", got)
+	}
+}
+
+// TestLoopStraddlingSnapshotFiresAtThreshold: an infinite loop whose visits
+// straddle snapshot points fires at exactly Threshold visits of its block,
+// at the same instruction, whether the path runs cold or is resumed from a
+// snapshot (once, or from a snapshot of a resumed state) — the resumed
+// state's frozen base plus its own visits must add up to the cold count.
+func TestLoopStraddlingSnapshotFiresAtThreshold(t *testing.T) {
+	img, err := asm.Assemble(".entry e\n.text\ne:\n    movi r1, 0\nloop:\n    addi r1, r1, 1\n    jmp loop\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold = 50
+	loopPC := isa.ImageBase + isa.InstrSize
+	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
+	lc := NewLoopChecker(threshold)
+	m.OnBlock = func(s *vm.State, pc uint32) {
+		if err := lc.Visit(s, pc); err != nil {
+			s.PendFault = err.(*vm.Fault)
+		}
+	}
+	// run steps s until it faults, snapshotting and resuming each time the
+	// loop block's count reaches one of the given visit counts.
+	run := func(snapAt ...uint64) (uint64, *vm.Fault) {
+		s := m.NewRootState()
+		s.PC = img.Entry
+		m.MarkBlockStart(s)
+		for steps := 0; steps < 10_000; steps++ {
+			if len(snapAt) > 0 && s.LoopCount(loopPC) == snapAt[0] && !s.BlockStart {
+				s = m.ResumeState(m.SnapshotState(s))
+				snapAt = snapAt[1:]
+			}
+			if _, err := m.Step(s); err != nil {
+				return s.ICount, err.(*vm.Fault)
+			}
+		}
+		t.Fatal("loop never reported")
+		return 0, nil
+	}
+	coldAt, coldFault := run()
+	if !strings.Contains(coldFault.Msg, "executed 50 times") {
+		t.Fatalf("cold fault = %v, want it at exactly %d visits", coldFault, threshold)
+	}
+	for _, snaps := range [][]uint64{{1}, {20}, {threshold - 1}, {10, 30}, {5, 6, 48}} {
+		at, f := run(snaps...)
+		if at != coldAt || f.Msg != coldFault.Msg || f.PC != coldFault.PC {
+			t.Errorf("snapshots at visits %v: fault %q at icount %d, cold %q at %d", snaps, f.Msg, at, coldFault.Msg, coldAt)
+		}
 	}
 }

@@ -1,0 +1,37 @@
+package fuzz
+
+import (
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/exerciser"
+)
+
+// warmExecAllocCeiling bounds the heap allocations of one warm execution
+// in TestWarmExecAllocCeiling.
+const warmExecAllocCeiling = 100
+
+// TestWarmExecAllocCeiling pins what a warm execution allocates: a fixed
+// rtl8029 feed resumed from a warmed private snapshot fabric, through the
+// data path, with coverage on.
+func TestWarmExecAllocCeiling(t *testing.T) {
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Persist = true
+	e := NewExecutor(img, exerciser.NewCoverage(0), opts)
+	feed := &Feed{Data: make([]byte, 64)}
+	e.Run(feed) // cold: records the boot snapshots
+	res := e.Run(feed)
+	if !res.Warm || res.Crash != nil || res.Steps <= res.SkippedSteps {
+		t.Fatalf("feed did not run warm past the boot: warm %v, crash %v, %d of %d steps skipped",
+			res.Warm, res.Crash, res.SkippedSteps, res.Steps)
+	}
+	allocs := testing.AllocsPerRun(20, func() { e.Run(feed) })
+	t.Logf("warm exec: %.0f allocs, %d entries, %d steps (%d skipped)", allocs, len(res.Entries), res.Steps, res.SkippedSteps)
+	if allocs > warmExecAllocCeiling {
+		t.Fatalf("warm exec allocates %.0f objects, ceiling %d", allocs, warmExecAllocCeiling)
+	}
+}

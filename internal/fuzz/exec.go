@@ -176,10 +176,15 @@ type Executor struct {
 	leak checkers.LeakChecker
 
 	reader    feedReader
-	loop      *checkers.LoopChecker
+	loop      checkers.LoopChecker
 	runBase   uint64 // m.Steps at execution start
 	stepsBase uint64 // logical boot steps a snapshot resume skipped
 	curNew    int
+	// seenBase is the resumed snapshot's per-exec block set, shared and
+	// read-only (nil on a cold run); curSeen holds only the blocks this
+	// execution entered beyond it, in one map reused across executions.
+	// The execution's block set is their union.
+	seenBase  map[uint32]bool
 	curSeen   map[uint32]bool
 	covBatch  []uint32 // first-seen block PCs awaiting one shared-map Merge
 	intrUsed  int
@@ -198,9 +203,10 @@ type Executor struct {
 // NewExecutor builds an executor for the image. cov may be nil (coverage
 // still counted per execution, no global novelty).
 func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Executor {
-	e := &Executor{img: img, opts: opts, cov: cov}
+	e := &Executor{img: img, opts: opts, cov: cov, curSeen: make(map[uint32]bool)}
 	e.m = vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
 	e.k = kernel.New(e.m)
+	e.loop.Threshold = opts.LoopThreshold
 	e.mem = checkers.NewMemoryChecker()
 	e.mem.Install(e.m)
 	dev := hw.NewConcrete(img.Device, e)
@@ -227,7 +233,7 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	}
 	e.m.OnBlock = func(s *vm.State, pc uint32) {
 		e.lastBlock = pc
-		if !e.curSeen[pc] {
+		if !e.seenBase[pc] && !e.curSeen[pc] {
 			e.curSeen[pc] = true
 			// Batched coverage: first-seen blocks accumulate locally and hit
 			// the shared map in one Merge per execution (flushCoverage)
@@ -360,11 +366,11 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 // independent of whether it ran cold or resumed from a snapshot.
 func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.reader.reset(feed)
-	e.loop = checkers.NewLoopChecker(e.opts.LoopThreshold)
 	e.runBase = e.m.Steps.Load()
 	e.stepsBase = 0
 	e.curNew = 0
-	e.curSeen = make(map[uint32]bool)
+	e.seenBase = nil
+	clear(e.curSeen)
 	e.covBatch = e.covBatch[:0]
 	e.intrUsed = 0
 	e.lastBlock = 0
@@ -387,7 +393,7 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 
 	e.flushCoverage()
 	res.NewBlocks = e.curNew
-	res.Blocks = len(e.curSeen)
+	res.Blocks = len(e.seenBase) + len(e.curSeen)
 	res.Steps = e.m.Steps.Load() - e.runBase + e.stepsBase
 	res.ConsumedData, res.ConsumedForks, res.ConsumedIRQ = e.reader.consumed()
 	if fin != nil {
@@ -431,17 +437,15 @@ func (e *Executor) lookupSnapshot(feed *Feed) *snapshot {
 }
 
 // resumeFrom restores the executor's per-execution context to the snapshot
-// point: feed cursors, interrupt budget, per-exec coverage, entry log.
+// point: feed cursors, interrupt budget, per-exec coverage (the snapshot's
+// block set, kept as the read-only seenBase), entry log.
 func (e *Executor) resumeFrom(sn *snapshot, feed *Feed, res *ExecResult) {
 	e.reader.resumeAt(feed, sn.words, sn.forkBits, sn.irqs)
 	e.stepsBase = sn.steps
 	e.intrUsed = sn.intrUsed
 	e.lastBlock = sn.lastBlock
 	e.eligBound = sn.eligBound
-	e.curSeen = make(map[uint32]bool, len(sn.seen))
-	for pc := range sn.seen {
-		e.curSeen[pc] = true
-	}
+	e.seenBase = sn.seen
 	res.Entries = append(res.Entries, sn.entries...)
 }
 
@@ -513,16 +517,30 @@ func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 		eligBound: e.eligBound,
 		intrUsed:  e.intrUsed,
 		lastBlock: e.lastBlock,
-		seen:      make(map[uint32]bool, len(e.curSeen)),
+		seen:      e.seenSoFar(),
 		entries:   append([]string(nil), res.Entries...),
 	}
 	for j := 0; j < forkN; j++ {
 		sn.forks[j] = f.Forks[j] & 1
 	}
-	for pc := range e.curSeen {
-		sn.seen[pc] = true
-	}
 	return sn
+}
+
+// seenSoFar returns the execution's block set (seenBase ∪ curSeen) as a
+// map no executor writes again: the base itself when this execution entered
+// nothing new, otherwise a fresh union.
+func (e *Executor) seenSoFar() map[uint32]bool {
+	if len(e.curSeen) == 0 && e.seenBase != nil {
+		return e.seenBase
+	}
+	out := make(map[uint32]bool, len(e.seenBase)+len(e.curSeen))
+	for pc := range e.seenBase {
+		out[pc] = true
+	}
+	for pc := range e.curSeen {
+		out[pc] = true
+	}
+	return out
 }
 
 // walk drives s through the workload plan from node i on the execution's

@@ -116,10 +116,14 @@ func removedRead(size uint32) *expr.Expr {
 // deviceWriteMMIO discards an MMIO register write, keeping the accounting
 // (counters, recent-write window, trace event) shared by the symbolic and
 // concrete-feed device modes — bug post-mortems rely on it being identical.
+// The event's name is formatted only when the state carries a trace.
 func deviceWriteMMIO(s *vm.State, addr uint32) {
 	ds := Of(s)
 	ds.RegWrites++
 	ds.recordWrite(RegWrite{Addr: addr - isa.MMIOBase, Seq: s.ICount})
+	if s.Trace == nil {
+		return
+	}
 	s.Trace.Append(vm.Event{
 		Kind: vm.EvDevice, Seq: s.ICount, PC: s.PC, Addr: addr - isa.MMIOBase,
 		Write: true, Name: fmt.Sprintf("hw_mmio_%#x", addr-isa.MMIOBase),
@@ -131,6 +135,9 @@ func deviceWritePort(s *vm.State, port uint32) {
 	ds := Of(s)
 	ds.PortWrites++
 	ds.recordWrite(RegWrite{Addr: port, Port: true, Seq: s.ICount})
+	if s.Trace == nil {
+		return
+	}
 	s.Trace.Append(vm.Event{
 		Kind: vm.EvDevice, Seq: s.ICount, PC: s.PC, Addr: port,
 		Write: true, Name: fmt.Sprintf("hw_port_%#x", port),

@@ -66,7 +66,11 @@ func (c *AnnotCtx) Arg(i int) *expr.Expr {
 
 // ArgConcrete concretizes the i-th argument.
 func (c *AnnotCtx) ArgConcrete(i int) uint32 {
-	v, err := c.K.M.Concretize(c.S, c.Arg(i), fmt.Sprintf("arg%d", i))
+	a := c.Arg(i)
+	if a.IsConst() {
+		return a.ConstVal()
+	}
+	v, err := c.K.M.Concretize(c.S, a, fmt.Sprintf("arg%d", i))
 	if err != nil {
 		c.bug = err
 		return 0
@@ -91,16 +95,17 @@ func (c *AnnotCtx) NewSymbol(name string, origin expr.Origin) *expr.Expr {
 // down the same outcome.
 //
 // Under a replay ForkPolicy, Fork instead either redirects the mutations to
-// the live state (the recorded path took the alternative) or hands back a
-// discarded dummy (the recorded path stayed on the primary outcome).
+// the live state (the recorded path took the alternative) or returns nil
+// (the recorded path stayed on the primary outcome). Callers must handle
+// nil, as they already do when a fork budget is spent. Returning nil rather
+// than a throwaway clone leaves the live state's memory overlay, the state
+// ID sequence and Machine.Forks exactly as they were.
 func (c *AnnotCtx) Fork() *vm.State {
 	if c.K.ForkPolicy != nil {
 		if c.K.ForkPolicy(c.S, c.API) {
 			return c.S
 		}
-		dummy := c.K.M.ForkState(c.S)
-		dummy.Status = vm.StatusKilled
-		return dummy
+		return nil
 	}
 	ns := c.K.M.ForkState(c.S)
 	ns.Trace.Append(vm.Event{Kind: vm.EvAltFork, Seq: ns.ICount, PC: ns.PC, Name: c.API})
@@ -249,9 +254,15 @@ func (k *Kernel) Arg(s *vm.State, i int) *expr.Expr {
 }
 
 // ArgConcrete concretizes the i-th argument, pinning it in the path
-// constraints (the on-demand concretization of §3.2).
+// constraints (the on-demand concretization of §3.2). A concrete argument
+// is returned as it is, so the concretization's name is only built for a
+// symbolic one.
 func (k *Kernel) ArgConcrete(s *vm.State, i int) (uint32, error) {
-	return k.M.Concretize(s, k.Arg(s, i), fmt.Sprintf("arg%d", i))
+	a := k.Arg(s, i)
+	if a.IsConst() {
+		return a.ConstVal(), nil
+	}
+	return k.M.Concretize(s, a, fmt.Sprintf("arg%d", i))
 }
 
 // SetRet stores a concrete return value in R0.

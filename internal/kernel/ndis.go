@@ -12,7 +12,11 @@ import (
 // if the driver stored something symbolic there (§3.2: symbolic values are
 // concretized only when concretely running code actually reads them).
 func (k *Kernel) readU32(s *vm.State, addr uint32) (uint32, error) {
-	return k.M.Concretize(s, s.Mem.Read(addr, 4), fmt.Sprintf("mem[%#x]", addr))
+	v := s.Mem.Read(addr, 4)
+	if v.IsConst() {
+		return v.ConstVal(), nil
+	}
+	return k.M.Concretize(s, v, fmt.Sprintf("mem[%#x]", addr))
 }
 
 func (k *Kernel) writeU32(s *vm.State, addr, v uint32) {

@@ -172,7 +172,7 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.Status = StatusBug
 		return nil, Faultf("memory", s.PC, "unimplemented opcode %s", in.Op.Name())
 	}
-	return []*State{s}, nil
+	return c.only(s), nil
 }
 
 func loadStoreSize(op isa.Opcode) uint32 {
@@ -280,7 +280,7 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 			s.PC = next
 		}
 		c.M.MarkBlockStart(s)
-		return []*State{s}, nil
+		return c.only(s), nil
 	}
 
 	// Symbolic condition: explore all feasible alternatives (§2).
@@ -312,12 +312,12 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: true})
 		s.PC = target
 		c.M.MarkBlockStart(s)
-		return []*State{s}, nil
+		return c.only(s), nil
 	case okNot:
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: false})
 		s.PC = next
 		c.M.MarkBlockStart(s)
-		return []*State{s}, nil
+		return c.only(s), nil
 	default:
 		// Both sides unsolvable: the path constraints are themselves
 		// undecidable for our solver. Drop the path (coverage loss only).
@@ -337,7 +337,7 @@ func (c *ExecContext) jumpIndirect(s *State, target *expr.Expr, isCall bool) ([]
 	}
 	s.PC = pc
 	c.M.MarkBlockStart(s)
-	return []*State{s}, nil
+	return c.only(s), nil
 }
 
 func (c *ExecContext) apiCall(s *State, slot int) ([]*State, error) {
@@ -367,7 +367,10 @@ func (c *ExecContext) apiCall(s *State, slot int) ([]*State, error) {
 		c.M.MarkBlockStart(st)
 		return nil
 	}
-	out := make([]*State, 0, 1+len(extra))
+	out := c.slot[:0:1] // the common case: no alternatives, s returns
+	if len(extra) > 0 {
+		out = make([]*State, 0, 1+len(extra))
+	}
 	if s.Status == StatusRunning {
 		if err := ret(s); err != nil {
 			s.Status = StatusBug

@@ -147,6 +147,19 @@ type ExecContext struct {
 	// is always exact at every observation point.
 	pendSteps uint64
 	pendForks uint64
+
+	// slot backs every single-successor step result (only), and regs is
+	// runSpan's scratch register file: the common dispatch allocates
+	// neither. See Step for the lifetime contract this imposes.
+	slot [1]*State
+	regs spanRegs
+}
+
+// only returns the one-element successor slice [s], backed by the
+// context's slot.
+func (c *ExecContext) only(s *State) []*State {
+	c.slot[0] = s
+	return c.slot[:1:1]
 }
 
 // flushStats publishes the context's batched counter deltas to the shared
@@ -264,7 +277,7 @@ func (m *Machine) ForkState(s *State) *State {
 // original path would have continued.
 func (m *Machine) SnapshotState(s *State) *State {
 	snap := s.Fork(m.newID())
-	snap.LoopCounts = s.loopCountsCopy()
+	snap.loopBase = s.frozenLoopCounts()
 	// Freeze the snapshot's trace node now, while capture is still
 	// single-threaded: every ForkFrozen resume hangs a child off it, and
 	// with a shared fabric those resumes run concurrently — the flag must
@@ -353,6 +366,12 @@ func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
 // children (s is retired); termination returns none, with s.Status and, for
 // bugs, the returned Fault explaining why.
 //
+// A single-successor result is backed by storage the context owns, so the
+// returned slice is valid only until the next step on this context: consume
+// it (or copy it) before stepping again. Multi-successor results are
+// freshly allocated. Machine.Step and StepSpan follow the same contract for
+// the context s is bound to.
+//
 // A fault left pending on the state by a hook (State.PendFault, e.g. the
 // loop checker firing from OnBlock) is surfaced before anything else runs,
 // so the fault stays attributed to the exact state that raised it however
@@ -400,7 +419,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 			m.OnInterruptReturn(s)
 		}
 		m.MarkBlockStart(s)
-		return []*State{s}, nil
+		return c.only(s), nil
 	}
 
 	if !m.inText(s.PC) {

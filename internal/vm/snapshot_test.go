@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -27,7 +28,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	snap.ICount = 500
 	snap.Kernel = &forkable{n: 1}
 	snap.HW = &forkable{n: 2}
-	snap.LoopCounts = map[uint32]uint64{0x100000: 9}
+	snap.loopBase = map[uint32]uint64{0x100000: 9} // as SnapshotState leaves it
 	snap.Meta = map[string]uint64{"k": 1}
 	snap.PushInterrupt(0x100100)
 	snap.PopInterrupt()
@@ -50,13 +51,15 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 		}
 		// ...including the loop accounting, which Fork deliberately resets
 		// but a snapshot resume must carry (it continues the same path).
-		if c.LoopCounts[0x100000] != 9 {
+		if c.LoopCount(0x100000) != 9 {
 			t.Fatalf("child %d lost loop counts", i)
 		}
 
 		// Child writes stay private.
 		c.Mem.Write(0x100000, 4, expr.Const(uint32(0xAAAA0000+uint32(i))))
-		c.LoopCounts[0x100000] = uint64(i)
+		for j := 0; j <= i; j++ {
+			c.VisitBlock(0x100000)
+		}
 		c.Meta["k"] = uint64(i)
 		c.Kernel.(*forkable).n = 100 + i
 	}
@@ -72,7 +75,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	if got := snap.Mem.Read(0x100000, 4); !got.IsConst() || got.ConstVal() != 0x04030201 {
 		t.Fatalf("snapshot memory corrupted: %v", got)
 	}
-	if snap.LoopCounts[0x100000] != 9 || snap.Meta["k"] != 1 || snap.Kernel.(*forkable).n != 1 {
+	if snap.LoopCount(0x100000) != 9 || snap.Meta["k"] != 1 || snap.Kernel.(*forkable).n != 1 {
 		t.Fatal("snapshot bookkeeping corrupted by children")
 	}
 	// Children do not see each other's writes.
@@ -94,25 +97,115 @@ func TestSnapshotStateFreezesRunningPath(t *testing.T) {
 	}
 	m := NewMachine(img, expr.NewSymbolTable(), nil)
 	s := m.NewRootState()
-	s.LoopCounts = map[uint32]uint64{0x100000: 3}
+	for i := 0; i < 3; i++ {
+		s.VisitBlock(0x100000)
+	}
 	s.Mem.Write(0x200000, 4, expr.Const(1))
 
 	snap := m.SnapshotState(s)
-	if snap.LoopCounts[0x100000] != 3 {
+	if snap.LoopCount(0x100000) != 3 {
 		t.Fatal("snapshot lost loop accounting")
 	}
 	// The running path keeps executing and writing...
 	s.Mem.Write(0x200000, 4, expr.Const(2))
-	s.LoopCounts[0x100000] = 99
+	for s.LoopCount(0x100000) < 99 {
+		s.VisitBlock(0x100000)
+	}
 	// ...without contaminating the snapshot or a resumed child.
 	c := m.ResumeState(snap)
 	if got := c.Mem.Read(0x200000, 4); got.ConstVal() != 1 {
 		t.Fatalf("resumed child sees the running path's later write: %v", got)
 	}
-	if c.LoopCounts[0x100000] != 3 {
-		t.Fatalf("resumed child loop counts = %d, want the snapshot's 3", c.LoopCounts[0x100000])
+	if c.LoopCount(0x100000) != 3 {
+		t.Fatalf("resumed child loop counts = %d, want the snapshot's 3", c.LoopCount(0x100000))
 	}
 	if c.ID == snap.ID || c.ID == s.ID {
 		t.Fatal("resumed child did not get a fresh ID")
+	}
+}
+
+// TestResumedChildOverlayHoldsOnlyVisitedBlocks: a state resumed from a
+// snapshot shares the snapshot's counts as its read-only base and keeps a
+// private overlay of exactly the blocks it visited, so a resume costs
+// O(blocks touched) however many blocks the boot segment counted.
+func TestResumedChildOverlayHoldsOnlyVisitedBlocks(t *testing.T) {
+	s := NewState(1)
+	for pc := uint32(0); pc < 64; pc++ {
+		for i := uint32(0); i <= pc%5; i++ {
+			s.VisitBlock(0x100000 + pc*isa.InstrSize)
+		}
+	}
+	snap := s.Fork(2)
+	snap.loopBase = s.frozenLoopCounts()
+	if len(snap.loopBase) != 64 || len(snap.loopLocal) != 0 {
+		t.Fatalf("snapshot counts: base %d blocks, local %d, want 64 and 0", len(snap.loopBase), len(snap.loopLocal))
+	}
+
+	c := snap.ForkFrozen(3)
+	if len(c.loopLocal) != 0 {
+		t.Fatalf("fresh resume carries %d local counts, want none", len(c.loopLocal))
+	}
+	inBase := uint32(0x100000 + 7*isa.InstrSize) // visited 3 times before the snapshot
+	fresh := uint32(0x200000)
+	if n := c.VisitBlock(inBase); n != 4 {
+		t.Fatalf("visit of a counted block = %d, want 4", n)
+	}
+	c.VisitBlock(fresh)
+	if n := c.VisitBlock(fresh); n != 2 {
+		t.Fatalf("visit of a new block = %d, want 2", n)
+	}
+	if len(c.loopLocal) != 2 || c.loopLocal[inBase] != 4 || c.loopLocal[fresh] != 2 {
+		t.Fatalf("child overlay = %v, want exactly the two visited blocks", c.loopLocal)
+	}
+	if n := c.LoopCount(0x100000 + 9*isa.InstrSize); n != 5 {
+		t.Fatalf("untouched block reads %d through the base, want 5", n)
+	}
+	if snap.LoopCount(inBase) != 3 || snap.LoopCount(fresh) != 0 {
+		t.Fatal("child visits reached the snapshot's counts")
+	}
+}
+
+// TestConcurrentResumesKeepSnapshotCounts: one snapshot resumed from 100
+// goroutines at once, each child counting visits on shared and new blocks,
+// leaves the snapshot's counts exactly as they were (run under -race).
+func TestConcurrentResumesKeepSnapshotCounts(t *testing.T) {
+	img, err := asm.Assemble(".entry e\n.text\ne: movi r1, 0x11\n ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img, expr.NewSymbolTable(), nil)
+	s := m.NewRootState()
+	want := map[uint32]uint64{}
+	for pc := uint32(0); pc < 16; pc++ {
+		for i := uint32(0); i <= pc; i++ {
+			s.VisitBlock(0x100000 + pc*isa.InstrSize)
+		}
+		want[0x100000+pc*isa.InstrSize] = uint64(pc + 1)
+	}
+	snap := m.SnapshotState(s)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 100; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := m.ResumeState(snap)
+			for i := 0; i < 20; i++ {
+				c.VisitBlock(0x100000 + uint32((g+i)%16)*isa.InstrSize)
+				c.VisitBlock(0x300000 + uint32(g)*isa.InstrSize)
+			}
+			if again := snap.ForkFrozen(uint64(1000 + g)); again.LoopCount(0x100000) != 1 {
+				t.Errorf("goroutine %d: re-resume reads %d, want 1", g, again.LoopCount(0x100000))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for pc, n := range want {
+		if got := snap.LoopCount(pc); got != n {
+			t.Fatalf("snapshot count of %#x = %d after concurrent resumes, want %d", pc, got, n)
+		}
+	}
+	if len(snap.loopBase) != len(want) || len(snap.loopLocal) != 0 {
+		t.Fatalf("snapshot grew counts: base %d, local %d", len(snap.loopBase), len(snap.loopLocal))
 	}
 }

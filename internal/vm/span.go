@@ -5,6 +5,15 @@ import (
 	"repro/internal/isa"
 )
 
+// spanRegs is runSpan's scratch register file: concrete values mirrored
+// out of State.Regs. known marks registers whose scratch value is valid;
+// dirty marks scratch values newer than State.Regs. One lives in each
+// ExecContext, so a span dispatch allocates nothing.
+type spanRegs struct {
+	conc         [isa.NumRegs]uint32
+	known, dirty uint32
+}
+
 // uop is one pre-lowered span micro-op: the opcode dispatch is decided
 // once per instruction slot at NewMachine time, leaving only a direct call
 // through fn with the operands already extracted. A uop either completes
@@ -12,7 +21,7 @@ import (
 // true) or reports false to route that one instruction through the general
 // exec, which stays the reference semantics for every instruction.
 type uop struct {
-	fn  func(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool
+	fn  func(u *uop, r *spanRegs) bool
 	alu func(x, y uint32) uint32
 	imm uint32
 	rd  uint8
@@ -20,44 +29,44 @@ type uop struct {
 	rs2 uint8
 }
 
-func uopGeneral(_ *uop, _ *[isa.NumRegs]uint32, _, _ *uint32) bool { return false }
+func uopGeneral(_ *uop, _ *spanRegs) bool { return false }
 
-func uopNop(_ *uop, _ *[isa.NumRegs]uint32, _, _ *uint32) bool { return true }
+func uopNop(_ *uop, _ *spanRegs) bool { return true }
 
-func uopMovi(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
-	conc[u.rd] = u.imm
-	*known |= 1 << u.rd
-	*dirty |= 1 << u.rd
+func uopMovi(u *uop, r *spanRegs) bool {
+	r.conc[u.rd] = u.imm
+	r.known |= 1 << u.rd
+	r.dirty |= 1 << u.rd
 	return true
 }
 
-func uopMov(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
-	if *known&(1<<u.rs1) == 0 {
+func uopMov(u *uop, r *spanRegs) bool {
+	if r.known&(1<<u.rs1) == 0 {
 		return false
 	}
-	conc[u.rd] = conc[u.rs1]
-	*known |= 1 << u.rd
-	*dirty |= 1 << u.rd
+	r.conc[u.rd] = r.conc[u.rs1]
+	r.known |= 1 << u.rd
+	r.dirty |= 1 << u.rd
 	return true
 }
 
-func uopAluRR(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
-	if *known&(1<<u.rs1) == 0 || *known&(1<<u.rs2) == 0 {
+func uopAluRR(u *uop, r *spanRegs) bool {
+	if r.known&(1<<u.rs1) == 0 || r.known&(1<<u.rs2) == 0 {
 		return false
 	}
-	conc[u.rd] = u.alu(conc[u.rs1], conc[u.rs2])
-	*known |= 1 << u.rd
-	*dirty |= 1 << u.rd
+	r.conc[u.rd] = u.alu(r.conc[u.rs1], r.conc[u.rs2])
+	r.known |= 1 << u.rd
+	r.dirty |= 1 << u.rd
 	return true
 }
 
-func uopAluRI(u *uop, conc *[isa.NumRegs]uint32, known, dirty *uint32) bool {
-	if *known&(1<<u.rs1) == 0 {
+func uopAluRI(u *uop, r *spanRegs) bool {
+	if r.known&(1<<u.rs1) == 0 {
 		return false
 	}
-	conc[u.rd] = u.alu(conc[u.rs1], u.imm)
-	*known |= 1 << u.rd
-	*dirty |= 1 << u.rd
+	r.conc[u.rd] = u.alu(r.conc[u.rs1], u.imm)
+	r.known |= 1 << u.rd
+	r.dirty |= 1 << u.rd
 	return true
 }
 
@@ -161,25 +170,21 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	executed := uint64(0) // instructions completed in this dispatch
 	counted := uint64(1)  // step credits granted (preamble pre-credited one)
 
-	// Scratch register file: concrete values mirrored out of s.Regs.
-	// known marks registers whose scratch value is valid; dirty marks
-	// scratch values newer than s.Regs.
-	var conc [isa.NumRegs]uint32
-	var known, dirty uint32
+	r := &c.regs
 	loadScratch := func() {
-		known, dirty = 0, 0
-		for r := range s.Regs {
-			if e := s.Regs[r]; e.IsConst() {
-				conc[r] = e.ConstVal()
-				known |= 1 << r
+		r.known, r.dirty = 0, 0
+		for i, e := range s.Regs {
+			if e.IsConst() {
+				r.conc[i] = e.ConstVal()
+				r.known |= 1 << i
 			}
 		}
 	}
 	flushRegs := func() {
-		for r := 0; dirty != 0; r++ {
-			if dirty&(1<<r) != 0 {
-				s.Regs[r] = expr.Const(conc[r])
-				dirty &^= 1 << r
+		for i := 0; r.dirty != 0; i++ {
+			if r.dirty&(1<<i) != 0 {
+				s.Regs[i] = expr.Const(r.conc[i])
+				r.dirty &^= 1 << i
 			}
 		}
 	}
@@ -192,7 +197,7 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	loadScratch()
 
 	for executed < maxN {
-		if u := &m.uops[i]; u.fn(u, &conc, &known, &dirty) {
+		if u := &m.uops[i]; u.fn(u, r) {
 			executed++
 			i++
 			continue
@@ -227,5 +232,5 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	s.PC = isa.ImageBase + i*isa.InstrSize
 	s.ICount = base + executed
 	creditTo(executed)
-	return []*State{s}, nil
+	return c.only(s), nil
 }

@@ -112,13 +112,18 @@ type State struct {
 	// Meta carries engine-specific scratch (e.g. scheduling priority).
 	Meta map[string]uint64
 
-	// LoopCounts is the per-path block-visit accounting behind the
-	// infinite-loop heuristic. It lives on the state (not in the checker)
-	// so paths can be stepped by any worker without shared bookkeeping.
-	// Forks deliberately do NOT inherit it: loop detection is per
+	// loopBase and loopLocal are the per-path block-visit accounting
+	// behind the infinite-loop heuristic (VisitBlock, LoopCount). They live
+	// on the state, not in the checker, so paths can be stepped by any
+	// worker without shared bookkeeping. loopBase is a frozen, read-only
+	// map shared by every state resumed from one snapshot (ForkFrozen);
+	// loopLocal holds the current count of each block this state visited
+	// since, so a resume costs nothing for the blocks it never touches.
+	// Forks deliberately start with neither: loop detection is per
 	// contiguous path segment, and resetting at a fork only delays
 	// detection.
-	LoopCounts map[uint32]uint64
+	loopBase  map[uint32]uint64
+	loopLocal map[uint32]uint64
 
 	// PendFault is a fault raised asynchronously for this state by a hook
 	// (e.g. the loop checker firing from OnBlock mid-step). The step loop
@@ -146,10 +151,10 @@ func NewState(id uint64) *State {
 // cloneChild builds a child of s carrying every inherited field. The
 // memory and trace differ between the two fork flavours — Fork freezes the
 // running parent onto fresh overlays, ForkFrozen forks a frozen parent in
-// place — so the caller supplies them. LoopCounts is the only other field
-// the flavours disagree on (see Fork/ForkFrozen); everything else lives
-// here exactly once, so a new State field cannot be cloned by one flavour
-// and silently dropped by the other.
+// place — so the caller supplies them. The loop accounting is the only
+// other state the flavours disagree on (see Fork/ForkFrozen); everything
+// else lives here exactly once, so a new State field cannot be cloned by
+// one flavour and silently dropped by the other.
 func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 	c := &State{
 		ID:          id,
@@ -190,7 +195,7 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 // running) parent continue on fresh copy-on-write overlays, so neither can
 // observe the other's subsequent writes. This matters for annotation and
 // interrupt-injection forks, where the parent keeps executing. The child
-// deliberately does NOT inherit LoopCounts (see that field's comment).
+// deliberately does NOT inherit the loop accounting (see loopBase).
 func (s *State) Fork(id uint64) *State {
 	frozenMem := s.Mem
 	s.Mem = frozenMem.Fork()
@@ -209,10 +214,13 @@ func (s *State) Fork(id uint64) *State {
 // requires the receiver to be frozen — captured by Machine.SnapshotState and
 // never stepped again — so every child can fork the same frozen memory and
 // trace, and repeated resumes from one snapshot do not deepen the
-// snapshot's own overlay chain. Unlike Fork, the child inherits LoopCounts:
-// a snapshot resume continues the same contiguous path segment, and
-// bit-identical replay of a cold execution (the persistent-mode fuzz
-// executor's contract) needs the boot segment's loop accounting.
+// snapshot's own overlay chain. Unlike Fork, the child inherits the loop
+// accounting: a snapshot resume continues the same contiguous path
+// segment, and bit-identical replay of a cold execution (the persistent-
+// mode fuzz executor's contract) needs the boot segment's loop counts. The
+// child shares the snapshot's frozen counts as its read-only base and
+// counts its own visits in a private overlay, so a resume costs O(blocks
+// touched), not O(blocks the boot visited).
 func (s *State) ForkFrozen(id uint64) *State {
 	var childTrace *TraceNode
 	if s.Trace != nil {
@@ -222,19 +230,45 @@ func (s *State) ForkFrozen(id uint64) *State {
 		childTrace = &TraceNode{parent: s.Trace}
 	}
 	c := s.cloneChild(id, s.Mem.Fork(), childTrace)
-	c.LoopCounts = s.loopCountsCopy()
+	c.loopBase = s.frozenLoopCounts()
 	return c
 }
 
-// loopCountsCopy returns a private copy of the path's loop accounting (nil
-// when empty) — the one piece of state Fork deliberately drops but every
-// snapshot flavour (ForkFrozen, Machine.SnapshotState) must carry.
-func (s *State) loopCountsCopy() map[uint32]uint64 {
-	if len(s.LoopCounts) == 0 {
-		return nil
+// VisitBlock counts one more visit of block pc on this path and returns
+// the block's new visit count (the loop checker's one entry point).
+func (s *State) VisitBlock(pc uint32) uint64 {
+	n, ok := s.loopLocal[pc]
+	if !ok {
+		n = s.loopBase[pc]
+		if s.loopLocal == nil {
+			s.loopLocal = make(map[uint32]uint64)
+		}
 	}
-	out := make(map[uint32]uint64, len(s.LoopCounts))
-	for k, v := range s.LoopCounts {
+	n++
+	s.loopLocal[pc] = n
+	return n
+}
+
+// LoopCount returns how often block pc was visited on this path segment.
+func (s *State) LoopCount(pc uint32) uint64 {
+	if n, ok := s.loopLocal[pc]; ok {
+		return n
+	}
+	return s.loopBase[pc]
+}
+
+// frozenLoopCounts returns the path's loop accounting as one map no state
+// will write again: the shared base itself when nothing was visited on top
+// of it, otherwise a fresh flattened copy of base + local. Nil when empty.
+func (s *State) frozenLoopCounts() map[uint32]uint64 {
+	if len(s.loopLocal) == 0 {
+		return s.loopBase
+	}
+	out := make(map[uint32]uint64, len(s.loopBase)+len(s.loopLocal))
+	for k, v := range s.loopBase {
+		out[k] = v
+	}
+	for k, v := range s.loopLocal {
 		out[k] = v
 	}
 	return out

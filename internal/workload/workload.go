@@ -15,7 +15,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/binimg"
 	"repro/internal/expr"
@@ -366,7 +366,7 @@ func packet(env Env, s *vm.State) uint32 {
 	} else {
 		s.Mem.Write(addr+4, 4, expr.Const(42))
 	}
-	injectBytes(env, s, data, 16, "packet_byte_", 0x40, 1)
+	injectBytes(env, s, data, packetByteNames, 0x40, 1)
 	for i := uint32(16); i < payload; i++ {
 		s.Mem.Write(data+i, 1, expr.Const(0))
 	}
@@ -378,7 +378,7 @@ func packet(env Env, s *vm.State) uint32 {
 func blockBuffer(env Env, s *vm.State) uint32 {
 	addr := kernelBuffer(s, 128, "blkbuf", "param")
 	if addr != 0 {
-		injectBytes(env, s, addr, 8, "blk_byte_", 0, 9)
+		injectBytes(env, s, addr, blkByteNames, 0, 9)
 	}
 	return addr
 }
@@ -388,17 +388,34 @@ func blockBuffer(env Env, s *vm.State) uint32 {
 func audioBuffer(env Env, s *vm.State) uint32 {
 	addr := kernelBuffer(s, 256, "audiobuf", "param")
 	if addr != 0 {
-		injectBytes(env, s, addr, 8, "sample_", 0, 17)
+		injectBytes(env, s, addr, sampleNames, 0, 17)
 	}
 	return addr
 }
 
-// injectBytes fills n bytes at addr: one injection point each with
-// annotations on, else the fixed pattern base+i*step.
-func injectBytes(env Env, s *vm.State, addr, n uint32, prefix string, base, step uint32) {
-	for i := uint32(0); i < n; i++ {
+// Symbol names of the injected buffer bytes, built once: injectBytes runs
+// on every data-path entry, and the names are the same every time.
+var (
+	packetByteNames = byteNames("packet_byte_", 16)
+	blkByteNames    = byteNames("blk_byte_", 8)
+	sampleNames     = byteNames("sample_", 8)
+)
+
+// byteNames returns prefix0 … prefix(n-1).
+func byteNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+// injectBytes fills len(names) bytes at addr: one injection point each,
+// named names[i], with annotations on, else the fixed pattern base+i*step.
+func injectBytes(env Env, s *vm.State, addr uint32, names []string, base, step uint32) {
+	for i := uint32(0); i < uint32(len(names)); i++ {
 		if env.Annotations {
-			s.Mem.Write(addr+i, 1, env.K.FreshSymbol(s, fmt.Sprintf("%s%d", prefix, i), expr.OriginPacket))
+			s.Mem.Write(addr+i, 1, env.K.FreshSymbol(s, names[i], expr.OriginPacket))
 		} else {
 			s.Mem.Write(addr+i, 1, expr.Const((base+i*step)&0xFF))
 		}
