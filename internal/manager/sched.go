@@ -47,6 +47,7 @@ type workerInfo struct {
 	id       string
 	lastSeen time.Time
 	lease    string // active lease ID, "" when idle
+	driver   string // driver of the worker's last lease, "" before its first
 }
 
 // Scheduler owns campaign slots and leases. It is the work-distribution
@@ -123,6 +124,11 @@ func (s *Scheduler) Connect(name string) string {
 // Poll hands out at most one lease to the worker: the first campaign slot
 // that is not done and has no live lease (never issued, completed
 // abnormally, or expired — the reassignment path for crashed workers).
+// A slot on the driver of the worker's previous lease goes first. The
+// worker then keeps fuzzing a driver whose image it has built, and the
+// follow-up slot starts from the corpus the worker's own final report just
+// flushed. Without that preference, which seeds a slot starts from would
+// depend on which of two running leases happened to finish first.
 func (s *Scheduler) Poll(workerID string) *CampaignLease {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,40 +138,58 @@ func (s *Scheduler) Poll(workerID string) *CampaignLease {
 		return nil
 	}
 	s.expireLocked(now)
+	w := s.workers[workerID]
+	sl := s.pickLocked(w)
+	if sl == nil {
+		return nil
+	}
+	s.seq++
+	l := &lease{
+		id:      fmt.Sprintf("lease-%s-%d-g%d-%d", sl.campaign.ID, sl.index, sl.generation, s.seq),
+		slot:    sl,
+		worker:  workerID,
+		expires: now.Add(s.ttl),
+	}
+	sl.lease = l
+	s.leases[l.id] = l
+	if w != nil {
+		w.lease = l.id
+		w.driver = sl.campaign.Driver
+	}
+	spec := sl.campaign
+	dur, _ := spec.duration()
+	return &CampaignLease{
+		LeaseID:       l.id,
+		Campaign:      spec.ID,
+		Slot:          sl.index,
+		Driver:        spec.Driver,
+		Fixed:         spec.Fixed,
+		Mode:          spec.Mode,
+		Execs:         spec.Execs,
+		DurationMS:    dur.Milliseconds(),
+		Seed:          spec.Seed + int64(sl.index),
+		Persist:       spec.Persist,
+		Dict:          spec.Dict,
+		EngineWorkers: spec.EngineWorkers,
+	}
+}
+
+// pickLocked returns the slot Poll hands to w: the first available slot on
+// w's previous driver, else the first available slot, else nil.
+func (s *Scheduler) pickLocked(w *workerInfo) *slot {
+	var first *slot
 	for _, sl := range s.slots {
 		if sl.done || sl.lease != nil {
 			continue
 		}
-		s.seq++
-		l := &lease{
-			id:      fmt.Sprintf("lease-%s-%d-g%d-%d", sl.campaign.ID, sl.index, sl.generation, s.seq),
-			slot:    sl,
-			worker:  workerID,
-			expires: now.Add(s.ttl),
+		if w != nil && w.driver != "" && sl.campaign.Driver == w.driver {
+			return sl
 		}
-		sl.lease = l
-		s.leases[l.id] = l
-		if w := s.workers[workerID]; w != nil {
-			w.lease = l.id
-		}
-		spec := sl.campaign
-		dur, _ := spec.duration()
-		return &CampaignLease{
-			LeaseID:       l.id,
-			Campaign:      spec.ID,
-			Slot:          sl.index,
-			Driver:        spec.Driver,
-			Fixed:         spec.Fixed,
-			Mode:          spec.Mode,
-			Execs:         spec.Execs,
-			DurationMS:    dur.Milliseconds(),
-			Seed:          spec.Seed + int64(sl.index),
-			Persist:       spec.Persist,
-			Dict:          spec.Dict,
-			EngineWorkers: spec.EngineWorkers,
+		if first == nil {
+			first = sl
 		}
 	}
-	return nil
+	return first
 }
 
 // Renew extends a lease on a heartbeat (report or sync). It returns false

@@ -166,6 +166,41 @@ func TestSchedulerHeartbeatKeepsLease(t *testing.T) {
 	}
 }
 
+// TestSchedulerDriverAffinity: a worker's next lease is a slot on the
+// driver it just ran when one is free, whichever lease finished first, and
+// the first free slot otherwise.
+func TestSchedulerDriverAffinity(t *testing.T) {
+	cfg := Config{Campaigns: []CampaignSpec{
+		{ID: "a0", Driver: "rtl8029", Workers: 1, Execs: 1000},
+		{ID: "b0", Driver: "intel-pro1000", Workers: 1, Execs: 1000},
+		{ID: "a1", Driver: "rtl8029", Workers: 1, Execs: 1000},
+		{ID: "b1", Driver: "intel-pro1000", Workers: 1, Execs: 1000},
+		{ID: "c0", Driver: "amd-pcnet", Workers: 1, Execs: 1000},
+	}}
+	s, _ := newTestSched(t, cfg, time.Minute)
+	wa, wb := s.Connect("wa"), s.Connect("wb")
+	la, lb := s.Poll(wa), s.Poll(wb)
+	if la.Campaign != "a0" || lb.Campaign != "b0" {
+		t.Fatalf("first leases %s, %s; want a0, b0 in config order", la.Campaign, lb.Campaign)
+	}
+	// wb finishes first; a1 precedes b1 in config order, but wb stays on
+	// its driver and a1 waits for wa.
+	s.Complete(wb, lb.LeaseID)
+	if l := s.Poll(wb); l.Campaign != "b1" {
+		t.Fatalf("wb after intel-pro1000: got %s, want b1", l.Campaign)
+	} else {
+		s.Complete(wb, l.LeaseID)
+	}
+	s.Complete(wa, la.LeaseID)
+	if l := s.Poll(wa); l.Campaign != "a1" {
+		t.Fatalf("wa after rtl8029: got %s, want a1", l.Campaign)
+	}
+	// No intel-pro1000 slot is left: wb falls back to the first free slot.
+	if l := s.Poll(wb); l == nil || l.Campaign != "c0" {
+		t.Fatalf("wb fallback: got %+v, want c0", l)
+	}
+}
+
 // TestSchedulerStop: a stopping scheduler hands out nothing and answers
 // every heartbeat with wind-down.
 func TestSchedulerStop(t *testing.T) {
