@@ -196,26 +196,6 @@ func BenchmarkStateForkMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerHeuristics compares the coverage-guided heuristic
-// against FIFO/LIFO exploration on the RTL8029 (§4.3's pluggable
-// heuristics).
-func BenchmarkSchedulerHeuristics(b *testing.B) {
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(img, core.DefaultOptions())
-		rep, err := eng.TestDriver(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Bugs) != 5 {
-			b.Fatalf("bugs = %d", len(rep.Bugs))
-		}
-	}
-}
-
 // BenchmarkSDVAnalysisOnly measures the static analyzer alone.
 func BenchmarkSDVAnalysisOnly(b *testing.B) {
 	img, err := corpus.Build("ddk-sample", corpus.Buggy)
@@ -505,59 +485,7 @@ func BenchmarkFuzzSharedSnapshotFabric(b *testing.B) {
 		uint64(cold/n), uint64(hits/n))
 }
 
-// BenchmarkCoverageFuzzVsSymbolicVsHybrid compares coverage over simulated
-// time across the three exploration modes on the AMD PCnet driver: pure
-// concrete fuzzing, pure symbolic execution, and the hybrid concolic loop.
-// The first iteration logs the coverage each mode reached, giving future
-// PRs a perf trajectory for the bridge.
-func BenchmarkCoverageFuzzVsSymbolicVsHybrid(b *testing.B) {
-	img, err := corpus.Build("amd-pcnet", corpus.Buggy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const execBudget = 2_000
-	for i := 0; i < b.N; i++ {
-		// Pure fuzzing.
-		fcfg := fuzz.DefaultConfig()
-		fcfg.Workers = 2
-		fcfg.MaxExecs = execBudget
-		frep, err := fuzz.New(img, fcfg).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Pure symbolic.
-		eng := core.NewEngine(img, core.DefaultOptions())
-		srep, err := eng.TestDriver(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Hybrid: engine seeds fuzzer, top feeds lifted back.
-		hcfg := fuzz.DefaultConfig()
-		hcfg.Workers = 2
-		hcfg.MaxExecs = execBudget
-		hrep, err := fuzz.Hybrid(context.Background(), img, hcfg, core.DefaultOptions(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hybridBlocks := hrep.Fuzz.BlocksCovered // shared map: fuzz+symbolic+lifted
-		// The symbolic engine is deterministic, and the hybrid's shared map
-		// contains a full symbolic pass, so this inequality is exact. The
-		// fuzz comparison is only logged: parallel-worker scheduling makes
-		// its coverage-within-budget run-to-run noisy.
-		if hybridBlocks < srep.BlocksCovered {
-			b.Fatalf("hybrid coverage %d below the symbolic pass %d",
-				hybridBlocks, srep.BlocksCovered)
-		}
-		if i == 0 {
-			b.Logf("amd-pcnet coverage (of %d static blocks): fuzz=%d symbolic=%d hybrid=%d; "+
-				"bug keys: fuzz=%d symbolic=%d hybrid=%d",
-				frep.BlocksStatic, frep.BlocksCovered, srep.BlocksCovered, hybridBlocks,
-				len(frep.Crashes), len(srep.Bugs), hrep.TotalBugKeys())
-		}
-	}
-}
-
-// BenchmarkFullRunPro1000 is the same for the largest driver.
+// BenchmarkFullRunPro1000 is BenchmarkFullRunRTL8029 for the largest driver.
 func BenchmarkFullRunPro1000(b *testing.B) {
 	img, err := corpus.Build("intel-pro1000", corpus.Buggy)
 	if err != nil {

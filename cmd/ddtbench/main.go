@@ -11,7 +11,7 @@
 //	ddtbench -dv        Driver Verifier baseline (§5.1)
 //	ddtbench -sdv       SDV comparison (§5.1)
 //	ddtbench -ablation  annotation ablation (§5.1)
-//	ddtbench -fuzz      fuzzer throughput + fuzz/symbolic/hybrid coverage
+//	ddtbench -fuzz      fuzzer throughput + fuzz/symbolic coverage
 package main
 
 import (
@@ -161,9 +161,9 @@ func parallelSection(flagWorkers int) error {
 	return nil
 }
 
-// fuzzSection reports the concolic fuzzing subsystem's two headline
-// numbers: concrete execution throughput (vs one symbolic session) and the
-// coverage of fuzz / symbolic / hybrid exploration under equal budgets.
+// fuzzSection reports the fuzzing subsystem's two headline numbers:
+// concrete execution throughput and the coverage of fuzz and symbolic
+// exploration on amd-pcnet.
 func fuzzSection(seed int64, timeout time.Duration) error {
 	fmt.Println("== Concolic fuzzing: throughput and mode comparison ==")
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
@@ -187,12 +187,12 @@ func fuzzSection(seed int64, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hcfg := fuzz.DefaultConfig()
-	hcfg.Workers = 2
-	hcfg.MaxExecs = 2_000
-	hcfg.Seed = seed
-	hcfg.Duration = timeout
-	pf, err := fuzz.New(pcnet, hcfg).Run(context.Background())
+	pcfg := fuzz.DefaultConfig()
+	pcfg.Workers = 2
+	pcfg.MaxExecs = 2_000
+	pcfg.Seed = seed
+	pcfg.Duration = timeout
+	pf, err := fuzz.New(pcnet, pcfg).Run(context.Background())
 	if err != nil {
 		return err
 	}
@@ -201,14 +201,10 @@ func fuzzSection(seed int64, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	ph, err := fuzz.Hybrid(context.Background(), pcnet, hcfg, core.DefaultOptions(), 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  amd-pcnet coverage (of %d static blocks): fuzz %d, symbolic %d, hybrid %d\n",
-		pf.BlocksStatic, pf.BlocksCovered, ps.BlocksCovered, ph.Fuzz.BlocksCovered)
-	fmt.Printf("  amd-pcnet bug keys: fuzz %d, symbolic %d, hybrid %d\n",
-		len(pf.Crashes), len(ps.Bugs), ph.TotalBugKeys())
+	fmt.Printf("  amd-pcnet coverage (of %d static blocks): fuzz %d, symbolic %d\n",
+		pf.BlocksStatic, pf.BlocksCovered, ps.BlocksCovered)
+	fmt.Printf("  amd-pcnet bug keys: fuzz %d, symbolic %d\n",
+		len(pf.Crashes), len(ps.Bugs))
 	return nil
 }
 

@@ -26,9 +26,6 @@
 //	               constants, magic values) from the driver image and enable
 //	               dictionary-splice mutations
 //	-corpus dir    load/persist corpus seeds and crash reproducers here
-//	-hybrid        run the two-way concolic loop (engine seeds fuzzer,
-//	               top feeds are lifted back into symbolic states)
-//	-engine-workers n  parallel symbolic workers for hybrid engine passes
 //	-json file     write the report as JSON ("-" for stdout)
 //	-cpuprofile f  write a pprof CPU profile of the campaign to f
 //	-expect        compare found classes against the driver's Table 2 set
@@ -56,7 +53,6 @@ import (
 	"repro"
 	"repro/internal/binimg"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/manager"
 )
@@ -65,12 +61,10 @@ func main() {
 	driver := flag.String("driver", "", "fuzz an in-tree evaluation driver")
 	fixed := flag.Bool("fixed", false, "use the corrected corpus variant")
 	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagsAll)
-	engineWorkers := flag.Int("engine-workers", 1, "parallel symbolic workers for the hybrid loop's engine passes")
 	execs := flag.Uint64("execs", 20_000, "execution budget (0 = unbounded, needs -timeout)")
 	persist := flag.Bool("persist", false, "persistent-mode executors (snapshot/resume initialized boot states)")
 	dict := flag.Bool("dict", false, "mine an immediate dictionary from the driver image for splice mutations")
 	corpusDir := flag.String("corpus", "", "corpus directory (seeds in, corpus+crashes out)")
-	hybrid := flag.Bool("hybrid", false, "run the hybrid concolic loop")
 	jsonOut := flag.String("json", "", "write JSON report to file (\"-\" for stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at campaign exit to this file")
@@ -116,43 +110,19 @@ func main() {
 		defer writeHeapProfile(*memProfile)
 	}
 
-	var rep *fuzz.Report
-	foundClasses := make(map[string]int) // union across modes, for -expect
-	if *hybrid {
-		eopts := core.DefaultOptions()
-		eopts.Workers = *engineWorkers
-		h, err := fuzz.Hybrid(context.Background(), img, cfg, eopts, 2)
-		if err != nil && h == nil {
-			fatal(err)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddtfuzz: warning:", err)
-		}
-		fmt.Printf("hybrid: symbolic pass found %d bug(s); %d feed(s) lifted back, %d extra bug(s)\n",
-			len(h.Symbolic.Bugs), h.Lifted, len(h.LiftedBugs))
-		rep = h.Fuzz
-		for _, b := range h.Symbolic.Bugs {
-			foundClasses[b.Class]++
-		}
-		for _, b := range h.LiftedBugs {
-			foundClasses[b.Class]++
-		}
-	} else {
-		f := fuzz.New(img, cfg)
-		// Graceful shutdown: the first SIGINT/SIGTERM stops the campaign, so
-		// Run returns normally — flushing the corpus directory and printing
-		// the report for whatever was found before the signal.
-		ctx, cancel := manager.ShutdownContext(context.Background())
-		rep, err = f.Run(ctx)
-		cancel()
-		if err != nil && rep == nil {
-			fatal(err)
-		}
-		if err != nil {
-			// A post-campaign failure (e.g. corpus dir unwritable) must not
-			// discard the completed report and its crash reproducers.
-			fmt.Fprintln(os.Stderr, "ddtfuzz: warning:", err)
-		}
+	// Graceful shutdown: the first SIGINT/SIGTERM stops the campaign, so
+	// Run returns normally — flushing the corpus directory and printing the
+	// report for whatever was found before the signal.
+	ctx, cancel := manager.ShutdownContext(context.Background())
+	rep, err := fuzz.New(img, cfg).Run(ctx)
+	cancel()
+	if err != nil && rep == nil {
+		fatal(err)
+	}
+	if err != nil {
+		// A post-campaign failure (e.g. corpus dir unwritable) must not
+		// discard the completed report and its crash reproducers.
+		fmt.Fprintln(os.Stderr, "ddtfuzz: warning:", err)
 	}
 	fmt.Print(rep)
 
@@ -161,10 +131,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		found := foundClasses
-		for c, n := range rep.CountByClass() {
-			found[c] += n
-		}
+		found := rep.CountByClass()
 		wantSet := make(map[string]int)
 		for _, c := range want {
 			wantSet[c]++

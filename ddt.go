@@ -38,11 +38,9 @@
 // register reads, registry values, packet bytes, allocation-failure
 // decisions and interrupt timings are answered from replayable byte feeds,
 // mutated under coverage guidance by a parallel worker pool — orders of
-// magnitude more executions per second, one concrete path each. A two-way
-// concolic bridge connects the modes: solved inputs from symbolic bug
-// traces seed the fuzz corpus, and high-novelty fuzz feeds are lifted back
-// into symbolic boot states the engine forks from (Config/engine option
-// SymbolSeed). Fuzz and Replay-style feed re-execution are exposed here:
+// magnitude more executions per second, one concrete path each
+// (fuzz.FromBug turns a symbolic bug's solved inputs into such a feed).
+// Fuzz and Replay-style feed re-execution are exposed here:
 //
 //	rep, err := ddt.Fuzz(img, ddt.DefaultFuzzConfig())
 //	for _, c := range rep.Crashes {
@@ -237,8 +235,6 @@ type (
 	// FuzzOptions configure the concrete executor (annotation injection,
 	// step/interrupt bounds, registry overrides).
 	FuzzOptions = fuzz.Options
-	// HybridReport is the outcome of a two-way concolic campaign.
-	HybridReport = fuzz.HybridReport
 )
 
 // DefaultFuzzConfig returns the stock fuzzing campaign configuration.
@@ -271,14 +267,6 @@ func ReplayFeedWith(img *Image, f *Feed, opts FuzzOptions) *FeedResult {
 // UnmarshalFeed parses a serialized feed (the reproducer exchange format;
 // Feed.Marshal is the inverse).
 func UnmarshalFeed(b []byte) (*Feed, error) { return fuzz.UnmarshalFeed(b) }
-
-// HybridTest runs the two-way concolic loop: a symbolic pass seeds the
-// fuzzer with solved bug inputs, the fuzzer explores concretely, and its
-// most interesting feeds are lifted back into symbolic boot states.
-// Canceling ctx stops whichever stage is in flight.
-func HybridTest(ctx context.Context, img *Image, fcfg FuzzConfig, cfg Config) (*HybridReport, error) {
-	return fuzz.Hybrid(ctx, img, fcfg, cfg.options(), 2)
-}
 
 // CorpusDriver assembles one of the in-tree evaluation drivers (Table 1):
 // "rtl8029", "amd-pcnet", "intel-pro1000", "intel-pro100",

@@ -43,8 +43,8 @@ type Options struct {
 	// behaviour (§5.1).
 	StopAtFirstBug bool
 	// Coverage, when non-nil, replaces the campaign's own coverage
-	// recorder; the hybrid loop passes one shared thread-safe recorder so
-	// symbolic and fuzz coverage accumulate into one map.
+	// recorder; passing one shared thread-safe recorder to several
+	// campaigns (symbolic or fuzz) accumulates their coverage into one map.
 	Coverage *exerciser.Coverage
 }
 

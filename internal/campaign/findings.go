@@ -5,8 +5,8 @@ import "sync"
 // Findings is the campaign-wide finding-deduplication ledger. Every mode
 // keys its findings the same way — "class@site" — and admits them through
 // one ledger, so a bug or crash is counted once per campaign regardless of
-// which worker (or which frontier, in hybrid campaigns) hit it. The runner
-// watches the ledger for the StopAtFirstBug condition.
+// which worker hit it. The runner watches the ledger for the
+// StopAtFirstBug condition.
 type Findings struct {
 	mu   sync.Mutex
 	seen map[string]bool

@@ -10,7 +10,7 @@ import (
 // phaseDebug is the DDT_DEBUG_PHASES reporter. All per-phase timing and
 // per-worker lines go through one process-wide mutex, so output from
 // parallel workers — or from several engines running at once (benchmarks,
-// the hybrid loop) — never interleaves mid-line.
+// tests) — never interleaves mid-line.
 type phaseDebug struct {
 	mu sync.Mutex
 	w  io.Writer

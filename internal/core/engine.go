@@ -60,17 +60,15 @@ type Options struct {
 	LoopThreshold uint64
 	// Registry overrides/extends the default registry hive.
 	Registry map[string]uint32
-	// Heuristic overrides the default min-block-count scheduler.
-	Heuristic exerciser.Heuristic
 	// ConcreteHardware replaces symbolic hardware with a deterministic
 	// concrete device model (register reads return a fixed pattern). This
 	// is how the Driver Verifier baseline runs: concrete stress testing
 	// with in-guest checks only.
 	ConcreteHardware bool
 	// SymbolSeed, when non-nil, pins the first symbols minted on each path
-	// to a concrete input prefix (see kernel.Kernel.SymbolSeed). The hybrid
-	// loop uses it to make the engine fork outward from a high-novelty fuzz
-	// feed instead of from scratch.
+	// to a concrete input prefix (see kernel.Kernel.SymbolSeed).
+	// fuzz.LiftFeed builds one from a fuzz feed, so the engine follows that
+	// concrete path and forks outward from it.
 	SymbolSeed func(idx uint64, name string, origin expr.Origin) (uint32, bool)
 	// Scenario selects the workload plan shape: "" picks the class default
 	// (the PnP/power scenario graph for storage-class drivers, the linear
@@ -183,9 +181,6 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 		}
 	}
 	e.Mem.Install(m)
-	if opts.Heuristic != nil {
-		e.Sched.SetHeuristic(opts.Heuristic)
-	}
 	if opts.Annotations {
 		annot.InstallAll(e.K)
 	}

@@ -14,27 +14,6 @@ func runnable(id uint64, pc uint32) *vm.State {
 	return s
 }
 
-func TestSchedulerFIFOAndLIFO(t *testing.T) {
-	for _, h := range []Heuristic{FIFO{}, LIFO{}} {
-		s := NewScheduler(10)
-		s.SetHeuristic(h)
-		s.Push(runnable(1, 0x100))
-		s.Push(runnable(2, 0x200))
-		s.Push(runnable(3, 0x300))
-		got := s.Pop().ID
-		switch h.(type) {
-		case FIFO:
-			if got != 1 {
-				t.Errorf("fifo popped %d", got)
-			}
-		case LIFO:
-			if got != 3 {
-				t.Errorf("lifo popped %d", got)
-			}
-		}
-	}
-}
-
 func TestSchedulerMinBlockCount(t *testing.T) {
 	s := NewScheduler(10)
 	s.Record(0x100) // block 0x100 executed once
@@ -48,9 +27,6 @@ func TestSchedulerMinBlockCount(t *testing.T) {
 	}
 	if got := s.Pop().ID; got != 2 {
 		t.Errorf("second pop %d, want 2", got)
-	}
-	if s.HeuristicName() != "min-block-count" {
-		t.Errorf("heuristic name %q", s.HeuristicName())
 	}
 }
 

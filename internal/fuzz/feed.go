@@ -13,10 +13,10 @@
 // triage and dedup, parallel workers with a work-stealing queue) searches
 // the feed space.
 //
-// The two modes meet in a concolic bridge (bridge.go): solved inputs from
-// symbolic bug traces seed the fuzz corpus, and high-novelty fuzz feeds are
-// lifted back into symbolic boot states — the engine pins its first symbols
-// to the feed prefix and forks outward from there.
+// The two modes meet in a concolic bridge (bridge.go): FromBug turns a
+// symbolic bug's solved inputs into a feed that replays it concretely, and
+// LiftFeed pins the engine's first symbols to a feed prefix so symbolic
+// execution forks outward from that concrete path.
 package fuzz
 
 import (

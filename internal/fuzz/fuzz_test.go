@@ -223,28 +223,6 @@ func TestCrashDedup(t *testing.T) {
 	}
 }
 
-func TestQueueWorkStealing(t *testing.T) {
-	q := NewQueue(3)
-	q.Push(0, &Feed{Data: []byte{0}})
-	q.Push(0, &Feed{Data: []byte{1}})
-	q.Push(1, &Feed{Data: []byte{2}})
-	// Own shard pops LIFO.
-	if f := q.Pop(0); f.Data[0] != 1 {
-		t.Fatalf("own pop = %d, want 1 (LIFO)", f.Data[0])
-	}
-	// Worker 2's shard is empty: it steals from a peer.
-	if f := q.Pop(2); f == nil {
-		t.Fatal("steal failed")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("len = %d, want 1", q.Len())
-	}
-	q.Pop(1)
-	if q.Pop(0) != nil {
-		t.Fatal("drained queue must yield nil")
-	}
-}
-
 // TestExecutorDeterministic: the same feed always takes the same path —
 // the property that makes crash feeds replayable evidence.
 func TestExecutorDeterministic(t *testing.T) {
@@ -425,31 +403,37 @@ func TestClampEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHybridLoop exercises the full two-way bridge on the buggy RTL8029.
-func TestHybridLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hybrid loop is a multi-second run")
-	}
+// TestFromBugFeedsReproduce: every bug the sequential engine reports on
+// the buggy RTL8029, bridged with FromBug, crashes a fresh executor with
+// the bug's class — the race included, whose feed must carry the exact
+// interrupt instant.
+func TestFromBugFeedsReproduce(t *testing.T) {
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	cfg.MaxExecs = 3_000
-	h, err := Hybrid(context.Background(), img, cfg, core.DefaultOptions(), 1)
+	rep, err := core.NewEngine(img, core.DefaultOptions()).TestDriver(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Symbolic.Bugs) != 5 {
-		t.Fatalf("symbolic pass found %d bugs, want 5", len(h.Symbolic.Bugs))
+	if len(rep.Bugs) != 5 {
+		t.Fatalf("symbolic run found %d bugs, want 5", len(rep.Bugs))
 	}
-	// The engine-seeded corpus must let the fuzzer reproduce the race —
-	// the class plain fuzzing needs the exact interrupt instant for.
-	if h.Fuzz.CountByClass()["race condition"] == 0 {
-		t.Errorf("bridged seeds did not reproduce the race:\n%s", h.Fuzz)
+	races := 0
+	for _, b := range rep.Bugs {
+		if b.Class == "race condition" {
+			races++
+		}
+		res := NewExecutor(img, nil, DefaultOptions()).Run(FromBug(b))
+		if res.Crash == nil {
+			t.Errorf("bug %s: bridged feed ran without a crash", b.Key())
+			continue
+		}
+		if res.Crash.Class != b.Class {
+			t.Errorf("bug %s: bridged feed crashed as %s", b.Key(), res.Crash.Key())
+		}
 	}
-	if h.TotalBugKeys() < len(h.Symbolic.Bugs) {
-		t.Fatalf("hybrid lost bug identities: %d < %d", h.TotalBugKeys(), len(h.Symbolic.Bugs))
+	if races == 0 {
+		t.Error("symbolic run reported no race condition to bridge")
 	}
 }

@@ -184,13 +184,13 @@ type Fuzzer struct {
 	img *binimg.Image
 	cfg Config
 
-	// Cov is the shared, thread-safe coverage map. It is exported so the
-	// hybrid loop can hand the same recorder to a symbolic engine.
+	// Cov is the shared, thread-safe coverage map (Config.Coverage when
+	// set, so another campaign or a symbolic engine can share it).
 	Cov *exerciser.Coverage
 
 	corpus   *Corpus
 	crashes  *crashStore
-	queue    *Queue
+	queue    *stealQueue[*Feed]
 	dict     *Dictionary
 	findings *campaign.Findings
 
@@ -204,7 +204,6 @@ type Fuzzer struct {
 	warmNS       atomic.Uint64
 	skippedSteps atomic.Uint64
 	injectShard  atomic.Uint64
-	seedCount    int
 
 	// fabric is the campaign-wide snapshot store every worker executor
 	// shares (nil unless Persist).
@@ -253,7 +252,7 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 		Cov:      exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
 		corpus:   NewCorpus(cfg.CorpusMax),
 		crashes:  newCrashStore(findings),
-		queue:    NewQueue(cfg.Workers),
+		queue:    newStealQueue[*Feed](cfg.Workers),
 		findings: findings,
 		fabric:   fabric,
 	}
@@ -266,16 +265,9 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 	return f
 }
 
-// Corpus exposes the campaign's corpus (the hybrid loop lifts its
-// highest-gain feeds into symbolic boot states).
+// Corpus exposes the campaign's corpus (a manager-attached worker exports
+// it to the fleet).
 func (f *Fuzzer) Corpus() *Corpus { return f.corpus }
-
-// AddSeed queues a feed for execution before the campaign starts (round-
-// robin across worker shards). Not safe to call once Run began.
-func (f *Fuzzer) AddSeed(feed *Feed) {
-	f.queue.Push(f.seedCount, feed)
-	f.seedCount++
-}
 
 // InjectSeeds queues feeds into the running campaign (round-robin across
 // worker shards). Safe for concurrent use while Run is in flight — this is
@@ -404,7 +396,8 @@ type fuzzFrontier struct{ f *Fuzzer }
 // Next pops the worker's triage shard (stealing when empty); nil means
 // "synthesize".
 func (q fuzzFrontier) Next(w int) (*Feed, campaign.Verdict) {
-	return q.f.queue.Pop(w), campaign.Dispatch
+	feed, _ := q.f.queue.Pop(w)
+	return feed, campaign.Dispatch
 }
 
 // execOne runs one campaign execution: synthesize the feed if the

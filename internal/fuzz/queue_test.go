@@ -1,4 +1,4 @@
-package workq
+package fuzz
 
 import (
 	"sync"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestOwnShardIsLIFO(t *testing.T) {
-	q := New[int](2)
+	q := newStealQueue[int](2)
 	q.Push(0, 1)
 	q.Push(0, 2)
 	q.Push(0, 3)
@@ -23,7 +23,7 @@ func TestOwnShardIsLIFO(t *testing.T) {
 }
 
 func TestStealingIsFIFO(t *testing.T) {
-	q := New[int](3)
+	q := newStealQueue[int](3)
 	q.Push(1, 10)
 	q.Push(1, 11)
 	// Worker 0's shard is empty: it must steal worker 1's OLDEST item.
@@ -37,7 +37,7 @@ func TestStealingIsFIFO(t *testing.T) {
 }
 
 func TestLenAcrossShards(t *testing.T) {
-	q := New[string](4)
+	q := newStealQueue[string](4)
 	q.Push(0, "a")
 	q.Push(2, "b")
 	q.Push(7, "c") // wraps to shard 3
@@ -47,9 +47,9 @@ func TestLenAcrossShards(t *testing.T) {
 }
 
 func TestSingleShardFallback(t *testing.T) {
-	q := New[int](0) // clamps to 1 shard
-	if q.Shards() != 1 {
-		t.Fatalf("shards = %d want 1", q.Shards())
+	q := newStealQueue[int](0) // clamps to 1 shard
+	if len(q.shards) != 1 {
+		t.Fatalf("shards = %d want 1", len(q.shards))
 	}
 	q.Push(5, 42) // any worker index maps onto the single shard
 	if got, ok := q.Pop(3); !ok || got != 42 {
@@ -74,7 +74,7 @@ func TestPhaseTaggedConsumer(t *testing.T) {
 		fanout    = 2 // children seeded into the next phase per item
 		wantItems = roots * (1 + fanout + fanout*fanout + fanout*fanout*fanout + fanout*fanout*fanout*fanout)
 	)
-	q := New[seed](workers)
+	q := newStealQueue[seed](workers)
 	var nextID atomic.Uint64
 	for i := 0; i < roots; i++ {
 		q.Push(i, seed{phase: 0, id: nextID.Add(1)})
@@ -138,7 +138,7 @@ func TestPhaseTaggedConsumer(t *testing.T) {
 func TestConcurrentPushPopNoLoss(t *testing.T) {
 	const workers = 4
 	const perWorker = 1000
-	q := New[int](workers)
+	q := newStealQueue[int](workers)
 
 	var wg sync.WaitGroup
 	got := make([]map[int]int, workers)

@@ -38,8 +38,8 @@ import (
 // zero-extends; fork bytes are compared by their decision parity). Interrupt
 // schedules additionally require the first unconsumed trigger to lie at or
 // past the segment's last injection-eligible instant (eligBound) — an
-// earlier trigger could have fired mid-boot (the FromBug/FromTrace bridge
-// emits exactly such feeds) and must bypass the snapshot and re-run cold.
+// earlier trigger could have fired mid-boot (FromBug emits exactly such
+// feeds) and must bypass the snapshot and re-run cold.
 // Segments with no eligible instant — DriverEntry always, since no ISR is
 // registered yet — accept any trigger.
 

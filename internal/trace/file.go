@@ -149,8 +149,6 @@ func Load(path string) (*File, error) {
 }
 
 // EventsOf returns the trace records of one event kind, in path order.
-// Consumers beyond replay use this: the fuzz bridge reads EvNewSym records
-// to turn a trace's solved inputs into a concrete feed.
 func (f *File) EventsOf(kind vm.EventKind) []Record {
 	var out []Record
 	for _, r := range f.Events {
