@@ -127,7 +127,7 @@ func ndisAllocateMemoryWithTagReturn(ctx *kernel.AnnotCtx) {
 	if altState := forkAllocFailure(ctx); altState != nil {
 		kernel.Of(altState).HeapFree(ptr.ConstVal())
 		altState.Mem.Write(ptrPtr.ConstVal(), 4, expr.Const(0))
-		altState.SetReg(isa.R0, expr.Const(kernel.StatusResources))
+		altState.SetRegConcrete(isa.R0, kernel.StatusResources)
 	}
 }
 
@@ -155,7 +155,7 @@ func ndisAllocatePacketReturn(ctx *kernel.AnnotCtx) {
 		}
 		altState.Mem.Write(statusPtr.ConstVal(), 4, expr.Const(kernel.StatusResources))
 		altState.Mem.Write(pktPtr.ConstVal(), 4, expr.Const(0))
-		altState.SetReg(isa.R0, expr.Const(kernel.StatusResources))
+		altState.SetRegConcrete(isa.R0, kernel.StatusResources)
 	}
 }
 
@@ -175,7 +175,7 @@ func ndisMAllocateSharedMemoryReturn(ctx *kernel.AnnotCtx) {
 	if altState := forkAllocFailure(ctx); altState != nil {
 		kernel.Of(altState).HeapFree(va.ConstVal())
 		altState.Mem.Write(vaPtr.ConstVal(), 4, expr.Const(0))
-		altState.SetReg(isa.R0, expr.Const(kernel.StatusResources))
+		altState.SetRegConcrete(isa.R0, kernel.StatusResources)
 	}
 }
 
@@ -189,7 +189,7 @@ func exAllocatePoolWithTagReturn(ctx *kernel.AnnotCtx) {
 	}
 	if altState := forkAllocFailure(ctx); altState != nil {
 		kernel.Of(altState).HeapFree(ret.ConstVal())
-		altState.SetReg(isa.R0, expr.Const(0))
+		altState.SetRegConcrete(isa.R0, 0)
 	}
 }
 
@@ -209,6 +209,6 @@ func pcNewInterruptSyncReturn(ctx *kernel.AnnotCtx) {
 			delete(kernel.Of(altState).IntrSyncs, sync.ConstVal())
 		}
 		altState.Mem.Write(syncPtrPtr.ConstVal(), 4, expr.Const(0))
-		altState.SetReg(isa.R0, expr.Const(kernel.StatusFailure))
+		altState.SetRegConcrete(isa.R0, kernel.StatusFailure)
 	}
 }

@@ -42,9 +42,12 @@ type Options struct {
 	// records its first finding — Driver Verifier's crash-on-first-failure
 	// behaviour (§5.1).
 	StopAtFirstBug bool
-	// Coverage, when non-nil, replaces the campaign's own coverage
-	// recorder; passing one shared thread-safe recorder to several
-	// campaigns (symbolic or fuzz) accumulates their coverage into one map.
+	// Coverage, when non-nil, receives the campaign's coverage: passing one
+	// shared thread-safe recorder to several campaigns (symbolic or fuzz)
+	// accumulates their coverage into one map. A symbolic engine records
+	// into it directly. A fuzz campaign keeps its own map for novelty and
+	// merges its blocks into this one, so a map another campaign already
+	// filled does not starve its corpus.
 	Coverage *exerciser.Coverage
 }
 

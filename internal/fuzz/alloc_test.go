@@ -1,15 +1,19 @@
 package fuzz
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/exerciser"
 )
 
-// warmExecAllocCeiling bounds the heap allocations of one warm execution
-// in TestWarmExecAllocCeiling.
-const warmExecAllocCeiling = 100
+// warmExecAllocCeiling and warmExecBytesCeiling bound the heap objects and
+// bytes one warm execution allocates in TestWarmExecAllocCeiling.
+const (
+	warmExecAllocCeiling = 52
+	warmExecBytesCeiling = 8 << 10
+)
 
 // TestWarmExecAllocCeiling pins what a warm execution allocates: a fixed
 // rtl8029 feed resumed from a warmed private snapshot fabric, through the
@@ -30,8 +34,20 @@ func TestWarmExecAllocCeiling(t *testing.T) {
 			res.Warm, res.Crash, res.SkippedSteps, res.Steps)
 	}
 	allocs := testing.AllocsPerRun(20, func() { e.Run(feed) })
-	t.Logf("warm exec: %.0f allocs, %d entries, %d steps (%d skipped)", allocs, len(res.Entries), res.Steps, res.SkippedSteps)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.Run(feed)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm exec: %.0f allocs, %d bytes, %d entries, %d steps (%d skipped)",
+		allocs, bytes, len(res.Entries), res.Steps, res.SkippedSteps)
 	if allocs > warmExecAllocCeiling {
 		t.Fatalf("warm exec allocates %.0f objects, ceiling %d", allocs, warmExecAllocCeiling)
+	}
+	if bytes > warmExecBytesCeiling {
+		t.Fatalf("warm exec allocates %d bytes, ceiling %d", bytes, warmExecBytesCeiling)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/corpus"
 	"repro/internal/exerciser"
+	"repro/internal/isa"
 )
 
 // TestSuperblockFuzzExecBitIdentity extends the determinism suite to the
@@ -250,5 +251,86 @@ func TestFabricSharding(t *testing.T) {
 	hits, shared, _ := f.Stats()
 	if hits == 0 || shared == 0 {
 		t.Fatalf("hit split not attributed: hits=%d shared=%d", hits, shared)
+	}
+}
+
+// TestRecycledPagesKeepSharedSnapshots runs many warm executions on two
+// executors sharing one snapshot fabric at once. Every execution retires
+// its final state, so its pages go back to its executor's page list and
+// are reused by the next copy-on-write. The published snapshots must read
+// exactly as before: a fresh resume, on either executor, sees the same
+// stack, image and heap bytes. Runs under -race in CI.
+func TestRecycledPagesKeepSharedSnapshots(t *testing.T) {
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Persist = true
+	opts.Fabric = NewSnapFabric()
+	execs := []*Executor{NewExecutor(img, nil, opts), NewExecutor(img, nil, opts)}
+	feeds := persistFeeds(NewMutator(11), 30)
+	for _, f := range feeds {
+		execs[0].Run(f)
+	}
+
+	var snaps []*snapshot
+	shards := []*snapShard{&opts.Fabric.wild}
+	for i := range opts.Fabric.shards {
+		shards = append(shards, &opts.Fabric.shards[i])
+	}
+	for _, sh := range shards {
+		for _, sn := range sh.snaps {
+			if sn.state != nil {
+				snaps = append(snaps, sn)
+			}
+		}
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no resumable snapshot was recorded")
+	}
+	regions := [][2]uint32{
+		{isa.StackBase - isa.StackSize, isa.StackSize},
+		{img.DataBase(), img.LimitVA() - img.DataBase()},
+		{isa.HeapBase, 0x4000},
+	}
+	digest := func(e *Executor, sn *snapshot) string {
+		s := e.m.ResumeState(sn.state)
+		defer s.Retire()
+		var out []byte
+		for _, r := range regions {
+			b, ok := s.Mem.ReadBytesConcrete(r[0], r[1])
+			if !ok {
+				t.Fatalf("snapshot memory at %#x holds symbolic bytes", r[0])
+			}
+			out = append(out, b...)
+		}
+		return string(out)
+	}
+	before := make([]string, len(snaps))
+	for i, sn := range snaps {
+		before[i] = digest(execs[0], sn)
+	}
+
+	var wg sync.WaitGroup
+	for _, e := range execs {
+		wg.Add(1)
+		go func(e *Executor) {
+			defer wg.Done()
+			for pass := 0; pass < 4; pass++ {
+				for _, f := range feeds {
+					e.Run(f)
+				}
+			}
+		}(e)
+	}
+	wg.Wait()
+
+	for i, sn := range snaps {
+		for j, e := range execs {
+			if digest(e, sn) != before[i] {
+				t.Fatalf("snapshot %d reads differently on executor %d after recycled warm executions", i, j)
+			}
+		}
 	}
 }

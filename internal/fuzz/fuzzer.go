@@ -26,7 +26,10 @@ import (
 // derives the per-worker random streams (Seed+workerID — a single-worker
 // run with a fixed seed is fully reproducible); StopAtFirstBug ends the
 // campaign at the first deduplicated crash; Coverage, when non-nil,
-// replaces the fuzzer's own recorder.
+// receives every block the campaign covers. The campaign still judges
+// novelty (corpus admission) and reports coverage on its own map, so a map
+// another campaign or a symbolic pass already filled does not change what
+// the campaign explores.
 type Config struct {
 	campaign.Options
 	// CorpusDir, when set, is loaded as initial seeds and receives the
@@ -184,8 +187,9 @@ type Fuzzer struct {
 	img *binimg.Image
 	cfg Config
 
-	// Cov is the shared, thread-safe coverage map (Config.Coverage when
-	// set, so another campaign or a symbolic engine can share it).
+	// Cov is the campaign's own thread-safe coverage map: corpus novelty
+	// and the report's coverage come from it. Config.Coverage, when set,
+	// receives its blocks as they are found (shareCoverage).
 	Cov *exerciser.Coverage
 
 	corpus   *Corpus
@@ -255,9 +259,6 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 		queue:    newStealQueue[*Feed](cfg.Workers),
 		findings: findings,
 		fabric:   fabric,
-	}
-	if cfg.Coverage != nil {
-		f.Cov = cfg.Coverage
 	}
 	if cfg.Dict {
 		f.dict = MineDictionary(img)
@@ -339,6 +340,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	)
 	r.BindFindings(f.findings)
 	r.Run(ctx)
+	f.shareCoverage()
 
 	elapsed := time.Since(start)
 	rep := &Report{
@@ -432,6 +434,9 @@ func (f *Fuzzer) execOne(r *campaign.Runner[*Feed], exec *Executor, mu *Mutator,
 	}
 	f.execsDone.Add(1)
 	f.steps.Add(res.Steps)
+	if res.NewBlocks > 0 {
+		f.shareCoverage()
+	}
 
 	if r.Canceled() {
 		return
@@ -449,6 +454,16 @@ func (f *Fuzzer) execOne(r *campaign.Runner[*Feed], exec *Executor, mu *Mutator,
 				f.queue.Push(worker, mu.Mutate(admitted, nil))
 			}
 		}
+	}
+}
+
+// shareCoverage folds the campaign's covered blocks into the caller's map
+// (Config.Coverage), if any. It runs after each execution that found new
+// blocks and once more when the campaign ends, which catches blocks that
+// only triage re-executions reached.
+func (f *Fuzzer) shareCoverage() {
+	if f.cfg.Coverage != nil {
+		f.cfg.Coverage.Merge(f.Cov.CoveredBlocks(), f.steps.Load())
 	}
 }
 

@@ -258,15 +258,27 @@ func (k *Kernel) Arg(s *vm.State, i int) *expr.Expr {
 // is returned as it is, so the concretization's name is only built for a
 // symbolic one.
 func (k *Kernel) ArgConcrete(s *vm.State, i int) (uint32, error) {
-	a := k.Arg(s, i)
-	if a.IsConst() {
-		return a.ConstVal(), nil
+	if v, ok := argWord(s, i); ok {
+		return v, nil
 	}
-	return k.M.Concretize(s, a, fmt.Sprintf("arg%d", i))
+	return k.M.Concretize(s, k.Arg(s, i), fmt.Sprintf("arg%d", i))
+}
+
+// argWord returns the i-th argument when it is concrete, reading the
+// register word or stack bytes without building an expression.
+func argWord(s *vm.State, i int) (uint32, bool) {
+	if i < 4 {
+		return s.RegConcrete(uint8(i))
+	}
+	sp, ok := s.RegConcrete(isa.SP)
+	if !ok {
+		return 0, true // Arg's Const(0)
+	}
+	return s.Mem.ReadConcrete(sp+uint32(4*(i-4)), 4)
 }
 
 // SetRet stores a concrete return value in R0.
-func (k *Kernel) SetRet(s *vm.State, v uint32) { s.SetReg(isa.R0, expr.Const(v)) }
+func (k *Kernel) SetRet(s *vm.State, v uint32) { s.SetRegConcrete(isa.R0, v) }
 
 // dispatch is installed as the machine's APICall hook.
 func (k *Kernel) dispatch(s *vm.State, slot int) ([]*vm.State, error) {
@@ -283,9 +295,11 @@ func (k *Kernel) dispatch(s *vm.State, slot int) ([]*vm.State, error) {
 	}
 
 	var extra []*vm.State
-	var callArgs [4]*expr.Expr
-	for i := range callArgs {
-		callArgs[i] = s.Reg(uint8(i))
+	var callArgs [4]*expr.Expr // boxed only for the annotations that read them
+	if len(k.Annotations[name]) > 0 {
+		for i := range callArgs {
+			callArgs[i] = s.Reg(uint8(i))
+		}
 	}
 
 	if k.OnBoundary != nil {
@@ -382,9 +396,9 @@ func (k *Kernel) Invoke(s *vm.State, name string, pc uint32, args ...uint32) {
 		if i >= 4 {
 			break
 		}
-		s.SetReg(uint8(i), expr.Const(a))
+		s.SetRegConcrete(uint8(i), a)
 	}
-	s.SetReg(isa.LR, expr.Const(vm.ExitAddr))
+	s.SetRegConcrete(isa.LR, vm.ExitAddr)
 	s.PC = pc
 	s.EntryName = name
 	s.Status = vm.StatusRunning
@@ -401,7 +415,7 @@ func (k *Kernel) InvokeSym(s *vm.State, name string, pc uint32, args ...*expr.Ex
 		}
 		s.SetReg(uint8(i), a)
 	}
-	s.SetReg(isa.LR, expr.Const(vm.ExitAddr))
+	s.SetRegConcrete(isa.LR, vm.ExitAddr)
 	s.PC = pc
 	s.EntryName = name
 	s.Status = vm.StatusRunning

@@ -6,7 +6,8 @@ import (
 )
 
 // exec executes the decoded instruction in on s. The PC still points at in;
-// exec advances it.
+// exec advances it. Concrete operands run on the register words; an
+// expression is built only when an operand is symbolic.
 func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 	next := s.PC + isa.InstrSize
 
@@ -15,105 +16,48 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.PC = next
 
 	case isa.MOVI:
-		s.SetReg(in.Rd, expr.Const(in.Imm))
+		s.SetRegConcrete(in.Rd, in.Imm)
 		s.PC = next
 	case isa.MOV:
-		s.SetReg(in.Rd, s.Reg(in.Rs1))
+		s.regs[in.Rd], s.sym[in.Rd] = s.regs[in.Rs1], s.sym[in.Rs1]
 		s.PC = next
 
-	case isa.ADD:
-		s.SetReg(in.Rd, expr.Add(s.Reg(in.Rs1), s.Reg(in.Rs2)))
+	case isa.ADD, isa.SUB, isa.MUL, isa.DIVU, isa.REMU,
+		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR:
+		s.alu(in.Op, in.Rd, in.Rs1, s.regs[in.Rs2], s.sym[in.Rs2])
 		s.PC = next
-	case isa.SUB:
-		s.SetReg(in.Rd, expr.Sub(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.MUL:
-		s.SetReg(in.Rd, expr.Mul(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.DIVU:
-		s.SetReg(in.Rd, expr.UDiv(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.REMU:
-		s.SetReg(in.Rd, expr.URem(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.AND:
-		s.SetReg(in.Rd, expr.And(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.OR:
-		s.SetReg(in.Rd, expr.Or(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.XOR:
-		s.SetReg(in.Rd, expr.Xor(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.SHL:
-		s.SetReg(in.Rd, expr.Shl(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.SHR:
-		s.SetReg(in.Rd, expr.Lshr(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-	case isa.SAR:
-		s.SetReg(in.Rd, expr.Ashr(s.Reg(in.Rs1), s.Reg(in.Rs2)))
-		s.PC = next
-
-	case isa.ADDI:
-		s.SetReg(in.Rd, expr.Add(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.ANDI:
-		s.SetReg(in.Rd, expr.And(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.ORI:
-		s.SetReg(in.Rd, expr.Or(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.XORI:
-		s.SetReg(in.Rd, expr.Xor(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.SHLI:
-		s.SetReg(in.Rd, expr.Shl(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.SHRI:
-		s.SetReg(in.Rd, expr.Lshr(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.SARI:
-		s.SetReg(in.Rd, expr.Ashr(s.Reg(in.Rs1), expr.Const(in.Imm)))
-		s.PC = next
-	case isa.MULI:
-		s.SetReg(in.Rd, expr.Mul(s.Reg(in.Rs1), expr.Const(in.Imm)))
+	case isa.ADDI, isa.ANDI, isa.ORI, isa.XORI,
+		isa.SHLI, isa.SHRI, isa.SARI, isa.MULI:
+		s.alu(in.Op, in.Rd, in.Rs1, in.Imm, nil)
 		s.PC = next
 
 	case isa.LDW, isa.LDH, isa.LDB:
-		size := loadStoreSize(in.Op)
-		val, err := c.load(s, in.Rs1, in.Imm, size)
-		if err != nil {
+		if err := c.load(s, in.Rd, in.Rs1, in.Imm, loadStoreSize(in.Op)); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
-		s.SetReg(in.Rd, val)
 		s.PC = next
 
 	case isa.STW, isa.STH, isa.STB:
-		size := loadStoreSize(in.Op)
-		if err := c.store(s, in.Rs1, in.Imm, size, s.Reg(in.Rd)); err != nil {
+		if err := c.store(s, in.Rs1, in.Imm, loadStoreSize(in.Op), in.Rd); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
 		s.PC = next
 
 	case isa.PUSH:
-		sp := expr.Sub(s.Reg(isa.SP), expr.Const(4))
-		s.SetReg(isa.SP, sp)
-		if err := c.store(s, isa.SP, 0, 4, s.Reg(in.Rd)); err != nil {
+		s.alu(isa.SUB, isa.SP, isa.SP, 4, nil)
+		if err := c.store(s, isa.SP, 0, 4, in.Rd); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
 		s.PC = next
 	case isa.POP:
-		val, err := c.load(s, isa.SP, 0, 4)
-		if err != nil {
+		if err := c.load(s, in.Rd, isa.SP, 0, 4); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
-		s.SetReg(in.Rd, val)
-		s.SetReg(isa.SP, expr.Add(s.Reg(isa.SP), expr.Const(4)))
+		s.alu(isa.ADD, isa.SP, isa.SP, 4, nil)
 		s.PC = next
 
 	case isa.BEQ, isa.BNE, isa.BLTU, isa.BGEU, isa.BLT, isa.BGE:
@@ -123,38 +67,36 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.PC = in.Imm
 		c.M.MarkBlockStart(s)
 	case isa.JR:
-		return c.jumpIndirect(s, s.Reg(in.Rs1), false)
+		return c.jumpIndirect(s, in.Rs1, false)
 
 	case isa.CALL:
-		s.SetReg(isa.LR, expr.Const(next))
+		s.SetRegConcrete(isa.LR, next)
 		if slot, ok := isa.InTrapWindow(in.Imm); ok {
 			return c.apiCall(s, slot)
 		}
 		s.PC = in.Imm
 		c.M.MarkBlockStart(s)
 	case isa.CALLR:
-		s.SetReg(isa.LR, expr.Const(next))
-		return c.jumpIndirect(s, s.Reg(in.Rs1), true)
+		s.SetRegConcrete(isa.LR, next)
+		return c.jumpIndirect(s, in.Rs1, true)
 	case isa.RET:
-		return c.jumpIndirect(s, s.Reg(isa.LR), false)
+		return c.jumpIndirect(s, isa.LR, false)
 
 	case isa.IN:
-		port, err := c.Concretize(s, s.Reg(in.Rs1), "port")
+		port, err := c.regValue(s, in.Rs1, "port")
 		if err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
-		var v *expr.Expr
 		if c.M.ReadPort != nil {
-			v = c.M.ReadPort(s, port)
+			s.SetReg(in.Rd, c.M.ReadPort(s, port))
 			c.M.SymReads.Add(1)
 		} else {
-			v = expr.Const(0)
+			s.SetRegConcrete(in.Rd, 0)
 		}
-		s.SetReg(in.Rd, v)
 		s.PC = next
 	case isa.OUT:
-		port, err := c.Concretize(s, s.Reg(in.Rs1), "port")
+		port, err := c.regValue(s, in.Rs1, "port")
 		if err != nil {
 			s.Status = StatusBug
 			return nil, err
@@ -175,6 +117,60 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 	return c.only(s), nil
 }
 
+// alu sets rd to rs1 op y, where y is a word or, when ySym is non-nil, a
+// symbolic value. Concrete operands go through aluFn, the one concrete ALU;
+// otherwise the expression is built, and its constant folds are what aluFn
+// replicates bit for bit (FuzzAluMatchesExprFold).
+func (s *State) alu(op isa.Opcode, rd, rs1 uint8, y uint32, ySym *expr.Expr) {
+	if s.sym[rs1] == nil && ySym == nil {
+		s.SetRegConcrete(rd, aluFn(op)(s.regs[rs1], y))
+		return
+	}
+	if ySym == nil {
+		ySym = expr.Const(y)
+	}
+	s.SetReg(rd, aluExpr(op)(s.Reg(rs1), ySym))
+}
+
+// aluExpr returns the expression builder of a two-operand ALU operation
+// (register and immediate forms share these), the symbolic twin of aluFn.
+func aluExpr(op isa.Opcode) func(x, y *expr.Expr) *expr.Expr {
+	switch op {
+	case isa.ADD, isa.ADDI:
+		return expr.Add
+	case isa.SUB:
+		return expr.Sub
+	case isa.MUL, isa.MULI:
+		return expr.Mul
+	case isa.DIVU:
+		return expr.UDiv
+	case isa.REMU:
+		return expr.URem
+	case isa.AND, isa.ANDI:
+		return expr.And
+	case isa.OR, isa.ORI:
+		return expr.Or
+	case isa.XOR, isa.XORI:
+		return expr.Xor
+	case isa.SHL, isa.SHLI:
+		return expr.Shl
+	case isa.SHR, isa.SHRI:
+		return expr.Lshr
+	case isa.SAR, isa.SARI:
+		return expr.Ashr
+	}
+	return nil
+}
+
+// regValue returns register r's value, concretizing a symbolic one under
+// the name what.
+func (c *ExecContext) regValue(s *State, r uint8, what string) (uint32, error) {
+	if e := s.sym[r]; e != nil {
+		return c.Concretize(s, e, what)
+	}
+	return s.regs[r], nil
+}
+
 func loadStoreSize(op isa.Opcode) uint32 {
 	switch op {
 	case isa.LDW, isa.STW:
@@ -187,10 +183,10 @@ func loadStoreSize(op isa.Opcode) uint32 {
 }
 
 func (c *ExecContext) effectiveAddr(s *State, base uint8, imm uint32, size uint32, write bool) (uint32, error) {
-	addr := expr.Add(s.Reg(base), expr.Const(imm))
-	if addr.IsConst() {
-		return addr.ConstVal(), nil
+	if s.sym[base] == nil {
+		return s.regs[base] + imm, nil
 	}
+	addr := expr.Add(s.sym[base], expr.Const(imm))
 	if c.M.PinAddress != nil {
 		if val, ok := c.M.PinAddress(s, addr, size, write); ok {
 			s.AddConstraint(expr.Eq(addr, expr.Const(val)))
@@ -204,34 +200,53 @@ func (c *ExecContext) effectiveAddr(s *State, base uint8, imm uint32, size uint3
 	return c.Concretize(s, addr, "address")
 }
 
-func (c *ExecContext) load(s *State, base uint8, imm, size uint32) (*expr.Expr, error) {
+// load sets rd to the size bytes at base+imm. Concrete bytes land in the
+// register word directly.
+func (c *ExecContext) load(s *State, rd, base uint8, imm, size uint32) error {
 	addr, err := c.effectiveAddr(s, base, imm, size, false)
-	if err != nil {
-		return nil, err
-	}
-	if addr >= isa.MMIOBase && addr < isa.MMIOLimit {
-		c.M.SymReads.Add(1)
-		if c.M.ReadDevice != nil {
-			return c.M.ReadDevice(s, addr, size), nil
-		}
-		return expr.Const(0), nil
-	}
-	if c.M.OnMemAccess != nil {
-		if err := c.M.OnMemAccess(s, s.PC, addr, size, false, nil); err != nil {
-			return nil, err
-		}
-	}
-	v := s.Mem.Read(addr, size)
-	s.Trace.Append(Event{Kind: EvMem, Seq: s.ICount, PC: s.PC, Addr: addr, Size: uint8(size), Write: false, Val: v})
-	return v, nil
-}
-
-func (c *ExecContext) store(s *State, base uint8, imm, size uint32, v *expr.Expr) error {
-	addr, err := c.effectiveAddr(s, base, imm, size, true)
 	if err != nil {
 		return err
 	}
 	if addr >= isa.MMIOBase && addr < isa.MMIOLimit {
+		c.M.SymReads.Add(1)
+		if c.M.ReadDevice != nil {
+			s.SetReg(rd, c.M.ReadDevice(s, addr, size))
+		} else {
+			s.SetRegConcrete(rd, 0)
+		}
+		return nil
+	}
+	if c.M.OnMemAccess != nil {
+		if err := c.M.OnMemAccess(s, s.PC, addr, size, false, nil); err != nil {
+			return err
+		}
+	}
+	if v, ok := s.Mem.ReadConcrete(addr, size); ok {
+		s.SetRegConcrete(rd, v)
+	} else {
+		s.SetReg(rd, s.Mem.readSym(addr, size))
+	}
+	if s.Trace != nil {
+		s.Trace.Append(Event{Kind: EvMem, Seq: s.ICount, PC: s.PC, Addr: addr, Size: uint8(size), Write: false, Val: s.Reg(rd)})
+	}
+	return nil
+}
+
+// store writes the low size bytes of register rd to base+imm. A concrete
+// value goes to the page bytes as a word; it is boxed, once, only for the
+// hooks and the trace that take an expression.
+func (c *ExecContext) store(s *State, base uint8, imm, size uint32, rd uint8) error {
+	addr, err := c.effectiveAddr(s, base, imm, size, true)
+	if err != nil {
+		return err
+	}
+	mmio := addr >= isa.MMIOBase && addr < isa.MMIOLimit
+	v := s.sym[rd]
+	concrete := v == nil
+	if concrete && (mmio || c.M.OnMemAccess != nil || s.Trace != nil) {
+		v = expr.Const(s.regs[rd])
+	}
+	if mmio {
 		if c.M.WriteDevice != nil {
 			c.M.WriteDevice(s, addr, size, v)
 		}
@@ -242,9 +257,32 @@ func (c *ExecContext) store(s *State, base uint8, imm, size uint32, v *expr.Expr
 			return err
 		}
 	}
-	s.Mem.Write(addr, size, v)
+	if concrete {
+		s.Mem.WriteConcrete(addr, size, s.regs[rd])
+	} else {
+		s.Mem.Write(addr, size, v)
+	}
 	s.Trace.Append(Event{Kind: EvMem, Seq: s.ICount, PC: s.PC, Addr: addr, Size: uint8(size), Write: true, Val: v})
 	return nil
+}
+
+// branchTaken decides a conditional branch on concrete operands: the
+// constant fold of branchCond's comparison.
+func branchTaken(op isa.Opcode, x, y uint32) bool {
+	switch op {
+	case isa.BEQ:
+		return x == y
+	case isa.BNE:
+		return x != y
+	case isa.BLTU:
+		return x < y
+	case isa.BGEU:
+		return x >= y
+	case isa.BLT:
+		return int32(x) < int32(y)
+	default: // BGE
+		return int32(x) >= int32(y)
+	}
 }
 
 // branchCond builds the taken-condition of a conditional branch.
@@ -267,10 +305,17 @@ func branchCond(s *State, in isa.Instr) *expr.Expr {
 }
 
 func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
-	cond := branchCond(s, in)
 	next := s.PC + isa.InstrSize
 	target := in.Imm
 
+	// Concrete operands decide the branch on their words; the interned
+	// Bool is exactly the fold branchCond would build.
+	var cond *expr.Expr
+	if s.sym[in.Rs1] == nil && s.sym[in.Rs2] == nil {
+		cond = expr.Bool(branchTaken(in.Op, s.regs[in.Rs1], s.regs[in.Rs2]))
+	} else {
+		cond = branchCond(s, in)
+	}
 	if cond.IsConst() {
 		taken := cond.ConstVal() != 0
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: taken})
@@ -326,8 +371,8 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 	}
 }
 
-func (c *ExecContext) jumpIndirect(s *State, target *expr.Expr, isCall bool) ([]*State, error) {
-	pc, err := c.Concretize(s, target, "jump target")
+func (c *ExecContext) jumpIndirect(s *State, target uint8, isCall bool) ([]*State, error) {
+	pc, err := c.regValue(s, target, "jump target")
 	if err != nil {
 		s.Status = StatusBug
 		return nil, err

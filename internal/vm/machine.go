@@ -148,11 +148,22 @@ type ExecContext struct {
 	pendSteps uint64
 	pendForks uint64
 
-	// slot backs every single-successor step result (only), and regs is
-	// runSpan's scratch register file: the common dispatch allocates
-	// neither. See Step for the lifetime contract this imposes.
+	// slot backs every single-successor step result (only), so the common
+	// dispatch allocates nothing. See Step for the lifetime contract this
+	// imposes.
 	slot [1]*State
-	regs spanRegs
+
+	// pages recycles the pages of leaf overlays retired on this context
+	// (State.Retire) into the next copy-on-write of a state bound to it.
+	pages pageList
+}
+
+// bind makes c the context executing s: hooks holding only the state route
+// solver work to c's solver, and pages s's memory copies on write come from
+// c's page list.
+func (c *ExecContext) bind(s *State) {
+	s.ctx = c
+	s.Mem.free = &c.pages
 }
 
 // only returns the one-element successor slice [s], backed by the
@@ -293,10 +304,11 @@ func (m *Machine) SnapshotState(s *State) *State {
 // from it without deepening its overlay chain (State.ForkFrozen). The clone
 // is rebound to this machine's root context immediately: the snapshot may
 // have been recorded by another executor (shared snapshot fabric), and its
-// stale ctx must not route solver work before the first Step rebinds it.
+// stale ctx must not route solver work, nor its memory take pages from the
+// recorder's page list, before the first Step rebinds it.
 func (m *Machine) ResumeState(snap *State) *State {
 	s := snap.ForkFrozen(m.newID())
-	s.ctx = m.root
+	m.root.bind(s)
 	return s
 }
 
@@ -393,7 +405,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 	if s.Status != StatusRunning {
 		return nil, nil
 	}
-	s.ctx = c
+	c.bind(s)
 	if f := s.PendFault; f != nil {
 		s.PendFault = nil
 		s.Status = StatusBug

@@ -17,15 +17,35 @@ type page struct {
 	sym  map[uint16]*expr.Expr
 }
 
-func (p *page) clone() *page {
-	np := &page{data: p.data}
-	if len(p.sym) > 0 {
-		np.sym = make(map[uint16]*expr.Expr, len(p.sym))
-		for k, v := range p.sym {
-			np.sym[k] = v
-		}
+// pageListCap bounds one context's list of recycled pages (128 KiB), so
+// what a context keeps around does not depend on how many executions it
+// retired.
+const pageListCap = 32
+
+// pageList holds pages released by retired leaf overlays for reuse by the
+// next copy-on-write on the same execution context. It is not locked: one
+// list belongs to one ExecContext, which steps one state at a time.
+type pageList struct {
+	pages []*page
+}
+
+// take returns a recycled page with a nil sym overlay and stale data, or
+// nil when the list is empty (or there is no list).
+func (l *pageList) take() *page {
+	if l == nil || len(l.pages) == 0 {
+		return nil
 	}
-	return np
+	p := l.pages[len(l.pages)-1]
+	l.pages = l.pages[:len(l.pages)-1]
+	return p
+}
+
+// put offers p for reuse; a full list drops it for the collector.
+func (l *pageList) put(p *page) {
+	if len(l.pages) < pageListCap {
+		p.sym = nil
+		l.pages = append(l.pages, p)
+	}
 }
 
 // readByte returns the symbolic expression for one byte.
@@ -36,6 +56,32 @@ func (p *page) readByte(off uint16) *expr.Expr {
 		}
 	}
 	return expr.Const(uint32(p.data[off]))
+}
+
+// concrete reports whether the n bytes from off hold no symbolic byte.
+func (p *page) concrete(off, n uint32) bool {
+	if len(p.sym) == 0 {
+		return true
+	}
+	for i := uint32(0); i < n; i++ {
+		if _, ok := p.sym[uint16(off+i)]; ok {
+			return false
+		}
+	}
+	return true
+}
+
+// writeConcrete stores the low n bytes of v at off, little-endian, and
+// clears the symbolic overlay of exactly those bytes.
+func (p *page) writeConcrete(off, n, v uint32) {
+	for i := uint32(0); i < n; i++ {
+		p.data[off+i] = byte(v >> (8 * i))
+	}
+	if p.sym != nil {
+		for i := uint32(0); i < n; i++ {
+			delete(p.sym, uint16(off+i))
+		}
+	}
 }
 
 // writeByte stores a byte-valued expression.
@@ -64,6 +110,11 @@ type Memory struct {
 	cache  map[uint32]*page // pageIndex -> resolved ancestor page (read-only)
 	depth  int
 	kids   atomic.Int32 // overlays forked off this one; gates Retire
+
+	// free is the page list of the execution context this overlay is
+	// bound to (ExecContext.bind); forks inherit it. Nil means pages are
+	// allocated fresh and left to the collector.
+	free *pageList
 }
 
 // pageMapPool recycles the small page/cache maps every overlay allocates.
@@ -93,21 +144,28 @@ func NewMemory() *Memory {
 // are never re-executed directly, only their forked children).
 func (m *Memory) Fork() *Memory {
 	m.kids.Add(1)
-	return &Memory{parent: m, pages: newPageMap(), depth: m.depth + 1}
+	return &Memory{parent: m, pages: newPageMap(), depth: m.depth + 1, free: m.free}
 }
 
-// Retire recycles the overlay's maps into the shared pool. Only a leaf may
-// retire: an overlay that ever forked a child (kids > 0) stays intact, since
-// descendants resolve reads through it (and may hold its pages in their
-// caches — the pages themselves are never pooled, only the maps). After
-// Retire the memory must not be used again; writes will panic on the nil
-// page map, which makes a use-after-retire loud instead of corrupting a
+// Retire recycles the overlay's maps into the shared pool and its locally
+// owned pages into the page list it is bound to. Only a leaf may retire: an
+// overlay that ever forked a child (kids > 0) stays intact, since
+// descendants resolve reads through it and may hold its pages in their
+// caches. A leaf's own pages are referenced by nothing else, so they are
+// safe to reuse; pages it merely cached from ancestors are not touched.
+// After Retire the memory must not be used again; writes will panic on the
+// nil page map, which makes a use-after-retire loud instead of corrupting a
 // pooled map.
 func (m *Memory) Retire() {
 	if m == nil || m.kids.Load() != 0 {
 		return
 	}
 	if m.pages != nil {
+		if m.free != nil {
+			for _, p := range m.pages {
+				m.free.put(p)
+			}
+		}
 		putPageMap(m.pages)
 		m.pages = nil
 	}
@@ -148,16 +206,29 @@ func (m *Memory) lookup(idx uint32) *page {
 
 // pageForWrite returns a locally owned page, copying the nearest ancestor
 // version on first write (or materializing a zero page for untouched
-// memory — guest physical memory is zero-filled).
+// memory — guest physical memory is zero-filled). The page comes from the
+// bound context's list when one is free; its stale data is overwritten or
+// zeroed here, and take already cleared its overlay.
 func (m *Memory) pageForWrite(idx uint32) *page {
 	if p, ok := m.pages[idx]; ok {
 		return p
 	}
-	var np *page
-	if anc := m.lookup(idx); anc != nil {
-		np = anc.clone()
-	} else {
-		np = &page{}
+	anc := m.lookup(idx)
+	np := m.free.take()
+	switch {
+	case np == nil:
+		np = new(page)
+	case anc == nil:
+		np.data = [PageSize]byte{} // a recycled page's stale bytes
+	}
+	if anc != nil {
+		np.data = anc.data
+		if len(anc.sym) > 0 {
+			np.sym = make(map[uint16]*expr.Expr, len(anc.sym))
+			for k, v := range anc.sym {
+				np.sym[k] = v
+			}
+		}
 	}
 	m.pages[idx] = np
 	if m.cache != nil {
@@ -181,54 +252,87 @@ func (m *Memory) StoreByte(addr uint32, e *expr.Expr) {
 	p.writeByte(uint16(addr&0xFFF), e)
 }
 
+// ReadConcrete returns the little-endian value of size bytes at addr when
+// none of them is symbolic. size must be 1, 2 or 4.
+func (m *Memory) ReadConcrete(addr, size uint32) (uint32, bool) {
+	if off := addr & 0xFFF; off <= PageSize-size {
+		p := m.lookup(addr >> 12)
+		if p == nil {
+			return 0, true
+		}
+		if !p.concrete(off, size) {
+			return 0, false
+		}
+		v := uint32(p.data[off])
+		for i := uint32(1); i < size; i++ {
+			v |= uint32(p.data[off+i]) << (8 * i)
+		}
+		return v, true
+	}
+	var v uint32
+	for i := uint32(0); i < size; i++ {
+		b, ok := m.ReadConcrete(addr+i, 1)
+		if !ok {
+			return 0, false
+		}
+		v |= b << (8 * i)
+	}
+	return v, true
+}
+
 // Read returns the little-endian value of size bytes at addr as a single
 // expression. size must be 1, 2 or 4.
 func (m *Memory) Read(addr uint32, size uint32) *expr.Expr {
+	if size != 1 && size != 2 && size != 4 {
+		panic("vm: bad read size")
+	}
+	if v, ok := m.ReadConcrete(addr, size); ok {
+		return expr.Const(v)
+	}
+	return m.readSym(addr, size)
+}
+
+// readSym assembles the size bytes at addr from their byte expressions;
+// Read and the VM's loads take it once a byte is symbolic. (On concrete
+// bytes the Or/Shl constant folds would produce exactly ReadConcrete's
+// word.)
+func (m *Memory) readSym(addr uint32, size uint32) *expr.Expr {
 	switch size {
 	case 1:
 		return m.LoadByte(addr)
 	case 2:
-		if off := addr & 0xFFF; off <= PageSize-2 {
-			if p := m.lookup(addr >> 12); p == nil {
-				return expr.Const(0)
-			} else if len(p.sym) == 0 {
-				// Fully concrete page: assemble the word directly. This is
-				// exactly what the Or/Shl constant folds below produce, one
-				// interned Const instead of a chain of intermediate nodes.
-				return expr.Const(uint32(p.data[off]) | uint32(p.data[off+1])<<8)
-			}
-		}
 		return expr.ConcatBytes2(m.LoadByte(addr), m.LoadByte(addr+1))
-	case 4:
-		if off := addr & 0xFFF; off <= PageSize-4 {
-			if p := m.lookup(addr >> 12); p == nil {
-				return expr.Const(0)
-			} else if len(p.sym) == 0 {
-				return expr.Const(uint32(p.data[off]) | uint32(p.data[off+1])<<8 |
-					uint32(p.data[off+2])<<16 | uint32(p.data[off+3])<<24)
-			}
-		}
+	default:
 		return expr.ConcatBytes(
 			m.LoadByte(addr), m.LoadByte(addr+1), m.LoadByte(addr+2), m.LoadByte(addr+3))
 	}
-	panic("vm: bad read size")
+}
+
+// WriteConcrete stores the low size bytes of the word v at addr,
+// little-endian, clearing the symbolic overlay of exactly the bytes it
+// overwrites. size must be 1, 2 or 4.
+func (m *Memory) WriteConcrete(addr, size, v uint32) {
+	if off := addr & 0xFFF; off <= PageSize-size {
+		m.pageForWrite(addr>>12).writeConcrete(off, size, v)
+		return
+	}
+	for i := uint32(0); i < size; i++ {
+		m.WriteConcrete(addr+i, 1, v>>(8*i))
+	}
 }
 
 // Write stores the low size bytes of e at addr, little-endian.
 func (m *Memory) Write(addr uint32, size uint32, e *expr.Expr) {
-	switch size {
-	case 1:
-		m.StoreByte(addr, expr.ZeroExt8(e))
-	case 2:
-		m.StoreByte(addr, expr.ZeroExt8(e))
-		m.StoreByte(addr+1, expr.ExtractByte(e, 1))
-	case 4:
-		m.StoreByte(addr, expr.ZeroExt8(e))
-		m.StoreByte(addr+1, expr.ExtractByte(e, 1))
-		m.StoreByte(addr+2, expr.ExtractByte(e, 2))
-		m.StoreByte(addr+3, expr.ExtractByte(e, 3))
-	default:
+	if size != 1 && size != 2 && size != 4 {
 		panic("vm: bad write size")
+	}
+	if e.IsConst() {
+		m.WriteConcrete(addr, size, e.ConstVal())
+		return
+	}
+	m.StoreByte(addr, expr.ZeroExt8(e))
+	for i := uint32(1); i < size; i++ {
+		m.StoreByte(addr+i, expr.ExtractByte(e, uint(i)))
 	}
 }
 
@@ -258,29 +362,29 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 // byte to be concrete; it reports ok=false if any byte is symbolic.
 func (m *Memory) ReadBytesConcrete(addr uint32, size uint32) ([]byte, bool) {
 	out := make([]byte, size)
-	for i := uint32(0); i < size; i++ {
-		e := m.LoadByte(addr + i)
-		if !e.IsConst() {
+	for i := range out {
+		b, ok := m.ReadConcrete(addr+uint32(i), 1)
+		if !ok {
 			return nil, false
 		}
-		out[i] = byte(e.ConstVal())
+		out[i] = byte(b)
 	}
 	return out, true
 }
 
 // ReadCString reads a NUL-terminated concrete string of at most max bytes.
 func (m *Memory) ReadCString(addr uint32, max int) (string, bool) {
-	var b []byte
+	var buf [64]byte // typical names fit without growing on the heap
+	b := buf[:0]
 	for i := 0; i < max; i++ {
-		e := m.LoadByte(addr + uint32(i))
-		if !e.IsConst() {
+		c, ok := m.ReadConcrete(addr+uint32(i), 1)
+		if !ok {
 			return "", false
 		}
-		c := byte(e.ConstVal())
 		if c == 0 {
 			return string(b), true
 		}
-		b = append(b, c)
+		b = append(b, byte(c))
 	}
 	return "", false
 }

@@ -23,7 +23,7 @@ func (f *forkable) Fork() Forkable { c := *f; return &c }
 func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	snap := NewState(1)
 	snap.Mem.WriteBytes(0x100000, []byte{1, 2, 3, 4})
-	snap.Regs[isa.R3] = expr.Const(77)
+	snap.SetReg(isa.R3, expr.Const(77))
 	snap.PC = 0x100008
 	snap.ICount = 500
 	snap.Kernel = &forkable{n: 1}

@@ -1,27 +1,15 @@
 package vm
 
-import (
-	"repro/internal/expr"
-	"repro/internal/isa"
-)
-
-// spanRegs is runSpan's scratch register file: concrete values mirrored
-// out of State.Regs. known marks registers whose scratch value is valid;
-// dirty marks scratch values newer than State.Regs. One lives in each
-// ExecContext, so a span dispatch allocates nothing.
-type spanRegs struct {
-	conc         [isa.NumRegs]uint32
-	known, dirty uint32
-}
+import "repro/internal/isa"
 
 // uop is one pre-lowered span micro-op: the opcode dispatch is decided
 // once per instruction slot at NewMachine time, leaving only a direct call
 // through fn with the operands already extracted. A uop either completes
-// the instruction against the scratch concrete register file (returning
-// true) or reports false to route that one instruction through the general
-// exec, which stays the reference semantics for every instruction.
+// the instruction on the state's own register words (returning true) or
+// reports false to route that one instruction through the general exec,
+// which stays the reference semantics for every instruction.
 type uop struct {
-	fn  func(u *uop, r *spanRegs) bool
+	fn  func(u *uop, s *State) bool
 	alu func(x, y uint32) uint32
 	imm uint32
 	rd  uint8
@@ -29,51 +17,42 @@ type uop struct {
 	rs2 uint8
 }
 
-func uopGeneral(_ *uop, _ *spanRegs) bool { return false }
+func uopGeneral(_ *uop, _ *State) bool { return false }
 
-func uopNop(_ *uop, _ *spanRegs) bool { return true }
+func uopNop(_ *uop, _ *State) bool { return true }
 
-func uopMovi(u *uop, r *spanRegs) bool {
-	r.conc[u.rd] = u.imm
-	r.known |= 1 << u.rd
-	r.dirty |= 1 << u.rd
+func uopMovi(u *uop, s *State) bool {
+	s.regs[u.rd], s.sym[u.rd] = u.imm, nil
 	return true
 }
 
-func uopMov(u *uop, r *spanRegs) bool {
-	if r.known&(1<<u.rs1) == 0 {
-		return false
-	}
-	r.conc[u.rd] = r.conc[u.rs1]
-	r.known |= 1 << u.rd
-	r.dirty |= 1 << u.rd
+func uopMov(u *uop, s *State) bool {
+	s.regs[u.rd], s.sym[u.rd] = s.regs[u.rs1], s.sym[u.rs1]
 	return true
 }
 
-func uopAluRR(u *uop, r *spanRegs) bool {
-	if r.known&(1<<u.rs1) == 0 || r.known&(1<<u.rs2) == 0 {
+func uopAluRR(u *uop, s *State) bool {
+	if s.sym[u.rs1] != nil || s.sym[u.rs2] != nil {
 		return false
 	}
-	r.conc[u.rd] = u.alu(r.conc[u.rs1], r.conc[u.rs2])
-	r.known |= 1 << u.rd
-	r.dirty |= 1 << u.rd
+	s.regs[u.rd], s.sym[u.rd] = u.alu(s.regs[u.rs1], s.regs[u.rs2]), nil
 	return true
 }
 
-func uopAluRI(u *uop, r *spanRegs) bool {
-	if r.known&(1<<u.rs1) == 0 {
+func uopAluRI(u *uop, s *State) bool {
+	if s.sym[u.rs1] != nil {
 		return false
 	}
-	r.conc[u.rd] = u.alu(r.conc[u.rs1], u.imm)
-	r.known |= 1 << u.rd
-	r.dirty |= 1 << u.rd
+	s.regs[u.rd], s.sym[u.rd] = u.alu(s.regs[u.rs1], u.imm), nil
 	return true
 }
 
 // aluFn returns the concrete ALU function for op, for every two-operand
-// ALU operation (register and immediate forms share these). The arithmetic
-// replicates the expr constant folds bit for bit, which is what keeps the
-// compiled path invisible to every observer.
+// ALU operation (register and immediate forms share these). It is the one
+// concrete ALU: span micro-ops and the general exec both compute concrete
+// operands through it. The arithmetic replicates the expr constant folds
+// bit for bit (FuzzAluMatchesExprFold), which is what keeps concrete
+// execution invisible to every observer.
 func aluFn(op isa.Opcode) func(x, y uint32) uint32 {
 	switch op {
 	case isa.ADD, isa.ADDI:
@@ -144,13 +123,13 @@ func lowerUop(in *isa.Instr) uop {
 //     instructions unless an instruction itself produces one;
 //   - every instruction advances PC sequentially, so PC can be tracked as
 //     an index and materialized only when needed;
-//   - pure register ops (MOV/MOVI/ALU) over concrete values can run in a
-//     scratch array of concrete words with no expr allocation at all.
+//   - pure register ops (MOV/MOVI/ALU) over concrete values run on the
+//     state's register words with no expr allocation at all.
 //
 // Anything else — memory ops, port I/O, a symbolic operand — falls back to
 // the general exec for that one instruction with the architectural state
-// (PC, ICount, registers) synced first, so events it emits carry exactly
-// the sequence numbers the per-instruction path would have produced. If
+// (PC, ICount) synced first, so events it emits carry exactly the
+// sequence numbers the per-instruction path would have produced. If
 // that instruction ends the straight-line guarantees (fault, status
 // change, pending fault from a hook), runSpan bails out immediately and
 // the caller resumes mid-span at the precise next instruction.
@@ -170,34 +149,15 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	executed := uint64(0) // instructions completed in this dispatch
 	counted := uint64(1)  // step credits granted (preamble pre-credited one)
 
-	r := &c.regs
-	loadScratch := func() {
-		r.known, r.dirty = 0, 0
-		for i, e := range s.Regs {
-			if e.IsConst() {
-				r.conc[i] = e.ConstVal()
-				r.known |= 1 << i
-			}
-		}
-	}
-	flushRegs := func() {
-		for i := 0; r.dirty != 0; i++ {
-			if r.dirty&(1<<i) != 0 {
-				s.Regs[i] = expr.Const(r.conc[i])
-				r.dirty &^= 1 << i
-			}
-		}
-	}
 	creditTo := func(n uint64) {
 		if n > counted {
 			c.pendSteps += n - counted
 			counted = n
 		}
 	}
-	loadScratch()
 
 	for executed < maxN {
-		if u := &m.uops[i]; u.fn(u, r) {
+		if u := &m.uops[i]; u.fn(u, s) {
 			executed++
 			i++
 			continue
@@ -207,7 +167,6 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 		// General path for this one instruction: make the architectural
 		// state exact first, exactly as the per-instruction dispatcher
 		// would see it.
-		flushRegs()
 		s.PC = isa.ImageBase + i*isa.InstrSize
 		s.ICount = base + executed
 		creditTo(executed + 1)
@@ -224,11 +183,9 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 			// would execute next.
 			return out, err
 		}
-		loadScratch()
 		i++
 	}
 
-	flushRegs()
 	s.PC = isa.ImageBase + i*isa.InstrSize
 	s.ICount = base + executed
 	creditTo(executed)

@@ -58,7 +58,8 @@ func (st Status) String() string {
 
 // intrFrame saves the full register context across an injected interrupt.
 type intrFrame struct {
-	regs [isa.NumRegs]*expr.Expr
+	regs [isa.NumRegs]uint32
+	sym  [isa.NumRegs]*expr.Expr
 	pc   uint32
 }
 
@@ -70,9 +71,16 @@ type State struct {
 	Parent uint64 // parent state ID, 0 for the root
 	Status Status
 
-	Regs [isa.NumRegs]*expr.Expr
-	PC   uint32
-	Mem  *Memory
+	PC  uint32
+	Mem *Memory
+
+	// regs holds each register's concrete word; sym is its symbolic shadow,
+	// nil while the value is concrete (the same split as page.data and
+	// page.sym). An expression is built only when a symbolic value is
+	// written, so concrete code runs on plain words. sym never holds a
+	// constant node: SetReg unboxes constants into regs.
+	regs [isa.NumRegs]uint32
+	sym  [isa.NumRegs]*expr.Expr
 
 	// Constraints is the path condition: the conjunction of branch
 	// conditions and concretization equalities accumulated on this path.
@@ -141,10 +149,7 @@ type State struct {
 // NewState returns a root state with zeroed registers and empty memory.
 func NewState(id uint64) *State {
 	s := &State{ID: id, Mem: NewMemory(), Trace: &TraceNode{}}
-	for i := range s.Regs {
-		s.Regs[i] = expr.Const(0)
-	}
-	s.Regs[isa.SP] = expr.Const(isa.StackBase)
+	s.regs[isa.SP] = isa.StackBase
 	return s
 }
 
@@ -159,7 +164,6 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 	c := &State{
 		ID:          id,
 		Parent:      s.ID,
-		Regs:        s.Regs, // array copy
 		PC:          s.PC,
 		Mem:         mem,
 		Constraints: s.Constraints[:len(s.Constraints):len(s.Constraints)],
@@ -171,6 +175,8 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 		BlockStart:  s.BlockStart,
 		PendFault:   s.PendFault,
 		ctx:         s.ctx,
+		regs:        s.regs, // array copies
+		sym:         s.sym,
 	}
 	if s.Kernel != nil {
 		c.Kernel = s.Kernel.Fork()
@@ -278,8 +284,11 @@ func (s *State) frozenLoopCounts() map[uint32]uint64 {
 // touch again (a discarded fork sibling, a finished fuzz execution after
 // its trace has been harvested). It is an optimization, never a
 // correctness requirement: unreferenced states are collected either way,
-// Retire just returns their overlay maps to the pool. Only leaves retire —
-// Memory.Retire refuses if the overlay has forked children.
+// Retire just returns their overlay maps to the pool and their pages to
+// the page list of the context the memory is bound to. Only leaves retire
+// — Memory.Retire refuses if the overlay has forked children. The list is
+// unlocked, so retire a state only on the goroutine that steps that
+// context's states (the fuzz executor retires on its own machine).
 func (s *State) Retire() {
 	if s == nil {
 		return
@@ -304,27 +313,40 @@ func (s *State) AddConstraint(e *expr.Expr) {
 	s.Constraints = append(s.Constraints, e)
 }
 
-// Reg returns register r.
-func (s *State) Reg(r uint8) *expr.Expr { return s.Regs[r] }
+// Reg returns register r as an expression, boxing a concrete word.
+func (s *State) Reg(r uint8) *expr.Expr {
+	if e := s.sym[r]; e != nil {
+		return e
+	}
+	return expr.Const(s.regs[r])
+}
 
-// SetReg stores e into register r.
-func (s *State) SetReg(r uint8, e *expr.Expr) { s.Regs[r] = e }
+// SetReg stores e into register r; a constant is stored as its word.
+func (s *State) SetReg(r uint8, e *expr.Expr) {
+	if e.IsConst() {
+		s.regs[r], s.sym[r] = e.ConstVal(), nil
+		return
+	}
+	s.regs[r], s.sym[r] = 0, e
+}
+
+// SetRegConcrete stores the concrete word v into register r.
+func (s *State) SetRegConcrete(r uint8, v uint32) { s.regs[r], s.sym[r] = v, nil }
 
 // RegConcrete returns the value of register r when it is concrete.
 func (s *State) RegConcrete(r uint8) (uint32, bool) {
-	e := s.Regs[r]
-	if e.IsConst() {
-		return e.ConstVal(), true
+	if s.sym[r] != nil {
+		return 0, false
 	}
-	return 0, false
+	return s.regs[r], true
 }
 
 // PushInterrupt saves the current context and transfers control to the
 // interrupt service routine at isrPC. The saved context is restored when
 // the ISR returns to IntrRetAddr.
 func (s *State) PushInterrupt(isrPC uint32) {
-	s.intrStack = append(s.intrStack, intrFrame{regs: s.Regs, pc: s.PC})
-	s.Regs[isa.LR] = expr.Const(IntrRetAddr)
+	s.intrStack = append(s.intrStack, intrFrame{regs: s.regs, sym: s.sym, pc: s.PC})
+	s.SetRegConcrete(isa.LR, IntrRetAddr)
 	s.PC = isrPC
 	s.InInterrupt++
 }
@@ -338,7 +360,7 @@ func (s *State) PopInterrupt() bool {
 	}
 	f := s.intrStack[len(s.intrStack)-1]
 	s.intrStack = s.intrStack[:len(s.intrStack)-1]
-	s.Regs = f.regs
+	s.regs, s.sym = f.regs, f.sym
 	s.PC = f.pc
 	s.InInterrupt--
 	return true
