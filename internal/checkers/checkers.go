@@ -196,16 +196,19 @@ func NewLoopChecker(threshold uint64) *LoopChecker {
 	return &LoopChecker{Threshold: threshold}
 }
 
-// Visit records a block entry and reports a fault when the threshold is
-// crossed on one path. Forks reset the count (vm.State.Fork does not carry
-// the loop accounting): loop detection is per contiguous path segment,
-// which only delays detection.
-func (c *LoopChecker) Visit(s *vm.State, pc uint32) error {
-	if n := s.VisitBlock(pc); n >= c.Threshold {
-		return vm.Faultf("loop", pc, "basic block %#x executed %d times on one path without progress (infinite loop / hang)",
+// Visit records a block entry and returns the block's visit count on the
+// path, with a fault when the count reaches the threshold. Forks reset the
+// count (vm.State.Fork does not carry the block counts): loop detection is
+// per contiguous path segment, which only delays detection. A count of 1
+// marks the path's first entry into pc, which the fuzz executor reads as
+// per-execution coverage.
+func (c *LoopChecker) Visit(s *vm.State, pc uint32) (uint64, error) {
+	n := s.VisitBlock(pc)
+	if n >= c.Threshold {
+		return n, vm.Faultf("loop", pc, "basic block %#x executed %d times on one path without progress (infinite loop / hang)",
 			pc, n)
 	}
-	return nil
+	return n, nil
 }
 
 // Classify maps a raw fault plus its execution context to the bug taxonomy

@@ -136,17 +136,17 @@ func TestLoopChecker(t *testing.T) {
 	lc := NewLoopChecker(5)
 	s := vm.NewState(7)
 	for i := 0; i < 4; i++ {
-		if err := lc.Visit(s, 0x100100); err != nil {
+		if _, err := lc.Visit(s, 0x100100); err != nil {
 			t.Fatalf("early trigger at %d: %v", i, err)
 		}
 	}
-	err := lc.Visit(s, 0x100100)
+	_, err := lc.Visit(s, 0x100100)
 	if err == nil || !strings.Contains(err.Error(), "infinite loop") {
 		t.Errorf("threshold: %v", err)
 	}
 	// Distinct states count separately.
 	s2 := vm.NewState(8)
-	if err := lc.Visit(s2, 0x100100); err != nil {
+	if _, err := lc.Visit(s2, 0x100100); err != nil {
 		t.Errorf("fresh state triggered: %v", err)
 	}
 	// Forked children restart the count: State.Fork does not carry the
@@ -155,7 +155,7 @@ func TestLoopChecker(t *testing.T) {
 	if n := child.LoopCount(0x100100); n != 0 {
 		t.Errorf("fork inherited loop counts: %d", n)
 	}
-	if err := lc.Visit(child, 0x100100); err != nil {
+	if _, err := lc.Visit(child, 0x100100); err != nil {
 		t.Errorf("fork triggered immediately: %v", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestClassifyISREntry(t *testing.T) {
 // straddle snapshot points fires at exactly Threshold visits of its block,
 // at the same instruction, whether the path runs cold or is resumed from a
 // snapshot (once, or from a snapshot of a resumed state) — the resumed
-// state's frozen base plus its own visits must add up to the cold count.
+// state's inherited counts plus its own visits must add up to the cold count.
 func TestLoopStraddlingSnapshotFiresAtThreshold(t *testing.T) {
 	img, err := asm.Assemble(".entry e\n.text\ne:\n    movi r1, 0\nloop:\n    addi r1, r1, 1\n    jmp loop\n")
 	if err != nil {
@@ -214,7 +214,7 @@ func TestLoopStraddlingSnapshotFiresAtThreshold(t *testing.T) {
 	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
 	lc := NewLoopChecker(threshold)
 	m.OnBlock = func(s *vm.State, pc uint32) {
-		if err := lc.Visit(s, pc); err != nil {
+		if _, err := lc.Visit(s, pc); err != nil {
 			s.PendFault = err.(*vm.Fault)
 		}
 	}

@@ -187,7 +187,7 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	m.OnBlock = func(s *vm.State, pc uint32) {
 		e.Sched.Record(pc)
 		e.Cov.Visit(pc, m.Steps.Load())
-		if err := e.Loop.Visit(s, pc); err != nil {
+		if _, err := e.Loop.Visit(s, pc); err != nil {
 			// Leave the fault on the state: the step loop surfaces it, so
 			// it can never be attributed to a different path however the
 			// scheduler interleaves forks.

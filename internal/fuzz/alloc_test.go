@@ -9,10 +9,15 @@ import (
 )
 
 // warmExecAllocCeiling and warmExecBytesCeiling bound the heap objects and
-// bytes one warm execution allocates in TestWarmExecAllocCeiling.
+// bytes one warm execution allocates in TestWarmExecAllocCeiling. Measured
+// 40 objects and 3,572 bytes. Under -race, where sync.Pool drops a quarter
+// of what is put back, 41-42 objects and 4.8-6.3 KB: the race ceilings
+// allow for that.
 const (
-	warmExecAllocCeiling = 52
-	warmExecBytesCeiling = 8 << 10
+	warmExecAllocCeiling     = 44
+	warmExecBytesCeiling     = 4608
+	raceWarmExecAllocCeiling = 46
+	raceWarmExecBytesCeiling = 8 << 10
 )
 
 // TestWarmExecAllocCeiling pins what a warm execution allocates: a fixed
@@ -44,10 +49,14 @@ func TestWarmExecAllocCeiling(t *testing.T) {
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("warm exec: %.0f allocs, %d bytes, %d entries, %d steps (%d skipped)",
 		allocs, bytes, len(res.Entries), res.Steps, res.SkippedSteps)
-	if allocs > warmExecAllocCeiling {
-		t.Fatalf("warm exec allocates %.0f objects, ceiling %d", allocs, warmExecAllocCeiling)
+	allocCeiling, bytesCeiling := warmExecAllocCeiling, uint64(warmExecBytesCeiling)
+	if raceEnabled {
+		allocCeiling, bytesCeiling = raceWarmExecAllocCeiling, raceWarmExecBytesCeiling
 	}
-	if bytes > warmExecBytesCeiling {
-		t.Fatalf("warm exec allocates %d bytes, ceiling %d", bytes, warmExecBytesCeiling)
+	if allocs > float64(allocCeiling) {
+		t.Fatalf("warm exec allocates %.0f objects, ceiling %d", allocs, allocCeiling)
+	}
+	if bytes > bytesCeiling {
+		t.Fatalf("warm exec allocates %d bytes, ceiling %d", bytes, bytesCeiling)
 	}
 }

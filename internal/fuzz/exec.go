@@ -180,12 +180,6 @@ type Executor struct {
 	runBase   uint64 // m.Steps at execution start
 	stepsBase uint64 // logical boot steps a snapshot resume skipped
 	curNew    int
-	// seenBase is the resumed snapshot's per-exec block set, shared and
-	// read-only (nil on a cold run); curSeen holds only the blocks this
-	// execution entered beyond it, in one map reused across executions.
-	// The execution's block set is their union.
-	seenBase  map[uint32]bool
-	curSeen   map[uint32]bool
 	covBatch  []uint32 // first-seen block PCs awaiting one shared-map Merge
 	intrUsed  int
 	lastBlock uint32
@@ -203,7 +197,7 @@ type Executor struct {
 // NewExecutor builds an executor for the image. cov may be nil (coverage
 // still counted per execution, no global novelty).
 func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Executor {
-	e := &Executor{img: img, opts: opts, cov: cov, curSeen: make(map[uint32]bool)}
+	e := &Executor{img: img, opts: opts, cov: cov}
 	e.m = vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
 	e.k = kernel.New(e.m)
 	e.loop.Threshold = opts.LoopThreshold
@@ -231,20 +225,23 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 		}
 		e.execID = e.snaps.register()
 	}
+	// The execution's block set is its state's block table: an execution
+	// is one path that never forks (annotation forks are decided on the
+	// live state by forkPolicy, interrupts are injected in place, and a
+	// snapshot resume inherits the boot segment's counts), so the blocks
+	// with a non-zero count are exactly the blocks it entered.
 	e.m.OnBlock = func(s *vm.State, pc uint32) {
 		e.lastBlock = pc
-		if !e.seenBase[pc] && !e.curSeen[pc] {
-			e.curSeen[pc] = true
-			// Batched coverage: first-seen blocks accumulate locally and hit
-			// the shared map in one Merge per execution (flushCoverage)
-			// instead of one mutex round-trip per block. Merge dedups against
-			// the global map atomically, so novelty attribution (NewBlocks)
-			// is what per-block Visit calls would have produced.
-			if e.cov != nil {
-				e.covBatch = append(e.covBatch, pc)
-			}
+		n, err := e.loop.Visit(s, pc)
+		// Batched coverage: first-seen blocks accumulate locally and hit the
+		// shared map in one Merge per execution (flushCoverage) instead of
+		// one mutex round-trip per block. Merge dedups against the global
+		// map atomically, so novelty attribution (NewBlocks) is what
+		// per-block Visit calls would have produced.
+		if n == 1 && e.cov != nil {
+			e.covBatch = append(e.covBatch, pc)
 		}
-		if err := e.loop.Visit(s, pc); err != nil {
+		if err != nil {
 			if f, ok := err.(*vm.Fault); ok {
 				s.PendFault = f
 			}
@@ -369,8 +366,6 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.runBase = e.m.Steps.Load()
 	e.stepsBase = 0
 	e.curNew = 0
-	e.seenBase = nil
-	clear(e.curSeen)
 	e.covBatch = e.covBatch[:0]
 	e.intrUsed = 0
 	e.lastBlock = 0
@@ -393,14 +388,15 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 
 	e.flushCoverage()
 	res.NewBlocks = e.curNew
-	res.Blocks = len(e.seenBase) + len(e.curSeen)
 	res.Steps = e.m.Steps.Load() - e.runBase + e.stepsBase
 	res.ConsumedData, res.ConsumedForks, res.ConsumedIRQ = e.reader.consumed()
 	if fin != nil {
+		res.Blocks = fin.BlockCount()
 		// Detach the trace before retiring: Retire recycles an attached
 		// leaf's event storage, and the harvested chain must outlive the
 		// state. The rest of the state is never touched again (crash
-		// identity and cursors are all harvested); recycle its overlay maps.
+		// identity, block count and cursors are all harvested); recycle its
+		// overlay maps and block table.
 		res.Trace = fin.DetachTrace()
 		fin.Retire()
 	}
@@ -437,15 +433,14 @@ func (e *Executor) lookupSnapshot(feed *Feed) *snapshot {
 }
 
 // resumeFrom restores the executor's per-execution context to the snapshot
-// point: feed cursors, interrupt budget, per-exec coverage (the snapshot's
-// block set, kept as the read-only seenBase), entry log.
+// point: feed cursors, interrupt budget, entry log. Per-exec coverage
+// travels in the resumed state's block counts.
 func (e *Executor) resumeFrom(sn *snapshot, feed *Feed, res *ExecResult) {
 	e.reader.resumeAt(feed, sn.words, sn.forkBits, sn.irqs)
 	e.stepsBase = sn.steps
 	e.intrUsed = sn.intrUsed
 	e.lastBlock = sn.lastBlock
 	e.eligBound = sn.eligBound
-	e.seenBase = sn.seen
 	res.Entries = append(res.Entries, sn.entries...)
 }
 
@@ -456,7 +451,7 @@ func (e *Executor) resumeFrom(sn *snapshot, feed *Feed, res *ExecResult) {
 // no novelty in them either, and the consumed-byte cursors are recomputed
 // against this feed's own stream lengths.
 func (e *Executor) serveMemo(sn *snapshot, feed *Feed, res *ExecResult) *ExecResult {
-	res.Blocks = len(sn.seen)
+	res.Blocks = sn.blocks
 	res.NewBlocks = 0
 	res.Steps = sn.steps
 	res.Entries = append(res.Entries, sn.entries...)
@@ -494,13 +489,14 @@ func (e *Executor) recordTerminal(s *vm.State, res *ExecResult) {
 	sn.owner = e.execID
 	if s != nil {
 		sn.trace = s.Trace
+		sn.blocks = s.BlockCount()
 	}
 	e.snaps.add(sn)
 }
 
 // captureContext snapshots the executor's per-execution replay context —
-// the semantic feed cursors, the effective consumed streams, and the
-// coverage/entry state — common to resumable and terminal snapshots.
+// the semantic feed cursors, the effective consumed streams, and the entry
+// log — common to resumable and terminal snapshots.
 func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 	r := &e.reader
 	f := r.feed
@@ -517,30 +513,12 @@ func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 		eligBound: e.eligBound,
 		intrUsed:  e.intrUsed,
 		lastBlock: e.lastBlock,
-		seen:      e.seenSoFar(),
 		entries:   append([]string(nil), res.Entries...),
 	}
 	for j := 0; j < forkN; j++ {
 		sn.forks[j] = f.Forks[j] & 1
 	}
 	return sn
-}
-
-// seenSoFar returns the execution's block set (seenBase ∪ curSeen) as a
-// map no executor writes again: the base itself when this execution entered
-// nothing new, otherwise a fresh union.
-func (e *Executor) seenSoFar() map[uint32]bool {
-	if len(e.curSeen) == 0 && e.seenBase != nil {
-		return e.seenBase
-	}
-	out := make(map[uint32]bool, len(e.seenBase)+len(e.curSeen))
-	for pc := range e.seenBase {
-		out[pc] = true
-	}
-	for pc := range e.curSeen {
-		out[pc] = true
-	}
-	return out
 }
 
 // walk drives s through the workload plan from node i on the execution's
@@ -657,12 +635,15 @@ func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Ex
 			s = next[0]
 		default:
 			// Concrete execution cannot fork; if it ever does (a stray
-			// symbolic value), follow the first child and drop the rest.
-			for _, n := range next[1:] {
+			// symbolic value), the execution ends killed, as at the step
+			// bound. Following a child would lose the path's block counts,
+			// which Fork does not carry.
+			for _, n := range next {
 				n.Status = vm.StatusKilled
 				n.Retire()
 			}
-			s = next[0]
+			s.Status = vm.StatusKilled
+			return s, false, 0
 		}
 	}
 	if s.Status != vm.StatusExited {

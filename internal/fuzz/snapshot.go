@@ -88,7 +88,7 @@ type snapshot struct {
 	steps     uint64 // logical instructions from execution start to here
 	intrUsed  int
 	lastBlock uint32
-	seen      map[uint32]bool // blocks entered so far (per-exec coverage); read-only, shared by resumes
+	blocks    int // distinct blocks the execution entered; stageTerminal only
 	entries   []string
 	trace     *vm.TraceNode // final trace; stageTerminal only
 }

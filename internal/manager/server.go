@@ -139,6 +139,10 @@ type StatusPage struct {
 	Drivers   []DriverSummary  `json:"drivers"`
 	Campaigns []CampaignStatus `json:"campaigns"`
 	Workers   []WorkerStatus   `json:"workers"`
+	// WriteErrors counts corpus and crash files the state directory failed
+	// to take; LastWriteError is the most recent failure.
+	WriteErrors    uint64 `json:"write_errors"`
+	LastWriteError string `json:"last_write_error,omitempty"`
 }
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -150,6 +154,7 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Campaigns: campaigns,
 		Workers:   workers,
 	}
+	page.WriteErrors, page.LastWriteError = m.State.WriteErrors()
 	respond(w, r, page, statusTmpl)
 }
 
@@ -285,6 +290,7 @@ var pageFuncs = template.FuncMap{
 var statusTmpl = template.Must(template.New("status").Funcs(pageFuncs).Parse(`<!doctype html>
 <title>ddtd status</title><h1>ddtd</h1>
 <p>up since {{.Started.Format "2006-01-02 15:04:05"}} ({{printf "%.0f" .UptimeSec}}s)</p>
+{{if .WriteErrors}}<p><b>{{.WriteErrors}} state write(s) failed; last: {{.LastWriteError}}</b></p>{{end}}
 <h2>drivers</h2>
 <table border=1 cellpadding=4><tr><th>driver</th><th>corpus</th><th>crashes</th><th>coverage</th><th>execs</th><th>instructions</th></tr>
 {{range .Drivers}}<tr><td>{{.Driver}}</td><td><a href="/corpus?driver={{.Driver}}">{{.CorpusSize}}</a></td><td><a href="/crashes?driver={{.Driver}}">{{.Crashes}}</a></td><td>{{.BlocksCovered}}/{{.BlocksStatic}} ({{pct .Coverage}})</td><td>{{.Execs}}</td><td>{{.Instructions}}</td></tr>{{end}}

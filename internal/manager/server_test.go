@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -312,5 +314,58 @@ func TestServerConcurrent(t *testing.T) {
 	getJSON(t, srv.URL+"/crashes", &crashesPage)
 	if len(crashesPage.Crashes) != 2 {
 		t.Fatalf("crash entries = %d, want 2 (fleet dedup across 4 workers)", len(crashesPage.Crashes))
+	}
+}
+
+// TestStatusReportsWriteThroughErrors: a crash or corpus file the state
+// directory cannot take (here its driver directory is a regular file, so
+// MkdirAll fails even as root) keeps the entry in memory, and /status
+// counts the failures and shows the last error.
+func TestStatusReportsWriteThroughErrors(t *testing.T) {
+	dir := t.TempDir()
+	state, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"crashes", "corpus"} {
+		if err := os.WriteFile(filepath.Join(dir, sub, "rtl8029"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched, err := NewScheduler(Config{}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewManager(state, sched).Handler())
+	t.Cleanup(srv.Close)
+
+	var page StatusPage
+	getJSON(t, srv.URL+"/status", &page)
+	if page.WriteErrors != 0 || page.LastWriteError != "" {
+		t.Fatalf("fresh state reports %d write errors (%q)", page.WriteErrors, page.LastWriteError)
+	}
+	state.AddCrash("rtl8029", "w1", crash("race condition", 0x44, feed(1, 2)))
+	state.AddCorpus("rtl8029", fuzz.Entry{Feed: feed(3), Gain: 1}, "w1")
+	state.AddCorpus("amd-pcnet", fuzz.Entry{Feed: feed(4), Gain: 1}, "w1")
+	getJSON(t, srv.URL+"/status", &page)
+	if page.WriteErrors != 2 || !strings.Contains(page.LastWriteError, filepath.Join("corpus", "rtl8029")) {
+		t.Fatalf("status reports %d write errors, last %q; want 2, the corpus directory", page.WriteErrors, page.LastWriteError)
+	}
+	if len(state.Crashes("rtl8029")) != 1 || len(state.CorpusEntries("rtl8029")) != 1 {
+		t.Fatal("an entry whose write-through failed was dropped from memory")
+	}
+	req, err := http.NewRequest("GET", srv.URL+"/status", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/html")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(body), "2 state write(s) failed") {
+		t.Fatalf("status page does not show the write errors:\n%s", body)
 	}
 }

@@ -144,7 +144,9 @@ type driverState struct {
 // Durability is write-through for the heavy artifacts (a corpus feed file
 // on admission, a crash entry file on every update, a trend line on every
 // sample) plus an index flush (corpus metadata, totals) on Flush — which
-// the server calls periodically and on shutdown.
+// the server calls periodically and on shutdown. A failed corpus or crash
+// write-through does not fail the RPC that caused it (the entry is kept in
+// memory); it is counted, and /status reports the count and last error.
 type State struct {
 	mu      sync.RWMutex
 	dir     string // "" = memory-only (tests)
@@ -152,6 +154,9 @@ type State struct {
 	bench   []BenchTrendPoint
 	covTr   []CoverageTrendPoint
 	started time.Time
+
+	writeFails   uint64 // failed corpus/crash write-throughs
+	lastWriteErr string // the most recent one's error
 
 	now func() time.Time // test hook
 }
@@ -229,8 +234,11 @@ func (s *State) AddCorpus(driver string, e fuzz.Entry, worker string) (bool, str
 	d.corpusSave = true
 	if s.dir != "" {
 		dir := filepath.Join(s.dir, "corpus", driver)
-		_ = os.MkdirAll(dir, 0o755)
-		_ = fuzz.SaveFeed(e.Feed, filepath.Join(dir, "seed-"+h+".json"))
+		err := os.MkdirAll(dir, 0o755)
+		if err == nil {
+			err = fuzz.SaveFeed(e.Feed, filepath.Join(dir, "seed-"+h+".json"))
+		}
+		s.noteWriteLocked(err)
 	}
 	return true, h
 }
@@ -675,8 +683,27 @@ func containsString(xs []string, x string) bool {
 // saveCrashLocked write-throughs one crash entry (caller holds s.mu).
 func (s *State) saveCrashLocked(e *CrashEntry) {
 	dir := filepath.Join(s.dir, "crashes", e.Driver)
-	_ = os.MkdirAll(dir, 0o755)
-	_ = writeJSON(filepath.Join(dir, e.ID+".json"), e)
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = writeJSON(filepath.Join(dir, e.ID+".json"), e)
+	}
+	s.noteWriteLocked(err)
+}
+
+// noteWriteLocked counts a failed write-through (caller holds s.mu).
+func (s *State) noteWriteLocked(err error) {
+	if err != nil {
+		s.writeFails++
+		s.lastWriteErr = err.Error()
+	}
+}
+
+// WriteErrors returns how many corpus and crash write-throughs failed and
+// the last failure's error ("" when none did).
+func (s *State) WriteErrors() (uint64, string) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.writeFails, s.lastWriteErr
 }
 
 func writeJSON(path string, v any) error {

@@ -284,11 +284,12 @@ func (m *Machine) ForkState(s *State) *State {
 // the snapshot is never stepped — it exists to serve ResumeState children.
 // Unlike ForkState it does not count toward the fork statistics (a snapshot
 // is a replay optimization, not an explored branch), and the snapshot keeps
-// the path's loop accounting so resumed children replay exactly as the
-// original path would have continued.
+// a frozen copy of the path's block counts so resumed children replay
+// exactly as the original path would have continued. The running state
+// keeps its own counts untouched.
 func (m *Machine) SnapshotState(s *State) *State {
 	snap := s.Fork(m.newID())
-	snap.loopBase = s.frozenLoopCounts()
+	snap.frozenBlocks = s.blocks.compact()
 	// Freeze the snapshot's trace node now, while capture is still
 	// single-threaded: every ForkFrozen resume hangs a child off it, and
 	// with a shared fabric those resumes run concurrently — the flag must

@@ -21,17 +21,25 @@ func (f *forkable) Fork() Forkable { c := *f; return &c }
 // afterwards. Contrast with Fork, which reassigns the parent's memory onto
 // a fresh overlay each call and so deepens its chain.
 func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
-	snap := NewState(1)
-	snap.Mem.WriteBytes(0x100000, []byte{1, 2, 3, 4})
-	snap.SetReg(isa.R3, expr.Const(77))
-	snap.PC = 0x100008
-	snap.ICount = 500
-	snap.Kernel = &forkable{n: 1}
-	snap.HW = &forkable{n: 2}
-	snap.loopBase = map[uint32]uint64{0x100000: 9} // as SnapshotState leaves it
-	snap.Meta = map[string]uint64{"k": 1}
-	snap.PushInterrupt(0x100100)
-	snap.PopInterrupt()
+	img, err := asm.Assemble(".entry e\n.text\ne: movi r1, 0x11\n ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img, expr.NewSymbolTable(), nil)
+	run := NewState(1)
+	run.Mem.WriteBytes(0x100000, []byte{1, 2, 3, 4})
+	run.SetReg(isa.R3, expr.Const(77))
+	run.PC = 0x100008
+	run.ICount = 500
+	run.Kernel = &forkable{n: 1}
+	run.HW = &forkable{n: 2}
+	for i := 0; i < 9; i++ {
+		run.VisitBlock(0x100000)
+	}
+	run.Meta = map[string]uint64{"k": 1}
+	run.PushInterrupt(0x100100)
+	run.PopInterrupt()
+	snap := m.SnapshotState(run)
 
 	memDepth := snap.Mem.Depth()
 	memObj := snap.Mem
@@ -51,7 +59,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 		}
 		// ...including the loop accounting, which Fork deliberately resets
 		// but a snapshot resume must carry (it continues the same path).
-		if c.LoopCount(0x100000) != 9 {
+		if c.LoopCount(0x100000) != 9 || c.BlockCount() != 1 {
 			t.Fatalf("child %d lost loop counts", i)
 		}
 
@@ -75,7 +83,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	if got := snap.Mem.Read(0x100000, 4); !got.IsConst() || got.ConstVal() != 0x04030201 {
 		t.Fatalf("snapshot memory corrupted: %v", got)
 	}
-	if snap.LoopCount(0x100000) != 9 || snap.Meta["k"] != 1 || snap.Kernel.(*forkable).n != 1 {
+	if snap.LoopCount(0x100000) != 9 || snap.BlockCount() != 1 || snap.Meta["k"] != 1 || snap.Kernel.(*forkable).n != 1 {
 		t.Fatal("snapshot bookkeeping corrupted by children")
 	}
 	// Children do not see each other's writes.
@@ -124,44 +132,60 @@ func TestSnapshotStateFreezesRunningPath(t *testing.T) {
 	}
 }
 
-// TestResumedChildOverlayHoldsOnlyVisitedBlocks: a state resumed from a
-// snapshot shares the snapshot's counts as its read-only base and keeps a
-// private overlay of exactly the blocks it visited, so a resume costs
-// O(blocks touched) however many blocks the boot segment counted.
-func TestResumedChildOverlayHoldsOnlyVisitedBlocks(t *testing.T) {
+// TestResumedChildCountsOnItsOwnTable: a state resumed from a snapshot
+// starts from the snapshot's counts and keeps its own visits private,
+// whether they hit a block the snapshot counted or a new one, and whatever
+// the table's growth: the child visits far more new blocks than the
+// snapshot holds.
+func TestResumedChildCountsOnItsOwnTable(t *testing.T) {
+	img, err := asm.Assemble(".entry e\n.text\ne: movi r1, 0x11\n ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img, expr.NewSymbolTable(), nil)
 	s := NewState(1)
 	for pc := uint32(0); pc < 64; pc++ {
 		for i := uint32(0); i <= pc%5; i++ {
 			s.VisitBlock(0x100000 + pc*isa.InstrSize)
 		}
 	}
-	snap := s.Fork(2)
-	snap.loopBase = s.frozenLoopCounts()
-	if len(snap.loopBase) != 64 || len(snap.loopLocal) != 0 {
-		t.Fatalf("snapshot counts: base %d blocks, local %d, want 64 and 0", len(snap.loopBase), len(snap.loopLocal))
+	snap := m.SnapshotState(s)
+	if snap.BlockCount() != 64 || s.BlockCount() != 64 {
+		t.Fatalf("snapshot counts %d blocks, running state %d, want 64 and 64", snap.BlockCount(), s.BlockCount())
 	}
 
-	c := snap.ForkFrozen(3)
-	if len(c.loopLocal) != 0 {
-		t.Fatalf("fresh resume carries %d local counts, want none", len(c.loopLocal))
+	c := m.ResumeState(snap)
+	if c.BlockCount() != 64 {
+		t.Fatalf("fresh resume counts %d blocks, want the snapshot's 64", c.BlockCount())
 	}
 	inBase := uint32(0x100000 + 7*isa.InstrSize) // visited 3 times before the snapshot
 	fresh := uint32(0x200000)
 	if n := c.VisitBlock(inBase); n != 4 {
 		t.Fatalf("visit of a counted block = %d, want 4", n)
 	}
-	c.VisitBlock(fresh)
+	if n := c.VisitBlock(fresh); n != 1 {
+		t.Fatalf("first visit of a new block = %d, want 1", n)
+	}
 	if n := c.VisitBlock(fresh); n != 2 {
 		t.Fatalf("visit of a new block = %d, want 2", n)
 	}
-	if len(c.loopLocal) != 2 || c.loopLocal[inBase] != 4 || c.loopLocal[fresh] != 2 {
-		t.Fatalf("child overlay = %v, want exactly the two visited blocks", c.loopLocal)
+	for pc := uint32(1); pc <= 1000; pc++ {
+		if n := c.VisitBlock(fresh + pc*isa.InstrSize); n != 1 {
+			t.Fatalf("first visit of new block %d = %d, want 1", pc, n)
+		}
+	}
+	if c.BlockCount() != 64+1+1000 || c.LoopCount(inBase) != 4 || c.LoopCount(fresh) != 2 {
+		t.Fatalf("child counts %d blocks (inBase %d, fresh %d), want 1065 (4, 2)",
+			c.BlockCount(), c.LoopCount(inBase), c.LoopCount(fresh))
 	}
 	if n := c.LoopCount(0x100000 + 9*isa.InstrSize); n != 5 {
-		t.Fatalf("untouched block reads %d through the base, want 5", n)
+		t.Fatalf("untouched block reads %d, want the snapshot's 5", n)
 	}
-	if snap.LoopCount(inBase) != 3 || snap.LoopCount(fresh) != 0 {
+	if snap.LoopCount(inBase) != 3 || snap.LoopCount(fresh) != 0 || snap.BlockCount() != 64 {
 		t.Fatal("child visits reached the snapshot's counts")
+	}
+	if s.LoopCount(inBase) != 3 || s.LoopCount(fresh) != 0 || s.BlockCount() != 64 {
+		t.Fatal("child visits reached the running state's counts")
 	}
 }
 
@@ -205,7 +229,7 @@ func TestConcurrentResumesKeepSnapshotCounts(t *testing.T) {
 			t.Fatalf("snapshot count of %#x = %d after concurrent resumes, want %d", pc, got, n)
 		}
 	}
-	if len(snap.loopBase) != len(want) || len(snap.loopLocal) != 0 {
-		t.Fatalf("snapshot grew counts: base %d, local %d", len(snap.loopBase), len(snap.loopLocal))
+	if snap.BlockCount() != len(want) {
+		t.Fatalf("snapshot grew counts: %d blocks, want %d", snap.BlockCount(), len(want))
 	}
 }

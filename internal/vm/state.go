@@ -120,18 +120,20 @@ type State struct {
 	// Meta carries engine-specific scratch (e.g. scheduling priority).
 	Meta map[string]uint64
 
-	// loopBase and loopLocal are the per-path block-visit accounting
-	// behind the infinite-loop heuristic (VisitBlock, LoopCount). They live
-	// on the state, not in the checker, so paths can be stepped by any
-	// worker without shared bookkeeping. loopBase is a frozen, read-only
-	// map shared by every state resumed from one snapshot (ForkFrozen);
-	// loopLocal holds the current count of each block this state visited
-	// since, so a resume costs nothing for the blocks it never touches.
-	// Forks deliberately start with neither: loop detection is per
+	// blocks is the per-path block-visit accounting behind the infinite-
+	// loop heuristic (VisitBlock, LoopCount) and the fuzz executor's per-
+	// execution coverage (BlockCount). It lives on the state, not in the
+	// checker, so paths can be stepped by any worker without shared
+	// bookkeeping, and no other state shares its storage. Forks
+	// deliberately start with an empty table: loop detection is per
 	// contiguous path segment, and resetting at a fork only delays
-	// detection.
-	loopBase  map[uint32]uint64
-	loopLocal map[uint32]uint64
+	// detection. A snapshot resume continues the segment (ForkFrozen).
+	blocks blockTable
+
+	// frozenBlocks is a snapshot's block counts as an exact-size, read-
+	// only list (Machine.SnapshotState); nil on every runnable state.
+	// Resumes copy it into a table of their own.
+	frozenBlocks []blockEntry
 
 	// PendFault is a fault raised asynchronously for this state by a hook
 	// (e.g. the loop checker firing from OnBlock mid-step). The step loop
@@ -156,7 +158,7 @@ func NewState(id uint64) *State {
 // cloneChild builds a child of s carrying every inherited field. The
 // memory and trace differ between the two fork flavours — Fork freezes the
 // running parent onto fresh overlays, ForkFrozen forks a frozen parent in
-// place — so the caller supplies them. The loop accounting is the only
+// place — so the caller supplies them. The block counts are the only
 // other state the flavours disagree on (see Fork/ForkFrozen); everything
 // else lives here exactly once, so a new State field cannot be cloned by
 // one flavour and silently dropped by the other.
@@ -201,7 +203,7 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 // running) parent continue on fresh copy-on-write overlays, so neither can
 // observe the other's subsequent writes. This matters for annotation and
 // interrupt-injection forks, where the parent keeps executing. The child
-// deliberately does NOT inherit the loop accounting (see loopBase).
+// deliberately does NOT inherit the block counts (see State.blocks).
 func (s *State) Fork(id uint64) *State {
 	frozenMem := s.Mem
 	s.Mem = frozenMem.Fork()
@@ -220,13 +222,12 @@ func (s *State) Fork(id uint64) *State {
 // requires the receiver to be frozen — captured by Machine.SnapshotState and
 // never stepped again — so every child can fork the same frozen memory and
 // trace, and repeated resumes from one snapshot do not deepen the
-// snapshot's own overlay chain. Unlike Fork, the child inherits the loop
-// accounting: a snapshot resume continues the same contiguous path
-// segment, and bit-identical replay of a cold execution (the persistent-
-// mode fuzz executor's contract) needs the boot segment's loop counts. The
-// child shares the snapshot's frozen counts as its read-only base and
-// counts its own visits in a private overlay, so a resume costs O(blocks
-// touched), not O(blocks the boot visited).
+// snapshot's own overlay chain. Unlike Fork, the child inherits the block
+// counts: a snapshot resume continues the same contiguous path segment,
+// and bit-identical replay of a cold execution (the persistent-mode fuzz
+// executor's contract) needs the boot segment's loop counts. The child
+// rehashes the snapshot's counts into a pooled table sized for twice as
+// many blocks, so the execution that follows rarely grows it.
 func (s *State) ForkFrozen(id uint64) *State {
 	var childTrace *TraceNode
 	if s.Trace != nil {
@@ -236,57 +237,45 @@ func (s *State) ForkFrozen(id uint64) *State {
 		childTrace = &TraceNode{parent: s.Trace}
 	}
 	c := s.cloneChild(id, s.Mem.Fork(), childTrace)
-	c.loopBase = s.frozenLoopCounts()
+	c.blocks.rehash(s.frozenBlocks, blockBitsFor(2*len(s.frozenBlocks)))
 	return c
 }
 
 // VisitBlock counts one more visit of block pc on this path and returns
-// the block's new visit count (the loop checker's one entry point).
-func (s *State) VisitBlock(pc uint32) uint64 {
-	n, ok := s.loopLocal[pc]
-	if !ok {
-		n = s.loopBase[pc]
-		if s.loopLocal == nil {
-			s.loopLocal = make(map[uint32]uint64)
-		}
-	}
-	n++
-	s.loopLocal[pc] = n
-	return n
-}
+// the block's new visit count (the loop checker's one entry point). A
+// count of 1 means the path segment entered pc for the first time.
+func (s *State) VisitBlock(pc uint32) uint64 { return s.blocks.visit(pc) }
 
 // LoopCount returns how often block pc was visited on this path segment.
 func (s *State) LoopCount(pc uint32) uint64 {
-	if n, ok := s.loopLocal[pc]; ok {
-		return n
+	if s.frozenBlocks != nil {
+		for _, e := range s.frozenBlocks {
+			if e.pc == pc {
+				return uint64(e.n)
+			}
+		}
+		return 0
 	}
-	return s.loopBase[pc]
+	return s.blocks.count(pc)
 }
 
-// frozenLoopCounts returns the path's loop accounting as one map no state
-// will write again: the shared base itself when nothing was visited on top
-// of it, otherwise a fresh flattened copy of base + local. Nil when empty.
-func (s *State) frozenLoopCounts() map[uint32]uint64 {
-	if len(s.loopLocal) == 0 {
-		return s.loopBase
+// BlockCount returns the number of distinct blocks visited on this path
+// segment.
+func (s *State) BlockCount() int {
+	if s.frozenBlocks != nil {
+		return len(s.frozenBlocks)
 	}
-	out := make(map[uint32]uint64, len(s.loopBase)+len(s.loopLocal))
-	for k, v := range s.loopBase {
-		out[k] = v
-	}
-	for k, v := range s.loopLocal {
-		out[k] = v
-	}
-	return out
+	return s.blocks.n
 }
 
 // Retire releases pooled resources held by a state that no caller will
 // touch again (a discarded fork sibling, a finished fuzz execution after
 // its trace has been harvested). It is an optimization, never a
 // correctness requirement: unreferenced states are collected either way,
-// Retire just returns their overlay maps to the pool and their pages to
-// the page list of the context the memory is bound to. Only leaves retire
-// — Memory.Retire refuses if the overlay has forked children. The list is
+// Retire just returns their overlay maps and block table to their pools
+// and their pages to the page list of the context the memory is bound to.
+// Only leaf memory retires — Memory.Retire refuses if the overlay has
+// forked children; the block table is never shared. The page list is
 // unlocked, so retire a state only on the goroutine that steps that
 // context's states (the fuzz executor retires on its own machine).
 func (s *State) Retire() {
@@ -296,6 +285,7 @@ func (s *State) Retire() {
 	s.Trace.recycle()
 	s.Trace = nil
 	s.Mem.Retire()
+	s.blocks.release()
 }
 
 // DetachTrace removes and returns the state's trace chain so a caller can
