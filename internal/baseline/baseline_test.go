@@ -18,7 +18,7 @@ func TestDriverVerifierFindsNoneOfTable2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)
 		}
-		rep, err := driververifier.Run(img, driververifier.Options{})
+		rep, err := driververifier.Run(img)
 		if err != nil {
 			t.Fatalf("dv %s: %v", name, err)
 		}

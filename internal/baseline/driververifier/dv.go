@@ -19,37 +19,15 @@ import (
 	"repro/internal/core"
 )
 
-// Options tune the stress run.
-type Options struct {
-	// Iterations reruns the concrete workload to give the stress tester a
-	// fighting chance (different runs are deterministic here, so >1 only
-	// adds time; kept for interface fidelity).
-	Iterations int
-}
-
-// Run stress-tests a driver image and returns the report (at most one bug,
-// per Driver Verifier's stop-at-first-crash behaviour).
-func Run(img *binimg.Image, opts Options) (*core.Report, error) {
-	if opts.Iterations <= 0 {
-		opts.Iterations = 1
-	}
-	var last *core.Report
-	for i := 0; i < opts.Iterations; i++ {
-		eopts := core.DefaultOptions()
-		eopts.Annotations = false
-		eopts.SymbolicInterrupts = false
-		eopts.ConcreteHardware = true
-		eopts.StopAtFirstBug = true
-		eopts.VerifierChecks = true
-		eng := core.NewEngine(img, eopts)
-		rep, err := eng.TestDriver(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		last = rep
-		if len(rep.Bugs) > 0 {
-			break
-		}
-	}
-	return last, nil
+// Run stress-tests a driver image once and returns the report (at most one
+// bug, per Driver Verifier's stop-at-first-crash behaviour). The concrete
+// run is deterministic, so a second pass would find nothing new.
+func Run(img *binimg.Image) (*core.Report, error) {
+	eopts := core.DefaultOptions()
+	eopts.Annotations = false
+	eopts.SymbolicInterrupts = false
+	eopts.ConcreteHardware = true
+	eopts.StopAtFirstBug = true
+	eopts.VerifierChecks = true
+	return core.NewEngine(img, eopts).TestDriver(context.Background())
 }

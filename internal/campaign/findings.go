@@ -1,12 +1,21 @@
 package campaign
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
+
+// FindingKey is the deduplication identity of a finding in every mode,
+// "class@site", with the site from vm.Machine.FaultSite: core.Bug.Key and
+// fuzz.Crash.Key return it, so both modes key one bug alike.
+func FindingKey(class string, site uint32) string {
+	return fmt.Sprintf("%s@%#x", class, site)
+}
 
 // Findings is the campaign-wide finding-deduplication ledger. Every mode
-// keys its findings the same way — "class@site" — and admits them through
-// one ledger, so a bug or crash is counted once per campaign regardless of
-// which worker hit it. The runner watches the ledger for the
-// StopAtFirstBug condition.
+// keys its findings by FindingKey and admits them through one ledger, so
+// a bug or crash is counted once per campaign regardless of which worker
+// hit it. The runner watches the ledger for the StopAtFirstBug condition.
 type Findings struct {
 	mu   sync.Mutex
 	seen map[string]bool

@@ -138,14 +138,6 @@ type Engine struct {
 	notify func()
 }
 
-// metaInjectISR marks a forked state that should receive an interrupt
-// before resuming (set at a boundary crossing, consumed by the engine once
-// the state's post-call PC is in place).
-const metaInjectISR = "inject_isr"
-
-// metaIntrCount counts interrupt injections already spent on a path.
-const metaIntrCount = "intr_count"
-
 // NewEngine builds a fully wired DDT session for the image.
 func NewEngine(img *binimg.Image, opts Options) *Engine {
 	cache := solver.NewCache(0)
@@ -216,33 +208,17 @@ func (e *Engine) boundaryHook(s *vm.State, api, when string) []*vm.State {
 		return nil
 	}
 	alt := e.M.ForkState(s)
-	chargeIntr(alt)
+	kernel.Of(alt).InjectPending = true
 	return []*vm.State{alt}
 }
 
 // intrBudgetLeft reports whether a path may absorb another injected
 // interrupt. The count is path-global: it accumulates across workload
 // phases, so a path that took MaxIntrInjections interrupts anywhere keeps
-// rejecting injections for the rest of the workload.
+// rejecting injections for the rest of the workload. A sibling forked to
+// take an interrupt is charged by its first action, runPath's injection.
 func (e *Engine) intrBudgetLeft(s *vm.State) bool {
-	if s.Meta == nil {
-		// No charges yet: count is zero, so MaxIntrInjections=0 really
-		// means no injections at all.
-		return e.Opts.MaxIntrInjections > 0
-	}
-	return s.Meta[metaIntrCount] < e.Opts.MaxIntrInjections
-}
-
-// chargeIntr charges one interrupt injection against the path's budget and
-// arms the inject-at-entry flag. Always increment, never assign: the state
-// inherited its base's accumulated count on fork, and assigning would
-// silently reset the cross-phase cap at every phase entry.
-func chargeIntr(s *vm.State) {
-	if s.Meta == nil {
-		s.Meta = make(map[string]uint64)
-	}
-	s.Meta[metaIntrCount]++
-	s.Meta[metaInjectISR] = 1
+	return uint64(kernel.Of(s).Interrupts) < e.Opts.MaxIntrInjections
 }
 
 // EffectiveRegistry returns the registry hive the run boots with: defaults
@@ -265,6 +241,7 @@ func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 	b := &Bug{
 		Class:       checkers.Classify(fault, s),
 		Fault:       fault,
+		Site:        e.M.FaultSite(s, fault.PC),
 		Entry:       s.EntryName,
 		StateID:     s.ID,
 		ICount:      s.ICount,
@@ -427,12 +404,15 @@ func (e *Engine) pushState(n *vm.State) {
 
 // runPath steps one state until it terminates or forks; forked siblings go
 // back to the scheduler. ctx is the calling worker's execution context.
+// A state that ends here and is not carried into the next phase is retired
+// on this worker, so its pooled storage serves the paths that follow.
 func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, res *PhaseResult) {
 	// Deferred ISR injection (marked at a boundary crossing).
-	if st.Meta != nil && st.Meta[metaInjectISR] == 1 {
-		delete(st.Meta, metaInjectISR)
+	if ks := kernel.Of(st); ks.InjectPending {
+		ks.InjectPending = false
 		if !e.K.InjectInterrupt(st) {
 			st.Status = vm.StatusKilled
+			ctx.Retire(st)
 			return
 		}
 	}
@@ -441,6 +421,7 @@ func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, re
 	for cur.Status == vm.StatusRunning {
 		if cur.ICount-start >= e.Opts.MaxStepsPerPath {
 			cur.Status = vm.StatusKilled
+			ctx.Retire(cur)
 			return
 		}
 		next, err := ctx.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
@@ -458,11 +439,14 @@ func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, re
 			} else {
 				e.recordBug(cur, vm.Faultf("engine", cur.PC, "%v", err))
 			}
+			ctx.Retire(cur)
 			return
 		}
 		switch len(next) {
 		case 0:
-			e.finishPath(cur, res)
+			if !e.finishPath(cur, res) {
+				ctx.Retire(cur)
+			}
 			return
 		case 1:
 			cur = next[0]
@@ -477,9 +461,11 @@ func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, re
 	}
 }
 
-func (e *Engine) finishPath(s *vm.State, res *PhaseResult) {
+// finishPath accounts a path that stopped without a fault and reports
+// whether it was carried forward as a successful outcome (res.Succeeded).
+func (e *Engine) finishPath(s *vm.State, res *PhaseResult) bool {
 	if s.Status != vm.StatusExited {
-		return
+		return false
 	}
 	e.mu.Lock()
 	e.paths++
@@ -490,7 +476,7 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) {
 		// A symbolic entry status: concretize for bookkeeping.
 		v, err := e.M.Concretize(s, s.Reg(isa.R0), "entry status")
 		if err != nil {
-			return
+			return false
 		}
 		status = v
 	}
@@ -499,15 +485,15 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) {
 		if f, ok := err.(*vm.Fault); ok {
 			e.recordBug(s, f)
 		}
-		return
+		return false
 	}
-	if status == kernel.StatusSuccess {
-		e.mu.Lock()
-		if len(res.Succeeded) < e.Opts.KeepStates*4 {
-			res.Succeeded = append(res.Succeeded, s)
-		}
-		e.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	kept := status == kernel.StatusSuccess && len(res.Succeeded) < e.Opts.KeepStates*4
+	if kept {
+		res.Succeeded = append(res.Succeeded, s)
 	}
+	return kept
 }
 
 // Report assembles the session report.

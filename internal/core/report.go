@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/expr"
 	"repro/internal/vm"
 )
@@ -23,6 +24,8 @@ type Bug struct {
 	Class string
 	// Fault is the raw failure.
 	Fault *vm.Fault
+	// Site is the fault site the bug is keyed by (vm.Machine.FaultSite).
+	Site uint32
 	// Entry names the driver entry point being exercised.
 	Entry string
 	// StateID identifies the failing execution state.
@@ -39,11 +42,9 @@ type Bug struct {
 	InInterrupt bool
 }
 
-// Key is the deduplication identity of the bug: same class at the same
-// driver location is one bug, however many paths reach it.
-func (b *Bug) Key() string {
-	return fmt.Sprintf("%s@%#x", b.Class, b.Fault.PC)
-}
+// Key is the deduplication identity of the bug, campaign.FindingKey: same
+// class at the same site is one bug, however many paths reach it.
+func (b *Bug) Key() string { return campaign.FindingKey(b.Class, b.Site) }
 
 // Describe renders the one-line description used in reports (the "direct
 // output from DDT" columns of Table 2).

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/vm"
+	"repro/internal/kernel"
 )
 
 // The promise-ultra133 storage driver is the scenario-graph corpus entry:
@@ -111,9 +111,10 @@ func TestStorageScenarioDeterministic(t *testing.T) {
 }
 
 // TestInterruptBudgetAccrues: unit contract of the path-global interrupt
-// budget. The count accumulates — chargeIntr increments, never assigns —
-// and intrBudgetLeft turns false exactly at MaxIntrInjections, including
-// across a fork (the child inherits the parent's spent budget).
+// budget. The count lives on the path's KState and accumulates — every
+// kernel.InjectInterrupt charges one — and intrBudgetLeft turns false
+// exactly at MaxIntrInjections, including across a fork (the child
+// inherits the parent's spent budget).
 func TestInterruptBudgetAccrues(t *testing.T) {
 	img, err := corpus.Build("amd-pcnet", corpus.Buggy)
 	if err != nil {
@@ -127,11 +128,11 @@ func TestInterruptBudgetAccrues(t *testing.T) {
 	if !e.intrBudgetLeft(s) {
 		t.Fatal("fresh state has no budget")
 	}
-	chargeIntr(s)
+	e.K.InjectInterrupt(s)
 	if !e.intrBudgetLeft(s) {
 		t.Fatal("budget exhausted after 1 of 2 charges")
 	}
-	chargeIntr(s)
+	e.K.InjectInterrupt(s)
 	if e.intrBudgetLeft(s) {
 		t.Fatal("budget not exhausted after 2 of 2 charges")
 	}
@@ -141,10 +142,14 @@ func TestInterruptBudgetAccrues(t *testing.T) {
 	if e.intrBudgetLeft(child) {
 		t.Fatal("fork refunded the interrupt budget (per-phase reset regression)")
 	}
+	e.K.InjectInterrupt(child)
+	if got := kernel.Of(s).Interrupts; got != 2 {
+		t.Fatalf("charging the child changed the parent's count to %d", got)
+	}
 
 	// Budget 0 means zero injections even for a never-charged state.
 	e.Opts.MaxIntrInjections = 0
-	if e.intrBudgetLeft(&vm.State{}) {
+	if e.intrBudgetLeft(e.NewBootState()) {
 		t.Fatal("MaxIntrInjections=0 still grants an injection")
 	}
 }

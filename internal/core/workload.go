@@ -168,7 +168,7 @@ func (e *Engine) invoke(plan workload.Plan, i int, base *vm.State) []*vm.State {
 	out := []*vm.State{st}
 	if n.EntryInterrupt() && e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && e.intrBudgetLeft(base) {
 		alt := mk()
-		chargeIntr(alt)
+		kernel.Of(alt).InjectPending = true
 		out = append(out, alt)
 	}
 	return out

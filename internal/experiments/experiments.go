@@ -210,7 +210,7 @@ func DriverVerifier() ([]DVResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := driververifier.Run(img, driververifier.Options{})
+		rep, err := driververifier.Run(img)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/annot"
 	"repro/internal/binimg"
+	"repro/internal/campaign"
 	"repro/internal/checkers"
 	"repro/internal/exerciser"
 	"repro/internal/expr"
@@ -91,9 +92,8 @@ type Crash struct {
 	PC uint32 `json:"pc"`
 	// Msg is the fault message.
 	Msg string `json:"msg"`
-	// Site is the fault site used for deduplication: PC when it lies inside
-	// driver text, otherwise the last driver basic block executed (a wild
-	// jump faults at its garbage target; the bug lives at the jump).
+	// Site is the fault site the crash is keyed by (vm.Machine.FaultSite):
+	// PC inside driver text, otherwise the last block the execution entered.
 	Site uint32 `json:"site"`
 	// Entry names the workload entry being exercised when the fault fired.
 	Entry string `json:"entry"`
@@ -108,10 +108,9 @@ type Crash struct {
 	Reproduced bool `json:"reproduced"`
 }
 
-// Key is the deduplication identity: same checker class at the same fault
-// site is one crash, however many feeds reach it (mirrors core.Bug.Key,
-// with wild-jump targets normalized to the jump site).
-func (c *Crash) Key() string { return fmt.Sprintf("%s@%#x", c.Class, c.Site) }
+// Key is the deduplication identity, campaign.FindingKey: one crash per
+// class and site, the key core.Bug.Key gives the same bug.
+func (c *Crash) Key() string { return campaign.FindingKey(c.Class, c.Site) }
 
 func (c *Crash) String() string {
 	return fmt.Sprintf("[%s] %s (entry %s, pc %#x)", c.Class, c.Msg, c.Entry, c.PC)
@@ -181,9 +180,7 @@ type Executor struct {
 	stepsBase uint64 // logical boot steps a snapshot resume skipped
 	curNew    int
 	covBatch  []uint32 // first-seen block PCs awaiting one shared-map Merge
-	intrUsed  int
-	lastBlock uint32
-	eligBound uint64 // persistent mode: triggers below this could have fired
+	eligBound uint64   // persistent mode: triggers below this could have fired
 
 	// snaps is the persistent-mode snapshot fabric (nil when Persist is
 	// off): either the campaign-shared fabric from Options.Fabric or a
@@ -231,7 +228,6 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	// snapshot resume inherits the boot segment's counts), so the blocks
 	// with a non-zero count are exactly the blocks it entered.
 	e.m.OnBlock = func(s *vm.State, pc uint32) {
-		e.lastBlock = pc
 		n, err := e.loop.Visit(s, pc)
 		// Batched coverage: first-seen blocks accumulate locally and hit the
 		// shared map in one Merge per execution (flushCoverage) instead of
@@ -335,14 +331,14 @@ func (e *Executor) forkPolicy(s *vm.State, api string) bool {
 // executes through, and the caller can maintain eligBound across a whole
 // span with one post-dispatch update.
 func (e *Executor) maybeInject(s *vm.State) bool {
+	ks := kernel.Of(s)
 	trig, ok := e.reader.nextIRQ()
-	pending := ok && s.ICount >= trig && e.intrUsed < e.opts.MaxInterrupts
+	pending := ok && s.ICount >= trig && ks.Interrupts < e.opts.MaxInterrupts
 	if !pending && e.snaps == nil {
 		return false
 	}
-	ks := kernel.Of(s)
 	eligible := ks.ISRRegistered && s.InInterrupt == 0 && ks.IRQL < kernel.DeviceLevel &&
-		e.intrUsed < e.opts.MaxInterrupts
+		ks.Interrupts < e.opts.MaxInterrupts
 	if eligible && e.snaps != nil {
 		e.eligBound = s.ICount + 1
 	}
@@ -350,12 +346,11 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 		return eligible
 	}
 	e.reader.takeIRQ()
-	e.intrUsed++
 	e.k.InjectInterrupt(s)
 	// The injection flipped the eligibility factors (interrupt context
 	// active, IRQL raised); re-evaluate for the instants that follow.
 	return ks.ISRRegistered && s.InInterrupt == 0 && ks.IRQL < kernel.DeviceLevel &&
-		e.intrUsed < e.opts.MaxInterrupts
+		ks.Interrupts < e.opts.MaxInterrupts
 }
 
 // Run executes one feed through the full workload chain and reports the
@@ -367,8 +362,6 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.stepsBase = 0
 	e.curNew = 0
 	e.covBatch = e.covBatch[:0]
-	e.intrUsed = 0
-	e.lastBlock = 0
 	e.eligBound = 0
 
 	res := &ExecResult{}
@@ -433,13 +426,12 @@ func (e *Executor) lookupSnapshot(feed *Feed) *snapshot {
 }
 
 // resumeFrom restores the executor's per-execution context to the snapshot
-// point: feed cursors, interrupt budget, entry log. Per-exec coverage
-// travels in the resumed state's block counts.
+// point: feed cursors, eligibility bound, entry log. Per-exec coverage,
+// the last block entered and the interrupt budget travel in the resumed
+// state (its block counts, State and KState).
 func (e *Executor) resumeFrom(sn *snapshot, feed *Feed, res *ExecResult) {
 	e.reader.resumeAt(feed, sn.words, sn.forkBits, sn.irqs)
 	e.stepsBase = sn.steps
-	e.intrUsed = sn.intrUsed
-	e.lastBlock = sn.lastBlock
 	e.eligBound = sn.eligBound
 	res.Entries = append(res.Entries, sn.entries...)
 }
@@ -511,8 +503,6 @@ func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 		irq:       append([]uint64(nil), f.IRQ[:r.irq]...),
 		steps:     e.m.Steps.Load() - e.runBase + e.stepsBase,
 		eligBound: e.eligBound,
-		intrUsed:  e.intrUsed,
-		lastBlock: e.lastBlock,
 		entries:   append([]string(nil), res.Entries...),
 	}
 	for j := 0; j < forkN; j++ {
@@ -603,7 +593,7 @@ func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Ex
 		// either just fired or is blocked by an eligibility factor that
 		// cannot change mid-span.
 		budget := e.opts.MaxStepsPerEntry - (s.ICount - start)
-		if trig, ok := e.reader.nextIRQ(); ok && e.intrUsed < e.opts.MaxInterrupts && trig > s.ICount {
+		if trig, ok := e.reader.nextIRQ(); ok && kernel.Of(s).Interrupts < e.opts.MaxInterrupts && trig > s.ICount {
 			if d := trig - s.ICount; d < budget {
 				budget = d
 			}
@@ -671,16 +661,11 @@ func (e *Executor) recordCrash(s *vm.State, entry string, err error, res *ExecRe
 	if !ok {
 		f = vm.Faultf("engine", s.PC, "%v", err)
 	}
-	site := f.PC
-	textLimit := isa.ImageBase + uint32(len(e.img.Text))
-	if site < isa.ImageBase || site >= textLimit {
-		site = e.lastBlock
-	}
 	res.Crash = &Crash{
 		Class:       checkers.Classify(f, s),
 		RawClass:    f.Class,
 		PC:          f.PC,
-		Site:        site,
+		Site:        e.m.FaultSite(s, f.PC),
 		Msg:         f.Msg,
 		Entry:       entry,
 		InInterrupt: s.InInterrupt > 0,

@@ -85,12 +85,10 @@ type snapshot struct {
 	eligBound uint64
 
 	// Replay context captured alongside the state.
-	steps     uint64 // logical instructions from execution start to here
-	intrUsed  int
-	lastBlock uint32
-	blocks    int // distinct blocks the execution entered; stageTerminal only
-	entries   []string
-	trace     *vm.TraceNode // final trace; stageTerminal only
+	steps   uint64 // logical instructions from execution start to here
+	blocks  int    // distinct blocks the execution entered; stageTerminal only
+	entries []string
+	trace   *vm.TraceNode // final trace; stageTerminal only
 }
 
 // matches reports whether resuming f from this snapshot replays exactly

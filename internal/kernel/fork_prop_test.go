@@ -14,10 +14,10 @@ import (
 // fingerprint change of the parent after the child is mutated.
 func fingerprint(ks *KState) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "irql=%d stack=%v heap=%#x handle=%#x isr=%v/%#x dpc=%v crash=%v/%#x/%q indpc=%v aff=%d pow=%d rm=%v\n",
+	fmt.Fprintf(&sb, "irql=%d stack=%v heap=%#x handle=%#x isr=%v/%#x dpc=%v crash=%v/%#x/%q indpc=%v aff=%d pow=%d rm=%v intr=%d/%v seed=%d\n",
 		ks.IRQL, ks.IRQLStack, ks.NextHeap, ks.NextHandle, ks.ISRRegistered, ks.ISRPC,
 		ks.PendingDPCs, ks.Crashed, ks.CrashCode, ks.CrashMsg, ks.InDpc, ks.AllocFailForks,
-		ks.PowerState, ks.Removed)
+		ks.PowerState, ks.Removed, ks.Interrupts, ks.InjectPending, ks.SeedCursor)
 	for _, r := range ks.Regions {
 		fmt.Fprintf(&sb, "region %+v\n", r)
 	}
@@ -93,6 +93,9 @@ func populate(r *rand.Rand, ks *KState) {
 	ks.PendingDPCs = append(ks.PendingDPCs, DPC{FuncPC: 0x100600, Ctx: 1, Label: "dpc"})
 	ks.PowerState = PowerDeviceD0
 	ks.Removed = r.Intn(2) == 0
+	ks.Interrupts = 1 + r.Intn(3)
+	ks.InjectPending = r.Intn(2) == 0
+	ks.SeedCursor = uint64(r.Intn(50))
 }
 
 // mutateChild rewrites every mutable structure of the fork — the mutations
@@ -149,6 +152,9 @@ func mutateChild(c *KState) {
 	c.CrashMsg = "child only"
 	c.InDpc = true
 	c.AllocFailForks = 42
+	c.Interrupts += 10
+	c.InjectPending = !c.InjectPending
+	c.SeedCursor += 100
 }
 
 // TestKStateForkNoAliasing is the snapshot-then-fork aliasing audit for the

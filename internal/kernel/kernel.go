@@ -224,21 +224,15 @@ func (k *Kernel) FreshSymbol(s *vm.State, name string, origin expr.Origin) *expr
 	e := k.M.Syms.Fresh(fmt.Sprintf("%s#%d", name, seq), origin, s.PC, s.ICount)
 	s.Trace.Append(vm.Event{Kind: vm.EvNewSym, Seq: s.ICount, PC: s.PC, Sym: e.Sym, Name: name})
 	if k.SymbolSeed != nil {
-		if s.Meta == nil {
-			s.Meta = make(map[string]uint64)
-		}
-		idx := s.Meta[metaSymSeedIdx]
-		s.Meta[metaSymSeedIdx] = idx + 1
+		ks := Of(s)
+		idx := ks.SeedCursor
+		ks.SeedCursor++
 		if v, ok := k.SymbolSeed(idx, name, origin); ok {
 			s.AddConstraint(expr.Eq(e, expr.Const(v)))
 		}
 	}
 	return e
 }
-
-// metaSymSeedIdx counts symbols minted on a path, the per-path cursor into
-// a SymbolSeed prefix (forks inherit it, so siblings stay aligned).
-const metaSymSeedIdx = "symseed_idx"
 
 // Arg returns the i-th argument under the d32 calling convention:
 // r0-r3, then 4-byte stack slots.
@@ -424,10 +418,12 @@ func (k *Kernel) InvokeSym(s *vm.State, name string, pc uint32, args ...*expr.Ex
 }
 
 // InjectInterrupt delivers an interrupt to the driver's registered ISR at
-// DeviceLevel, saving the interrupted context. It reports false when the
-// driver has not registered an ISR.
+// DeviceLevel, saving the interrupted context, and charges it to
+// KState.Interrupts. It reports false (still charged) when the driver has
+// not registered an ISR.
 func (k *Kernel) InjectInterrupt(s *vm.State) bool {
 	ks := Of(s)
+	ks.Interrupts++
 	if !ks.ISRRegistered || ks.ISRPC == 0 {
 		return false
 	}

@@ -216,6 +216,16 @@ type KState struct {
 	// Failure counters consumed by annotations to fork bounded
 	// allocation-failure alternatives.
 	AllocFailForks int
+
+	// Interrupts counts the injections charged to this path, the budget
+	// every walker checks; only Kernel.InjectInterrupt writes it.
+	Interrupts int
+	// InjectPending marks a state the engine forked to take an interrupt
+	// when it next runs, once its post-call PC is in place.
+	InjectPending bool
+	// SeedCursor counts the symbols minted on this path: the index into a
+	// Kernel.SymbolSeed prefix, inherited so forked siblings stay aligned.
+	SeedCursor uint64
 }
 
 // NewKState builds the boot-time kernel state for a freshly loaded driver
@@ -268,6 +278,9 @@ func (ks *KState) Fork() vm.Forkable {
 		PowerState:     ks.PowerState,
 		Removed:        ks.Removed,
 		AllocFailForks: ks.AllocFailForks,
+		Interrupts:     ks.Interrupts,
+		InjectPending:  ks.InjectPending,
+		SeedCursor:     ks.SeedCursor,
 	}
 	for k, v := range ks.Allocs {
 		c := *v

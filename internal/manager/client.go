@@ -420,7 +420,7 @@ wait:
 		crashes = append(crashes, CrashReport{Crash: &fuzz.Crash{
 			Class:       b.Class,
 			PC:          b.Fault.PC,
-			Site:        b.Fault.PC,
+			Site:        b.Site,
 			Entry:       b.Entry,
 			Msg:         b.Fault.Msg,
 			InInterrupt: b.InInterrupt,

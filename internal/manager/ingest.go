@@ -59,7 +59,7 @@ func (s *State) AppendCoverageTrend(pt CoverageTrendPoint) {
 	dir := s.dir
 	s.mu.Unlock()
 	if dir != "" {
-		appendJSONL(dir+"/trends/coverage.jsonl", pt)
+		s.appendTrend(dir, "coverage.jsonl", pt)
 	}
 }
 

@@ -139,8 +139,8 @@ type StatusPage struct {
 	Drivers   []DriverSummary  `json:"drivers"`
 	Campaigns []CampaignStatus `json:"campaigns"`
 	Workers   []WorkerStatus   `json:"workers"`
-	// WriteErrors counts corpus and crash files the state directory failed
-	// to take; LastWriteError is the most recent failure.
+	// WriteErrors counts corpus, crash and trend writes the state directory
+	// failed to take; LastWriteError is the most recent failure.
 	WriteErrors    uint64 `json:"write_errors"`
 	LastWriteError string `json:"last_write_error,omitempty"`
 }

@@ -369,3 +369,29 @@ func TestStatusReportsWriteThroughErrors(t *testing.T) {
 		t.Fatalf("status page does not show the write errors:\n%s", body)
 	}
 }
+
+// TestTrendWriteErrorsCounted: a trend line the state directory cannot take
+// (here trends/coverage.jsonl is a directory, so opening it for append
+// fails even as root) is counted like a failed corpus or crash write, and
+// the sample stays in memory.
+func TestTrendWriteErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	state, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trend := filepath.Join(dir, "trends", "coverage.jsonl")
+	if err := os.Mkdir(trend, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if added := state.MergeCoverage("rtl8029", []uint32{0x100000, 0x100010}, 10, 1, 100, "w1"); added != 2 {
+		t.Fatalf("merged %d new blocks, want 2", added)
+	}
+	n, last := state.WriteErrors()
+	if n != 1 || !strings.Contains(last, trend) {
+		t.Fatalf("write errors = %d, last %q; want 1 naming %s", n, last, trend)
+	}
+	if len(state.CoverageTrend("rtl8029")) != 1 {
+		t.Fatal("a trend sample whose write-through failed was dropped from memory")
+	}
+}

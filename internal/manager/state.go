@@ -64,7 +64,8 @@ type CrashEntry struct {
 	// ID is the stable URL identity (/crash/<id>): a hash of driver+key.
 	ID     string `json:"id"`
 	Driver string `json:"driver"`
-	// Key is the dedup identity, fuzz.Crash.Key(): "<class>@<site>".
+	// Key is the dedup identity, campaign.FindingKey: "<class>@<site>",
+	// the same for a bug whichever lease mode reported it.
 	Key         string    `json:"key"`
 	Class       string    `json:"class"`
 	RawClass    string    `json:"raw_class,omitempty"`
@@ -144,9 +145,10 @@ type driverState struct {
 // Durability is write-through for the heavy artifacts (a corpus feed file
 // on admission, a crash entry file on every update, a trend line on every
 // sample) plus an index flush (corpus metadata, totals) on Flush — which
-// the server calls periodically and on shutdown. A failed corpus or crash
-// write-through does not fail the RPC that caused it (the entry is kept in
-// memory); it is counted, and /status reports the count and last error.
+// the server calls periodically and on shutdown. A failed corpus, crash or
+// trend write-through does not fail the RPC that caused it (the entry is
+// kept in memory); it is counted, and /status reports the count and last
+// error.
 type State struct {
 	mu      sync.RWMutex
 	dir     string // "" = memory-only (tests)
@@ -155,7 +157,7 @@ type State struct {
 	covTr   []CoverageTrendPoint
 	started time.Time
 
-	writeFails   uint64 // failed corpus/crash write-throughs
+	writeFails   uint64 // failed corpus/crash/trend write-throughs
 	lastWriteErr string // the most recent one's error
 
 	now func() time.Time // test hook
@@ -382,7 +384,7 @@ func (s *State) MergeCoverage(driver string, blocks []uint32, static int, execsD
 	dir := s.dir
 	s.mu.Unlock()
 	if added > 0 && dir != "" {
-		appendJSONL(filepath.Join(dir, "trends", "coverage.jsonl"), pt)
+		s.appendTrend(dir, "coverage.jsonl", pt)
 	}
 	return added
 }
@@ -395,7 +397,7 @@ func (s *State) AddBench(points []BenchTrendPoint) {
 	s.mu.Unlock()
 	if dir != "" {
 		for _, p := range points {
-			appendJSONL(filepath.Join(dir, "trends", "bench.jsonl"), p)
+			s.appendTrend(dir, "bench.jsonl", p)
 		}
 	}
 }
@@ -698,8 +700,8 @@ func (s *State) noteWriteLocked(err error) {
 	}
 }
 
-// WriteErrors returns how many corpus and crash write-throughs failed and
-// the last failure's error ("" when none did).
+// WriteErrors returns how many corpus, crash and trend write-throughs
+// failed and the last failure's error ("" when none did).
 func (s *State) WriteErrors() (uint64, string) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -742,17 +744,29 @@ func readJSONL(path string, each func(raw []byte)) {
 	}
 }
 
-func appendJSONL(path string, v any) {
+// appendTrend write-throughs one line to trends/<name>, counting a failure.
+func (s *State) appendTrend(dir, name string, v any) {
+	if err := appendJSONL(filepath.Join(dir, "trends", name), v); err != nil {
+		s.mu.Lock()
+		s.noteWriteLocked(err)
+		s.mu.Unlock()
+	}
+}
+
+func appendJSONL(path string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return
+		return err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
-		return
+		return err
 	}
-	_, _ = f.Write(append(b, '\n'))
-	_ = f.Close()
+	_, err = f.Write(append(b, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // sanitizeName makes an arbitrary worker-supplied name filesystem- and

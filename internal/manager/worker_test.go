@@ -3,6 +3,7 @@ package manager
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/fuzz"
+	"repro/internal/vm"
 )
 
 // startManager spins up a full manager (in-memory state) over real HTTP.
@@ -163,6 +165,55 @@ func TestFleetSymbolicSlot(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fleet crash classes = %v, want rtl8029's Table 2 classes %v", got, want)
+	}
+}
+
+// TestFleetKeysSymbolicAndFuzzAlike: a bug reported by a symbolic lease and
+// the same bug reported by a fuzz executor land in one fleet crash entry.
+// A worker runs a symbolic slot on ddk-sample-synthetic; each entry's
+// reproducer feed is then replayed through an executor, and a crash with
+// the same fault (class, fault PC, entry) is added the way a fuzz worker
+// reports it. It must join the symbolic entry, including the bug whose
+// fault lies outside driver text (a return to ExitAddr with a spinlock
+// held), so the store ends with exactly one entry per fault.
+func TestFleetKeysSymbolicAndFuzzAlike(t *testing.T) {
+	const driver = "ddk-sample-synthetic"
+	cfg := Config{Campaigns: []CampaignSpec{{ID: "sym", Driver: driver, Mode: ModeSymbolic}}}
+	m, srv := startManager(t, cfg, time.Minute)
+	if err := RunWorker(context.Background(), workerCfg(srv, "sym")); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Sched.Done() {
+		t.Fatal("symbolic slot did not complete")
+	}
+	img, err := corpus.Build(driver, corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := 0
+	for _, e := range m.State.Crashes(driver) {
+		if len(e.Reproducers) == 0 {
+			t.Fatalf("symbolic crash %s has no reproducer feed", e.Key)
+		}
+		c := fuzz.NewExecutor(img, nil, fuzz.DefaultOptions()).Run(e.Reproducers[0].Feed).Crash
+		if c == nil || c.Class != e.Class || c.PC != e.PC || c.Entry != e.Entry {
+			continue
+		}
+		if e.PC == vm.ExitAddr {
+			outside++
+		}
+		m.State.AddCrash(driver, "fuzz", c)
+	}
+	if outside == 0 {
+		t.Fatal("no replayed symbolic bug faults outside driver text")
+	}
+	seen := make(map[string]string)
+	for _, e := range m.State.Crashes(driver) {
+		fault := fmt.Sprintf("%s@%#x in %s", e.Class, e.PC, e.Entry)
+		if k, dup := seen[fault]; dup {
+			t.Errorf("fault %s has two fleet entries: %s and %s", fault, k, e.Key)
+		}
+		seen[fault] = e.Key
 	}
 }
 

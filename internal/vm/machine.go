@@ -227,6 +227,13 @@ func NewMachine(img *binimg.Image, syms *expr.SymbolTable, sol *solver.Solver) *
 	return m
 }
 
+// Retire retires s into this context's page list, whichever context
+// stepped it last; call it only on the goroutine stepping this context.
+func (c *ExecContext) Retire(s *State) {
+	c.bind(s)
+	s.Retire()
+}
+
 // NewContext returns a fresh per-worker execution context. A nil solver
 // shares the machine's root solver (only valid for sequential use).
 func (m *Machine) NewContext(sol *solver.Solver) *ExecContext {
@@ -354,10 +361,21 @@ func (m *Machine) MarkBlockStart(s *State) {
 
 func (m *Machine) enterBlock(s *State) {
 	s.Trace.Append(Event{Kind: EvBlock, Seq: s.ICount, PC: s.PC})
+	s.lastBlock = s.PC
 	if m.OnBlock != nil {
 		m.OnBlock(s, s.PC)
 	}
 	s.BlockStart = false
+}
+
+// FaultSite is the site every mode keys a finding by: pc inside driver
+// text, otherwise the last block the path entered (a wild jump faults at
+// its target, a failed entry exit at ExitAddr; the bug lies before).
+func (m *Machine) FaultSite(s *State, pc uint32) uint32 {
+	if pc >= isa.ImageBase && pc < isa.ImageBase+uint32(len(m.Img.Text)) {
+		return pc
+	}
+	return s.lastBlock
 }
 
 // Step executes one instruction of s under the machine's root context (or

@@ -36,7 +36,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		run.VisitBlock(0x100000)
 	}
-	run.Meta = map[string]uint64{"k": 1}
+	run.lastBlock = 0x100000
 	run.PushInterrupt(0x100100)
 	run.PopInterrupt()
 	snap := m.SnapshotState(run)
@@ -62,13 +62,16 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 		if c.LoopCount(0x100000) != 9 || c.BlockCount() != 1 {
 			t.Fatalf("child %d lost loop counts", i)
 		}
+		if c.lastBlock != 0x100000 {
+			t.Fatalf("child %d lost its last block: %#x", i, c.lastBlock)
+		}
 
 		// Child writes stay private.
 		c.Mem.Write(0x100000, 4, expr.Const(uint32(0xAAAA0000+uint32(i))))
 		for j := 0; j <= i; j++ {
 			c.VisitBlock(0x100000)
 		}
-		c.Meta["k"] = uint64(i)
+		c.lastBlock = 0x100200 + uint32(i)
 		c.Kernel.(*forkable).n = 100 + i
 	}
 
@@ -83,7 +86,7 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	if got := snap.Mem.Read(0x100000, 4); !got.IsConst() || got.ConstVal() != 0x04030201 {
 		t.Fatalf("snapshot memory corrupted: %v", got)
 	}
-	if snap.LoopCount(0x100000) != 9 || snap.BlockCount() != 1 || snap.Meta["k"] != 1 || snap.Kernel.(*forkable).n != 1 {
+	if snap.LoopCount(0x100000) != 9 || snap.BlockCount() != 1 || snap.lastBlock != 0x100000 || snap.Kernel.(*forkable).n != 1 {
 		t.Fatal("snapshot bookkeeping corrupted by children")
 	}
 	// Children do not see each other's writes.

@@ -112,13 +112,11 @@ type State struct {
 
 	// BlockStart marks that the next instruction begins a basic block: the
 	// step loop emits an EvBlock event and fires the OnBlock hook before
-	// executing it. A dedicated field rather than a Meta key — it is set and
-	// tested on every control transfer, and the map alloc + lookup showed up
-	// in step-loop profiles.
+	// executing it.
 	BlockStart bool
 
-	// Meta carries engine-specific scratch (e.g. scheduling priority).
-	Meta map[string]uint64
+	// lastBlock is the last block this path entered (Machine.FaultSite).
+	lastBlock uint32
 
 	// blocks is the per-path block-visit accounting behind the infinite-
 	// loop heuristic (VisitBlock, LoopCount) and the fuzz executor's per-
@@ -175,6 +173,7 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 		EntryName:   s.EntryName,
 		Trace:       trace,
 		BlockStart:  s.BlockStart,
+		lastBlock:   s.lastBlock,
 		PendFault:   s.PendFault,
 		ctx:         s.ctx,
 		regs:        s.regs, // array copies
@@ -188,12 +187,6 @@ func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
 	}
 	if len(s.intrStack) > 0 {
 		c.intrStack = append([]intrFrame(nil), s.intrStack...)
-	}
-	if len(s.Meta) > 0 {
-		c.Meta = make(map[string]uint64, len(s.Meta))
-		for k, v := range s.Meta {
-			c.Meta[k] = v
-		}
 	}
 	return c
 }

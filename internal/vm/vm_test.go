@@ -282,6 +282,32 @@ e:
 	}
 }
 
+// TestFaultSite: a fault inside driver text is sited at its PC; a wild
+// jump, which faults at its target, is sited at the block it jumped from.
+func TestFaultSite(t *testing.T) {
+	m, s := newTestMachine(t, `
+.entry e
+.text
+e:
+    movi r1, 0x12345678
+    jmp  far
+far:
+    jr   r1
+`)
+	_, _, err := m.Run(s, 1000)
+	f, ok := err.(*Fault)
+	if !ok || f.PC != 0x12345678 {
+		t.Fatalf("fault = %v, want a wild jump to 0x12345678", err)
+	}
+	far := m.Img.Entry + 2*isa.InstrSize
+	if got := m.FaultSite(s, f.PC); got != far {
+		t.Errorf("wild-jump site = %#x, want the jumping block %#x", got, far)
+	}
+	if got := m.FaultSite(s, m.Img.Entry+isa.InstrSize); got != m.Img.Entry+isa.InstrSize {
+		t.Errorf("in-text site = %#x, want the fault pc %#x", got, m.Img.Entry+isa.InstrSize)
+	}
+}
+
 func TestHalt(t *testing.T) {
 	m, s := newTestMachine(t, ".entry e\n.text\ne: hlt\n")
 	final, _, err := m.Run(s, 10)
