@@ -188,13 +188,21 @@ func (s *Session) Run(ctx context.Context) (*Report, error) { return s.eng.TestD
 // direct state inspection). Most callers won't need it.
 func (s *Session) Engine() *core.Engine { return s.eng }
 
-// TraceBug builds the executable trace for one of this session's bugs.
+// TraceBug builds the executable trace for one of this session's bugs,
+// recording the session's scenario and path bounds for the replay.
 func (s *Session) TraceBug(b *Bug) *Trace {
-	return trace.New(b, s.eng.Img.Name, s.cfg.Annotations, s.eng.EffectiveRegistry())
+	f := trace.New(b, s.eng.Img.Name, s.cfg.Annotations, s.eng.EffectiveRegistry())
+	o := s.eng.Opts
+	f.Scenario, f.MaxStepsPerPath, f.LoopThreshold = o.Scenario, o.MaxStepsPerPath, o.LoopThreshold
+	return f
 }
 
 // Replay re-executes a trace against the driver image, verifying the
-// recorded bug fires again.
+// recorded bug fires again: the trace's solved inputs, fork decisions and
+// interrupt instants become a feed (the FromBug conversion ReplayFeed's
+// reproducers come from), which the concrete fuzz executor runs on the
+// recording run's scenario and path bounds. The bug is reproduced when
+// the replay's finding key (class and fault site) equals the trace's.
 func Replay(t *Trace, img *Image) (*ReplayResult, error) { return trace.Replay(t, img) }
 
 // Bug post-mortem types (§3.6): classify whether a bug needs

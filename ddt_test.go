@@ -56,6 +56,40 @@ func TestFacadeSessionTraceReplay(t *testing.T) {
 	}
 }
 
+// TestFacadeTraceReplayLinearScenario: a trace records the scenario of the
+// run that found its bug, so a storage driver's linear-scenario bugs replay
+// on the linear plan rather than the class-default PnP graph, whose first
+// edge at ISR (CancelIo) the recorded path never took.
+func TestFacadeTraceReplayLinearScenario(t *testing.T) {
+	img, err := CorpusDriver("promise-ultra133", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scenario = "linear"
+	sess := NewSession(img, cfg)
+	rep, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Bugs) == 0 {
+		t.Fatal("linear scenario found no bugs")
+	}
+	for _, b := range rep.Bugs {
+		tr := sess.TraceBug(b)
+		if tr.Scenario != "linear" {
+			t.Errorf("trace scenario = %q, want linear", tr.Scenario)
+		}
+		res, err := Replay(tr, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Reproduced || len(res.Divergences) > 0 {
+			t.Errorf("%s: replay %v, divergences %v", b.Key(), res, res.Divergences)
+		}
+	}
+}
+
 func TestFacadeCorpusHelpers(t *testing.T) {
 	names := CorpusNames()
 	if len(names) < 8 {

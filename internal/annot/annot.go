@@ -99,9 +99,9 @@ func ndisReadConfigurationReturn(ctx *kernel.AnnotCtx) {
 
 // forkAllocFailure forks an alternative path on which the allocator failed,
 // bounded by MaxAllocFailForks per path. It returns nil when the bound is
-// reached, and under a replay ForkPolicy that keeps the primary outcome
-// (the budget is charged either way, so replay consumes it as exploration
-// does).
+// reached, and under a ForkPolicy (the fuzz executor) that keeps the
+// primary outcome (the budget is charged either way, so a concrete
+// execution consumes it as exploration does).
 func forkAllocFailure(ctx *kernel.AnnotCtx) *vm.State {
 	ks := kernel.Of(ctx.S)
 	if ks.AllocFailForks >= MaxAllocFailForks {

@@ -49,21 +49,31 @@ func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
 // every node after all of its predecessors. Node 0 (DriverEntry) has
 // already run; bases are its successes, routed along node 0's edges.
 func (e *Engine) runGraph(ctx context.Context, plan workload.Plan, bases []*vm.State) {
-	in := make([][]*vm.State, len(plan))
-	route := func(i int, out []*vm.State) {
-		var next []int
-		for _, s := range out {
-			for _, j := range plan.Next(next[:0], i, s) {
-				in[j] = append(in[j], s)
+	in := make([][]routed, len(plan))
+	var next []int
+	route := func(i int, out []routed) {
+		for _, r := range out {
+			next = plan.Next(next[:0], i, r.s)
+			for k, j := range next {
+				rj := r
+				if len(next) > 1 {
+					// Copy on append: the routes out of one state must not
+					// share the backing array of their choices.
+					rj.edges = append(r.edges[:len(r.edges):len(r.edges)], vm.Event{
+						Kind: vm.EvRoute, Seq: r.s.ICount, PC: r.s.PC,
+						Addr: uint32(k), Size: uint8(len(next)), Name: plan[j].Name,
+					})
+				}
+				in[j] = append(in[j], rj)
 			}
 		}
 	}
-	route(0, bases)
+	route(0, fresh(bases))
 	for i := 1; i < len(plan); i++ {
 		if len(in[i]) == 0 {
 			continue
 		}
-		var out []*vm.State
+		var out []routed
 		var ok bool
 		if plan[i].Drain {
 			out, ok = e.drainDPCs(ctx, plan, i, in[i]), true
@@ -82,10 +92,30 @@ func (e *Engine) runGraph(ctx context.Context, plan workload.Plan, bases []*vm.S
 	}
 }
 
+// routed is a state on its way into a plan node, with the scenario-edge
+// choices (EvRoute events) taken since it last ran an entry. Routing does
+// not fork, so the choices ride alongside the state, through pass-through
+// nodes too, until invoke writes them into the next invocation's trace:
+// the trace then carries every decision the fuzz executor reads from a
+// feed's fork stream.
+type routed struct {
+	s     *vm.State
+	edges []vm.Event
+}
+
+// fresh wraps states that have just run an entry: no choices pending.
+func fresh(states []*vm.State) []routed {
+	out := make([]routed, len(states))
+	for i, s := range states {
+		out[i].s = s
+	}
+	return out
+}
+
 // runNode runs plan node i over its input states: invoke, explore, then
 // carry forward at most KeepStates successes. It returns the inputs and
 // false when nothing applied or nothing succeeded.
-func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases []*vm.State) ([]*vm.State, bool) {
+func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases []routed) ([]routed, bool) {
 	any := false
 	for _, base := range bases {
 		for _, st := range e.invoke(plan, i, base) {
@@ -110,7 +140,7 @@ func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases [
 		res.Succeeded = res.Succeeded[:e.Opts.KeepStates]
 	}
 	normalize(res.Succeeded...)
-	return res.Succeeded, true
+	return fresh(res.Succeeded), true
 }
 
 // drainDPCs dispatches pending timer/DPC callbacks at DISPATCH_LEVEL with
@@ -119,9 +149,9 @@ func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases [
 // ISR inserted — so the drain runs to a fixpoint: each round pops one DPC
 // per state and explores it, until no carried state has work left. States
 // whose queue is already empty ride through a round unchanged.
-func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases []*vm.State) []*vm.State {
+func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases []routed) []routed {
 	for round := 0; round < workload.MaxDPCRounds; round++ {
-		var out []*vm.State
+		var out []routed
 		ran := false
 		for _, base := range bases {
 			sts := e.invoke(plan, i, base)
@@ -139,7 +169,7 @@ func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases
 		}
 		res := e.Explore(ctx, plan[i].Name)
 		normalize(res.Succeeded...)
-		out = append(out, res.Succeeded...)
+		out = append(out, fresh(res.Succeeded)...)
 		if len(out) == 0 {
 			return bases
 		}
@@ -151,22 +181,26 @@ func (e *Engine) drainDPCs(ctx context.Context, plan workload.Plan, i int, bases
 // invoke forks base into plan node i's invocation state(s): the
 // invocation itself, plus the interrupt-at-entry sibling when the node
 // admits one, an ISR is registered and the path's interrupt budget allows.
-// It does not push them.
-func (e *Engine) invoke(plan workload.Plan, i int, base *vm.State) []*vm.State {
+// Each invocation's trace takes base's pending edge choices before its
+// entry. It does not push them.
+func (e *Engine) invoke(plan workload.Plan, i int, base routed) []*vm.State {
 	n := &plan[i]
-	if !n.Applies(base) {
+	if !n.Applies(base.s) {
 		return nil
 	}
 	env := workload.Env{K: e.K, Annotations: e.Opts.Annotations}
 	mk := func() *vm.State {
-		st := e.M.ForkState(base)
+		st := e.M.ForkState(base.s)
+		for _, ev := range base.edges {
+			st.Trace.Append(ev)
+		}
 		name, pc, args := n.Enter(env, st)
 		e.K.InvokeSym(st, name, pc, args...)
 		return st
 	}
 	st := mk()
 	out := []*vm.State{st}
-	if n.EntryInterrupt() && e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && e.intrBudgetLeft(base) {
+	if n.EntryInterrupt() && e.Opts.SymbolicInterrupts && kernel.Of(st).ISRRegistered && e.intrBudgetLeft(base.s) {
 		alt := mk()
 		kernel.Of(alt).InjectPending = true
 		out = append(out, alt)

@@ -24,10 +24,16 @@ import (
 // the one workload plan (TestInjectionOrderMatchesEngine pins the
 // alignment). Values are passed through encodeWord so the executor's clamp
 // reproduces the exact witness. Interrupt injections map to the fuzzer's
-// IRQ schedule; annotation forks taken on the path bias the feed's fork
-// stream toward the alternatives.
+// IRQ schedule. The fork stream is exactly the executor's, in trace order:
+// a byte per annotation decision (1 on the alternative's side, 0 on the
+// primary's), and for each scenario-edge choice the bits route reads.
 func FromBug(b *core.Bug) *Feed {
 	f := &Feed{}
+	fork := func(bit byte) {
+		if len(f.Forks) < maxForkLen {
+			f.Forks = append(f.Forks, bit)
+		}
+	}
 	for _, ev := range b.Trace {
 		switch ev.Kind {
 		case vm.EvNewSym:
@@ -39,8 +45,20 @@ func FromBug(b *core.Bug) *Feed {
 				f.IRQ = append(f.IRQ, ev.Seq)
 			}
 		case vm.EvAltFork:
-			if len(f.Forks) < maxForkLen {
-				f.Forks = append(f.Forks, 1)
+			if ev.Forked {
+				fork(1)
+			} else {
+				fork(0)
+			}
+		case vm.EvRoute:
+			// Edge k of n: route reads a bit per edge from the last down
+			// to the second and takes the first set one, edge 0 otherwise.
+			k := int64(ev.Addr)
+			for j := int64(ev.Size) - 1; j > k; j-- {
+				fork(0)
+			}
+			if k > 0 {
+				fork(1)
 			}
 		}
 	}

@@ -34,6 +34,10 @@ type Options struct {
 	LoopThreshold uint64
 	// Registry overrides/extends the default registry hive.
 	Registry map[string]uint32
+	// Scenario selects the workload plan shape exactly as the engine's
+	// Options.Scenario does ("" is the class default), so a feed converted
+	// from a bug the engine found under a scenario replays on its plan.
+	Scenario string `json:",omitempty"`
 	// Persist enables persistent-mode execution: the executor snapshots the
 	// state reached after DriverEntry and after a successful Initialize, and
 	// serves later executions whose feeds share the consumed boot prefix by
@@ -207,7 +211,7 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	}
 	e.k.SymbolPolicy = e.symbolPolicy
 	e.k.ForkPolicy = e.forkPolicy
-	e.plan = workload.Build(img, "")
+	e.plan = workload.Build(img, opts.Scenario)
 	e.env = workload.Env{K: e.k, Annotations: opts.Annotations}
 	if opts.NoSuperblocks {
 		e.m.DisableSuperblocks = true
@@ -314,7 +318,9 @@ func (e *Executor) forkPolicy(s *vm.State, api string) bool {
 
 // maybeInject delivers a scheduled interrupt at the first eligible instant
 // at or past its trigger. Eligibility mirrors the engine's injection rules:
-// an ISR must be registered and no interrupt context may be active.
+// an ISR must be registered, no interrupt context may be active, and the
+// entry must not be at its exit instant (the engine never injects there;
+// an interrupt at the next entry's first instruction shares that count).
 //
 // In persistent mode it additionally maintains eligBound, the exclusive
 // upper bound on trigger values that could still fire in the executed
@@ -338,7 +344,7 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 		return false
 	}
 	eligible := ks.ISRRegistered && s.InInterrupt == 0 && ks.IRQL < kernel.DeviceLevel &&
-		ks.Interrupts < e.opts.MaxInterrupts
+		ks.Interrupts < e.opts.MaxInterrupts && s.PC != vm.ExitAddr
 	if eligible && e.snaps != nil {
 		e.eligBound = s.ICount + 1
 	}
@@ -350,7 +356,7 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 	// The injection flipped the eligibility factors (interrupt context
 	// active, IRQL raised); re-evaluate for the instants that follow.
 	return ks.ISRRegistered && s.InInterrupt == 0 && ks.IRQL < kernel.DeviceLevel &&
-		ks.Interrupts < e.opts.MaxInterrupts
+		ks.Interrupts < e.opts.MaxInterrupts && s.PC != vm.ExitAddr
 }
 
 // Run executes one feed through the full workload chain and reports the

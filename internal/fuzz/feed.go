@@ -36,9 +36,11 @@ type Feed struct {
 	// bytes, OIDs, ...) each consume the next little-endian word. An
 	// exhausted stream answers zero, so every feed is total.
 	Data []byte `json:"data"`
-	// Forks answers annotation fork decisions (alternative API outcomes,
-	// e.g. allocation failure) one byte per decision: an odd byte takes the
-	// alternative. Exhausted means the primary outcome.
+	// Forks answers fork decisions one byte per decision, in execution
+	// order: annotation forks (alternative API outcomes, e.g. allocation
+	// failure), where an odd byte takes the alternative, and scenario-edge
+	// choices (Executor.route). Exhausted means the primary outcome and the
+	// first edge.
 	Forks []byte `json:"forks,omitempty"`
 	// IRQ lists absolute instruction counts at which to inject a device
 	// interrupt (ascending; injected only once the driver registered an

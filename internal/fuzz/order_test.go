@@ -16,16 +16,14 @@ import (
 // engine symbols by position (FromBug writes one word per EvNewSym, LiftFeed
 // pins the k-th minted symbol to word k), so the executor must consume feed
 // words in exactly the order the engine mints symbols. For every bug the
-// sequential engine finds on each corpus driver whose FromBug feed takes the
-// same entry chain in the executor, the k-th consumed word must answer the
-// trace's k-th EvNewSym: the same symbol name when the executor asked
-// through its symbol policy, a hardware symbol when a device read took it.
-//
-// "Same entry chain" includes where each interrupt lands. An interrupt the
-// engine injects at an entry's first instruction shares its instruction
-// count with the previous entry's exit, and the executor fires it at that
-// exit instead; the ISR's device reads then come before the next entry's
-// injection points, so those bugs take another path and are skipped.
+// sequential engine finds on each corpus driver, the bug's FromBug feed must
+// take the same entry chain in the executor — the same entries, with each
+// interrupt landing between the same two (an interrupt the engine injects
+// at an entry's first instruction must not fire at the previous entry's
+// exit, which shares its instruction count) — and the k-th consumed word
+// must answer the trace's k-th EvNewSym: the same symbol name when the
+// executor asked through its symbol policy, a hardware symbol when a device
+// read took it.
 func TestInjectionOrderMatchesEngine(t *testing.T) {
 	for _, driver := range corpus.Names() {
 		t.Run(driver, func(t *testing.T) {
@@ -52,10 +50,8 @@ func TestInjectionOrderMatchesEngine(t *testing.T) {
 					return policy(s, name, origin)
 				}
 				res := ex.RunTraced(FromBug(b))
-				if !reflect.DeepEqual(entryChain(res.Trace.Path()), entryChain(b.Trace)) {
-					// The feed steers the executor down another entry chain;
-					// its words answer other injection points by design.
-					continue
+				if got, want := entryChain(res.Trace.Path()), entryChain(b.Trace); !reflect.DeepEqual(got, want) {
+					t.Fatalf("bug %s: executor took entry chain %v, engine %v", b.Key(), got, want)
 				}
 				for k := 0; k < ex.reader.words && k < len(minted); k++ {
 					got, ok := asked[k]

@@ -91,12 +91,13 @@ func (c *AnnotCtx) NewSymbol(name string, origin expr.Origin) *expr.Expr {
 
 // Fork clones the current state; the clone is queued for exploration.
 // Mutations applied to the returned state happen on the alternative path.
-// The alternative's trace records the fork (EvAltFork) so replays can steer
-// down the same outcome.
+// Both sides record the decision as an EvAltFork event (Forked on the
+// alternative's side), so a path's trace carries every annotation decision
+// the fuzz executor reads from a feed's fork stream (fuzz.FromBug).
 //
-// Under a replay ForkPolicy, Fork instead either redirects the mutations to
-// the live state (the recorded path took the alternative) or returns nil
-// (the recorded path stayed on the primary outcome). Callers must handle
+// Under a ForkPolicy (the fuzz executor), Fork instead either redirects
+// the mutations to the live state (the feed takes the alternative) or
+// returns nil (the feed keeps the primary outcome). Callers must handle
 // nil, as they already do when a fork budget is spent. Returning nil rather
 // than a throwaway clone leaves the live state's memory overlay, the state
 // ID sequence and Machine.Forks exactly as they were.
@@ -108,7 +109,10 @@ func (c *AnnotCtx) Fork() *vm.State {
 		return nil
 	}
 	ns := c.K.M.ForkState(c.S)
-	ns.Trace.Append(vm.Event{Kind: vm.EvAltFork, Seq: ns.ICount, PC: ns.PC, Name: c.API})
+	ev := vm.Event{Kind: vm.EvAltFork, Seq: ns.ICount, PC: ns.PC, Name: c.API}
+	c.S.Trace.Append(ev)
+	ev.Forked = true
+	ns.Trace.Append(ev)
 	c.Extra = append(c.Extra, ns)
 	return ns
 }
@@ -156,14 +160,15 @@ type Kernel struct {
 	// arrival times). Returned states are queued for exploration.
 	OnBoundary func(s *vm.State, api string, when string) []*vm.State
 
-	// ForkPolicy, when set (trace replay), decides annotation forks
+	// ForkPolicy, when set (the fuzz executor), decides annotation forks
 	// deterministically instead of exploring both outcomes: true means
 	// "take the alternative on the live state".
 	ForkPolicy func(s *vm.State, api string) bool
 
-	// SymbolPolicy, when set (trace replay), supplies the value for every
-	// would-be symbolic injection instead of minting a fresh symbol — this
-	// is how a trace's solved concrete inputs drive the re-execution.
+	// SymbolPolicy, when set (the fuzz executor), supplies the value for
+	// every would-be symbolic injection instead of minting a fresh symbol —
+	// this is how a feed's words, and through fuzz.FromBug a trace's solved
+	// concrete inputs, drive a concrete execution.
 	SymbolPolicy func(s *vm.State, name string, origin expr.Origin) *expr.Expr
 
 	// SymbolSeed, when set (concolic bridging), biases exploration toward a
@@ -214,8 +219,8 @@ func (k *Kernel) ClearAnnotations() {
 }
 
 // FreshSymbol mints a named symbolic value with provenance and logs its
-// creation in the path trace. Under a replay SymbolPolicy it instead
-// returns the recorded concrete input.
+// creation in the path trace. Under a SymbolPolicy (the fuzz executor) it
+// instead returns the policy's concrete value.
 func (k *Kernel) FreshSymbol(s *vm.State, name string, origin expr.Origin) *expr.Expr {
 	if k.SymbolPolicy != nil {
 		return k.SymbolPolicy(s, name, origin)

@@ -47,6 +47,8 @@ type BugRecord struct {
 	Class string
 	Msg   string
 	PC    uint32
+	// Site is the fault site the bug is keyed by (vm.Machine.FaultSite).
+	Site  uint32
 	Entry string
 }
 
@@ -56,27 +58,44 @@ type File struct {
 	Driver      string
 	Annotations bool
 	Registry    map[string]uint32
-	Bug         BugRecord
-	Symbols     []SymbolRecord
-	Events      []Record
+	// Scenario, MaxStepsPerPath and LoopThreshold are the engine options
+	// of the recording run that shape a path: the workload plan the entry
+	// chain and edge choices belong to, and the per-entry step and
+	// per-block repeat bounds the replay must not undercut.
+	Scenario        string
+	MaxStepsPerPath uint64
+	LoopThreshold   uint64
+	Bug             BugRecord
+	Symbols         []SymbolRecord
+	Events          []Record
 }
 
-// FileVersion is the current trace format version.
-const FileVersion = 1
+// FileVersion is the current trace format version. Version 2 records every
+// fork decision (annotation forks on both sides, scenario-edge choices),
+// the bug's fault site, and the recording run's scenario and path bounds; a
+// version 1 trace lacks the primary-side decisions, so its fork stream
+// cannot be rebuilt and it is rejected.
+const FileVersion = 2
 
 // New builds an executable trace from a DDT bug report. annotations and
 // registry must reflect the options of the run that found the bug, so the
-// replay recreates the identical environment.
+// replay recreates the identical environment. The scenario and path bounds
+// are core.DefaultOptions'; a caller whose run used others sets them.
 func New(bug *core.Bug, driver string, annotations bool, registry map[string]uint32) *File {
+	def := core.DefaultOptions()
 	f := &File{
-		Version:     FileVersion,
-		Driver:      driver,
-		Annotations: annotations,
-		Registry:    make(map[string]uint32, len(registry)),
+		Version:         FileVersion,
+		Driver:          driver,
+		Annotations:     annotations,
+		Registry:        make(map[string]uint32, len(registry)),
+		Scenario:        def.Scenario,
+		MaxStepsPerPath: def.MaxStepsPerPath,
+		LoopThreshold:   def.LoopThreshold,
 		Bug: BugRecord{
 			Class: bug.Class,
 			Msg:   bug.Fault.Msg,
 			PC:    bug.Fault.PC,
+			Site:  bug.Site,
 			Entry: bug.Entry,
 		},
 	}

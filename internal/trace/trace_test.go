@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/corpus"
 )
@@ -104,6 +105,70 @@ func TestReplayRejectsWrongImage(t *testing.T) {
 	other, _ := corpus.Build("amd-pcnet", corpus.Buggy)
 	if _, err := Replay(f, other); err == nil {
 		t.Error("replay against the wrong driver image should fail")
+	}
+}
+
+// TestUnmarshalRejectsVersion1: a version 1 trace records only the taken
+// annotation alternatives and no edge choices, so its fork stream cannot be
+// rebuilt; it must be rejected, not replayed as if every decision it lacks
+// kept the primary outcome.
+func TestUnmarshalRejectsVersion1(t *testing.T) {
+	e, bugs := findBugs(t, "rtl8029")
+	f := New(bugs[0], "rtl8029", true, e.EffectiveRegistry())
+	f.Version = 1
+	blob, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(blob); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version 1 trace: got error %v, want an unsupported-version error", err)
+	}
+}
+
+// TestTreeLabelsDecisions: the rendered execution tree names both sides of
+// an annotation fork and the scenario-edge choices of the storage graph.
+func TestTreeLabelsDecisions(t *testing.T) {
+	e, bugs := findBugs(t, "promise-ultra133")
+	var files []*File
+	for _, b := range bugs {
+		files = append(files, New(b, "promise-ultra133", true, e.EffectiveRegistry()))
+	}
+	r := BuildTree(files).Render()
+	for _, want := range []string{"primary outcome", "route -> "} {
+		if !strings.Contains(r, want) {
+			t.Errorf("tree lacks %q:\n%s", want, r)
+		}
+	}
+}
+
+// TestReplayUsesRecordingBounds: a path the engine walked within its own
+// bounds replays within them too. DriverEntry spins 1500 times through a
+// 22-instruction block before its null dereference: past the fuzz
+// executor's default loop threshold (1000) and per-entry step bound
+// (30,000), inside the engine's (2000 and 60,000).
+func TestReplayUsesRecordingBounds(t *testing.T) {
+	src := ".entry DriverEntry\n.text\nDriverEntry:\n    movi r1, 0\n    movi r2, 1500\nspin:\n" +
+		strings.Repeat("    addi r5, r5, 1\n", 20) +
+		"    addi r1, r1, 1\n    bltu r1, r2, spin\n    movi r3, 0\n    ldw  r4, [r3+0]\n    ret\n"
+	img, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Name = "spin1500"
+	e := core.NewEngine(img, core.DefaultOptions())
+	if _, err := e.TestDriver(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	bugs := e.Bugs()
+	if len(bugs) != 1 || bugs[0].Class != "segmentation fault" {
+		t.Fatalf("engine bugs = %v, want one segmentation fault", bugs)
+	}
+	res, err := Replay(New(bugs[0], img.Name, true, e.EffectiveRegistry()), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reproduced || len(res.Divergences) > 0 || res.Steps < 30_000 {
+		t.Errorf("replay %v after %d steps, divergences %v", res, res.Steps, res.Divergences)
 	}
 }
 

@@ -22,7 +22,7 @@ type Tree struct {
 // TreeNode is one machine state in the reconstructed tree.
 type TreeNode struct {
 	// Event is the control event at this node (entry, branch, interrupt,
-	// API call, fork, bug).
+	// API call, annotation decision, scenario-edge choice, bug).
 	Event Record
 	// Children are the continuations; >1 means execution forked here.
 	Children []*TreeNode
@@ -34,7 +34,7 @@ type TreeNode struct {
 // too fine-grained to display).
 func isControl(k vm.EventKind) bool {
 	switch k {
-	case vm.EvEntry, vm.EvAPICall, vm.EvInterrupt, vm.EvAltFork, vm.EvBug:
+	case vm.EvEntry, vm.EvAPICall, vm.EvInterrupt, vm.EvAltFork, vm.EvRoute, vm.EvBug:
 		return true
 	case vm.EvBranch:
 		return true
@@ -78,7 +78,8 @@ func (n *TreeNode) child(r Record) *TreeNode {
 
 func sameEvent(a, b Record) bool {
 	return a.Kind == b.Kind && a.Seq == b.Seq && a.PC == b.PC &&
-		a.Name == b.Name && a.Taken == b.Taken
+		a.Name == b.Name && a.Taken == b.Taken && a.Forked == b.Forked &&
+		a.Addr == b.Addr
 }
 
 // Leaves returns the bug endpoints in depth-first order.
@@ -138,7 +139,13 @@ func (t *Tree) Render() string {
 			case vm.EvInterrupt:
 				fmt.Fprintf(&b, "%s** interrupt injected @%#x\n", indent, n.Event.PC)
 			case vm.EvAltFork:
-				fmt.Fprintf(&b, "%s** %s failure alternative\n", indent, n.Event.Name)
+				if n.Event.Forked {
+					fmt.Fprintf(&b, "%s** %s failure alternative\n", indent, n.Event.Name)
+				} else {
+					fmt.Fprintf(&b, "%s%s primary outcome\n", indent, n.Event.Name)
+				}
+			case vm.EvRoute:
+				fmt.Fprintf(&b, "%sroute -> %s (edge %d of %d)\n", indent, n.Event.Name, n.Event.Addr, n.Event.Size)
 			case vm.EvBug:
 				fmt.Fprintf(&b, "%sBUG %s\n", indent, n.Event.Name)
 			default:

@@ -27,8 +27,9 @@ const (
 	EvInterruptEnd                  // ISR returned
 	EvConcretize                    // symbolic value concretized at the boundary
 	EvBug                           // checker flagged a bug here
-	EvAltFork                       // this path is the forked alternative of an annotation (e.g. the allocation-failure outcome)
+	EvAltFork                       // annotation fork decision (e.g. allocation failure); Forked marks the alternative's side
 	EvDevice                        // device register write (discarded by symbolic hardware, recorded as evidence)
+	EvRoute                         // scenario-edge choice: edge Addr of Size taken toward node Name
 )
 
 func (k EventKind) String() string {
@@ -61,6 +62,8 @@ func (k EventKind) String() string {
 		return "altfork"
 	case EvDevice:
 		return "device"
+	case EvRoute:
+		return "route"
 	default:
 		return "event"
 	}
@@ -71,15 +74,15 @@ type Event struct {
 	Kind   EventKind
 	Seq    uint64 // instruction count at the event
 	PC     uint32
-	Addr   uint32     // EvMem: accessed address
-	Size   uint8      // EvMem: access width
+	Addr   uint32     // EvMem: accessed address; EvRoute: chosen edge index
+	Size   uint8      // EvMem: access width; EvRoute: edge count
 	Write  bool       // EvMem
 	Val    *expr.Expr // EvMem value, EvConcretize chosen value
 	Sym    expr.SymID // EvNewSym, EvConcretize
 	Cond   *expr.Expr // EvBranch condition (in taken form)
 	Taken  bool       // EvBranch
-	Forked bool       // EvBranch: did execution fork here
-	Name   string     // EvAPICall/EvEntry/EvBug identifier
+	Forked bool       // EvBranch: did execution fork here; EvAltFork: the alternative's side
+	Name   string     // EvAPICall/EvEntry/EvBug/EvAltFork identifier, EvRoute target node
 }
 
 // TraceNode is one segment of a path trace. Nodes form a tree mirroring the

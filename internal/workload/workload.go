@@ -4,14 +4,14 @@
 // buffers each invocation receives, and the scenario graph (PnP/power
 // alternatives) layered on top for classes that register those handlers.
 //
-// The plan is mode-neutral data. Three walkers consume it: the barriered
-// symbolic engine (internal/core), the concrete fuzz executor
-// (internal/fuzz) and trace replay (internal/trace). Each keeps
-// only what is specific to its mode — forking and interrupt siblings,
-// feed-driven edge choice, name-driven resolution — so an entry added,
-// reordered or re-argumented here changes every mode at once, and the
-// injection points the buffer builders mint stay in one order everywhere
-// (the concolic bridge maps feed words to engine symbols by position).
+// The plan is mode-neutral data. Two walkers consume it: the barriered
+// symbolic engine (internal/core) and the concrete fuzz executor
+// (internal/fuzz), which trace replay (internal/trace) also runs on. Each
+// keeps only what is specific to its mode — forking and interrupt
+// siblings, feed-driven edge choice — so an entry added, reordered or
+// re-argumented here changes every mode at once, and the injection points
+// the buffer builders mint stay in one order everywhere (the concolic
+// bridge maps feed words to engine symbols by position).
 package workload
 
 import (
@@ -131,17 +131,6 @@ func (p Plan) Next(dst []int, i int, s *vm.State) []int {
 		}
 	}
 	return dst
-}
-
-// Index returns the plan index of the node named name, or -1. A DPC entry
-// ("DPC:<label>") resolves to the drain node.
-func (p Plan) Index(name string) int {
-	for i := range p {
-		if p[i].Name == name || p[i].Drain && len(name) > 4 && name[:4] == "DPC:" {
-			return i
-		}
-	}
-	return -1
 }
 
 // Build returns the image's workload plan. scenario "" picks the class
