@@ -233,7 +233,7 @@ func TestInstallersSeparate(t *testing.T) {
 // TestForkPolicyPrimaryOutcomeForksNothing: under a replay ForkPolicy that
 // keeps the primary outcome, an alloc-failure annotation charges the fork
 // budget and nothing else — no throwaway clone, so the live state's memory
-// overlay depth, Machine.Forks and the state ID sequence are untouched.
+// overlay depth, the fork count and the state ID sequence are untouched.
 // Under a policy that takes the alternative, the live state takes it.
 func TestForkPolicyPrimaryOutcomeForksNothing(t *testing.T) {
 	const src = `
@@ -263,8 +263,8 @@ e:
 		if got := s.Mem.Depth(); got != depth {
 			t.Errorf("takeAlt=%v: live memory depth %d -> %d", takeAlt, depth, got)
 		}
-		if got := k.M.Forks.Load(); got != 0 {
-			t.Errorf("takeAlt=%v: Machine.Forks = %d, want 0", takeAlt, got)
+		if got := k.M.Root().Forks; got != 0 {
+			t.Errorf("takeAlt=%v: root context Forks = %d, want 0", takeAlt, got)
 		}
 		if next := k.M.NewRootState().ID; next != s.ID+1 {
 			t.Errorf("takeAlt=%v: next state ID %d, want %d (an ID was consumed)", takeAlt, next, s.ID+1)

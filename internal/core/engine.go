@@ -120,18 +120,22 @@ type Engine struct {
 	// parallel worker's solver answer through it.
 	cache *solver.Cache
 
+	// workers are the parallel workers' execution contexts, built once, each
+	// with a private solver over cache; nil for a sequential session, which
+	// explores on the machine's root context. Report sums the counts of the
+	// root context and of these.
+	workers []*vm.ExecContext
+
 	// findings is the campaign-wide bug-deduplication ledger; the campaign
 	// runner watches it for the StopAtFirstBug condition.
 	findings *campaign.Findings
 
 	// mu guards the result accounting shared by workers: bugs, paths,
-	// PhaseResult mutation, phaseStats, and the merged worker solver
-	// stats.
-	mu            sync.Mutex
-	bugs          []*Bug
-	paths         int
-	workerQueries uint64 // solver queries by retired parallel workers
-	phaseStats    []PhaseStat
+	// PhaseResult mutation and phaseStats.
+	mu         sync.Mutex
+	bugs       []*Bug
+	paths      int
+	phaseStats []PhaseStat
 
 	// notify, during a parallel explore, wakes workers blocked on an empty
 	// frontier after a push.
@@ -158,6 +162,12 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	if opts.Coverage != nil {
 		e.Cov = opts.Coverage
 	}
+	if opts.Workers > 1 {
+		e.workers = make([]*vm.ExecContext, opts.Workers)
+		for w := range e.workers {
+			e.workers[w] = m.NewContext(solver.NewWithCache(cache))
+		}
+	}
 	e.K.VerifierChecks = opts.VerifierChecks
 	e.K.SymbolSeed = opts.SymbolSeed
 	e.Dev.FreshSymbol = e.K.FreshSymbol
@@ -178,7 +188,7 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	}
 	m.OnBlock = func(s *vm.State, pc uint32) {
 		e.Sched.Record(pc)
-		e.Cov.Visit(pc, m.Steps.Load())
+		e.Cov.Visit(pc, m.ContextOf(s).Steps)
 		if _, err := e.Loop.Visit(s, pc); err != nil {
 			// Leave the fault on the state: the step loop surfaces it, so
 			// it can never be attributed to a different path however the
@@ -296,28 +306,20 @@ type PhaseResult struct {
 // bugs. Initial states must already be pushed (via e.Sched.Push) and set up
 // with kernel.Invoke. The frontier is drained by a campaign.Runner over a
 // barrierFrontier: with Opts.Workers > 1 a concurrent worker pool, each
-// worker owning a vm.ExecContext with a private solver over the shared
-// query cache (the per-phase path budget can overshoot by at most
-// Workers-1 in-flight paths); otherwise a single worker on the root
-// solver, bit-identical to the original single-threaded engine. ctx
-// cancels the phase mid-run.
+// worker stepping on its own engine-lifetime vm.ExecContext (the per-phase
+// path budget can overshoot by at most Workers-1 in-flight paths);
+// otherwise a single worker on the machine's root context, bit-identical
+// to the original single-threaded engine. ctx cancels the phase mid-run.
 func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 	var res PhaseResult
 	dbgStart := time.Now()
 	bugsBefore := e.bugCount()
 
-	workers := e.Opts.Workers
-	if workers < 1 {
-		workers = 1
+	ectxs := e.workers
+	if ectxs == nil {
+		ectxs = []*vm.ExecContext{e.M.Root()}
 	}
-	ectxs := make([]*vm.ExecContext, workers)
-	if workers == 1 {
-		ectxs[0] = e.M.NewContext(nil) // root solver, shared cache
-	} else {
-		for w := range ectxs {
-			ectxs[w] = e.M.NewContext(solver.NewWithCache(e.cache))
-		}
-	}
+	workers := len(ectxs)
 
 	r := campaign.NewRunner(
 		campaign.Options{Workers: workers, StopAtFirstBug: e.Opts.StopAtFirstBug},
@@ -335,9 +337,6 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 
 	if workers > 1 {
 		e.mu.Lock()
-		for _, c := range ectxs {
-			e.workerQueries += c.Solver.Stats.Queries
-		}
 		// Completion order is schedule-dependent; canonicalize by state ID
 		// so KeepStates selection (and everything downstream) is ordered by
 		// a property of the path, not of the race.
@@ -501,28 +500,25 @@ func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	bugs := append([]*Bug(nil), e.bugs...)
 	paths := e.paths
-	queries := e.workerQueries
 	phases := append([]PhaseStat(nil), e.phaseStats...)
 	e.mu.Unlock()
 	cs := e.cache.Stats()
-	workers := e.Opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	r := &Report{
 		Driver:               e.Img.Name,
 		Bugs:                 bugs,
 		PathsExplored:        paths,
-		StatesForked:         e.M.Forks.Load(),
-		Instructions:         e.M.Steps.Load(),
 		BlocksCovered:        e.Cov.Blocks(),
 		BlocksStatic:         e.Cov.TotalStatic,
-		SolverQueries:        e.M.Solver.Stats.Queries + queries,
 		SolverCacheHits:      cs.Hits,
 		SolverCacheEvictions: cs.Evictions,
-		Workers:              workers,
+		Workers:              max(len(e.workers), 1),
 		Phases:               phases,
 		SymbolsMade:          e.M.Syms.Len(),
+	}
+	for _, c := range append([]*vm.ExecContext{e.M.Root()}, e.workers...) {
+		r.StatesForked += c.Forks
+		r.Instructions += c.Steps
+		r.SolverQueries += c.Solver.Stats.Queries
 	}
 	for _, p := range e.Cov.Series() {
 		r.CoverageSeries = append(r.CoverageSeries, CoveragePointOut{p.Instructions, p.Blocks})

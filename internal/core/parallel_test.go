@@ -11,7 +11,11 @@ import (
 // seedGolden pins the exact results of the sequential engine. A workers=1
 // run must reproduce them bit-for-bit: same bug set, same path count, same
 // coverage, same fork/instruction/query totals. Any drift here means a
-// change altered sequential semantics, not just structure.
+// change altered sequential semantics, not just structure. series and last
+// pin the coverage clock: the number of CoverageSeries points and the last
+// one. Its times are the session's running instruction count, so a clock
+// that restarted per phase or per context would end far earlier (the
+// series clamps a falling time to the previous point's).
 //
 // Re-pinned when the interrupt-injection budget became path-global: the
 // old per-phase counter reset granted every phase a fresh entry-sibling
@@ -25,10 +29,13 @@ var seedGolden = map[string]struct {
 	forks   uint64
 	instr   uint64
 	queries uint64
+	series  int
+	last    CoveragePointOut
 }{
 	"amd-pcnet": {
 		bugs:  []string{"resource leak@0x1000f8", "resource leak@0x100298"},
 		paths: 91, covered: 339, static: 413, forks: 91, instr: 4729, queries: 102,
+		series: 339, last: CoveragePointOut{4678, 339},
 	},
 	"rtl8029": {
 		bugs: []string{
@@ -39,6 +46,7 @@ var seedGolden = map[string]struct {
 			"segmentation fault@0x100630",
 		},
 		paths: 473, covered: 222, static: 265, forks: 652, instr: 12734, queries: 1229,
+		series: 222, last: CoveragePointOut{11665, 222},
 	},
 }
 
@@ -77,6 +85,10 @@ func TestSequentialMatchesSeedEngine(t *testing.T) {
 		}
 		if rep.SolverQueries != want.queries {
 			t.Errorf("%s: solver queries = %d, seed %d", driver, rep.SolverQueries, want.queries)
+		}
+		if n := len(rep.CoverageSeries); n != want.series || rep.CoverageSeries[n-1] != want.last {
+			t.Errorf("%s: coverage series of %d points ending %v, seed %d ending %v",
+				driver, n, rep.CoverageSeries[n-1], want.series, want.last)
 		}
 	}
 }

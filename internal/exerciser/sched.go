@@ -88,13 +88,6 @@ func (s *Scheduler) Record(pc uint32) {
 	s.mu.Unlock()
 }
 
-// BlockCount returns the global execution count of one block leader.
-func (s *Scheduler) BlockCount(pc uint32) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blockCounts[pc]
-}
-
 // minBlockCount picks the state whose current block has been executed the
 // fewest times globally (the first such state on a tie). It naturally
 // avoids states stuck in polling loops — the exact rationale of §4.3. The

@@ -180,7 +180,6 @@ type Executor struct {
 
 	reader    feedReader
 	loop      checkers.LoopChecker
-	runBase   uint64 // m.Steps at execution start
 	stepsBase uint64 // logical boot steps a snapshot resume skipped
 	curNew    int
 	covBatch  []uint32 // first-seen block PCs awaiting one shared-map Merge
@@ -261,8 +260,15 @@ func (e *Executor) flushCoverage() {
 	e.covBatch = e.covBatch[:0]
 }
 
+// steps is the execution's logical instruction count so far: what its
+// root context stepped since Run reset it, plus the boot steps a snapshot
+// resume skipped.
+func (e *Executor) steps() uint64 {
+	return e.m.Root().Steps + e.stepsBase
+}
+
 func (e *Executor) now() uint64 {
-	t := e.m.Steps.Load() - e.runBase + e.stepsBase
+	t := e.steps()
 	if e.TimeBase != nil {
 		t += e.TimeBase()
 	}
@@ -364,7 +370,7 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 // independent of whether it ran cold or resumed from a snapshot.
 func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.reader.reset(feed)
-	e.runBase = e.m.Steps.Load()
+	e.m.Root().Steps = 0
 	e.stepsBase = 0
 	e.curNew = 0
 	e.covBatch = e.covBatch[:0]
@@ -387,7 +393,7 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 
 	e.flushCoverage()
 	res.NewBlocks = e.curNew
-	res.Steps = e.m.Steps.Load() - e.runBase + e.stepsBase
+	res.Steps = e.steps()
 	res.ConsumedData, res.ConsumedForks, res.ConsumedIRQ = e.reader.consumed()
 	if fin != nil {
 		res.Blocks = fin.BlockCount()
@@ -507,7 +513,7 @@ func (e *Executor) captureContext(stage snapStage, res *ExecResult) *snapshot {
 		data:      append([]byte(nil), f.Data[:dataN]...),
 		forks:     make([]byte, forkN),
 		irq:       append([]uint64(nil), f.IRQ[:r.irq]...),
-		steps:     e.m.Steps.Load() - e.runBase + e.stepsBase,
+		steps:     e.steps(),
 		eligBound: e.eligBound,
 		entries:   append([]string(nil), res.Entries...),
 	}

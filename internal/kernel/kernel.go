@@ -100,7 +100,7 @@ func (c *AnnotCtx) NewSymbol(name string, origin expr.Origin) *expr.Expr {
 // returns nil (the feed keeps the primary outcome). Callers must handle
 // nil, as they already do when a fork budget is spent. Returning nil rather
 // than a throwaway clone leaves the live state's memory overlay, the state
-// ID sequence and Machine.Forks exactly as they were.
+// ID sequence and the context's fork count exactly as they were.
 func (c *AnnotCtx) Fork() *vm.State {
 	if c.K.ForkPolicy != nil {
 		if c.K.ForkPolicy(c.S, c.API) {

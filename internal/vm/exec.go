@@ -90,7 +90,6 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		}
 		if c.M.ReadPort != nil {
 			s.SetReg(in.Rd, c.M.ReadPort(s, port))
-			c.M.SymReads.Add(1)
 		} else {
 			s.SetRegConcrete(in.Rd, 0)
 		}
@@ -208,7 +207,6 @@ func (c *ExecContext) load(s *State, rd, base uint8, imm, size uint32) error {
 		return err
 	}
 	if addr >= isa.MMIOBase && addr < isa.MMIOLimit {
-		c.M.SymReads.Add(1)
 		if c.M.ReadDevice != nil {
 			s.SetReg(rd, c.M.ReadDevice(s, addr, size))
 		} else {
@@ -337,7 +335,7 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 
 	switch {
 	case okTaken && okNot:
-		c.pendForks++
+		c.Forks++
 		tk := s.Fork(c.M.newID())
 		nt := s.Fork(c.M.newID())
 		tk.AddConstraint(cond)
@@ -386,7 +384,6 @@ func (c *ExecContext) jumpIndirect(s *State, target uint8, isCall bool) ([]*Stat
 }
 
 func (c *ExecContext) apiCall(s *State, slot int) ([]*State, error) {
-	c.M.APICalls.Add(1)
 	if slot >= len(c.M.Img.Imports) {
 		s.Status = StatusBug
 		return nil, Faultf("memory", s.PC, "call to unresolved import slot %d", slot)

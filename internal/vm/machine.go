@@ -36,8 +36,8 @@ func Faultf(class string, pc uint32, format string, args ...any) *Fault {
 //
 // A Machine is the *shared* half of the interpreter: the decoded image, the
 // symbol table, and the hook wiring, all of which are immutable once
-// execution starts, plus fleet-wide statistics kept as atomics. The mutable
-// per-worker half is ExecContext: parallel exploration runs one ExecContext
+// execution starts. The mutable per-worker half is ExecContext, which also
+// keeps the step and fork counts: parallel exploration runs one ExecContext
 // (with its own Solver) per worker against a single Machine. The Machine's
 // own Step/Run/Concretize methods delegate to a default root context, so
 // single-threaded users never see the split.
@@ -115,21 +115,15 @@ type Machine struct {
 
 	nextID atomic.Uint64
 
-	// Stats, shared across every ExecContext of this machine.
-	Steps    atomic.Uint64
-	Forks    atomic.Uint64
-	SymReads atomic.Uint64
-	APICalls atomic.Uint64
-
 	root *ExecContext
 }
 
-// ExecContext is one worker's execution context: the step loop plus the
-// worker-private solver. Contexts of the same Machine share the image,
-// hooks, symbol table, and statistics; they do NOT share solver scratch
-// (probe RNG, per-solver stats), so each worker decides branch feasibility
-// and concretizations independently — typically against one shared
-// thread-safe query cache (solver.NewWithCache).
+// ExecContext is one worker's execution context: the step loop, the
+// worker-private solver and the worker's step and fork counts. Contexts of
+// the same Machine share the image, hooks and symbol table; they do NOT
+// share solver scratch (probe RNG, per-solver stats), so each worker
+// decides branch feasibility and concretizations independently — typically
+// against one shared thread-safe query cache (solver.NewWithCache).
 //
 // A context may only step one state at a time; a state is bound to the
 // context stepping it so hooks and kernel code reached from inside the step
@@ -138,15 +132,13 @@ type ExecContext struct {
 	M      *Machine
 	Solver *solver.Solver
 
-	// pendSteps/pendForks batch the machine-wide atomic counters: the step
-	// loop bumps these worker-local fields and flushStats publishes them at
-	// every step/span boundary, so the shared cache line is touched once
-	// per dispatch instead of once per instruction. Observers that read
-	// Machine.Steps from inside a step (the OnBlock coverage clocks) are
-	// flushed-to explicitly before the hook fires, so the published value
-	// is always exact at every observation point.
-	pendSteps uint64
-	pendForks uint64
+	// Steps counts the instructions executed on this context, including the
+	// one about to run when OnBlock fires. Forks counts the states forked
+	// from states bound to it: symbolic branches and ForkState. Only the
+	// goroutine stepping the context writes them; reports sum them over
+	// contexts.
+	Steps uint64
+	Forks uint64
 
 	// slot backs every single-successor step result (only), so the common
 	// dispatch allocates nothing. See Step for the lifetime contract this
@@ -171,20 +163,6 @@ func (c *ExecContext) bind(s *State) {
 func (c *ExecContext) only(s *State) []*State {
 	c.slot[0] = s
 	return c.slot[:1:1]
-}
-
-// flushStats publishes the context's batched counter deltas to the shared
-// machine atomics. Exact-count observation points (hook entry, step return)
-// must call this first.
-func (c *ExecContext) flushStats() {
-	if c.pendSteps != 0 {
-		c.M.Steps.Add(c.pendSteps)
-		c.pendSteps = 0
-	}
-	if c.pendForks != 0 {
-		c.M.Forks.Add(c.pendForks)
-		c.pendForks = 0
-	}
 }
 
 // NewMachine decodes the image and prepares an interpreter.
@@ -234,20 +212,22 @@ func (c *ExecContext) Retire(s *State) {
 	s.Retire()
 }
 
-// NewContext returns a fresh per-worker execution context. A nil solver
-// shares the machine's root solver (only valid for sequential use).
+// NewContext returns a fresh per-worker execution context deciding on sol.
 func (m *Machine) NewContext(sol *solver.Solver) *ExecContext {
-	if sol == nil {
-		sol = m.Solver
-	}
 	return &ExecContext{M: m, Solver: sol}
 }
 
-// ctxOf returns the context a state is currently bound to, defaulting to
-// the machine's root context. Kernel and checker code that only holds the
-// Machine routes through this, so per-worker solvers are honoured even for
-// calls made from inside hooks.
-func (m *Machine) ctxOf(s *State) *ExecContext {
+// Root returns the machine's root context: the one Machine.Step, Run and
+// Concretize use for states no other context has stepped.
+func (m *Machine) Root() *ExecContext {
+	return m.root
+}
+
+// ContextOf returns the context a state is currently bound to, defaulting
+// to the machine's root context. Kernel and checker code that only holds
+// the Machine routes through this, so per-worker solvers are honoured even
+// for calls made from inside hooks.
+func (m *Machine) ContextOf(s *State) *ExecContext {
 	if s != nil && s.ctx != nil {
 		return s.ctx
 	}
@@ -257,7 +237,7 @@ func (m *Machine) ctxOf(s *State) *ExecContext {
 // SolverFor returns the solver responsible for s: the solver of the worker
 // context currently executing it, or the machine's root solver.
 func (m *Machine) SolverFor(s *State) *solver.Solver {
-	return m.ctxOf(s).Solver
+	return m.ContextOf(s).Solver
 }
 
 // NewRootState allocates the initial state with the image loaded.
@@ -277,12 +257,11 @@ func (m *Machine) newID() uint64 {
 }
 
 // ForkState clones s with a fresh ID (used by kernel annotations that fork
-// over alternative API results). Safe to call from any worker.
+// over alternative API results) and counts the fork on the context s is
+// bound to. Call it on the goroutine stepping that context, or while no
+// goroutine steps it.
 func (m *Machine) ForkState(s *State) *State {
-	// Not batched through ExecContext.pendForks: annotation and invocation
-	// forks happen from coordinator threads outside any step dispatch, where
-	// no context is guaranteed to flush (or even be exclusively ours).
-	m.Forks.Add(1)
+	m.ContextOf(s).Forks++
 	return s.Fork(m.newID())
 }
 
@@ -329,7 +308,7 @@ func (m *Machine) inText(pc uint32) bool {
 // Concretize pins a symbolic expression to a concrete value consistent with
 // the path constraints, routing solver work to the context bound to s.
 func (m *Machine) Concretize(s *State, e *expr.Expr, what string) (uint32, error) {
-	return m.ctxOf(s).Concretize(s, e, what)
+	return m.ContextOf(s).Concretize(s, e, what)
 }
 
 // Concretize pins a symbolic expression to a concrete value consistent with
@@ -382,14 +361,14 @@ func (m *Machine) FaultSite(s *State, pc uint32) uint32 {
 // the context s is already bound to). Parallel workers call
 // ExecContext.Step directly instead.
 func (m *Machine) Step(s *State) ([]*State, error) {
-	return m.ctxOf(s).step(s, 1)
+	return m.ContextOf(s).step(s, 1)
 }
 
 // StepSpan is Step with an instruction budget: it may execute up to budget
 // instructions in one dispatch when the state sits on a straight-line span
 // (see runSpan), under the machine's root context.
 func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
-	return m.ctxOf(s).step(s, budget)
+	return m.ContextOf(s).step(s, budget)
 }
 
 // Step executes one instruction of s and returns the runnable successor
@@ -431,8 +410,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 		return nil, f
 	}
 	m := c.M
-	c.pendSteps++
-	defer c.flushStats()
+	c.Steps++
 
 	// Magic return addresses.
 	switch s.PC {
@@ -464,7 +442,6 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 	}
 
 	if s.BlockStart {
-		c.flushStats() // OnBlock coverage clocks read Machine.Steps
 		m.enterBlock(s)
 		if s.PendFault != nil {
 			// The block hook raised a fault (loop checker). Per-instruction
@@ -486,7 +463,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 // Run steps s until the path stops or maxSteps instructions execute, under
 // the machine's root context.
 func (m *Machine) Run(s *State, maxSteps uint64) (final *State, forked []*State, fault error) {
-	return m.ctxOf(s).Run(s, maxSteps)
+	return m.ContextOf(s).Run(s, maxSteps)
 }
 
 // Run steps s until the path stops or maxSteps instructions execute,

@@ -137,7 +137,7 @@ func lowerUop(in *isa.Instr) uop {
 // The preamble in step has already credited one step for the first
 // instruction (mirroring the per-instruction path); runSpan credits the
 // rest. Net effect: executing N span instructions is bit-identical to N
-// Step calls, with one shared-atomic flush and one dispatch instead of N.
+// Step calls, with one dispatch instead of N.
 func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, error) {
 	m := c.M
 	maxN := uint64(m.spanLen[idx])
@@ -147,14 +147,7 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	base := s.ICount
 	i := idx
 	executed := uint64(0) // instructions completed in this dispatch
-	counted := uint64(1)  // step credits granted (preamble pre-credited one)
-
-	creditTo := func(n uint64) {
-		if n > counted {
-			c.pendSteps += n - counted
-			counted = n
-		}
-	}
+	steps := c.Steps - 1  // the count before the preamble credited one
 
 	for executed < maxN {
 		if u := &m.uops[i]; u.fn(u, s) {
@@ -169,9 +162,9 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 		// would see it.
 		s.PC = isa.ImageBase + i*isa.InstrSize
 		s.ICount = base + executed
-		creditTo(executed + 1)
 		s.ICount++
 		executed++
+		c.Steps = steps + executed
 		out, err := c.exec(s, *in)
 		if err != nil || len(out) != 1 || out[0] != s ||
 			s.Status != StatusRunning || s.BlockStart || s.PendFault != nil ||
@@ -188,6 +181,6 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 
 	s.PC = isa.ImageBase + i*isa.InstrSize
 	s.ICount = base + executed
-	creditTo(executed)
+	c.Steps = steps + executed
 	return c.only(s), nil
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -259,8 +260,8 @@ b:
 	if exits != 2 {
 		t.Errorf("exit states = %d, want 2 (second branch must not fork)", exits)
 	}
-	if m.Forks.Load() != 1 {
-		t.Errorf("forks = %d, want 1", m.Forks.Load())
+	if got := m.Root().Forks; got != 1 {
+		t.Errorf("forks = %d, want 1", got)
 	}
 }
 
@@ -724,14 +725,15 @@ func TestDisassembleListing(t *testing.T) {
 }
 
 // TestExecContextsStepIndependently: two contexts of one machine, each
-// with a private solver, run separate states concurrently; shared stats
-// aggregate across both (run under -race to validate the shared half).
+// with a private solver, run separate states concurrently; each context
+// counts exactly its own state's steps, and neither the other context nor
+// the root context sees any of them (run under -race: the counts are plain
+// fields).
 func TestExecContextsStepIndependently(t *testing.T) {
 	m, s := newTestMachine(t, `
 .entry e
 .text
 e:
-    movi r1, 5
     movi r2, 0
 loop:
     addi r0, r0, 3
@@ -744,28 +746,47 @@ loop:
 	s2.SetReg(isa.LR, expr.Const(ExitAddr))
 	m.MarkBlockStart(s2)
 
-	done := make(chan *State, 2)
-	for _, st := range []*State{s, s2} {
-		go func(st *State) {
-			ctx := m.NewContext(solver.New())
-			final, _, err := ctx.Run(st, 100000)
+	iters := []uint32{5, 40}
+	states := []*State{s, s2}
+	ctxs := []*ExecContext{m.NewContext(solver.New()), m.NewContext(solver.New())}
+	finals := make([]*State, 2)
+	var wg sync.WaitGroup
+	for i := range states {
+		states[i].SetReg(isa.R1, expr.Const(iters[i]))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			final, _, err := ctxs[i].Run(states[i], 100000)
 			if err != nil {
-				t.Errorf("ctx run: %v", err)
+				t.Errorf("ctx %d run: %v", i, err)
 			}
-			done <- final
-		}(st)
+			finals[i] = final
+		}(i)
 	}
-	for i := 0; i < 2; i++ {
-		final := <-done
+	wg.Wait()
+	for i, n := range iters {
+		final := finals[i]
 		if final.Status != StatusExited {
-			t.Errorf("status = %v", final.Status)
+			t.Errorf("ctx %d: status = %v", i, final.Status)
 		}
-		if v, ok := final.RegConcrete(isa.R0); !ok || v != 15 {
-			t.Errorf("r0 = %v, want 15", final.Reg(isa.R0))
+		if v, ok := final.RegConcrete(isa.R0); !ok || v != 3*n {
+			t.Errorf("ctx %d: r0 = %v, want %d", i, final.Reg(isa.R0), 3*n)
+		}
+		// movi, n loop bodies of three, ret; then the dispatch that finds
+		// the exit address.
+		instrs := uint64(1 + 3*n + 1)
+		if final.ICount != instrs {
+			t.Errorf("ctx %d: ICount = %d, want %d", i, final.ICount, instrs)
+		}
+		if got := ctxs[i].Steps; got != instrs+1 {
+			t.Errorf("ctx %d: Steps = %d, want %d (its own program only)", i, got, instrs+1)
+		}
+		if ctxs[i].Forks != 0 {
+			t.Errorf("ctx %d: Forks = %d, want 0", i, ctxs[i].Forks)
 		}
 	}
-	if m.Steps.Load() == 0 {
-		t.Error("shared step counter not aggregated")
+	if r := m.Root(); r.Steps != 0 || r.Forks != 0 {
+		t.Errorf("root context counted %d steps, %d forks; want none", r.Steps, r.Forks)
 	}
 }
 
