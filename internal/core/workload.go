@@ -195,7 +195,7 @@ func (e *Engine) invoke(plan workload.Plan, i int, base routed) []*vm.State {
 			st.Trace.Append(ev)
 		}
 		name, pc, args := n.Enter(env, st)
-		e.K.InvokeSym(st, name, pc, args...)
+		e.K.InvokeSym(st, name, pc, args.List()...)
 		return st
 	}
 	st := mk()

@@ -9,15 +9,18 @@ import (
 )
 
 // warmExecAllocCeiling and warmExecBytesCeiling bound the heap objects and
-// bytes one warm execution allocates in TestWarmExecAllocCeiling. Measured
-// 40 objects and 3,572 bytes. Under -race, where sync.Pool drops a quarter
-// of what is put back, 41-42 objects and 4.8-6.3 KB: the race ceilings
-// allow for that.
+// bytes one warm execution allocates in TestWarmExecAllocCeiling, at the
+// measurement plus at most 10%. Measured 3 objects and 244 bytes: the
+// ExecResult, its entry log, and the spinlock record the restore brings
+// back after the driver's Halt freed it. The execution restores its
+// snapshot into the executor's kept state, so the state, its memory
+// overlay, kernel maps and block table are reused. Under -race, 3 objects
+// and 256 bytes.
 const (
-	warmExecAllocCeiling     = 44
-	warmExecBytesCeiling     = 4608
-	raceWarmExecAllocCeiling = 46
-	raceWarmExecBytesCeiling = 8 << 10
+	warmExecAllocCeiling     = 3
+	warmExecBytesCeiling     = 268
+	raceWarmExecAllocCeiling = 3
+	raceWarmExecBytesCeiling = 281
 )
 
 // TestWarmExecAllocCeiling pins what a warm execution allocates: a fixed

@@ -192,6 +192,12 @@ type Executor struct {
 	// executor's lookups in the fabric's hit/shared-hit split.
 	snaps  *SnapFabric
 	execID uint64
+
+	// kept is the final state of the last execution, private to the
+	// executor: the next warm execution restores its snapshot into it in
+	// place (vm.Machine.ResumeInto) instead of cloning the snapshot. It is
+	// valid only until the next Run, and no ExecResult points into it.
+	kept *vm.State
 }
 
 // NewExecutor builds an executor for the image. cov may be nil (coverage
@@ -376,7 +382,8 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.covBatch = e.covBatch[:0]
 	e.eligBound = 0
 
-	res := &ExecResult{}
+	// Room for one entry per plan node: the entry log rarely grows past it.
+	res := &ExecResult{Entries: make([]string, 0, len(e.plan))}
 	var fin *vm.State
 	if sn := e.lookupSnapshot(feed); sn != nil {
 		res.Warm = true
@@ -385,7 +392,7 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 			return e.serveMemo(sn, feed, res)
 		}
 		e.resumeFrom(sn, feed, res)
-		s := e.m.ResumeState(sn.state)
+		s := e.m.ResumeInto(e.kept, sn.state)
 		fin = e.walk(s, e.route(s, sn.node), res)
 	} else {
 		fin = e.walk(workload.Boot(e.m, e.img, workload.Registry(e.opts.Registry)), 0, res)
@@ -397,13 +404,15 @@ func (e *Executor) Run(feed *Feed) *ExecResult {
 	res.ConsumedData, res.ConsumedForks, res.ConsumedIRQ = e.reader.consumed()
 	if fin != nil {
 		res.Blocks = fin.BlockCount()
-		// Detach the trace before retiring: Retire recycles an attached
-		// leaf's event storage, and the harvested chain must outlive the
-		// state. The rest of the state is never touched again (crash
-		// identity, block count and cursors are all harvested); recycle its
-		// overlay maps and block table.
+		// The harvested trace chain must outlive the state, which becomes
+		// the kept state the next warm execution restores into. A kept
+		// state this execution did not reuse (a cold run, or one that could
+		// not be restored into) is retired.
 		res.Trace = fin.DetachTrace()
-		fin.Retire()
+		if fin != e.kept {
+			e.kept.Retire()
+			e.kept = fin
+		}
 	}
 	return res
 }
@@ -543,7 +552,7 @@ func (e *Executor) walk(s *vm.State, i int, res *ExecResult) *vm.State {
 			name, pc, args := n.Enter(e.env, s)
 			var ok bool
 			var status uint32
-			if s, ok, status = e.runEntry(s, name, pc, args, res); !ok {
+			if s, ok, status = e.runEntry(s, name, pc, args.List(), res); !ok {
 				if n.Gate {
 					e.recordTerminal(s, res)
 				}

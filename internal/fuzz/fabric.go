@@ -23,8 +23,10 @@ import (
 // (shards+1)*snapCacheMax process-wide.
 //
 // Concurrency: snapshots are immutable once published (the frozen state is
-// never stepped; ForkFrozen gives every resume a private COW overlay and
-// trace node), so sharing them across executors is safe — the shard mutex
+// never stepped; a resume restores it into the executor's own state, on a
+// private COW overlay and trace node, and writes nothing shared but the
+// frozen memory's atomic fork count), so sharing them across executors is
+// safe — the shard mutex
 // orders publication, and the owner tag lets the hit accounting split
 // same-worker hits from cross-worker (shared) hits.
 type SnapFabric struct {

@@ -163,8 +163,9 @@ func (sn *snapshot) samePrefix(o *snapshot) bool {
 	return sn.matches(&Feed{Data: o.data, Forks: o.forks, IRQ: o.irq})
 }
 
-// snapCacheMax bounds one fabric shard. Distinct boot prefixes track the
-// corpus's boot-word diversity, which is small (most mutants inherit their
-// parent's boot prefix); recency eviction keeps the hot prefixes resident.
-// The sharded process-wide store lives in fabric.go.
+// snapCacheMax bounds one fabric shard. Distinct boot prefixes are not
+// few: every mutant that changes a consumed boot word or fork decision
+// records one, and the single-worker 2,500-exec campaigns of perfbench's
+// fuzz-hunt panel record 300–710 each. Recency eviction keeps the hot
+// prefixes resident. The sharded process-wide store lives in fabric.go.
 const snapCacheMax = 64

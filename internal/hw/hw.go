@@ -49,11 +49,20 @@ type RegWrite struct {
 	Seq  uint64
 }
 
-// Fork implements vm.Forkable.
+// Fork implements vm.Forkable: a restore into a zero value.
 func (d *DeviceState) Fork() vm.Forkable {
-	n := *d
-	n.LastWrites = append([]RegWrite(nil), d.LastWrites...)
-	return &n
+	n := new(DeviceState)
+	n.RestoreFrom(d)
+	return n
+}
+
+// RestoreFrom overwrites d with a deep copy of src, a *DeviceState
+// (vm.Forkable), reusing d's recent-write window.
+func (d *DeviceState) RestoreFrom(f vm.Forkable) {
+	src := f.(*DeviceState)
+	w := append(d.LastWrites[:0], src.LastWrites...)
+	*d = *src
+	d.LastWrites = w
 }
 
 // Of extracts the device state attached to a vm state, creating it lazily.

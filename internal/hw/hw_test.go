@@ -153,3 +153,39 @@ func TestDeviceStateForkNoAliasing(t *testing.T) {
 		t.Fatal("child writes visible through the parent")
 	}
 }
+
+// TestDeviceStateRestoreNoAliasing: restoring a device state that holds
+// unrelated content (a longer recent-write window) from a snapshot's copy
+// must give the snapshot's exact state, and afterwards neither side's
+// recent-write window may show the other's writes.
+func TestDeviceStateRestoreNoAliasing(t *testing.T) {
+	src := &DeviceState{RegReads: 3, PortWrites: 1}
+	for i := 0; i < 5; i++ {
+		src.recordWrite(RegWrite{Addr: uint32(i), Seq: uint64(i)})
+	}
+	dst := &DeviceState{RegWrites: 9, Removed: true}
+	for i := 0; i < 40; i++ {
+		dst.recordWrite(RegWrite{Addr: 0x100 + uint32(i), Port: true})
+	}
+	srcBefore := fmt.Sprintf("%+v", *src)
+	dst.RestoreFrom(src)
+	if got := fmt.Sprintf("%+v", *dst); got != srcBefore {
+		t.Fatalf("restore is not a faithful copy:\n%s\nvs\n%s", got, srcBefore)
+	}
+
+	dst.LastWrites[0].Addr = 0xDEAD
+	for i := 0; i < 40; i++ {
+		dst.recordWrite(RegWrite{Addr: 0xBEEF, Seq: 1000 + uint64(i)})
+	}
+	if got := fmt.Sprintf("%+v", *src); got != srcBefore {
+		t.Fatalf("mutating the restored state changed the source:\n%s\nvs\n%s", srcBefore, got)
+	}
+
+	dst.RestoreFrom(src)
+	dstBefore := fmt.Sprintf("%+v", *dst)
+	src.LastWrites[0].Addr = 0xDEAD
+	src.recordWrite(RegWrite{Addr: 0xBEEF})
+	if got := fmt.Sprintf("%+v", *dst); got != dstBefore {
+		t.Fatalf("mutating the source changed the restored state:\n%s\nvs\n%s", dstBefore, got)
+	}
+}

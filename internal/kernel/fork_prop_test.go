@@ -23,7 +23,7 @@ func fingerprint(ks *KState) string {
 	}
 	var lines []string
 	for k, v := range ks.Allocs {
-		lines = append(lines, fmt.Sprintf("alloc %#x=%+v", k, *v))
+		lines = append(lines, fmt.Sprintf("alloc %#x=%+v", k, v))
 	}
 	for k, v := range ks.Spinlocks {
 		lines = append(lines, fmt.Sprintf("spin %#x=%+v", k, *v))
@@ -106,9 +106,10 @@ func mutateChild(c *KState) {
 	if len(c.IRQLStack) > 1 {
 		c.IRQLStack[0] = 7
 	}
-	for _, a := range c.Allocs {
+	for k, a := range c.Allocs {
 		a.Tag = "mutated"
 		a.Size = 0xFFFF
+		c.Allocs[k] = a
 	}
 	if _, err := c.HeapAlloc(32, "child", "pool", 99, 0x100999); err != nil {
 		panic(err)
@@ -132,9 +133,11 @@ func mutateChild(c *KState) {
 	c.Registry["key"] = 0xAAAA
 	c.Registry["new"] = 1
 	c.IntrSyncs[0x9500] = false
-	c.Miniport.SendPC = 0xBEEF
-	c.Audio.PlayPC = 0xBEEF
-	c.Storage.ReadPC = 0xBEEF
+	if c.Miniport != nil {
+		c.Miniport.SendPC = 0xBEEF
+		c.Audio.PlayPC = 0xBEEF
+		c.Storage.ReadPC = 0xBEEF
+	}
 	for _, o := range c.Dpcs {
 		o.Queued = !o.Queued
 		o.FuncPC = 0xDEAD
@@ -186,6 +189,47 @@ func TestKStateForkNoAliasing(t *testing.T) {
 		mutateChild(parent)
 		if fingerprint(sibling) != sibBefore {
 			t.Fatalf("seed %d: mutating the parent changed an earlier fork", seed)
+		}
+	}
+}
+
+// TestKStateRestoreFromNoAliasing is the audit for an in-place restore
+// (RestoreFrom, which warm fuzz executions use instead of Fork): a KState
+// holding unrelated content — other allocations, locks, timers, registry
+// keys and characteristics tables — restored from a populated source must
+// fingerprint exactly as the source. Mutating either side afterwards must
+// leave the other's fingerprint unchanged: they share no map, map value,
+// slice backing array or characteristics struct.
+func TestKStateRestoreFromNoAliasing(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		src := NewKState()
+		populate(r, src)
+		before := fingerprint(src)
+
+		dst := NewKState()
+		populate(rand.New(rand.NewSource(seed+1000)), dst)
+		mutateChild(dst)
+		if seed%2 == 1 {
+			// A source without characteristics tables must clear the
+			// restored state's.
+			src.Miniport, src.Audio, src.Storage = nil, nil, nil
+			before = fingerprint(src)
+		}
+		dst.RestoreFrom(src)
+		if got := fingerprint(dst); got != before {
+			t.Fatalf("seed %d: restore is not a faithful copy:\nsource:\n%s\nrestored:\n%s", seed, before, got)
+		}
+		mutateChild(dst)
+		if got := fingerprint(src); got != before {
+			t.Fatalf("seed %d: mutating the restored state changed the source:\nbefore:\n%s\nafter:\n%s", seed, before, got)
+		}
+
+		dst.RestoreFrom(src)
+		restored := fingerprint(dst)
+		mutateChild(src)
+		if got := fingerprint(dst); got != restored {
+			t.Fatalf("seed %d: mutating the source changed the restored state:\nbefore:\n%s\nafter:\n%s", seed, restored, got)
 		}
 	}
 }

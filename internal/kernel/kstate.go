@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/isa"
@@ -174,7 +175,7 @@ type KState struct {
 	NextHeap   uint32
 	NextHandle uint32
 
-	Allocs        map[uint32]*Alloc
+	Allocs        map[uint32]Alloc
 	Spinlocks     map[uint32]*Spin
 	ConfigHandles map[uint32]ConfigHandle
 	Timers        map[uint32]*Timer
@@ -234,7 +235,7 @@ func NewKState() *KState {
 	ks := &KState{
 		NextHeap:      isa.HeapBase,
 		NextHandle:    0x8000_0001,
-		Allocs:        make(map[uint32]*Alloc),
+		Allocs:        make(map[uint32]Alloc),
 		Spinlocks:     make(map[uint32]*Spin),
 		ConfigHandles: make(map[uint32]ConfigHandle),
 		Timers:        make(map[uint32]*Timer),
@@ -250,87 +251,112 @@ func NewKState() *KState {
 	return ks
 }
 
-// Fork deep-copies the kernel state (vm.Forkable).
+// Fork deep-copies the kernel state (vm.Forkable): a restore into a zero
+// value.
 func (ks *KState) Fork() vm.Forkable {
-	n := &KState{
-		IRQL:           ks.IRQL,
-		IRQLStack:      append([]uint8(nil), ks.IRQLStack...),
-		Regions:        append([]Region(nil), ks.Regions...),
-		NextHeap:       ks.NextHeap,
-		NextHandle:     ks.NextHandle,
-		Allocs:         make(map[uint32]*Alloc, len(ks.Allocs)),
-		Spinlocks:      make(map[uint32]*Spin, len(ks.Spinlocks)),
-		ConfigHandles:  make(map[uint32]ConfigHandle, len(ks.ConfigHandles)),
-		Timers:         make(map[uint32]*Timer, len(ks.Timers)),
-		PacketPools:    make(map[uint32]*Pool, len(ks.PacketPools)),
-		BufferPools:    make(map[uint32]*Pool, len(ks.BufferPools)),
-		Packets:        make(map[uint32]PacketInfo, len(ks.Packets)),
-		Registry:       make(map[string]uint32, len(ks.Registry)),
-		IntrSyncs:      make(map[uint32]bool, len(ks.IntrSyncs)),
-		Dpcs:           make(map[uint32]*DpcObj, len(ks.Dpcs)),
-		ISRRegistered:  ks.ISRRegistered,
-		ISRPC:          ks.ISRPC,
-		PendingDPCs:    append([]DPC(nil), ks.PendingDPCs...),
-		Crashed:        ks.Crashed,
-		CrashCode:      ks.CrashCode,
-		CrashMsg:       ks.CrashMsg,
-		InDpc:          ks.InDpc,
-		PowerState:     ks.PowerState,
-		Removed:        ks.Removed,
-		AllocFailForks: ks.AllocFailForks,
-		Interrupts:     ks.Interrupts,
-		InjectPending:  ks.InjectPending,
-		SeedCursor:     ks.SeedCursor,
-	}
-	for k, v := range ks.Allocs {
-		c := *v
-		n.Allocs[k] = &c
-	}
-	for k, v := range ks.Spinlocks {
-		c := *v
-		n.Spinlocks[k] = &c
-	}
-	for k, v := range ks.ConfigHandles {
-		n.ConfigHandles[k] = v
-	}
-	for k, v := range ks.Timers {
-		c := *v
-		n.Timers[k] = &c
-	}
-	for k, v := range ks.PacketPools {
-		c := *v
-		n.PacketPools[k] = &c
-	}
-	for k, v := range ks.BufferPools {
-		c := *v
-		n.BufferPools[k] = &c
-	}
-	for k, v := range ks.Packets {
-		n.Packets[k] = v
-	}
-	for k, v := range ks.Registry {
-		n.Registry[k] = v
-	}
-	for k, v := range ks.IntrSyncs {
-		n.IntrSyncs[k] = v
-	}
-	for k, v := range ks.Dpcs {
-		c := *v
-		n.Dpcs[k] = &c
-	}
-	if ks.Miniport != nil {
-		c := *ks.Miniport
-		n.Miniport = &c
-	}
-	if ks.Audio != nil {
-		c := *ks.Audio
-		n.Audio = &c
-	}
-	if ks.Storage != nil {
-		c := *ks.Storage
-		n.Storage = &c
-	}
+	n := new(KState)
+	n.RestoreFrom(ks)
 	return n
+}
+
+// RestoreFrom overwrites ks with a deep copy of src, a *KState
+// (vm.Forkable). ks keeps its slices' backing arrays, its maps and the
+// structs its pointer-valued map entries point to, and shares none of
+// them with src afterwards. This is the one list of KState fields a copy
+// carries: Fork restores into a zero value.
+func (ks *KState) RestoreFrom(f vm.Forkable) {
+	src := f.(*KState)
+	*ks = KState{
+		IRQL:           src.IRQL,
+		IRQLStack:      append(ks.IRQLStack[:0], src.IRQLStack...),
+		Regions:        append(ks.Regions[:0], src.Regions...),
+		NextHeap:       src.NextHeap,
+		NextHandle:     src.NextHandle,
+		Allocs:         restoreMap(ks.Allocs, src.Allocs),
+		Spinlocks:      restorePtrMap(ks.Spinlocks, src.Spinlocks),
+		ConfigHandles:  restoreMap(ks.ConfigHandles, src.ConfigHandles),
+		Timers:         restorePtrMap(ks.Timers, src.Timers),
+		PacketPools:    restorePtrMap(ks.PacketPools, src.PacketPools),
+		BufferPools:    restorePtrMap(ks.BufferPools, src.BufferPools),
+		Packets:        restoreMap(ks.Packets, src.Packets),
+		Registry:       restoreMap(ks.Registry, src.Registry),
+		Miniport:       restorePtr(ks.Miniport, src.Miniport),
+		Audio:          restorePtr(ks.Audio, src.Audio),
+		Storage:        restorePtr(ks.Storage, src.Storage),
+		ISRRegistered:  src.ISRRegistered,
+		ISRPC:          src.ISRPC,
+		IntrSyncs:      restoreMap(ks.IntrSyncs, src.IntrSyncs),
+		Dpcs:           restorePtrMap(ks.Dpcs, src.Dpcs),
+		PendingDPCs:    append(ks.PendingDPCs[:0], src.PendingDPCs...),
+		PowerState:     src.PowerState,
+		Removed:        src.Removed,
+		Crashed:        src.Crashed,
+		CrashCode:      src.CrashCode,
+		CrashMsg:       src.CrashMsg,
+		InDpc:          src.InDpc,
+		AllocFailForks: src.AllocFailForks,
+		Interrupts:     src.Interrupts,
+		InjectPending:  src.InjectPending,
+		SeedCursor:     src.SeedCursor,
+	}
+}
+
+// restoreMap makes dst (allocated when nil) hold exactly src's entries. A
+// map that already does is left untouched, which spares the common restore
+// from a snapshot of the same boot (the string-keyed registry above all)
+// any write.
+func restoreMap[K comparable, V comparable](dst, src map[K]V) map[K]V {
+	switch {
+	case dst == nil:
+		dst = make(map[K]V, len(src))
+	case len(dst) == 0 && len(src) == 0, maps.Equal(dst, src):
+		return dst
+	default:
+		clear(dst)
+	}
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
+}
+
+// restorePtrMap makes dst (allocated when nil) hold a copy of each of
+// src's entries, reusing the structs dst already points to for the keys
+// both hold.
+func restorePtrMap[K comparable, V any](dst, src map[K]*V) map[K]*V {
+	switch {
+	case dst == nil:
+		dst = make(map[K]*V, len(src))
+	case len(dst) == 0 && len(src) == 0:
+		return dst
+	default:
+		for k, v := range dst {
+			if sv, ok := src[k]; ok {
+				*v = *sv
+			} else {
+				delete(dst, k)
+			}
+		}
+	}
+	for k, sv := range src {
+		if _, ok := dst[k]; !ok {
+			c := *sv
+			dst[k] = &c
+		}
+	}
+	return dst
+}
+
+// restorePtr returns a copy of *src, written into dst when there is one.
+func restorePtr[V any](dst, src *V) *V {
+	switch {
+	case src == nil:
+		return nil
+	case dst == nil:
+		dst = new(V)
+	}
+	*dst = *src
+	return dst
 }
 
 // TakeDPC pops the head of the pending-DPC queue. For DPCs queued via
@@ -385,7 +411,7 @@ func (ks *KState) HeapAlloc(size uint32, tag, kind string, seq uint64, pc uint32
 	}
 	addr := ks.NextHeap
 	ks.NextHeap += sz
-	ks.Allocs[addr] = &Alloc{Addr: addr, Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc}
+	ks.Allocs[addr] = Alloc{Addr: addr, Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc}
 	ks.Grant(Region{Lo: addr, Hi: addr + size, Kind: RegionAlloc, Writable: true, Tag: tag})
 	return addr, nil
 }
@@ -411,8 +437,8 @@ func (ks *KState) NewHandle() uint32 {
 
 // LiveAllocs returns allocations that were never freed, ordered by
 // allocation time, for the resource leak checker.
-func (ks *KState) LiveAllocs() []*Alloc {
-	var out []*Alloc
+func (ks *KState) LiveAllocs() []Alloc {
+	var out []Alloc
 	for _, a := range ks.Allocs {
 		out = append(out, a)
 	}

@@ -117,11 +117,33 @@ func (t *blockTable) count(pc uint32) uint64 {
 }
 
 // rehash moves the counted entries of src (a probe table or a compact
-// list; empty slots are skipped) into fresh storage of 1<<bits slots,
-// recycling t's old storage afterwards. src may be t's own slots.
+// list) into fresh storage of 1<<bits slots, recycling t's old storage
+// afterwards. src may be t's own slots.
 func (t *blockTable) rehash(src []blockEntry, bits uint32) {
 	old := *t
 	t.alloc(bits)
+	t.fill(src)
+	old.release()
+}
+
+// load makes t hold exactly the counts of src, a snapshot's frozen list,
+// in a table sized for twice as many blocks (the size a snapshot resume
+// starts with). Whatever t held is dropped; its slots are cleared and
+// reused when they are of that size, and recycled otherwise.
+func (t *blockTable) load(src []blockEntry) {
+	bits := blockBitsFor(2 * len(src))
+	if t.slots != nil && 32-t.shift == bits {
+		clear(t.slots)
+	} else {
+		t.release()
+		t.alloc(bits)
+	}
+	t.fill(src)
+}
+
+// fill inserts the counted entries of src (empty slots are skipped) into
+// t's zeroed slots, which must hold them at most half full.
+func (t *blockTable) fill(src []blockEntry) {
 	t.n = 0
 	mask := uint32(len(t.slots) - 1)
 	for _, e := range src {
@@ -135,7 +157,6 @@ func (t *blockTable) rehash(src []blockEntry, bits uint32) {
 		t.slots[i] = e
 		t.n++
 	}
-	old.release()
 }
 
 // compact returns the counted entries as an exact-size list that no table

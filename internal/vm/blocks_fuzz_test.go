@@ -18,8 +18,11 @@ func blockFuzzPC(a, b byte) uint32 {
 // retires and forks on a handful of states. Each 3-byte record is one
 // operation: the low three bits of the first byte pick it, the rest of that
 // byte picks the state or snapshot, and the other two bytes give the PC.
-// Every VisitBlock return, LoopCount and BlockCount must match the model,
-// and a snapshot's counts must never change, however often it is resumed.
+// A resume with the low bit of the second byte set restores the snapshot
+// into the live state the third byte picks (Machine.ResumeInto), whose
+// table holds stale entries of the same or another size class. Every
+// VisitBlock return, LoopCount and BlockCount must match the model, and a
+// snapshot's counts must never change, however often it is resumed.
 func FuzzBlockTableMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 2, 3, 0, 0, 4, 0, 0, 0, 0, 1, 0, 0, 9})
 	f.Add([]byte{2, 0, 200, 3, 0, 0, 4, 0, 0, 2, 1, 255, 5, 0, 0, 4, 0, 0, 0, 0, 7})
@@ -84,6 +87,16 @@ func FuzzBlockTableMatchesMap(f *testing.F) {
 					continue
 				}
 				sn := snaps[sel%len(snaps)]
+				if a&1 != 0 {
+					j := int(b) % len(live)
+					s := m.ResumeInto(live[j].s, sn.s)
+					if s != live[j].s {
+						t.Fatal("resume did not restore into a live leaf state")
+					}
+					live[j] = path{s, clone(sn.model)}
+					check("resume into a reused state", live[j])
+					continue
+				}
 				c := path{m.ResumeState(sn.s), clone(sn.model)}
 				check("resume", c)
 				live = append(live, c)

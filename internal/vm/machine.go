@@ -293,8 +293,22 @@ func (m *Machine) SnapshotState(s *State) *State {
 // have been recorded by another executor (shared snapshot fabric), and its
 // stale ctx must not route solver work, nor its memory take pages from the
 // recorder's page list, before the first Step rebinds it.
-func (m *Machine) ResumeState(snap *State) *State {
-	s := snap.ForkFrozen(m.newID())
+func (m *Machine) ResumeState(snap *State) *State { return m.ResumeInto(nil, snap) }
+
+// ResumeInto is ResumeState restoring the snapshot into dst in place: a
+// finished state of this machine that nothing references any more (the
+// fuzz executor keeps its last execution's final state for this). dst's
+// leaf memory overlay, block table, kernel and device state keep their
+// storage and are overwritten from the snapshot, which is still never
+// written: the only shared field the restore touches is the fork count of
+// the snapshot's frozen memory. A nil dst, or one whose memory overlay has
+// forked children or was retired, is replaced by a new State. The resumed
+// state is returned.
+func (m *Machine) ResumeInto(dst, snap *State) *State {
+	if dst == nil || !dst.Mem.reusable() {
+		dst = new(State)
+	}
+	s := snap.forkFrozenInto(dst, m.newID())
 	m.root.bind(s)
 	return s
 }

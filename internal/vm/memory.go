@@ -119,19 +119,13 @@ type Memory struct {
 
 // pageMapPool recycles the small page/cache maps every overlay allocates.
 // The fuzz executor forks and discards thousands of short-lived overlays
-// per second; pooling the maps keeps that churn off the allocator. Maps are
-// cleared on put so a pooled map is indistinguishable from a fresh one.
+// per second; pooling the maps keeps that churn off the allocator.
 var pageMapPool = sync.Pool{
 	New: func() any { return make(map[uint32]*page) },
 }
 
 func newPageMap() map[uint32]*page {
 	return pageMapPool.Get().(map[uint32]*page)
-}
-
-func putPageMap(m map[uint32]*page) {
-	clear(m)
-	pageMapPool.Put(m)
 }
 
 // NewMemory returns an empty address space.
@@ -142,9 +136,39 @@ func NewMemory() *Memory {
 // Fork pushes a new copy-on-write overlay and returns it. The receiver must
 // be treated as immutable afterwards (the exerciser enforces this: parents
 // are never re-executed directly, only their forked children).
-func (m *Memory) Fork() *Memory {
+func (m *Memory) Fork() *Memory { return m.forkInto(nil) }
+
+// forkInto is Fork writing the new overlay into dst, a leaf overlay that
+// nothing reads any more (see reusable): dst's own pages go to its page
+// list, its page and read-cache maps are emptied in place, and it is
+// re-parented onto m. A nil dst gets a new overlay. m's fork count is the
+// only shared state the call writes.
+func (m *Memory) forkInto(dst *Memory) *Memory {
 	m.kids.Add(1)
-	return &Memory{parent: m, pages: newPageMap(), depth: m.depth + 1, free: m.free}
+	if dst == nil {
+		return &Memory{parent: m, pages: newPageMap(), depth: m.depth + 1, free: m.free}
+	}
+	dst.recycle()
+	dst.parent, dst.depth = m, m.depth+1
+	return dst
+}
+
+// reusable reports whether m can be forked into (forkInto): a leaf that
+// never forked a child and was not retired.
+func (m *Memory) reusable() bool {
+	return m != nil && m.pages != nil && m.kids.Load() == 0
+}
+
+// recycle gives the overlay's own pages to the page list it is bound to
+// and empties its page and read-cache maps.
+func (m *Memory) recycle() {
+	if m.free != nil {
+		for _, p := range m.pages {
+			m.free.put(p)
+		}
+	}
+	clear(m.pages)
+	clear(m.cache)
 }
 
 // Retire recycles the overlay's maps into the shared pool and its locally
@@ -155,22 +179,17 @@ func (m *Memory) Fork() *Memory {
 // safe to reuse; pages it merely cached from ancestors are not touched.
 // After Retire the memory must not be used again; writes will panic on the
 // nil page map, which makes a use-after-retire loud instead of corrupting a
-// pooled map.
+// pooled map. Maps are cleared before they are pooled, so a pooled map is
+// indistinguishable from a fresh one.
 func (m *Memory) Retire() {
-	if m == nil || m.kids.Load() != 0 {
+	if !m.reusable() {
 		return
 	}
-	if m.pages != nil {
-		if m.free != nil {
-			for _, p := range m.pages {
-				m.free.put(p)
-			}
-		}
-		putPageMap(m.pages)
-		m.pages = nil
-	}
+	m.recycle()
+	pageMapPool.Put(m.pages)
+	m.pages = nil
 	if m.cache != nil {
-		putPageMap(m.cache)
+		pageMapPool.Put(m.cache)
 		m.cache = nil
 	}
 }

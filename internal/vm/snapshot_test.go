@@ -14,6 +14,8 @@ type forkable struct{ n int }
 
 func (f *forkable) Fork() Forkable { c := *f; return &c }
 
+func (f *forkable) RestoreFrom(src Forkable) { *f = *src.(*forkable) }
+
 // TestForkFrozenDoesNotMutateSnapshot is the state-restore invariant behind
 // persistent-mode execution: any number of children can resume from one
 // frozen snapshot, each child's writes stay private, and the snapshot —
@@ -234,5 +236,62 @@ func TestConcurrentResumesKeepSnapshotCounts(t *testing.T) {
 	}
 	if snap.BlockCount() != len(want) {
 		t.Fatalf("snapshot grew counts: %d blocks, want %d", snap.BlockCount(), len(want))
+	}
+}
+
+// TestResumeIntoLeavesNothingStale: Machine.ResumeInto restores a snapshot
+// into a finished state in place. The state must come out as a resume into
+// a new State would — memory reads resolve through the new snapshot, not
+// the read cache of the old one; no interrupt frame, pending fault, status
+// or constraint survives; the block counts are the snapshot's — while its
+// memory overlay and environment objects are reused.
+func TestResumeIntoLeavesNothingStale(t *testing.T) {
+	img, err := asm.Assemble(".entry e\n.text\ne: movi r1, 0x11\n ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img, expr.NewSymbolTable(), nil)
+	run := m.NewRootState()
+	run.Kernel = &forkable{n: 1}
+	run.Mem.Write(0x200000, 4, expr.Const(1))
+	run.VisitBlock(0x100000)
+	snapA := m.SnapshotState(run)
+	run.Mem.Write(0x200000, 4, expr.Const(2))
+	run.VisitBlock(0x100008)
+	run.Kernel.(*forkable).n = 2
+	snapB := m.SnapshotState(run)
+
+	s := m.ResumeState(snapA)
+	if got, _ := s.Mem.ReadConcrete(0x200000, 4); got != 1 { // caches snapA's page
+		t.Fatalf("resume of A reads %d", got)
+	}
+	s.Mem.Write(0x300000, 4, expr.Const(9))
+	s.PushInterrupt(0x100000)
+	s.PendFault = Faultf("loop", 0x100000, "stale")
+	s.Status = StatusBug
+	s.AddConstraint(expr.Eq(m.Syms.Fresh("x", expr.OriginHardware, 0, 0), expr.Const(3)))
+	for i := 0; i < 5; i++ {
+		s.VisitBlock(0x100010)
+	}
+	mem, kern := s.Mem, s.Kernel
+
+	r := m.ResumeInto(s, snapB)
+	if r != s || r.Mem != mem || r.Kernel != kern {
+		t.Fatal("ResumeInto did not reuse the state, its overlay and its kernel object")
+	}
+	if got, _ := r.Mem.ReadConcrete(0x200000, 4); got != 2 {
+		t.Fatalf("restored state reads %d through a stale read cache, want snapshot B's 2", got)
+	}
+	if got, _ := r.Mem.ReadConcrete(0x300000, 4); got != 0 {
+		t.Fatalf("restored state keeps its old private write: %d", got)
+	}
+	if r.PopInterrupt() || r.PendFault != nil || r.Status != StatusRunning || len(r.Constraints) != 0 {
+		t.Fatal("restored state keeps an interrupt frame, pending fault, status or constraint")
+	}
+	if r.Kernel.(*forkable).n != 2 || r.BlockCount() != 2 || r.LoopCount(0x100010) != 0 || r.LoopCount(0x100008) != 1 {
+		t.Fatal("restored state's environment or block counts are not snapshot B's")
+	}
+	if snapA.Kernel.(*forkable).n != 1 || snapA.BlockCount() != 1 {
+		t.Fatal("restoring into the state changed snapshot A")
 	}
 }

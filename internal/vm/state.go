@@ -21,7 +21,25 @@ const (
 // snapshot" (paper §4.1.2); guest memory forks by COW, and Forkable covers
 // the host-side concrete structures.
 type Forkable interface {
+	// Fork returns a deep copy of the receiver.
 	Fork() Forkable
+	// RestoreFrom overwrites the receiver with a deep copy of src, a value
+	// of the receiver's own type, reusing the receiver's storage. Neither
+	// side shares mutable storage with the other afterwards.
+	RestoreFrom(src Forkable)
+}
+
+// restoreInto returns a deep copy of src, written into dst when there is
+// one to reuse.
+func restoreInto(dst, src Forkable) Forkable {
+	switch {
+	case src == nil:
+		return nil
+	case dst == nil:
+		return src.Fork()
+	}
+	dst.RestoreFrom(src)
+	return dst
 }
 
 // Status describes why a state is no longer runnable.
@@ -153,40 +171,39 @@ func NewState(id uint64) *State {
 	return s
 }
 
-// cloneChild builds a child of s carrying every inherited field. The
-// memory and trace differ between the two fork flavours — Fork freezes the
-// running parent onto fresh overlays, ForkFrozen forks a frozen parent in
-// place — so the caller supplies them. The block counts are the only
-// other state the flavours disagree on (see Fork/ForkFrozen); everything
-// else lives here exactly once, so a new State field cannot be cloned by
-// one flavour and silently dropped by the other.
-func (s *State) cloneChild(id uint64, mem *Memory, trace *TraceNode) *State {
-	c := &State{
+// cloneInto makes c a child of s carrying every inherited field, and
+// returns it. c is either a new State or a finished state nothing else
+// references any more (Machine.ResumeInto), whose kernel and device state,
+// interrupt stack and block-table storage are reused. The memory and trace
+// differ between the two fork flavours — Fork freezes the running parent
+// onto fresh overlays, ForkFrozen forks a frozen parent in place — so the
+// caller supplies them, and fills the block table (Fork leaves it empty,
+// ForkFrozen loads the snapshot's counts). Everything else lives here
+// exactly once, and every field of c is overwritten, so a new State field
+// cannot be cloned by one flavour and silently dropped (or left stale) by
+// another.
+func (s *State) cloneInto(c *State, id uint64, mem *Memory, trace *TraceNode) *State {
+	*c = State{
 		ID:          id,
 		Parent:      s.ID,
 		PC:          s.PC,
 		Mem:         mem,
 		Constraints: s.Constraints[:len(s.Constraints):len(s.Constraints)],
+		Kernel:      restoreInto(c.Kernel, s.Kernel),
+		HW:          restoreInto(c.HW, s.HW),
 		ICount:      s.ICount,
 		Depth:       s.Depth + 1,
+		intrStack:   append(c.intrStack[:0], s.intrStack...),
 		InInterrupt: s.InInterrupt,
 		EntryName:   s.EntryName,
 		Trace:       trace,
 		BlockStart:  s.BlockStart,
 		lastBlock:   s.lastBlock,
+		blocks:      c.blocks,
 		PendFault:   s.PendFault,
 		ctx:         s.ctx,
 		regs:        s.regs, // array copies
 		sym:         s.sym,
-	}
-	if s.Kernel != nil {
-		c.Kernel = s.Kernel.Fork()
-	}
-	if s.HW != nil {
-		c.HW = s.HW.Fork()
-	}
-	if len(s.intrStack) > 0 {
-		c.intrStack = append([]intrFrame(nil), s.intrStack...)
 	}
 	return c
 }
@@ -206,7 +223,7 @@ func (s *State) Fork(id uint64) *State {
 		s.Trace = &TraceNode{parent: frozenTrace}
 		childTrace = &TraceNode{parent: frozenTrace}
 	}
-	return s.cloneChild(id, frozenMem.Fork(), childTrace)
+	return s.cloneInto(new(State), id, frozenMem.Fork(), childTrace)
 }
 
 // ForkFrozen clones a frozen state into a fresh runnable child WITHOUT
@@ -219,9 +236,14 @@ func (s *State) Fork(id uint64) *State {
 // counts: a snapshot resume continues the same contiguous path segment,
 // and bit-identical replay of a cold execution (the persistent-mode fuzz
 // executor's contract) needs the boot segment's loop counts. The child
-// rehashes the snapshot's counts into a pooled table sized for twice as
-// many blocks, so the execution that follows rarely grows it.
-func (s *State) ForkFrozen(id uint64) *State {
+// loads the snapshot's counts into a table sized for twice as many
+// blocks, so the execution that follows rarely grows it.
+func (s *State) ForkFrozen(id uint64) *State { return s.forkFrozenInto(new(State), id) }
+
+// forkFrozenInto is ForkFrozen writing the child into c: a new State, or a
+// reusable finished one (Machine.ResumeInto) whose leaf memory overlay is
+// re-parented onto the snapshot's memory.
+func (s *State) forkFrozenInto(c *State, id uint64) *State {
 	var childTrace *TraceNode
 	if s.Trace != nil {
 		// The receiver's trace was frozen when the snapshot was captured
@@ -229,8 +251,8 @@ func (s *State) ForkFrozen(id uint64) *State {
 		// fabric snapshots are resumed from many goroutines concurrently.
 		childTrace = &TraceNode{parent: s.Trace}
 	}
-	c := s.cloneChild(id, s.Mem.Fork(), childTrace)
-	c.blocks.rehash(s.frozenBlocks, blockBitsFor(2*len(s.frozenBlocks)))
+	s.cloneInto(c, id, s.Mem.forkInto(c.Mem), childTrace)
+	c.blocks.load(s.frozenBlocks)
 	return c
 }
 
@@ -262,8 +284,8 @@ func (s *State) BlockCount() int {
 }
 
 // Retire releases pooled resources held by a state that no caller will
-// touch again (a discarded fork sibling, a finished fuzz execution after
-// its trace has been harvested). It is an optimization, never a
+// touch again (a discarded fork sibling, the fuzz executor's kept state
+// once a cold run replaced it). It is an optimization, never a
 // correctness requirement: unreferenced states are collected either way,
 // Retire just returns their overlay maps and block table to their pools
 // and their pages to the page list of the context the memory is bound to.

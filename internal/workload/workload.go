@@ -65,7 +65,7 @@ type Node struct {
 
 	pc   func(ks *kernel.KState) uint32
 	prep func(s *vm.State)
-	args func(env Env, s *vm.State) []*expr.Expr
+	args func(env Env, s *vm.State) Args
 }
 
 // edge is one scenario-graph edge. A nil when matches every state;
@@ -86,16 +86,40 @@ func (n *Node) Applies(s *vm.State) bool {
 	return n.pc(ks) != 0
 }
 
+// Args are an entry invocation's register arguments, r0 first. Entry
+// points take at most four (Kernel.InvokeSym); builders return them by
+// value, so preparing an invocation allocates no argument slice.
+type Args struct {
+	v [4]*expr.Expr
+	n int
+}
+
+func (a *Args) push(e *expr.Expr) {
+	a.v[a.n] = e
+	a.n++
+}
+
+func argsOf(vals ...*expr.Expr) Args {
+	var a Args
+	for _, v := range vals {
+		a.push(v)
+	}
+	return a
+}
+
+// List returns the arguments as a slice of a's own storage.
+func (a *Args) List() []*expr.Expr { return a.v[:a.n] }
+
 // Enter prepares s for the node's invocation — IRQL and device context,
 // argument buffers and their injection points, the DPC taken off the queue
 // — and returns what to invoke. The caller checked Applies.
-func (n *Node) Enter(env Env, s *vm.State) (name string, pc uint32, args []*expr.Expr) {
+func (n *Node) Enter(env Env, s *vm.State) (name string, pc uint32, args Args) {
 	ks := kernel.Of(s)
 	if n.Drain {
 		dpc := ks.TakeDPC()
 		ks.IRQL = kernel.DispatchLevel
 		ks.InDpc = true
-		return "DPC:" + dpc.Label, dpc.FuncPC, []*expr.Expr{expr.Const(dpc.Ctx)}
+		return "DPC:" + dpc.Label, dpc.FuncPC, argsOf(expr.Const(dpc.Ctx))
 	}
 	pc = n.pc(ks)
 	if n.prep != nil {
@@ -188,7 +212,7 @@ func Build(img *binimg.Image, scenario string) Plan {
 }
 
 // entry builds a plain entry node.
-func entry(name string, gate bool, pc func(*kernel.KState) uint32, args func(Env, *vm.State) []*expr.Expr) Node {
+func entry(name string, gate bool, pc func(*kernel.KState) uint32, args func(Env, *vm.State) Args) Node {
 	return Node{Name: name, Gate: gate, pc: pc, args: args}
 }
 
@@ -276,47 +300,47 @@ func storage(pnp bool) []Node {
 	return nodes
 }
 
-func handleArgs(Env, *vm.State) []*expr.Expr {
-	return []*expr.Expr{expr.Const(adapterHandle)}
+func handleArgs(Env, *vm.State) Args {
+	return argsOf(expr.Const(adapterHandle))
 }
 
 // constArgs passes the adapter handle followed by fixed values (PnP minor
 // codes, power states).
-func constArgs(vals ...uint32) func(Env, *vm.State) []*expr.Expr {
-	return func(Env, *vm.State) []*expr.Expr {
-		args := []*expr.Expr{expr.Const(adapterHandle)}
+func constArgs(vals ...uint32) func(Env, *vm.State) Args {
+	return func(Env, *vm.State) Args {
+		args := argsOf(expr.Const(adapterHandle))
 		for _, v := range vals {
-			args = append(args, expr.Const(v))
+			args.push(expr.Const(v))
 		}
 		return args
 	}
 }
 
-func sendArgs(env Env, s *vm.State) []*expr.Expr {
-	return []*expr.Expr{expr.Const(adapterHandle), expr.Const(packet(env, s))}
+func sendArgs(env Env, s *vm.State) Args {
+	return argsOf(expr.Const(adapterHandle), expr.Const(packet(env, s)))
 }
 
 // infoArgs builds Query/SetInformation arguments. Symbolic entry arguments
 // are concrete-to-symbolic conversion hints (§3.4): in default,
 // annotation-free mode "driver entry point arguments are not touched" and a
 // representative concrete OID is used instead.
-func infoArgs(concreteOID uint32) func(Env, *vm.State) []*expr.Expr {
-	return func(env Env, s *vm.State) []*expr.Expr {
+func infoArgs(concreteOID uint32) func(Env, *vm.State) Args {
+	return func(env Env, s *vm.State) Args {
 		oid := expr.Const(concreteOID)
 		if env.Annotations {
 			oid = env.K.FreshSymbol(s, "oid", expr.OriginArgument)
 		}
 		buf := kernelBuffer(s, 64, "infobuf", "param")
-		return []*expr.Expr{expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64)}
+		return argsOf(expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64))
 	}
 }
 
-func blockArgs(env Env, s *vm.State) []*expr.Expr {
-	return []*expr.Expr{expr.Const(adapterHandle), expr.Const(blockBuffer(env, s)), expr.Const(0x80)}
+func blockArgs(env Env, s *vm.State) Args {
+	return argsOf(expr.Const(adapterHandle), expr.Const(blockBuffer(env, s)), expr.Const(0x80))
 }
 
-func playArgs(env Env, s *vm.State) []*expr.Expr {
-	return []*expr.Expr{expr.Const(adapterHandle), expr.Const(audioBuffer(env, s)), expr.Const(256)}
+func playArgs(env Env, s *vm.State) Args {
+	return argsOf(expr.Const(adapterHandle), expr.Const(audioBuffer(env, s)), expr.Const(256))
 }
 
 // kernelBuffer allocates a kernel-owned buffer (the driver must not free
