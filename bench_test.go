@@ -229,39 +229,6 @@ func BenchmarkFullRunRTL8029(b *testing.B) {
 	}
 }
 
-// BenchmarkFuzzExecsPerSec measures the concrete fuzzer's execution
-// throughput on the RTL8029 — the number the concolic design rests on: one
-// fuzz execution must be orders of magnitude cheaper than a symbolic
-// exploration of the same workload. b.N is the exec budget; the metric of
-// interest is execs/s (reported explicitly) next to ns/op. The campaign
-// runs with the full hot path on — persistent-mode snapshot resume over
-// the shared fabric plus superblock dispatch — since that is the
-// production configuration (bit-identity with the slow paths is proved by
-// the determinism suites).
-func BenchmarkFuzzExecsPerSec(b *testing.B) {
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := fuzz.DefaultConfig()
-	cfg.Workers = 4
-	cfg.MaxExecs = uint64(b.N)
-	cfg.MinimizeBudget = 1 // throughput, not triage quality
-	cfg.Persist = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	rep, err := fuzz.New(img, cfg).Run(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if rep.Execs == 0 {
-		b.Fatal("no executions")
-	}
-	b.ReportMetric(rep.ExecsPerSec, "execs/s")
-	b.ReportMetric(float64(rep.Instructions)/float64(rep.Execs), "instrs/exec")
-}
-
 // BenchmarkFuzzWarmExec measures the steady-state cost of one warm fuzz
 // execution, free of campaign start-up: a deterministic single-worker
 // rtl8029 campaign supplies its corpus feeds, one persistent executor
@@ -314,76 +281,6 @@ func BenchmarkFuzzWarmExec(b *testing.B) {
 	b.ReportMetric(float64(elapsed.Nanoseconds())/1e3/float64(b.N*warmExecPasses*len(feeds)), "us/exec")
 	b.ReportMetric(float64(len(feeds)), "feeds")
 	b.ReportMetric(float64(warm)/float64(len(feeds)), "warm-share")
-}
-
-// BenchmarkFuzzPersistentVsColdStart measures what persistent-mode
-// execution buys: the same deterministic single-worker campaign run twice —
-// cold-start (every execution re-drives DriverEntry/Initialize) and
-// persistent (boot prefixes are snapshotted and resumed, decided boots
-// memoized) — on the two drivers the determinism suite gates. Reported
-// metrics: per-mode campaign wall clock and execs/sec (us/exec is the
-// lower-is-better form the CI bench gate tracks), the speedup, and the warm
-// share. The benchmark itself asserts the two campaigns found the identical
-// crash set — the speedup is only real if the found-bug set is unchanged
-// (persist_test.go proves full bit-identity; this guards it stays true at
-// benchmark scale).
-func BenchmarkFuzzPersistentVsColdStart(b *testing.B) {
-	for _, name := range []string{"rtl8029", "amd-pcnet"} {
-		b.Run(name, func(b *testing.B) {
-			img, err := corpus.Build(name, corpus.Buggy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			campaign := func(persist bool) (*fuzz.Report, time.Duration) {
-				cfg := fuzz.DefaultConfig()
-				cfg.Workers = 1
-				cfg.MaxExecs = 3_000
-				cfg.MinimizeBudget = 1
-				cfg.Persist = persist
-				start := time.Now()
-				rep, err := fuzz.New(img, cfg).Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				return rep, time.Since(start)
-			}
-			var coldT, warmT time.Duration
-			var coldRate, perRate, warmShare float64
-			var per *fuzz.Report
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cold, ct := campaign(false)
-				var pt time.Duration
-				per, pt = campaign(true)
-				coldT += ct
-				warmT += pt
-				coldRate += cold.ExecsPerSec
-				perRate += per.ExecsPerSec
-				warmShare += float64(per.WarmExecs) / float64(per.Execs)
-				if len(cold.Crashes) != len(per.Crashes) {
-					b.Fatalf("bug set changed: cold %d crashes, persistent %d", len(cold.Crashes), len(per.Crashes))
-				}
-				for j, c := range cold.Crashes {
-					if per.Crashes[j].Key() != c.Key() {
-						b.Fatalf("bug set changed: %s vs %s", c.Key(), per.Crashes[j].Key())
-					}
-				}
-			}
-			b.StopTimer()
-			n := float64(b.N)
-			b.ReportMetric(float64(coldT.Milliseconds())/n, "ms/cold-campaign")
-			b.ReportMetric(float64(warmT.Milliseconds())/n, "ms/persist-campaign")
-			b.ReportMetric(float64(coldT)/float64(warmT), "speedup")
-			b.ReportMetric(float64(coldT.Microseconds())/n/float64(per.Execs), "us/exec-cold")
-			b.ReportMetric(float64(warmT.Microseconds())/n/float64(per.Execs), "us/exec-persist")
-			b.ReportMetric(coldRate/n, "cold-execs/s")
-			b.ReportMetric(perRate/n, "persist-execs/s")
-			b.ReportMetric(warmShare/n, "warm-share")
-			b.Logf("%s: cold %v, persistent %v (%.1fx), %d/%d warm execs, %d boot instructions skipped",
-				name, coldT/time.Duration(b.N), warmT/time.Duration(b.N),
-				float64(coldT)/float64(warmT), per.WarmExecs, per.Execs, per.SkippedInstructions)
-		})
-	}
 }
 
 // BenchmarkStepLoopConcrete measures the interpreter's concrete hot path:

@@ -1,30 +1,40 @@
-// Command benchgate is the CI benchmark regression gate: it parses two
-// `go test -bench` outputs (merge base and PR head), compares the median
-// of selected benchmark metrics, writes a machine-readable BENCH_PR.json
-// artifact, and exits non-zero when any tracked metric regressed beyond
-// the threshold.
+// Command benchgate is the CI benchmark regression gate: it reads the
+// merge base's and the PR head's benchmark output, compares the median of
+// selected metrics, writes a machine-readable BENCH_PR.json artifact, and
+// exits non-zero when any tracked metric regressed beyond the threshold.
+//
+// Each input file may mix two kinds of line, told apart by their content:
+//
+//   - `go test -bench` result lines ("BenchmarkX-8  3  1234 ns/op ...");
+//   - perfbench result lines, the one JSON object `bash perfbench/run.sh
+//     --workload all` prints last ({"correct":..,"failed":..,"metrics":..}).
+//     A metric key "<workload>/<metric>" becomes the target
+//     "<workload>:<metric>".
 //
 // Usage:
 //
 //	benchgate -base base.txt -head head.txt -out BENCH_PR.json \
 //	    -threshold 0.20 \
 //	    -bench 'BenchmarkExploreParallelSpeedup:ms/seq-session' \
-//	    -bench 'BenchmarkExploreParallelSpeedup:ms/4worker-session' \
-//	    -bench BenchmarkFuzzExecsPerSec
+//	    -bench 'fuzz-hunt:wall_s'
 //
 // A tracked entry is "Name" (gates the benchmark's ns/op) or "Name:unit"
-// (gates a b.ReportMetric unit, e.g. a per-session wall clock). Gating a
-// per-session metric instead of raw ns/op keeps the gate honest when a PR
-// changes how many sessions one benchmark iteration runs — total-iteration
-// time then shifts by construction while the per-session cost, the thing
-// the gate protects, is still comparable. Lower must be better for every
-// tracked metric.
+// (gates a b.ReportMetric unit, e.g. a per-session wall clock, or one
+// perfbench metric of one workload). Gating a per-session metric instead
+// of raw ns/op keeps the gate honest when a PR changes how many sessions
+// one benchmark iteration runs — total-iteration time then shifts by
+// construction while the per-session cost, the thing the gate protects, is
+// still comparable. Lower must be better for every tracked metric.
 //
 // With `-benchmem` in the bench invocation, B/op and allocs/op appear as
 // ordinary value/unit columns and can be gated the same way
 // ("Name:allocs/op") — the CI gate tracks allocation counts on the
 // hot-path benchmarks so an alloc-count regression fails even when extra
 // garbage hasn't (yet) shown up in wall clock.
+//
+// A perfbench run on the head that is not correct, or that failed any
+// operation, fails the gate whatever its numbers: a faster wrong answer is
+// not a pass.
 //
 // A leading "?" marks a target as optional-on-base: a benchmark the PR
 // itself introduces has no merge-base samples, and without the marker the
@@ -33,15 +43,16 @@
 // from the HEAD output it still fails — a benchmark that existed on head
 // and silently vanished must not pass.
 //
-// benchstat remains the human-readable comparison in the CI log; the gate
-// decision is made here so it needs no external tooling and stays testable
-// (see main_test.go: the gate demonstrably fails on an injected slowdown).
-// Medians over `-count` runs make the verdict robust to one noisy run;
-// with 6 runs per side, a single outlier cannot flip it.
+// benchstat remains the human-readable comparison of the Go benchmarks in
+// the CI log; the gate decision is made here so it needs no external
+// tooling and stays testable (see main_test.go: the gate demonstrably
+// fails on an injected slowdown). Medians over repeated runs (`-count`,
+// or one perfbench line per seed) make the verdict robust to one noisy
+// run.
 //
 // Exit codes: 0 pass, 1 regression (or a tracked metric missing from one
-// side — a silently vanished benchmark must not pass the gate), 2 usage/IO
-// error.
+// side — a silently vanished benchmark must not pass the gate — or a
+// failed head perfbench run), 2 usage/IO error.
 package main
 
 import (
@@ -96,12 +107,52 @@ func (b *benchList) Set(v string) error {
 	return nil
 }
 
+// perfbenchRun is a perfbench result line.
+type perfbenchRun struct {
+	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// samples holds every value per name and unit; repeated runs append.
+type samples map[string]map[string][]float64
+
+func (s samples) add(name, unit string, v float64) {
+	if s[name] == nil {
+		s[name] = make(map[string][]float64)
+	}
+	s[name][unit] = append(s[name][unit], v)
+}
+
 // parseBench extracts every value/unit sample per benchmark name (the -N
-// GOMAXPROCS suffix stripped) from `go test -bench` output. Multiple
-// samples per name come from -count.
-func parseBench(out string) map[string]map[string][]float64 {
-	samples := make(map[string]map[string][]float64)
+// GOMAXPROCS suffix stripped) from `go test -bench` output, and every
+// "<workload>/<metric>" value of each perfbench result line as name
+// workload, unit metric. Multiple samples per name come from -count or
+// from one perfbench line per seed. bad describes each perfbench run that
+// was not correct or failed an operation.
+func parseBench(out string) (s samples, bad []string) {
+	s = make(samples)
+	runs := 0
 	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "{") {
+			var r perfbenchRun
+			if json.Unmarshal([]byte(line), &r) != nil || r.Metrics == nil {
+				continue
+			}
+			runs++
+			if !r.Correct || r.Failed > 0 {
+				bad = append(bad, fmt.Sprintf("perfbench run %d: correct %v, %d failed operation(s)",
+					runs, r.Correct, r.Failed))
+			}
+			for key, m := range r.Metrics {
+				if workload, metric, ok := strings.Cut(key, "/"); ok {
+					s.add(workload, metric, m.Value)
+				}
+			}
+			continue
+		}
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
@@ -118,14 +169,10 @@ func parseBench(out string) map[string]map[string][]float64 {
 			if err != nil {
 				break // not a value/unit tail (e.g. a log line)
 			}
-			if samples[name] == nil {
-				samples[name] = make(map[string][]float64)
-			}
-			unit := fields[i+1]
-			samples[name][unit] = append(samples[name][unit], v)
+			s.add(name, fields[i+1], v)
 		}
 	}
-	return samples
+	return s, bad
 }
 
 // median returns the middle sample (mean of the middle two for even n).
@@ -163,15 +210,19 @@ type Summary struct {
 	Threshold float64  `json:"threshold"`
 	Pass      bool     `json:"pass"`
 	Results   []Result `json:"results"`
+	// FailedHeadRuns describes each head perfbench run that was not
+	// correct or failed an operation; any one fails the gate.
+	FailedHeadRuns []string `json:"failed_head_runs,omitempty"`
 }
 
 // gate compares the tracked metrics across the two outputs. A tracked
 // metric missing on either side fails the gate, except an optional ("?")
-// target missing only from the base, which is skipped.
+// target missing only from the base, which is skipped. A failed head
+// perfbench run fails it too.
 func gate(baseOut, headOut string, targets []target, threshold float64) Summary {
-	base := parseBench(baseOut)
-	head := parseBench(headOut)
-	s := Summary{Threshold: threshold, Pass: true}
+	base, _ := parseBench(baseOut)
+	head, bad := parseBench(headOut)
+	s := Summary{Threshold: threshold, Pass: len(bad) == 0, FailedHeadRuns: bad}
 	for _, tg := range targets {
 		r := Result{Name: tg.Name, Unit: tg.Unit}
 		bs, hs := base[tg.Name][tg.Unit], head[tg.Name][tg.Unit]
@@ -201,7 +252,7 @@ func main() {
 	outPath := flag.String("out", "BENCH_PR.json", "JSON verdict artifact path")
 	threshold := flag.Float64("threshold", 0.20, "fail when head is slower than base by more than this fraction")
 	var benches benchList
-	flag.Var(&benches, "bench", "metric to track, as Name or Name:unit (repeatable; default unit ns/op)")
+	flag.Var(&benches, "bench", "metric to track, as Name or Name:unit, or workload:metric for perfbench lines (repeatable; default unit ns/op)")
 	flag.Parse()
 
 	if *basePath == "" || *headPath == "" || len(benches) == 0 {
@@ -230,6 +281,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	for _, f := range s.FailedHeadRuns {
+		fmt.Printf("head %s: FAIL\n", f)
+	}
 	for _, r := range s.Results {
 		label := r.Name + " [" + r.Unit + "]"
 		switch {
@@ -242,7 +296,7 @@ func main() {
 			if r.Regression {
 				verdict = fmt.Sprintf("REGRESSION (> %+.0f%%)", 100**threshold)
 			}
-			fmt.Printf("%-60s base %.1f  head %.1f  delta %+.1f%%  %s\n",
+			fmt.Printf("%-60s base %.4g  head %.4g  delta %+.1f%%  %s\n",
 				label, r.Base, r.Head, 100*r.Delta, verdict)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func targets(specs ...string) []target {
 
 func TestParseBenchStripsSuffixAndCollectsCounts(t *testing.T) {
 	out := benchOut("BenchmarkFuzzExecsPerSec", 100, 110, 90)
-	got := parseBench(out)
+	got, _ := parseBench(out)
 	s := got["BenchmarkFuzzExecsPerSec"]["ns/op"]
 	if len(s) != 3 {
 		t.Fatalf("parsed %v, want 3 ns/op samples under the unsuffixed name", got)
@@ -44,7 +45,8 @@ func TestParseBenchStripsSuffixAndCollectsCounts(t *testing.T) {
 
 func TestParseBenchCollectsReportMetricUnits(t *testing.T) {
 	out := benchOut("BenchmarkExploreParallelSpeedup", 2000)
-	got := parseBench(out)["BenchmarkExploreParallelSpeedup"]
+	parsed, _ := parseBench(out)
+	got := parsed["BenchmarkExploreParallelSpeedup"]
 	if len(got["ms/seq-session"]) != 1 || got["ms/seq-session"][0] != 200 {
 		t.Fatalf("ms/seq-session samples = %v", got["ms/seq-session"])
 	}
@@ -243,5 +245,161 @@ func TestGateOptionalTargetMissingFromHeadFails(t *testing.T) {
 	s := gate(base, head, targets("?BenchmarkFuzzPersistentVsColdStart"), 0.20)
 	if s.Pass || !s.Results[0].Missing {
 		t.Fatalf("optional target missing from head passed: %+v", s.Results[0])
+	}
+}
+
+// perfbenchLine fabricates the last line of `perfbench --workload all`:
+// every workload gets the four gated metrics, wall_s as given and the
+// others fixed.
+func perfbenchLine(correct bool, failed int, wall map[string]float64) string {
+	type metric struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	}
+	metrics := make(map[string]metric)
+	for w, v := range wall {
+		metrics[w+"/wall_s"] = metric{v, "s"}
+		metrics[w+"/cpu_s"] = metric{1.5 * v, "s"}
+		metrics[w+"/time_to_bugs_s"] = metric{v / 4, "s"}
+		metrics[w+"/peak_rss_mb"] = metric{14, "MiB"}
+		metrics[w+"/trace.wall_s"] = metric{2 * v, "s"}
+	}
+	b, err := json.Marshal(map[string]any{"correct": correct, "attempted": 20, "failed": failed, "metrics": metrics})
+	if err != nil {
+		panic(err)
+	}
+	return string(b) + "\n"
+}
+
+// perfbenchRuns fabricates one correct perfbench line per wall time, the
+// same wall time on every workload but those in slow, which run slower by
+// the given factor.
+func perfbenchRuns(walls []float64, slow map[string]float64) string {
+	var sb strings.Builder
+	for _, w := range walls {
+		m := map[string]float64{"symbolic-sweep": w / 4, "fuzz-hunt": w, "fleet-loopback": 2 * w}
+		for name, f := range slow {
+			m[name] *= f
+		}
+		sb.WriteString(perfbenchLine(true, 0, m))
+	}
+	return sb.String()
+}
+
+var perfbenchTargets = targets(
+	"symbolic-sweep:wall_s", "symbolic-sweep:cpu_s", "symbolic-sweep:time_to_bugs_s", "symbolic-sweep:peak_rss_mb",
+	"fuzz-hunt:wall_s", "fuzz-hunt:cpu_s", "fuzz-hunt:time_to_bugs_s", "fuzz-hunt:peak_rss_mb",
+	"fleet-loopback:wall_s", "fleet-loopback:cpu_s", "fleet-loopback:time_to_bugs_s", "fleet-loopback:peak_rss_mb",
+)
+
+var perfbenchWalls = []float64{0.40, 0.38, 0.41, 0.39, 0.40}
+
+func TestParsePerfbenchLines(t *testing.T) {
+	got, bad := parseBench(perfbenchRuns(perfbenchWalls, nil))
+	if len(bad) != 0 {
+		t.Fatalf("correct runs reported as failed: %v", bad)
+	}
+	if s := got["fuzz-hunt"]["wall_s"]; len(s) != 5 || s[0] != 0.40 || s[4] != 0.40 {
+		t.Fatalf("fuzz-hunt wall_s samples = %v, want the five walls", s)
+	}
+	if s := got["symbolic-sweep"]["trace.wall_s"]; len(s) != 5 || s[0] != 0.20 {
+		t.Fatalf("symbolic-sweep trace.wall_s samples = %v", s)
+	}
+	if _, ok := got["fuzz-hunt/wall_s"]; ok {
+		t.Fatal("metric key kept whole instead of split into workload and metric")
+	}
+}
+
+// TestGateFailsOnPerfbenchSlowdown: a 25% wall_s slowdown on one workload
+// fails the gate on that workload's wall_s and nowhere else.
+func TestGateFailsOnPerfbenchSlowdown(t *testing.T) {
+	base := perfbenchRuns(perfbenchWalls, nil)
+	for _, w := range []string{"fuzz-hunt", "symbolic-sweep"} {
+		head := perfbenchRuns(perfbenchWalls, map[string]float64{w: 1.25})
+		s := gate(base, head, perfbenchTargets, 0.20)
+		if s.Pass {
+			t.Fatalf("gate passed a 25%% %s slowdown", w)
+		}
+		for _, r := range s.Results {
+			slowed := r.Name == w && (r.Unit == "wall_s" || r.Unit == "cpu_s" || r.Unit == "time_to_bugs_s")
+			if r.Regression != slowed {
+				t.Errorf("%s slowed: %s:%s regression = %v (delta %+.2f)", w, r.Name, r.Unit, r.Regression, r.Delta)
+			}
+		}
+	}
+}
+
+// TestGatePassesPerfbenchWithinNoise: run-to-run spread inside the
+// threshold passes.
+func TestGatePassesPerfbenchWithinNoise(t *testing.T) {
+	base := perfbenchRuns(perfbenchWalls, nil)
+	head := perfbenchRuns([]float64{0.44, 0.36, 0.43, 0.42, 0.37}, map[string]float64{"fleet-loopback": 1.1})
+	if s := gate(base, head, perfbenchTargets, 0.20); !s.Pass {
+		t.Fatalf("gate failed inside the noise: %+v", s)
+	}
+}
+
+// TestGateFailsOnIncorrectPerfbenchRun: one head run that is not correct,
+// or that failed an operation, fails the gate although every number is
+// unchanged; the same run on the base does not.
+func TestGateFailsOnIncorrectPerfbenchRun(t *testing.T) {
+	base := perfbenchRuns(perfbenchWalls, nil)
+	walls := map[string]float64{"symbolic-sweep": 0.1, "fuzz-hunt": 0.4, "fleet-loopback": 0.8}
+	for _, bad := range []string{perfbenchLine(false, 0, walls), perfbenchLine(true, 1, walls)} {
+		head := perfbenchRuns(perfbenchWalls[:4], nil) + bad
+		s := gate(base, head, perfbenchTargets, 0.20)
+		if s.Pass || len(s.FailedHeadRuns) != 1 {
+			t.Fatalf("gate over a failed head run %q: pass %v, failed runs %v", bad, s.Pass, s.FailedHeadRuns)
+		}
+		for _, r := range s.Results {
+			if r.Regression || r.Missing {
+				t.Fatalf("numbers alone should pass: %+v", r)
+			}
+		}
+		if s := gate(base+bad, perfbenchRuns(perfbenchWalls, nil), perfbenchTargets, 0.20); !s.Pass {
+			t.Fatalf("a failed base run failed the gate: %+v", s)
+		}
+	}
+}
+
+// TestGateFailsOnMissingPerfbenchTarget: a gated workload metric absent
+// from either side fails.
+func TestGateFailsOnMissingPerfbenchTarget(t *testing.T) {
+	full := perfbenchRuns(perfbenchWalls, nil)
+	partial := perfbenchLine(true, 0, map[string]float64{"symbolic-sweep": 0.1, "fuzz-hunt": 0.4})
+	for _, c := range []struct{ base, head string }{{full, partial}, {partial, full}} {
+		s := gate(c.base, c.head, perfbenchTargets, 0.20)
+		if s.Pass {
+			t.Fatal("gate passed with fleet-loopback missing from one side")
+		}
+		for _, r := range s.Results {
+			if r.Missing != (r.Name == "fleet-loopback") {
+				t.Errorf("%s:%s missing = %v", r.Name, r.Unit, r.Missing)
+			}
+		}
+	}
+}
+
+// TestGateReadsGoBenchAndPerfbenchInOneFile: the CI input files hold the
+// Go benchmark output followed by one perfbench line per seed; both parse
+// and both gate.
+func TestGateReadsGoBenchAndPerfbenchInOneFile(t *testing.T) {
+	base := benchMemOut("BenchmarkFuzzWarmExec", 1000, 100, 6) + perfbenchRuns(perfbenchWalls, nil)
+	head := benchMemOut("BenchmarkFuzzWarmExec", 1000, 100, 6) + perfbenchRuns(perfbenchWalls, nil)
+	got, _ := parseBench(head)
+	if len(got["BenchmarkFuzzWarmExec"]["allocs/op"]) != 6 || len(got["fuzz-hunt"]["wall_s"]) != 5 {
+		t.Fatalf("mixed file parsed to %v", got)
+	}
+	tg := append(targets("BenchmarkFuzzWarmExec:allocs/op"), perfbenchTargets...)
+	if s := gate(base, head, tg, 0.20); !s.Pass {
+		t.Fatalf("identical mixed inputs failed: %+v", s)
+	}
+	slowHead := benchMemOut("BenchmarkFuzzWarmExec", 1000, 130, 6) + perfbenchRuns(perfbenchWalls, nil)
+	if s := gate(base, slowHead, tg, 0.20); s.Pass || !s.Results[0].Regression {
+		t.Fatalf("allocs/op regression in a mixed file passed: %+v", s.Results[0])
+	}
+	slowHead = benchMemOut("BenchmarkFuzzWarmExec", 1000, 100, 6) + perfbenchRuns(perfbenchWalls, map[string]float64{"fuzz-hunt": 1.25})
+	if s := gate(base, slowHead, tg, 0.20); s.Pass || s.Results[0].Regression {
+		t.Fatalf("fuzz-hunt slowdown in a mixed file: %+v", s.Results)
 	}
 }

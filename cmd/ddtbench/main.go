@@ -11,23 +11,18 @@
 //	ddtbench -dv        Driver Verifier baseline (§5.1)
 //	ddtbench -sdv       SDV comparison (§5.1)
 //	ddtbench -ablation  annotation ablation (§5.1)
-//	ddtbench -fuzz      fuzzer throughput + fuzz/symbolic coverage
+//
+// Throughput is measured by perfbench (bash perfbench/run.sh), not here.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
-	"repro/internal/campaign"
-	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/experiments"
-	"repro/internal/fuzz"
 )
 
 func main() {
@@ -38,11 +33,8 @@ func main() {
 	dv := flag.Bool("dv", false, "Driver Verifier baseline")
 	sdvF := flag.Bool("sdv", false, "SDV comparison")
 	abl := flag.Bool("ablation", false, "annotation ablation")
-	fz := flag.Bool("fuzz", false, "fuzzer throughput and mode comparison")
-	par := flag.Bool("parallel", false, "parallel exploration scaling and solver-cache stats")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected sections to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagsAll)
 	flag.Parse()
 
 	// Profile wiring matches ddtfuzz: CPU profile brackets the run,
@@ -58,7 +50,7 @@ func main() {
 		defer writeHeapProfile(*memProfile)
 	}
 
-	all := !*t1 && !*t2 && !*f2 && !*f3 && !*dv && !*sdvF && !*abl && !*fz && !*par
+	all := !*t1 && !*t2 && !*f2 && !*f3 && !*dv && !*sdvF && !*abl
 
 	if all || *t1 {
 		infos, err := experiments.Table1()
@@ -121,91 +113,6 @@ func main() {
 		fmt.Print(experiments.FormatAblation(rows))
 		fmt.Println()
 	}
-	if all || *fz {
-		check(fuzzSection(cf.Seed, cf.Timeout))
-	}
-	if all || *par {
-		check(parallelSection(cf.Workers))
-	}
-}
-
-// parallelSection measures the concurrent symbolic frontier: wall clock and
-// shared-solver-cache behaviour of full rtl8029 sessions at increasing
-// worker counts. On a multi-core host the elapsed column is the scaling
-// curve; everywhere, the cache columns show how many queries the shared
-// cache answered for the whole worker fleet.
-func parallelSection(flagWorkers int) error {
-	fmt.Println("== Parallel symbolic exploration (rtl8029) ==")
-	fmt.Printf("  host CPUs: %d\n", runtime.NumCPU())
-	counts := []int{1, 2, 4}
-	if flagWorkers > 1 && flagWorkers != 2 && flagWorkers != 4 {
-		counts = append(counts, flagWorkers)
-	}
-	for _, w := range counts {
-		img, err := corpus.Build("rtl8029", corpus.Buggy)
-		if err != nil {
-			return err
-		}
-		opts := core.DefaultOptions()
-		opts.Workers = w
-		eng := core.NewEngine(img, opts)
-		start := time.Now()
-		rep, err := eng.TestDriver(context.Background())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  workers=%d  elapsed=%-12v bugs=%d paths=%-4d queries=%-5d cache hits=%d evictions=%d\n",
-			w, time.Since(start).Round(time.Microsecond), len(rep.Bugs), rep.PathsExplored,
-			rep.SolverQueries, rep.SolverCacheHits, rep.SolverCacheEvictions)
-	}
-	return nil
-}
-
-// fuzzSection reports the fuzzing subsystem's two headline numbers:
-// concrete execution throughput and the coverage of fuzz and symbolic
-// exploration on amd-pcnet.
-func fuzzSection(seed int64, timeout time.Duration) error {
-	fmt.Println("== Concolic fuzzing: throughput and mode comparison ==")
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		return err
-	}
-	fcfg := fuzz.DefaultConfig()
-	fcfg.Workers = 4
-	fcfg.MaxExecs = 10_000
-	fcfg.Seed = seed
-	fcfg.Duration = timeout
-	frep, err := fuzz.New(img, fcfg).Run(context.Background())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  rtl8029: %d execs at %.0f execs/sec (%d workers), %d/%d blocks, %d deduped crash(es)\n",
-		frep.Execs, frep.ExecsPerSec, frep.Workers,
-		frep.BlocksCovered, frep.BlocksStatic, len(frep.Crashes))
-
-	pcnet, err := corpus.Build("amd-pcnet", corpus.Buggy)
-	if err != nil {
-		return err
-	}
-	pcfg := fuzz.DefaultConfig()
-	pcfg.Workers = 2
-	pcfg.MaxExecs = 2_000
-	pcfg.Seed = seed
-	pcfg.Duration = timeout
-	pf, err := fuzz.New(pcnet, pcfg).Run(context.Background())
-	if err != nil {
-		return err
-	}
-	eng := core.NewEngine(pcnet, core.DefaultOptions())
-	ps, err := eng.TestDriver(context.Background())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  amd-pcnet coverage (of %d static blocks): fuzz %d, symbolic %d\n",
-		pf.BlocksStatic, pf.BlocksCovered, ps.BlocksCovered)
-	fmt.Printf("  amd-pcnet bug keys: fuzz %d, symbolic %d\n",
-		len(pf.Crashes), len(ps.Bugs))
-	return nil
 }
 
 // writeHeapProfile snapshots the live heap (after a forced GC, so the

@@ -1,6 +1,6 @@
 // Command ddtd is the distributed campaign manager: the single durable
-// owner of a fleet's corpus, crash database, merged coverage, and trend
-// series. Workers (ddtfuzz -manager <addr>) lease campaigns from it over
+// owner of a fleet's corpus, crash database, merged coverage, and coverage
+// trend. Workers (ddtfuzz -manager <addr>) lease campaigns from it over
 // the HTTP/JSON RPC protocol (docs/protocol.md) and it serves status pages
 // and reproducers at /status, /corpus, /crashes, /crash/<id>, /trends.
 //
@@ -13,8 +13,10 @@
 // of diffing raw artifacts:
 //
 //	ddtd -state ./fleet -ingest-fuzz report.json      # ddtfuzz -json output
-//	ddtd -state ./fleet -ingest-bench bench.txt       # go test -bench output
 //	ddtd -state ./fleet -import ./corpus -import-driver rtl8029
+//
+// Benchmark results are not kept here: perfbench (bash perfbench/run.sh)
+// measures performance, and the CI bench gate compares its runs.
 //
 // Flags:
 //
@@ -28,7 +30,6 @@
 //	-timeout d        shut down gracefully after this long (0 = run until
 //	                  signaled; uniform campaign flag name)
 //	-ingest-fuzz f    one-shot: merge a ddtfuzz JSON report (repeatable)
-//	-ingest-bench f   one-shot: append go-bench output to the bench trend
 //	-import dir       one-shot: import a seed-*.json corpus directory
 //	-import-driver d  driver the imported corpus belongs to
 package main
@@ -65,7 +66,6 @@ func main() {
 	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagTimeout)
 	var ingestFuzz multiFlag
 	flag.Var(&ingestFuzz, "ingest-fuzz", "one-shot: merge a ddtfuzz JSON report (repeatable)")
-	ingestBench := flag.String("ingest-bench", "", "one-shot: append go-bench output to the bench trend")
 	importDir := flag.String("import", "", "one-shot: import a seed-*.json corpus directory")
 	importDriver := flag.String("import-driver", "", "driver the imported corpus belongs to")
 	flag.Parse()
@@ -78,8 +78,8 @@ func main() {
 		fatal(err)
 	}
 
-	if len(ingestFuzz) > 0 || *ingestBench != "" || *importDir != "" {
-		if err := oneShot(state, ingestFuzz, *ingestBench, *importDir, *importDriver); err != nil {
+	if len(ingestFuzz) > 0 || *importDir != "" {
+		if err := oneShot(state, ingestFuzz, *importDir, *importDriver); err != nil {
 			fatal(err)
 		}
 		if err := state.Flush(); err != nil {
@@ -178,7 +178,7 @@ func main() {
 }
 
 // oneShot applies the ingest/import flags against the opened state.
-func oneShot(state *manager.State, fuzzReports []string, benchFile, importDir, importDriver string) error {
+func oneShot(state *manager.State, fuzzReports []string, importDir, importDriver string) error {
 	for _, fn := range fuzzReports {
 		b, err := os.ReadFile(fn)
 		if err != nil {
@@ -193,14 +193,6 @@ func oneShot(state *manager.State, fuzzReports []string, benchFile, importDir, i
 		}
 		fmt.Printf("ddtd: ingested %s (%s: %d crash(es), %d/%d blocks)\n",
 			fn, rep.Driver, len(rep.Crashes), rep.BlocksCovered, rep.BlocksStatic)
-	}
-	if benchFile != "" {
-		b, err := os.ReadFile(benchFile)
-		if err != nil {
-			return err
-		}
-		n := state.IngestBenchOutput(string(b))
-		fmt.Printf("ddtd: ingested %d bench point(s) from %s\n", n, benchFile)
 	}
 	if importDir != "" {
 		if importDriver == "" {

@@ -25,7 +25,7 @@ func harness(t *testing.T, src string) (*kernel.Kernel, *vm.State) {
 	ks.Grant(kernel.Region{Lo: isa.ImageBase, Hi: img.LimitVA(), Kind: kernel.RegionImage, Writable: true})
 	ks.Registry["Speed"] = 100
 	s.Kernel = ks
-	k.Invoke(s, "DriverEntry", img.Entry)
+	k.InvokeSym(s, "DriverEntry", img.Entry)
 	return k, s
 }
 

@@ -167,8 +167,12 @@ func (LeakChecker) CheckEntryExit(s *vm.State, entry string, status uint32) erro
 	}
 	if live := ks.LiveAllocs(); len(live) > 0 {
 		a := live[0]
+		tag := a.Tag
+		if tag == "" {
+			tag = fmt.Sprintf("tag%08x", a.PoolTag)
+		}
 		return vm.Faultf("leak", a.PC, "%d allocation(s) not freed %s (first: %s %q, %d bytes, allocated at pc %#x)",
-			len(live), reason, a.Kind, a.Tag, a.Size, a.PC)
+			len(live), reason, a.Kind, tag, a.Size, a.PC)
 	}
 	if pkts := ks.LivePacketList(); len(pkts) > 0 {
 		return vm.Faultf("leak", pkts[0].PC, "%d packet(s) not returned to their pool %s (first allocated at pc %#x)",

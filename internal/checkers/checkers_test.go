@@ -112,6 +112,19 @@ func TestLeakCheckerAllocsAfterHalt(t *testing.T) {
 	}
 }
 
+// TestLeakCheckerNamesPoolTag: a driver-tagged pool block keeps its raw
+// tag word, and the leak message formats it as "tag%08x".
+func TestLeakCheckerNamesPoolTag(t *testing.T) {
+	s, ks := stateWithKernel()
+	ks.Allocs[0x3000] = kernel.Alloc{Addr: 0x3000, Size: 64, Kind: "pool", PoolTag: 0x4e445349, PC: 0x2000}
+	var lc LeakChecker
+	err := lc.CheckEntryExit(s, "Halt", kernel.StatusSuccess)
+	want := `1 allocation(s) not freed after Halt (first: pool "tag4e445349", 64 bytes, allocated at pc 0x2000)`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("leak message = %v, want it to contain %s", err, want)
+	}
+}
+
 func TestLeakCheckerHeldSpinlockAnyEntry(t *testing.T) {
 	s, ks := stateWithKernel()
 	ks.Spinlocks[0x500] = &kernel.Spin{Held: true}

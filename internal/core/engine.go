@@ -304,7 +304,7 @@ type PhaseResult struct {
 
 // Explore runs all queued states to completion, recording coverage and
 // bugs. Initial states must already be pushed (via e.Sched.Push) and set up
-// with kernel.Invoke. The frontier is drained by a campaign.Runner over a
+// with kernel.InvokeSym. The frontier is drained by a campaign.Runner over a
 // barrierFrontier: with Opts.Workers > 1 a concurrent worker pool, each
 // worker stepping on its own engine-lifetime vm.ExecContext (the per-phase
 // path budget can overshoot by at most Workers-1 in-flight paths);

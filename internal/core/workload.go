@@ -30,7 +30,7 @@ func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
 
 	// Phase: DriverEntry — the load-time entry named in the binary header.
 	entry := e.M.ForkState(boot)
-	e.K.Invoke(entry, "DriverEntry", e.Img.Entry)
+	e.K.InvokeSym(entry, "DriverEntry", e.Img.Entry)
 	e.Sched.Push(entry)
 	res := e.Explore(ctx, "DriverEntry")
 	if len(res.Succeeded) == 0 {

@@ -14,7 +14,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -178,11 +177,6 @@ type Kernel struct {
 	// only past the seeded prefix — the standard way to lift a fuzzer feed
 	// into a symbolic boot state without losing soundness.
 	SymbolSeed func(idx uint64, name string, origin expr.Origin) (uint32, bool)
-
-	// Stats. APICallCount is guarded by statsMu during execution; read it
-	// only after the run completes (or via CallCount).
-	APICallCount map[string]uint64
-	statsMu      sync.Mutex
 }
 
 // New attaches a kernel to a machine.
@@ -192,7 +186,6 @@ func New(m *vm.Machine) *Kernel {
 		api:            make(map[string]Handler),
 		Annotations:    make(map[string][]Annotation),
 		VerifierChecks: true,
-		APICallCount:   make(map[string]uint64),
 	}
 	registerNdisAPI(k)
 	registerWdmAPI(k)
@@ -211,11 +204,6 @@ func (k *Kernel) Has(name string) bool { _, ok := k.api[name]; return ok }
 // Annotate adds an annotation for an API.
 func (k *Kernel) Annotate(a Annotation) {
 	k.Annotations[a.API] = append(k.Annotations[a.API], a)
-}
-
-// ClearAnnotations removes all annotations (the paper's ablation run).
-func (k *Kernel) ClearAnnotations() {
-	k.Annotations = make(map[string][]Annotation)
 }
 
 // FreshSymbol mints a named symbolic value with provenance and logs its
@@ -285,9 +273,6 @@ func (k *Kernel) dispatch(s *vm.State, slot int) ([]*vm.State, error) {
 		return nil, vm.Faultf("api", s.PC, "call to unknown import slot %d", slot)
 	}
 	name := k.slotNames[slot]
-	k.statsMu.Lock()
-	k.APICallCount[name]++
-	k.statsMu.Unlock()
 	h, ok := k.api[name]
 	if !ok {
 		return nil, vm.Faultf("api", s.PC, "driver imports unimplemented kernel API %q", name)
@@ -357,14 +342,6 @@ func (k *Kernel) dispatch(s *vm.State, slot int) ([]*vm.State, error) {
 	return extra, nil
 }
 
-// CallCount returns how often the named API was dispatched (safe during a
-// parallel run, unlike reading APICallCount directly).
-func (k *Kernel) CallCount(name string) uint64 {
-	k.statsMu.Lock()
-	defer k.statsMu.Unlock()
-	return k.APICallCount[name]
-}
-
 // BugCheck crashes the guest: the path terminates with a crash fault. This
 // is both KeBugCheckEx and the interception point for all in-guest checker
 // crashes (§3.4's kernel crash handler hook).
@@ -387,26 +364,10 @@ func (k *Kernel) verifierBug(s *vm.State, code uint32, format string, args ...an
 	return k.BugCheck(s, code, fmt.Sprintf(format, args...))
 }
 
-// Invoke prepares state s to run a driver entry point: arguments in r0-r3,
-// return to ExitAddr, block accounting reset. The exerciser then steps the
-// state to completion.
-func (k *Kernel) Invoke(s *vm.State, name string, pc uint32, args ...uint32) {
-	for i, a := range args {
-		if i >= 4 {
-			break
-		}
-		s.SetRegConcrete(uint8(i), a)
-	}
-	s.SetRegConcrete(isa.LR, vm.ExitAddr)
-	s.PC = pc
-	s.EntryName = name
-	s.Status = vm.StatusRunning
-	s.Trace.Append(vm.Event{Kind: vm.EvEntry, Seq: s.ICount, PC: pc, Name: name})
-	k.M.MarkBlockStart(s)
-}
-
-// InvokeSym is Invoke with expression arguments (symbolic entry-point
-// arguments, e.g. a symbolic OID).
+// InvokeSym prepares state s to run a driver entry point: arguments (at
+// most four expressions, e.g. a symbolic OID) in r0-r3, return to
+// ExitAddr, block accounting reset. The exerciser then steps the state to
+// completion.
 func (k *Kernel) InvokeSym(s *vm.State, name string, pc uint32, args ...*expr.Expr) {
 	for i, a := range args {
 		if i >= 4 {

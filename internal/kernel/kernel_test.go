@@ -23,9 +23,9 @@ func harness(t *testing.T, src string) (*Kernel, *vm.State) {
 	k := New(m)
 	s := m.NewRootState()
 	ks := NewKState()
-	ks.Grant(Region{Lo: isa.ImageBase, Hi: img.LimitVA(), Kind: RegionImage, Writable: true, Tag: "image"})
+	ks.Grant(Region{Lo: isa.ImageBase, Hi: img.LimitVA(), Kind: RegionImage, Writable: true})
 	s.Kernel = ks
-	k.Invoke(s, "DriverEntry", img.Entry)
+	k.InvokeSym(s, "DriverEntry", img.Entry)
 	return k, s
 }
 
@@ -86,6 +86,34 @@ e:
 	}
 	if live := Of(finals[0]).LiveAllocs(); len(live) != 0 {
 		t.Errorf("leaked allocations: %v", live)
+	}
+}
+
+// TestAllocateMemoryKeepsPoolTagWord: NdisAllocateMemoryWithTag records the
+// driver's tag word raw, with no kernel-chosen label.
+func TestAllocateMemoryKeepsPoolTagWord(t *testing.T) {
+	k, s := harness(t, `
+.import NdisAllocateMemoryWithTag
+.entry e
+.text
+e:
+    push lr
+    addi sp, sp, -4
+    mov  r0, sp
+    movi r1, 32
+    movi r2, 0x1234
+    call NdisAllocateMemoryWithTag
+    addi sp, sp, 4
+    pop  lr
+    ret
+`)
+	finals, faults := drain(t, k, s)
+	if len(faults) != 0 || len(finals) != 1 {
+		t.Fatalf("finals %d, faults %v", len(finals), faults)
+	}
+	live := Of(finals[0]).LiveAllocs()
+	if len(live) != 1 || live[0].PoolTag != 0x1234 || live[0].Tag != "" || live[0].Kind != "pool" {
+		t.Fatalf("live allocations = %+v, want one pool block with tag word 0x1234", live)
 	}
 }
 

@@ -52,7 +52,6 @@ func (k RegionKind) String() string {
 type Region struct {
 	Lo, Hi   uint32
 	Kind     RegionKind
-	Tag      string
 	Writable bool
 	Pageable bool // pageable memory: touching it at >= DispatchLevel is a bug
 }
@@ -61,10 +60,13 @@ type Region struct {
 type Alloc struct {
 	Addr uint32
 	Size uint32
-	Tag  string
+	Tag  string // kernel-chosen label; empty for a driver-tagged pool block
 	Kind string // "pool", "shared", "packet", "buffer"
 	Seq  uint64 // allocation time (instruction count)
 	PC   uint32 // driver call site, for leak attribution
+	// PoolTag is the driver's tag word (NdisAllocateMemoryWithTag), kept
+	// raw: only the leak checker's message formats it.
+	PoolTag uint32
 }
 
 // Spin tracks one spinlock's concrete state.
@@ -246,8 +248,8 @@ func NewKState() *KState {
 		IntrSyncs:     make(map[uint32]bool),
 		Dpcs:          make(map[uint32]*DpcObj),
 	}
-	ks.Grant(Region{Lo: isa.KGlobals, Hi: isa.KGlobals + isa.KGlobalsSz, Kind: RegionKGlobals, Writable: false, Tag: "kernel globals"})
-	ks.Grant(Region{Lo: isa.StackBase - isa.StackSize, Hi: isa.StackBase, Kind: RegionStack, Writable: true, Tag: "driver stack"})
+	ks.Grant(Region{Lo: isa.KGlobals, Hi: isa.KGlobals + isa.KGlobalsSz, Kind: RegionKGlobals, Writable: false})
+	ks.Grant(Region{Lo: isa.StackBase - isa.StackSize, Hi: isa.StackBase, Kind: RegionStack, Writable: true})
 	return ks
 }
 
@@ -405,15 +407,20 @@ func (ks *KState) FindRegion(addr, size uint32) (Region, bool) {
 // HeapAlloc carves size bytes out of the kernel heap window, records the
 // allocation (attributed to driver call site pc), and grants access.
 func (ks *KState) HeapAlloc(size uint32, tag, kind string, seq uint64, pc uint32) (uint32, error) {
-	sz := (size + 15) &^ 15
+	return ks.heapAlloc(Alloc{Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc})
+}
+
+// heapAlloc is HeapAlloc for a prepared record; it fills in a.Addr.
+func (ks *KState) heapAlloc(a Alloc) (uint32, error) {
+	sz := (a.Size + 15) &^ 15
 	if ks.NextHeap+sz > isa.HeapLimit {
 		return 0, fmt.Errorf("kernel heap exhausted")
 	}
-	addr := ks.NextHeap
+	a.Addr = ks.NextHeap
 	ks.NextHeap += sz
-	ks.Allocs[addr] = Alloc{Addr: addr, Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc}
-	ks.Grant(Region{Lo: addr, Hi: addr + size, Kind: RegionAlloc, Writable: true, Tag: tag})
-	return addr, nil
+	ks.Allocs[a.Addr] = a
+	ks.Grant(Region{Lo: a.Addr, Hi: a.Addr + a.Size, Kind: RegionAlloc, Writable: true})
+	return a.Addr, nil
 }
 
 // HeapFree releases an allocation; it reports false for an address that is

@@ -195,7 +195,7 @@ func ndisAllocateMemoryWithTag(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	addr, aerr := ks.HeapAlloc(length, fmt.Sprintf("tag%08x", tag), "pool", s.ICount, s.PC)
+	addr, aerr := ks.heapAlloc(Alloc{Size: length, PoolTag: tag, Kind: "pool", Seq: s.ICount, PC: s.PC})
 	if aerr != nil {
 		k.writeU32(s, ptrPtr, 0)
 		k.SetRet(s, StatusResources)

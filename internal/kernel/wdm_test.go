@@ -343,21 +343,3 @@ func TestInvokeSetsUpEntryState(t *testing.T) {
 	}
 	_ = k
 }
-
-func TestAPICallCounting(t *testing.T) {
-	k, s := harness(t, `
-.import NdisStallExecution
-.entry e
-.text
-e:
-    push lr
-    call NdisStallExecution
-    call NdisStallExecution
-    pop  lr
-    ret
-`)
-	drain(t, k, s)
-	if k.APICallCount["NdisStallExecution"] != 2 {
-		t.Errorf("count = %d", k.APICallCount["NdisStallExecution"])
-	}
-}

@@ -2,8 +2,6 @@ package manager
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/fuzz"
 )
@@ -61,53 +59,4 @@ func (s *State) AppendCoverageTrend(pt CoverageTrendPoint) {
 	if dir != "" {
 		s.appendTrend(dir, "coverage.jsonl", pt)
 	}
-}
-
-// ParseBenchOutput parses `go test -bench` text output into bench trend
-// points: one point per metric of each benchmark result line, e.g.
-//
-//	BenchmarkFuzzExecsPerSec-8   3   123456 ns/op   2861 execs/sec   4.2 ms/campaign
-//
-// yields points (ns/op, execs/sec, ms/campaign). Non-benchmark lines are
-// skipped, so raw `go test` output pipes straight in.
-func ParseBenchOutput(text string) []BenchTrendPoint {
-	var out []BenchTrendPoint
-	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		// fields[0] name-GOMAXPROCS, fields[1] iteration count, then
-		// (value, unit) pairs.
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		if _, err := strconv.Atoi(fields[1]); err != nil {
-			continue
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
-			}
-			out = append(out, BenchTrendPoint{Name: name, Metric: fields[i+1], Value: v})
-		}
-	}
-	return out
-}
-
-// IngestBenchOutput parses bench text output and appends it to the bench
-// trend series, stamping every point with the current time. It returns how
-// many points were ingested.
-func (s *State) IngestBenchOutput(text string) int {
-	points := ParseBenchOutput(text)
-	now := s.now()
-	for i := range points {
-		points[i].Time = now
-	}
-	s.AddBench(points)
-	return len(points)
 }

@@ -206,12 +206,10 @@ func (m *Manager) handleCrash(w http.ResponseWriter, r *http.Request) {
 	respond(w, r, e, crashTmpl)
 }
 
-// TrendsPage is the /trends document: coverage-over-time per driver plus
-// the nightly bench series.
+// TrendsPage is the /trends document: coverage over time per driver.
 type TrendsPage struct {
 	Driver   string               `json:"driver,omitempty"`
 	Coverage []CoverageTrendPoint `json:"coverage"`
-	Bench    []BenchTrendPoint    `json:"bench"`
 }
 
 func (m *Manager) handleTrends(w http.ResponseWriter, r *http.Request) {
@@ -219,7 +217,6 @@ func (m *Manager) handleTrends(w http.ResponseWriter, r *http.Request) {
 	page := TrendsPage{
 		Driver:   driver,
 		Coverage: m.State.CoverageTrend(driver),
-		Bench:    m.State.BenchTrend(),
 	}
 	respond(w, r, page, trendsTmpl)
 }
@@ -330,8 +327,4 @@ var trendsTmpl = template.Must(template.New("trends").Funcs(pageFuncs).Parse(`<!
 <h2>coverage</h2>
 <table border=1 cellpadding=4><tr><th>time</th><th>driver</th><th>blocks</th><th>static</th><th>execs</th><th>source</th></tr>
 {{range .Coverage}}<tr><td>{{.Time.Format "2006-01-02 15:04:05"}}</td><td>{{.Driver}}</td><td>{{.Blocks}}</td><td>{{.Static}}</td><td>{{.Execs}}</td><td>{{.Source}}</td></tr>{{end}}
-</table>
-<h2>bench</h2>
-<table border=1 cellpadding=4><tr><th>time</th><th>benchmark</th><th>metric</th><th>value</th></tr>
-{{range .Bench}}<tr><td>{{.Time.Format "2006-01-02 15:04:05"}}</td><td>{{.Name}}</td><td>{{.Metric}}</td><td>{{.Value}}</td></tr>{{end}}
 </table>`))

@@ -111,19 +111,6 @@ type CoverageTrendPoint struct {
 	SnapMisses     uint64 `json:"snap_misses,omitempty"`
 }
 
-// BenchTrendPoint is one benchmark measurement (trends/bench.jsonl): the
-// nightly workflow posts its go-test bench output here, replacing ad-hoc
-// artifact diffing with an append-only series the manager serves at
-// /trends.
-type BenchTrendPoint struct {
-	Time time.Time `json:"time"`
-	// Name is the benchmark name (sub-benchmark path included).
-	Name string `json:"name"`
-	// Metric is the unit ("ns/op", "ms/persist-campaign", ...).
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-}
-
 // driverState is the per-driver half of the store.
 type driverState struct {
 	corpus     map[string]*CorpusEntry // by feed hash
@@ -139,7 +126,7 @@ type driverState struct {
 }
 
 // State is the durable campaign store: the single fleet-wide owner of
-// corpus, crashes, merged coverage, and trend series. All methods are safe
+// corpus, crashes, merged coverage, and coverage trend. All methods are safe
 // for concurrent use; reads for the HTTP layer take the read lock and copy.
 //
 // Durability is write-through for the heavy artifacts (a corpus feed file
@@ -153,7 +140,6 @@ type State struct {
 	mu      sync.RWMutex
 	dir     string // "" = memory-only (tests)
 	drivers map[string]*driverState
-	bench   []BenchTrendPoint
 	covTr   []CoverageTrendPoint
 	started time.Time
 
@@ -389,19 +375,6 @@ func (s *State) MergeCoverage(driver string, blocks []uint32, static int, execsD
 	return added
 }
 
-// AddBench appends benchmark measurements to the bench trend series.
-func (s *State) AddBench(points []BenchTrendPoint) {
-	s.mu.Lock()
-	s.bench = append(s.bench, points...)
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		for _, p := range points {
-			s.appendTrend(dir, "bench.jsonl", p)
-		}
-	}
-}
-
 // Crashes returns copies of the fleet crash entries, discovery order,
 // optionally filtered by driver ("" = all drivers).
 func (s *State) Crashes(driver string) []CrashEntry {
@@ -488,13 +461,6 @@ func (s *State) CoverageTrend(driver string) []CoverageTrendPoint {
 		}
 	}
 	return out
-}
-
-// BenchTrend returns the bench trend series, oldest first.
-func (s *State) BenchTrend() []BenchTrendPoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]BenchTrendPoint(nil), s.bench...)
 }
 
 // Flush writes the index files (corpus metadata, fleet totals). Heavy
@@ -653,12 +619,6 @@ func (s *State) load() error {
 		var p CoverageTrendPoint
 		if json.Unmarshal(raw, &p) == nil {
 			s.covTr = append(s.covTr, p)
-		}
-	})
-	readJSONL(filepath.Join(s.dir, "trends", "bench.jsonl"), func(raw []byte) {
-		var p BenchTrendPoint
-		if json.Unmarshal(raw, &p) == nil {
-			s.bench = append(s.bench, p)
 		}
 	})
 	return nil

@@ -1,6 +1,8 @@
 package manager
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,7 +88,7 @@ func TestStateFleetCrashDedup(t *testing.T) {
 }
 
 // TestStateDurability: a state directory survives a close/reopen cycle —
-// corpus entries (with metadata), crash entries, totals, trend series.
+// corpus entries (with metadata), crash entries, totals, coverage trend.
 func TestStateDurability(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenState(dir)
@@ -101,7 +103,6 @@ func TestStateDurability(t *testing.T) {
 	s.AddCorpus("rtl8029", fuzz.Entry{Feed: feed(5), Gain: 1}, "w2")
 	s.AddCrash("rtl8029", "w1", crash("race condition", 0x44, feed(1, 2, 3, 4)))
 	s.MergeCoverage("rtl8029", []uint32{0x10, 0x20}, 50, 100, 9999, "worker")
-	s.AddBench([]BenchTrendPoint{{Time: base, Name: "BenchmarkX", Metric: "ns/op", Value: 123}})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +140,6 @@ func TestStateDurability(t *testing.T) {
 	}
 	if tr := r.CoverageTrend("rtl8029"); len(tr) != 1 || tr[0].Blocks != 2 {
 		t.Fatalf("reloaded coverage trend = %+v", tr)
-	}
-	if b := r.BenchTrend(); len(b) != 1 || b[0].Value != 123 {
-		t.Fatalf("reloaded bench trend = %+v", b)
 	}
 }
 
@@ -203,32 +201,6 @@ func TestIngestFuzzReport(t *testing.T) {
 	}
 }
 
-// TestParseBenchOutput: raw `go test -bench` output parses into one trend
-// point per metric, with noise lines skipped.
-func TestParseBenchOutput(t *testing.T) {
-	text := `goos: linux
-goarch: amd64
-pkg: repro/internal/fuzz
-BenchmarkPersistCampaign/cold-8         	       3	 41210000 ns/op	        2861 execs/sec
-BenchmarkPersistCampaign/warm-8         	       5	 22100000 ns/op
-PASS
-ok  	repro/internal/fuzz	1.234s
-`
-	pts := ParseBenchOutput(text)
-	if len(pts) != 3 {
-		t.Fatalf("parsed %d points, want 3: %+v", len(pts), pts)
-	}
-	if pts[0].Name != "BenchmarkPersistCampaign/cold" || pts[0].Metric != "ns/op" || pts[0].Value != 41210000 {
-		t.Fatalf("point 0 = %+v", pts[0])
-	}
-	if pts[1].Metric != "execs/sec" || pts[1].Value != 2861 {
-		t.Fatalf("point 1 = %+v", pts[1])
-	}
-	if pts[2].Name != "BenchmarkPersistCampaign/warm" {
-		t.Fatalf("point 2 = %+v", pts[2])
-	}
-}
-
 // TestFeedHashStability: the content hash is a pure function of the feed's
 // canonical serialization — equal feeds hash equal, different feeds differ.
 func TestFeedHashStability(t *testing.T) {
@@ -241,5 +213,70 @@ func TestFeedHashStability(t *testing.T) {
 	}
 	if FeedHash(feed(1, 2, 4)) == a {
 		t.Fatal("different feeds collided")
+	}
+}
+
+// TestStateIgnoresStaleBenchTrend: a state directory written by a ddtd that
+// still kept a benchmark trend (trends/bench.jsonl) opens, serves its
+// corpus, crashes and coverage trend, and flushes; the stale file is
+// neither read nor rewritten.
+func TestStateIgnoresStaleBenchTrend(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddCorpus("rtl8029", fuzz.Entry{Feed: feed(1, 2, 3, 4), Gain: 3}, "w1")
+	s.AddCrash("rtl8029", "w1", crash("race condition", 0x44, feed(1, 2, 3, 4)))
+	s.MergeCoverage("rtl8029", []uint32{0x10, 0x20}, 50, 100, 9999, "worker")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "trends", "bench.jsonl")
+	old := []byte(`{"time":"2026-08-07T12:00:00Z","name":"BenchmarkFuzzExecsPerSec","metric":"ns/op","value":123}` + "\n" +
+		`{"time":"2026-08-07T12:00:00Z","name":"BenchmarkFuzzExecsPerSec","metric":"execs/s","value":4000}` + "\n")
+	if err := os.WriteFile(stale, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := NewScheduler(Config{}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewManager(r, sched).Handler())
+	defer srv.Close()
+
+	var corpusPage CorpusPage
+	getJSON(t, srv.URL+"/corpus?driver=rtl8029", &corpusPage)
+	if len(corpusPage.Entries) != 1 || corpusPage.Entries[0].Gain != 3 {
+		t.Fatalf("/corpus = %+v", corpusPage)
+	}
+	var crashesPage CrashesPage
+	getJSON(t, srv.URL+"/crashes", &crashesPage)
+	if len(crashesPage.Crashes) != 1 {
+		t.Fatalf("/crashes = %+v", crashesPage)
+	}
+	var trends map[string]json.RawMessage
+	getJSON(t, srv.URL+"/trends", &trends)
+	var cov []CoverageTrendPoint
+	if err := json.Unmarshal(trends["coverage"], &cov); err != nil || len(cov) != 1 || cov[0].Blocks != 2 {
+		t.Fatalf("/trends coverage = %s (%v)", trends["coverage"], err)
+	}
+	if _, ok := trends["bench"]; ok {
+		t.Fatalf("/trends still serves a bench series: %s", trends["bench"])
+	}
+
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n, last := r.WriteErrors(); n != 0 {
+		t.Fatalf("write errors = %d (%s)", n, last)
+	}
+	if got, err := os.ReadFile(stale); err != nil || string(got) != string(old) {
+		t.Fatalf("stale bench trend changed: %q, %v", got, err)
 	}
 }

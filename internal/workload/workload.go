@@ -461,7 +461,7 @@ func Boot(m *vm.Machine, img *binimg.Image, registry map[string]uint32) *vm.Stat
 	ks := kernel.NewKState()
 	ks.Grant(kernel.Region{
 		Lo: isa.ImageBase, Hi: img.LimitVA(),
-		Kind: kernel.RegionImage, Writable: true, Tag: "driver image",
+		Kind: kernel.RegionImage, Writable: true,
 	})
 	for k, v := range registry {
 		ks.Registry[k] = v
