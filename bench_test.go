@@ -435,8 +435,11 @@ func BenchmarkExploreParallelSpeedup(b *testing.B) {
 	for _, w := range counts[1:] {
 		b.ReportMetric(float64(seq)/float64(elapsed[w]), fmt.Sprintf("speedup@%dworkers", w))
 	}
-	b.ReportMetric(float64(seq.Milliseconds())/float64(b.N), "ms/seq-session")
-	b.ReportMetric(float64(elapsed[4].Milliseconds())/float64(b.N), "ms/4worker-session")
+	// Fractional milliseconds: a session takes a few, so rounding the
+	// total to whole ones would cost the gated figures their resolution.
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(ms(seq), "ms/seq-session")
+	b.ReportMetric(ms(elapsed[4]), "ms/4worker-session")
 	b.Logf("GOMAXPROCS=%d: sequential %v, 4 workers %v",
 		runtime.GOMAXPROCS(0), seq/time.Duration(b.N), elapsed[4]/time.Duration(b.N))
 }

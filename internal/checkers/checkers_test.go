@@ -127,7 +127,7 @@ func TestLeakCheckerNamesPoolTag(t *testing.T) {
 
 func TestLeakCheckerHeldSpinlockAnyEntry(t *testing.T) {
 	s, ks := stateWithKernel()
-	ks.Spinlocks[0x500] = &kernel.Spin{Held: true}
+	ks.Spinlocks[0x500] = kernel.Spin{Held: true}
 	var lc LeakChecker
 	err := lc.CheckEntryExit(s, "Send", kernel.StatusSuccess)
 	if err == nil || !strings.Contains(err.Error(), "spinlock") {

@@ -50,6 +50,69 @@ var seedGolden = map[string]struct {
 	},
 }
 
+// otherGolden pins the sequential engine's results on the corpus drivers
+// outside seedGolden: bug keys, paths, coverage and the fork, instruction
+// and query totals. It is a separate table so that nonGoldenDrivers, and
+// with it the TestPipelined* suites, keep these drivers.
+var otherGolden = map[string]struct {
+	bugs    []string
+	paths   int
+	covered int
+	static  int
+	forks   uint64
+	instr   uint64
+	queries uint64
+}{
+	"intel-pro1000": {
+		bugs:  []string{"resource leak@0x100170"},
+		paths: 131, covered: 2119, static: 2638, forks: 131, instr: 17308, queries: 161,
+	},
+	"intel-pro100": {
+		bugs:  []string{"kernel crash@0x100588"},
+		paths: 130, covered: 459, static: 566, forks: 132, instr: 9708, queries: 255,
+	},
+	"intel-ac97": {
+		bugs:  []string{"race condition@0x100388"},
+		paths: 73, covered: 510, static: 630, forks: 82, instr: 4251, queries: 63,
+	},
+	"ensoniq-audiopci": {
+		bugs: []string{
+			"race condition@0x100488",
+			"race condition@0x1004e0",
+			"segmentation fault@0x1000f0",
+			"segmentation fault@0x1001d8",
+		},
+		paths: 195, covered: 855, static: 1064, forks: 253, instr: 6351, queries: 308,
+	},
+	"ddk-sample": {
+		bugs: []string{
+			"kernel crash@0x1001d8",
+			"kernel crash@0x100240",
+			"kernel crash@0x100300",
+			"kernel crash@0x100348",
+			"kernel crash@0x1005a0",
+			"resource leak@0x100068",
+			"segmentation fault@0x100070",
+			"segmentation fault@0x1002b8",
+		},
+		paths: 14, covered: 140, static: 175, forks: 21, instr: 632, queries: 35,
+	},
+	"ddk-sample-synthetic": {
+		bugs: []string{
+			"deadlock@0x100180",
+			"kernel crash@0x1004a0",
+			"kernel crash@0x1004c8",
+			"kernel crash@0x1004f8",
+			"kernel crash@0x100528",
+		},
+		paths: 27, covered: 152, static: 182, forks: 35, instr: 778, queries: 49,
+	},
+	"promise-ultra133": {
+		bugs:  []string{"kernel crash@0x100608", "memory corruption@0x100588"},
+		paths: 95, covered: 299, static: 373, forks: 105, instr: 6467, queries: 90,
+	},
+}
+
 func sortedBugKeys(rep *Report) []string {
 	keys := make([]string, 0, len(rep.Bugs))
 	for _, b := range rep.Bugs {
@@ -89,6 +152,40 @@ func TestSequentialMatchesSeedEngine(t *testing.T) {
 		if n := len(rep.CoverageSeries); n != want.series || rep.CoverageSeries[n-1] != want.last {
 			t.Errorf("%s: coverage series of %d points ending %v, seed %d ending %v",
 				driver, n, rep.CoverageSeries[n-1], want.series, want.last)
+		}
+	}
+}
+
+// TestSequentialMatchesOtherGolden: the workers=1 engine reproduces
+// otherGolden on every corpus driver outside seedGolden, and the two
+// tables together cover the corpus.
+func TestSequentialMatchesOtherGolden(t *testing.T) {
+	if n := len(seedGolden) + len(otherGolden); n != len(corpus.Names()) {
+		t.Errorf("seedGolden and otherGolden pin %d drivers, corpus has %d", n, len(corpus.Names()))
+	}
+	for driver, want := range otherGolden {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		rep := runDDT(t, driver, corpus.Buggy, opts)
+
+		if got := sortedBugKeys(rep); !reflect.DeepEqual(got, want.bugs) {
+			t.Errorf("%s: bug set %v, pinned %v", driver, got, want.bugs)
+		}
+		if rep.PathsExplored != want.paths {
+			t.Errorf("%s: paths = %d, pinned %d", driver, rep.PathsExplored, want.paths)
+		}
+		if rep.BlocksCovered != want.covered || rep.BlocksStatic != want.static {
+			t.Errorf("%s: coverage = %d/%d, pinned %d/%d",
+				driver, rep.BlocksCovered, rep.BlocksStatic, want.covered, want.static)
+		}
+		if rep.StatesForked != want.forks {
+			t.Errorf("%s: forks = %d, pinned %d", driver, rep.StatesForked, want.forks)
+		}
+		if rep.Instructions != want.instr {
+			t.Errorf("%s: instructions = %d, pinned %d", driver, rep.Instructions, want.instr)
+		}
+		if rep.SolverQueries != want.queries {
+			t.Errorf("%s: solver queries = %d, pinned %d", driver, rep.SolverQueries, want.queries)
 		}
 	}
 }

@@ -10,17 +10,17 @@ import (
 
 // warmExecAllocCeiling and warmExecBytesCeiling bound the heap objects and
 // bytes one warm execution allocates in TestWarmExecAllocCeiling, at the
-// measurement plus at most 10%. Measured 3 objects and 244 bytes: the
-// ExecResult, its entry log, and the spinlock record the restore brings
-// back after the driver's Halt freed it. The execution restores its
-// snapshot into the executor's kept state, so the state, its memory
-// overlay, kernel maps and block table are reused. Under -race, 3 objects
-// and 256 bytes.
+// measurement plus at most 10%. Measured 2 objects and 240 bytes: the
+// ExecResult and its entry log. The execution restores its snapshot into
+// the executor's kept state, so the state, its memory overlay, kernel maps
+// and block table are reused; spinlocks are map values, so restoring the
+// one the driver's Halt freed allocates nothing. Under -race, also 2
+// objects and 240 bytes.
 const (
-	warmExecAllocCeiling     = 3
-	warmExecBytesCeiling     = 268
-	raceWarmExecAllocCeiling = 3
-	raceWarmExecBytesCeiling = 281
+	warmExecAllocCeiling     = 2
+	warmExecBytesCeiling     = 264
+	raceWarmExecAllocCeiling = 2
+	raceWarmExecBytesCeiling = 264
 )
 
 // TestWarmExecAllocCeiling pins what a warm execution allocates: a fixed

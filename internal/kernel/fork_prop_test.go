@@ -26,7 +26,7 @@ func fingerprint(ks *KState) string {
 		lines = append(lines, fmt.Sprintf("alloc %#x=%+v", k, v))
 	}
 	for k, v := range ks.Spinlocks {
-		lines = append(lines, fmt.Sprintf("spin %#x=%+v", k, *v))
+		lines = append(lines, fmt.Sprintf("spin %#x=%+v", k, v))
 	}
 	for k, v := range ks.ConfigHandles {
 		lines = append(lines, fmt.Sprintf("cfg %#x=%+v", k, v))
@@ -76,7 +76,7 @@ func populate(r *rand.Rand, ks *KState) {
 			panic(err)
 		}
 	}
-	ks.Spinlocks[0x9000] = &Spin{Held: true, OldIrql: 1, Inited: true}
+	ks.Spinlocks[0x9000] = Spin{Held: true, OldIrql: 1, Inited: true}
 	ks.ConfigHandles[ks.NewHandle()] = ConfigHandle{Label: "cfg", PC: 0x100100}
 	ks.Timers[0x9100] = &Timer{Initialized: true, FuncPC: 0x100200, Ctx: 7, Queued: r.Intn(2) == 0}
 	ks.PacketPools[0x9200] = &Pool{Capacity: 8, Live: 2}
@@ -114,9 +114,10 @@ func mutateChild(c *KState) {
 	if _, err := c.HeapAlloc(32, "child", "pool", 99, 0x100999); err != nil {
 		panic(err)
 	}
-	for _, sp := range c.Spinlocks {
+	for k, sp := range c.Spinlocks {
 		sp.Held = false
 		sp.DprOwned = true
+		c.Spinlocks[k] = sp
 	}
 	for _, tm := range c.Timers {
 		tm.Queued = !tm.Queued

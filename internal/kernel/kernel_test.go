@@ -630,7 +630,7 @@ func TestKStateForkIsolation(t *testing.T) {
 	child := ks.Fork().(*KState)
 	child.Registry["X"] = 2
 	child.HeapFree(a)
-	lockAt(child, 0x100).Held = true
+	child.Spinlocks[0x100] = Spin{Held: true}
 	if ks.Registry["X"] != 1 {
 		t.Error("registry leaked across fork")
 	}

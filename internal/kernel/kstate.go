@@ -178,7 +178,7 @@ type KState struct {
 	NextHandle uint32
 
 	Allocs        map[uint32]Alloc
-	Spinlocks     map[uint32]*Spin
+	Spinlocks     map[uint32]Spin
 	ConfigHandles map[uint32]ConfigHandle
 	Timers        map[uint32]*Timer
 	PacketPools   map[uint32]*Pool
@@ -238,7 +238,7 @@ func NewKState() *KState {
 		NextHeap:      isa.HeapBase,
 		NextHandle:    0x8000_0001,
 		Allocs:        make(map[uint32]Alloc),
-		Spinlocks:     make(map[uint32]*Spin),
+		Spinlocks:     make(map[uint32]Spin),
 		ConfigHandles: make(map[uint32]ConfigHandle),
 		Timers:        make(map[uint32]*Timer),
 		PacketPools:   make(map[uint32]*Pool),
@@ -275,7 +275,7 @@ func (ks *KState) RestoreFrom(f vm.Forkable) {
 		NextHeap:       src.NextHeap,
 		NextHandle:     src.NextHandle,
 		Allocs:         restoreMap(ks.Allocs, src.Allocs),
-		Spinlocks:      restorePtrMap(ks.Spinlocks, src.Spinlocks),
+		Spinlocks:      restoreMap(ks.Spinlocks, src.Spinlocks),
 		ConfigHandles:  restoreMap(ks.ConfigHandles, src.ConfigHandles),
 		Timers:         restorePtrMap(ks.Timers, src.Timers),
 		PacketPools:    restorePtrMap(ks.PacketPools, src.PacketPools),

@@ -221,21 +221,15 @@ func ndisFreeMemory(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	return nil, nil
 }
 
-func lockAt(ks *KState, addr uint32) *Spin {
-	sp, ok := ks.Spinlocks[addr]
-	if !ok {
-		sp = &Spin{}
-		ks.Spinlocks[addr] = sp
-	}
-	return sp
-}
-
 func ndisAllocateSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	addr, err := k.ArgConcrete(s, 0)
 	if err != nil {
 		return nil, err
 	}
-	lockAt(Of(s), addr).Inited = true
+	ks := Of(s)
+	sp := ks.Spinlocks[addr]
+	sp.Inited = true
+	ks.Spinlocks[addr] = sp
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -261,7 +255,7 @@ func ndisAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := lockAt(ks, addr)
+	sp := ks.Spinlocks[addr]
 	if sp.Held {
 		// Single-CPU model: re-acquiring a held spinlock never returns.
 		return nil, vm.Faultf("deadlock", s.PC,
@@ -270,6 +264,7 @@ func ndisAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	sp.Held = true
 	sp.DprOwned = false
 	sp.OldIrql = ks.IRQL
+	ks.Spinlocks[addr] = sp
 	ks.IRQL = DispatchLevel
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
@@ -300,6 +295,7 @@ func ndisReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 			"NdisReleaseSpinLock of lock %#x at %s (out-of-order spinlock release)", addr, IrqlName(ks.IRQL))
 	}
 	sp.Held = false
+	ks.Spinlocks[addr] = sp
 	ks.IRQL = sp.OldIrql
 	if ks.InDpc && ks.IRQL < DispatchLevel {
 		return nil, k.verifierBug(s, BugCheckIrqlNotLessOrEqual,
@@ -319,13 +315,14 @@ func ndisDprAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, k.verifierBug(s, BugCheckIrqlNotLessOrEqual,
 			"NdisDprAcquireSpinLock called at %s (requires DISPATCH_LEVEL)", IrqlName(ks.IRQL))
 	}
-	sp := lockAt(ks, addr)
+	sp := ks.Spinlocks[addr]
 	if sp.Held {
 		return nil, vm.Faultf("deadlock", s.PC,
 			"NdisDprAcquireSpinLock self-deadlock on lock %#x", addr)
 	}
 	sp.Held = true
 	sp.DprOwned = true
+	ks.Spinlocks[addr] = sp
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -347,6 +344,7 @@ func ndisDprReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	}
 	sp.Held = false
 	sp.DprOwned = false
+	ks.Spinlocks[addr] = sp
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }

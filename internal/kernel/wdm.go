@@ -89,7 +89,10 @@ func keInitializeSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	lockAt(Of(s), addr).Inited = true
+	ks := Of(s)
+	sp := ks.Spinlocks[addr]
+	sp.Inited = true
+	ks.Spinlocks[addr] = sp
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -105,7 +108,7 @@ func keAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := lockAt(ks, addr)
+	sp := ks.Spinlocks[addr]
 	if sp.Held {
 		return nil, vm.Faultf("deadlock", s.PC,
 			"KeAcquireSpinLock self-deadlock on lock %#x", addr)
@@ -113,6 +116,7 @@ func keAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	sp.Held = true
 	sp.DprOwned = false
 	sp.OldIrql = ks.IRQL
+	ks.Spinlocks[addr] = sp
 	if oldIrqlPtr != 0 {
 		k.writeU32(s, oldIrqlPtr, uint32(ks.IRQL))
 	}
@@ -138,6 +142,7 @@ func keReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 			"KeReleaseSpinLock of lock %#x that is not held", addr)
 	}
 	sp.Held = false
+	ks.Spinlocks[addr] = sp
 	ks.IRQL = uint8(newIrql)
 	if ks.InDpc && ks.IRQL < DispatchLevel {
 		// The Intel Pro/100 bug class: lowering IRQL below DISPATCH inside

@@ -6,11 +6,12 @@ import (
 	"repro/internal/expr"
 )
 
-// queryGen decodes fuzz bytes into constraints over two symbols. Reads past
-// the end yield zeros, which decode to the simplest shapes, so every input
-// decodes to a finite query.
+// queryGen decodes fuzz bytes into constraints over two symbols, or over
+// four when four is set. Reads past the end yield zeros, which decode to
+// the simplest shapes, so every input decodes to a finite query.
 type queryGen struct {
-	b []byte
+	b    []byte
+	four bool
 }
 
 func (g *queryGen) byte() byte {
@@ -34,6 +35,9 @@ func (g *queryGen) term(depth int) *expr.Expr {
 	}
 	switch op {
 	case 0, 1:
+		if g.four {
+			return expr.Sym(expr.SymID(g.byte() % 4))
+		}
 		return expr.Sym(expr.SymID(op))
 	case 2:
 		return expr.Const(g.u16())
@@ -130,6 +134,84 @@ func FuzzSolverSound(f *testing.F) {
 					t.Fatalf("unsat, but %v satisfies %v", a, cs)
 				}
 			}
+		}
+	})
+}
+
+// FuzzBranchMatchesFullQuery checks Branch against the full query and
+// brute force. Four symbols confined to 4 bits give 65536 assignments,
+// which decide both sides. The path's model is any brute-force model of
+// the path condition, chosen by the input, and each branch is also asked
+// without a model. For each side, Branch must agree with a full Check
+// whenever that is not Unknown, every model it returns must satisfy the
+// path condition and the side, and every Unsat must be confirmed by brute
+// force.
+func FuzzBranchMatchesFullQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &queryGen{b: data, four: true}
+		var pc []*expr.Expr
+		for id := expr.SymID(0); id < 4; id++ {
+			pc = append(pc, expr.ULt(expr.Sym(id), expr.Const(16)))
+		}
+		for n := int(g.byte() % 5); n > 0; n-- {
+			pc = append(pc, g.cond(0))
+		}
+		cond := g.cond(0)
+		if cond.IsConst() {
+			return // the VM decides a constant branch without the solver
+		}
+		sides := [2]*expr.Expr{cond, expr.LogicalNot(cond)}
+		pick := int(g.byte())
+
+		// Brute force: the models of pc, and whether each side has one.
+		var models []uint32
+		var exists [2]bool
+		a := expr.Assignment{}
+		for v := uint32(0); v < 1<<16; v++ {
+			a[0], a[1], a[2], a[3] = v&0xF, v>>4&0xF, v>>8&0xF, v>>12
+			if !satisfies(pc, a) {
+				continue
+			}
+			models = append(models, v)
+			for i, side := range sides {
+				if expr.Eval(side, a) != 0 {
+					exists[i] = true
+				}
+			}
+		}
+		var full [2]Result
+		for i, side := range sides {
+			full[i], _ = New().Check(append(pc[:len(pc):len(pc)], side))
+		}
+
+		s := New()
+		branch := func(mode string, model expr.Assignment, ok bool) {
+			before := s.Stats.Queries
+			tk, nt := s.Branch(pc, model, ok, sides[0], sides[1])
+			if n := s.Stats.Queries - before; n != 2 {
+				t.Fatalf("%s: branch counted %d queries, want 2", mode, n)
+			}
+			for i, got := range [2]Side{tk, nt} {
+				cs := append(pc[:len(pc):len(pc)], sides[i])
+				switch got.Res {
+				case Sat:
+					if !satisfies(cs, got.Model) {
+						t.Fatalf("%s side %d: model %v violates %v", mode, i, got.Model, cs)
+					}
+				case Unsat:
+					if exists[i] {
+						t.Fatalf("%s side %d: unsat, but brute force satisfies %v", mode, i, cs)
+					}
+				}
+				if full[i] != Unknown && got.Res != full[i] {
+					t.Fatalf("%s side %d: %v, full query %v on %v", mode, i, got.Res, full[i], cs)
+				}
+			}
+		}
+		branch("no model", nil, false)
+		if len(models) > 0 {
+			v := models[pick*len(models)/256]
+			branch("with model", expr.Assignment{0: v & 0xF, 1: v >> 4 & 0xF, 2: v >> 8 & 0xF, 3: v >> 12}, true)
 		}
 	})
 }

@@ -111,7 +111,12 @@ func (s *Solver) rand() uint64 {
 // constraint non-zero (this is re-verified before returning).
 func (s *Solver) Check(cs []*expr.Expr) (Result, expr.Assignment) {
 	s.Stats.Queries++
+	return s.check(cs)
+}
 
+// check is Check without counting the query: Branch counts each side once
+// however many checks answer it.
+func (s *Solver) check(cs []*expr.Expr) (Result, expr.Assignment) {
 	// Fast path: constant constraints.
 	live := cs[:0:0]
 	for _, c := range cs {
@@ -146,13 +151,6 @@ func (s *Solver) Check(cs []*expr.Expr) (Result, expr.Assignment) {
 		s.Stats.UnknownAns++
 	}
 	return res, model
-}
-
-// Feasible reports whether the conjunction of cs has at least one model.
-// Unknown is conservatively reported as infeasible.
-func (s *Solver) Feasible(cs []*expr.Expr) bool {
-	res, _ := s.Check(cs)
-	return res == Sat
 }
 
 // Model returns a satisfying assignment for cs, or nil if none was found.

@@ -182,11 +182,11 @@ func TestCachedModelIsCopied(t *testing.T) {
 func TestFeasibleAndModel(t *testing.T) {
 	s := New()
 	x := expr.Sym(0)
-	if !s.Feasible([]*expr.Expr{expr.ULt(x, expr.Const(2))}) {
-		t.Error("feasible returned false")
+	if res, _ := s.Check([]*expr.Expr{expr.ULt(x, expr.Const(2))}); res != Sat {
+		t.Errorf("x < 2 unsigned: %v, want sat", res)
 	}
-	if s.Feasible([]*expr.Expr{expr.ULt(x, expr.Const(0))}) {
-		t.Error("x < 0 unsigned reported feasible")
+	if res, _ := s.Check([]*expr.Expr{expr.ULt(x, expr.Const(0))}); res != Unsat {
+		t.Errorf("x < 0 unsigned: %v, want unsat", res)
 	}
 	if m := s.Model([]*expr.Expr{expr.Eq(x, expr.Const(3))}); m == nil || m[0] != 3 {
 		t.Errorf("Model = %v", m)

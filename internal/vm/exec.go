@@ -3,6 +3,7 @@ package vm
 import (
 	"repro/internal/expr"
 	"repro/internal/isa"
+	"repro/internal/solver"
 )
 
 // exec executes the decoded instruction in on s. The PC still points at in;
@@ -328,10 +329,9 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 
 	// Symbolic condition: explore all feasible alternatives (§2).
 	notCond := expr.LogicalNot(cond)
-	csTaken := append(s.Constraints[:len(s.Constraints):len(s.Constraints)], cond)
-	csNot := append(s.Constraints[:len(s.Constraints):len(s.Constraints)], notCond)
-	okTaken := c.Solver.Feasible(csTaken)
-	okNot := c.Solver.Feasible(csNot)
+	model, ok := s.pathModel()
+	taken, notTaken := c.Solver.Branch(s.Constraints, model, ok, cond, notCond)
+	okTaken, okNot := taken.Res == solver.Sat, notTaken.Res == solver.Sat
 
 	switch {
 	case okTaken && okNot:
@@ -339,10 +339,12 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		tk := s.Fork(c.M.newID())
 		nt := s.Fork(c.M.newID())
 		tk.AddConstraint(cond)
+		tk.setModel(taken.Model)
 		tk.PC = target
 		tk.Trace.Append(Event{Kind: EvBranch, Seq: tk.ICount, PC: s.PC, Cond: cond, Taken: true, Forked: true})
 		c.M.MarkBlockStart(tk)
 		nt.AddConstraint(notCond)
+		nt.setModel(notTaken.Model)
 		nt.PC = next
 		nt.Trace.Append(Event{Kind: EvBranch, Seq: nt.ICount, PC: s.PC, Cond: cond, Taken: false, Forked: true})
 		c.M.MarkBlockStart(nt)
@@ -352,11 +354,15 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		}
 		return []*State{tk, nt}, nil
 	case okTaken:
+		// The one feasible side adds no constraint, so its model is one of
+		// the unchanged path condition.
+		s.setModel(taken.Model)
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: true})
 		s.PC = target
 		c.M.MarkBlockStart(s)
 		return c.only(s), nil
 	case okNot:
+		s.setModel(notTaken.Model)
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: false})
 		s.PC = next
 		c.M.MarkBlockStart(s)

@@ -339,6 +339,7 @@ func (c *ExecContext) Concretize(s *State, e *expr.Expr, what string) (uint32, e
 	}
 	val := expr.Eval(e, model)
 	s.AddConstraint(expr.Eq(e, expr.Const(val)))
+	s.setModel(model) // it satisfies the equality it chose
 	s.Trace.Append(Event{
 		Kind: EvConcretize, Seq: s.ICount, PC: s.PC,
 		Val: expr.Const(val), Name: what,

@@ -104,6 +104,13 @@ type State struct {
 	// conditions and concretization equalities accumulated on this path.
 	Constraints []*expr.Expr
 
+	// model satisfies Constraints[:modelN] (unmapped symbols are zero); a
+	// negative modelN means the path has no model. Constraints added since
+	// are checked lazily (pathModel). Forks share the map read-only, so a
+	// new model is always a new map.
+	model  expr.Assignment
+	modelN int
+
 	// Kernel and HW are the forked concrete environments.
 	Kernel Forkable
 	HW     Forkable
@@ -189,6 +196,8 @@ func (s *State) cloneInto(c *State, id uint64, mem *Memory, trace *TraceNode) *S
 		PC:          s.PC,
 		Mem:         mem,
 		Constraints: s.Constraints[:len(s.Constraints):len(s.Constraints)],
+		model:       s.model,
+		modelN:      s.modelN,
 		Kernel:      restoreInto(c.Kernel, s.Kernel),
 		HW:          restoreInto(c.HW, s.HW),
 		ICount:      s.ICount,
@@ -316,6 +325,29 @@ func (s *State) DetachTrace() *TraceNode {
 // AddConstraint appends a path constraint.
 func (s *State) AddConstraint(e *expr.Expr) {
 	s.Constraints = append(s.Constraints, e)
+}
+
+// pathModel returns a model of the whole path condition, first checking
+// it against the constraints added since it was set; ok is false when the
+// path has none.
+func (s *State) pathModel() (m expr.Assignment, ok bool) {
+	if s.modelN < 0 {
+		return nil, false
+	}
+	for _, c := range s.Constraints[s.modelN:] {
+		if expr.Eval(c, s.model) == 0 {
+			s.modelN = -1
+			return nil, false
+		}
+	}
+	s.modelN = len(s.Constraints)
+	return s.model, true
+}
+
+// setModel records m, which the caller no longer writes, as a model of
+// the whole path condition.
+func (s *State) setModel(m expr.Assignment) {
+	s.model, s.modelN = m, len(s.Constraints)
 }
 
 // Reg returns register r as an expression, boxing a concrete word.
