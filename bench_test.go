@@ -11,8 +11,6 @@ package ddt
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -213,7 +211,8 @@ func BenchmarkSDVAnalysisOnly(b *testing.B) {
 
 // BenchmarkFullRunRTL8029 is the end-to-end cost of one complete DDT
 // session on the smallest driver ("a few minutes" of paper time; here
-// deterministic simulated time).
+// deterministic simulated time). The CI bench gate tracks its ns/op and
+// allocs/op (cmd/benchgate).
 func BenchmarkFullRunRTL8029(b *testing.B) {
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
 	if err != nil {
@@ -396,50 +395,4 @@ func BenchmarkFullRunPro1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkExploreParallelSpeedup measures the parallel symbolic engine's
-// scaling curve: a full rtl8029 session at 1, 2, and 4 workers, with the
-// per-count wall clock and the speedup-vs-sequential reported as metrics
-// (workers=1 is the deterministic sequential engine; the parallel runs
-// share one solver query cache). The speedup-at-4 metric is the headline:
-// on a multi-core host it should exceed 1.5x; on a single-CPU host
-// (GOMAXPROCS=1) no wall-clock speedup is physically possible and the
-// metrics report the concurrency overhead instead. This benchmark is one
-// of the two the CI bench regression gate tracks (cmd/benchgate).
-func BenchmarkExploreParallelSpeedup(b *testing.B) {
-	img, err := corpus.Build("rtl8029", corpus.Buggy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := []int{1, 2, 4}
-	session := func(workers int) time.Duration {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		eng := core.NewEngine(img, opts)
-		start := time.Now()
-		if _, err := eng.TestDriver(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	elapsed := map[int]time.Duration{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range counts {
-			elapsed[w] += session(w)
-		}
-	}
-	b.StopTimer()
-	seq := elapsed[1]
-	for _, w := range counts[1:] {
-		b.ReportMetric(float64(seq)/float64(elapsed[w]), fmt.Sprintf("speedup@%dworkers", w))
-	}
-	// Fractional milliseconds: a session takes a few, so rounding the
-	// total to whole ones would cost the gated figures their resolution.
-	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
-	b.ReportMetric(ms(seq), "ms/seq-session")
-	b.ReportMetric(ms(elapsed[4]), "ms/4worker-session")
-	b.Logf("GOMAXPROCS=%d: sequential %v, 4 workers %v",
-		runtime.GOMAXPROCS(0), seq/time.Duration(b.N), elapsed[4]/time.Duration(b.N))
 }

@@ -15,7 +15,7 @@
 //
 //	benchgate -base base.txt -head head.txt -out BENCH_PR.json \
 //	    -threshold 0.20 \
-//	    -bench 'BenchmarkExploreParallelSpeedup:ms/seq-session' \
+//	    -bench 'BenchmarkFuzzWarmExec:us/exec' \
 //	    -bench 'fuzz-hunt:wall_s'
 //
 // A tracked entry is "Name" (gates the benchmark's ns/op) or "Name:unit"

@@ -17,7 +17,6 @@
 //	                 phase plan, "pnp" the PnP/power scenario graph (suspend/
 //	                 resume, surprise removal, IRP cancellation); the default
 //	                 picks per driver class (storage: pnp, others: linear)
-//	-workers n       parallel campaign workers (1 = sequential, deterministic)
 //	-timeout d       campaign wall-clock bound (0 = none)
 //	-expect          with -corpus, compare the found bug classes against the
 //	                 driver's expected Table 2 set; exit 0 on an exact match
@@ -47,7 +46,7 @@ func main() {
 	noAnnot := flag.Bool("no-annotations", false, "disable interface annotations")
 	noIntr := flag.Bool("no-interrupts", false, "disable symbolic interrupts")
 	scenario := flag.String("scenario", "", `workload scenario: "linear" or "pnp" (default: per driver class)`)
-	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagWorkers|campaign.FlagTimeout)
+	cf := campaign.RegisterFlags(flag.CommandLine, campaign.FlagTimeout)
 	expect := flag.Bool("expect", false, "with -corpus, exit 3 unless the found bug classes exactly match the driver's expected set")
 	traceDir := flag.String("traces", "", "directory to write executable traces into")
 	verbose := flag.Bool("v", false, "print solved inputs per bug")

@@ -65,12 +65,11 @@ import (
 // Config selects DDT's testing options, mirroring the paper's setup. The
 // campaign envelope (workers, wall-clock bound, stop conditions) is the
 // embedded campaign.Options — the same envelope FuzzConfig embeds, so
-// every mode is configured the same way. For the symbolic workload:
-// Workers 0 or 1 is the sequential engine (fully deterministic); N>1
-// explores the frontier with N goroutines sharing one solver query cache —
-// same bug classes, schedule-dependent path order. Either way the workload
-// runs phase by phase, in OS order. Duration bounds the whole session;
-// StopAtFirstBug stops at the first recorded bug.
+// every mode is configured the same way. The symbolic workload runs on
+// one worker, phase by phase in OS order, and is fully deterministic.
+// Duration bounds the whole session; StopAtFirstBug stops at the first
+// recorded bug. Workers, Seed and MaxExecs are accepted for envelope
+// uniformity and unused by the symbolic engine.
 type Config struct {
 	campaign.Options
 	// Annotations enables the stock NDIS/WDM interface annotations (§3.4):

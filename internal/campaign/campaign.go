@@ -25,9 +25,9 @@ import (
 // the same way — and mean the same thing — whether the campaign explores
 // symbolically or concretely.
 type Options struct {
-	// Workers is the number of parallel campaign workers. 0 or 1 runs the
-	// campaign on a single worker, which for the symbolic engine is
-	// bit-identical to the original sequential semantics.
+	// Workers is the number of parallel campaign workers; 0 or 1 runs the
+	// campaign on a single worker. The symbolic engine always walks a
+	// session with one worker and ignores it.
 	Workers int
 	// Seed makes the campaign's random streams deterministic (the fuzzer
 	// derives per-worker streams as Seed+workerID). Frontiers without
@@ -68,8 +68,6 @@ type Summary struct {
 	Started uint64
 	// Retired counts work items completed.
 	Retired uint64
-	// PerWorker is the per-worker retired-item distribution.
-	PerWorker []int
 	// Elapsed is the campaign wall-clock time.
 	Elapsed time.Duration
 	// Canceled reports whether the campaign ended by context cancellation

@@ -45,16 +45,15 @@ type Runner[T any] struct {
 	exec     func(w int, item T)
 	findings *Findings
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	running   int
-	started   uint64
-	retired   uint64
-	perWorker []int
-	stopped   bool
-	canceled  bool
-	deadline  time.Time
-	elapsed   time.Duration
+	mu       sync.Mutex
+	cond     *sync.Cond
+	running  int
+	started  uint64
+	retired  uint64
+	stopped  bool
+	canceled bool
+	deadline time.Time
+	elapsed  time.Duration
 }
 
 // NewRunner builds a runner over the frontier. exec runs one work item;
@@ -76,7 +75,6 @@ func (r *Runner[T]) BindFindings(f *Findings) { r.findings = f }
 func (r *Runner[T]) Run(ctx context.Context) {
 	start := time.Now()
 	r.mu.Lock()
-	r.perWorker = make([]int, r.opts.Workers)
 	if r.opts.Duration > 0 {
 		r.deadline = start.Add(r.opts.Duration)
 	}
@@ -100,7 +98,7 @@ func (r *Runner[T]) Run(ctx context.Context) {
 					return
 				}
 				r.exec(w, item)
-				r.retire(w)
+				r.retire()
 			}
 		}(w)
 	}
@@ -172,11 +170,10 @@ func (r *Runner[T]) next(ctx context.Context, w int) (T, bool) {
 }
 
 // retire books one completed item and re-examines the pool.
-func (r *Runner[T]) retire(w int) {
+func (r *Runner[T]) retire() {
 	r.mu.Lock()
 	r.running--
 	r.retired++
-	r.perWorker[w]++
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
@@ -229,11 +226,10 @@ func (r *Runner[T]) Summary() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Summary{
-		Workers:   r.opts.Workers,
-		Started:   r.started,
-		Retired:   r.retired,
-		PerWorker: append([]int(nil), r.perWorker...),
-		Elapsed:   r.elapsed,
-		Canceled:  r.canceled,
+		Workers:  r.opts.Workers,
+		Started:  r.started,
+		Retired:  r.retired,
+		Elapsed:  r.elapsed,
+		Canceled: r.canceled,
 	}
 }

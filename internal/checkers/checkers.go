@@ -13,7 +13,6 @@ package checkers
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/isa"
@@ -28,9 +27,8 @@ type MemoryChecker struct {
 	// NullPageLimit: accesses below this address are null-pointer
 	// dereferences regardless of grants.
 	NullPageLimit uint32
-	// Vetoes counts rejected accesses (stats); updated atomically, as
-	// parallel workers share one checker.
-	Vetoes atomic.Uint64
+	// Vetoes counts rejected accesses (stats).
+	Vetoes uint64
 }
 
 // NewMemoryChecker returns a checker with the conventional 4 KiB null page.
@@ -41,7 +39,7 @@ func NewMemoryChecker() *MemoryChecker {
 // Check validates one access; Install wires it as the machine hook.
 func (c *MemoryChecker) Check(s *vm.State, pc, addr, size uint32, write bool) error {
 	if addr < c.NullPageLimit || addr+size < addr {
-		c.Vetoes.Add(1)
+		c.Vetoes++
 		return vm.Faultf("memory", pc, "null-pointer dereference: %s of %d bytes at %#x",
 			rw(write), size, addr)
 	}
@@ -54,7 +52,7 @@ func (c *MemoryChecker) Check(s *vm.State, pc, addr, size uint32, write bool) er
 	if addr >= stackLo && addr < isa.StackBase {
 		sp, ok := s.RegConcrete(isa.SP)
 		if ok && addr < sp {
-			c.Vetoes.Add(1)
+			c.Vetoes++
 			return vm.Faultf("memory", pc, "%s below the stack pointer (addr %#x < sp %#x)",
 				rw(write), addr, sp)
 		}
@@ -63,16 +61,16 @@ func (c *MemoryChecker) Check(s *vm.State, pc, addr, size uint32, write bool) er
 
 	r, ok := ks.FindRegion(addr, size)
 	if !ok {
-		c.Vetoes.Add(1)
+		c.Vetoes++
 		return vm.Faultf("memory", pc, "%s of %d bytes at unmapped address %#x (no grant covers it)",
 			rw(write), size, addr)
 	}
 	if write && !r.Writable {
-		c.Vetoes.Add(1)
+		c.Vetoes++
 		return vm.Faultf("memory", pc, "write to read-only %s region at %#x", r.Kind, addr)
 	}
 	if r.Pageable && ks.IRQL >= kernel.DispatchLevel {
-		c.Vetoes.Add(1)
+		c.Vetoes++
 		return vm.Faultf("irql", pc, "pageable memory touched at %s (addr %#x)",
 			kernel.IrqlName(ks.IRQL), addr)
 	}
@@ -96,9 +94,7 @@ func (c *MemoryChecker) Install(m *vm.Machine) {
 			cs := append(s.Constraints[:len(s.Constraints):len(s.Constraints)],
 				expr.UGe(addr, expr.Const(lo)),
 				expr.ULt(addr, expr.Const(hi)))
-			// Route through the worker context bound to s: under parallel
-			// exploration each worker probes with its own solver.
-			if model := m.SolverFor(s).Model(cs); model != nil {
+			if model := m.Solver.Model(cs); model != nil {
 				return expr.Eval(addr, model), true
 			}
 			return 0, false
@@ -187,9 +183,8 @@ func (LeakChecker) CheckEntryExit(s *vm.State, entry string, status uint32) erro
 // hardware register that symbolic hardware will never change, waiting on a
 // flag an interrupt should set, ...).
 // The visit counts live on the state itself (vm.State.VisitBlock), not in
-// the checker: states migrate freely between parallel workers, and a
-// terminated state's accounting dies with it — no shared map, no Forget
-// bookkeeping, no cross-path attribution.
+// the checker: a terminated state's accounting dies with it — no shared
+// map, no Forget bookkeeping, no cross-path attribution.
 type LoopChecker struct {
 	// Threshold is the per-block repeat count that triggers the report.
 	Threshold uint64

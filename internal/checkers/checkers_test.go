@@ -27,8 +27,8 @@ func TestMemoryCheckerNullPage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "null-pointer") {
 		t.Errorf("null read: %v", err)
 	}
-	if c.Vetoes.Load() != 1 {
-		t.Errorf("vetoes = %d", c.Vetoes.Load())
+	if c.Vetoes != 1 {
+		t.Errorf("vetoes = %d", c.Vetoes)
 	}
 }
 

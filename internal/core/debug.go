@@ -7,10 +7,9 @@ import (
 	"sync"
 )
 
-// phaseDebug is the DDT_DEBUG_PHASES reporter. All per-phase timing and
-// per-worker lines go through one process-wide mutex, so output from
-// parallel workers — or from several engines running at once (benchmarks,
-// tests) — never interleaves mid-line.
+// phaseDebug is the DDT_DEBUG_PHASES reporter. All per-phase timing lines
+// go through one process-wide mutex, so output from several engines running
+// at once (benchmarks, tests) never interleaves mid-line.
 type phaseDebug struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -32,9 +31,4 @@ func (d *phaseDebug) printf(format string, args ...any) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	fmt.Fprintf(d.w, format, args...)
-}
-
-// workerPaths renders the per-worker retired-path distribution.
-func (d *phaseDebug) workerPaths(perWorker []int) {
-	d.printf("  per-worker paths: %v\n", perWorker)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,16 +25,12 @@ import (
 // campaign.Options — the same envelope fuzz.Config and ddt.Config embed —
 // and the remaining fields are the symbolic engine's own knobs.
 //
-// Envelope semantics for the symbolic engine: Workers 0 or 1 runs the
-// engine sequentially, bit-identical to the pre-parallel engine; N>1 pops
-// the frontier from N workers, each with its own vm.ExecContext and solver
-// over one shared query cache — the explored path SET is then
-// schedule-dependent, but every reported bug remains a sound,
-// solver-witnessed path, and completed paths are canonically ordered by
-// state ID before KeepStates selection. Every worker count walks the
-// workload phase by phase: a phase's paths all finish before the next
-// phase starts. Duration bounds the whole TestDriver session.
-// Seed and MaxExecs are accepted for envelope uniformity and unused here.
+// Envelope semantics for the symbolic engine: one walk explores the
+// session, so a run is deterministic. It walks the workload phase by
+// phase: a phase's paths all finish before the next phase starts.
+// Duration bounds the whole TestDriver session, and StopAtFirstBug ends it
+// at the first recorded bug. Workers, Seed and MaxExecs are accepted for
+// envelope uniformity and unused here.
 type Options struct {
 	campaign.Options
 	// Annotations enables the stock NDIS/WDM annotation sets. Off is DDT's
@@ -116,36 +111,25 @@ type Engine struct {
 	Sched *exerciser.Scheduler
 	Cov   *exerciser.Coverage
 
-	// cache is the shared solver query cache: the root solver and every
-	// parallel worker's solver answer through it.
-	cache *solver.Cache
-
-	// workers are the parallel workers' execution contexts, built once, each
-	// with a private solver over cache; nil for a sequential session, which
-	// explores on the machine's root context. Report sums the counts of the
-	// root context and of these.
-	workers []*vm.ExecContext
-
 	// findings is the campaign-wide bug-deduplication ledger; the campaign
 	// runner watches it for the StopAtFirstBug condition.
 	findings *campaign.Findings
 
-	// mu guards the result accounting shared by workers: bugs, paths,
-	// PhaseResult mutation and phaseStats.
-	mu         sync.Mutex
-	bugs       []*Bug
+	// mu guards bugs, which Bugs, Report and String may read from another
+	// goroutine while the walk runs (a time-to-bug watcher polls Bugs). The
+	// walk is the only writer, so it reads bugs without the lock.
+	mu   sync.Mutex
+	bugs []*Bug
+
+	// paths and phaseStats are the walk's own ledger: Report and String
+	// read them once TestDriver has returned.
 	paths      int
 	phaseStats []PhaseStat
-
-	// notify, during a parallel explore, wakes workers blocked on an empty
-	// frontier after a push.
-	notify func()
 }
 
 // NewEngine builds a fully wired DDT session for the image.
 func NewEngine(img *binimg.Image, opts Options) *Engine {
-	cache := solver.NewCache(0)
-	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.NewWithCache(cache))
+	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
 	e := &Engine{
 		Img:      img,
 		Opts:     opts,
@@ -156,17 +140,10 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 		Loop:     checkers.NewLoopChecker(opts.LoopThreshold),
 		Sched:    exerciser.NewScheduler(opts.MaxStates),
 		Cov:      exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
-		cache:    cache,
 		findings: campaign.NewFindings(),
 	}
 	if opts.Coverage != nil {
 		e.Cov = opts.Coverage
-	}
-	if opts.Workers > 1 {
-		e.workers = make([]*vm.ExecContext, opts.Workers)
-		for w := range e.workers {
-			e.workers[w] = m.NewContext(solver.NewWithCache(cache))
-		}
 	}
 	e.K.VerifierChecks = opts.VerifierChecks
 	e.K.SymbolSeed = opts.SymbolSeed
@@ -186,9 +163,10 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	if opts.Annotations {
 		annot.InstallAll(e.K)
 	}
+	root := m.Root()
 	m.OnBlock = func(s *vm.State, pc uint32) {
 		e.Sched.Record(pc)
-		e.Cov.Visit(pc, m.ContextOf(s).Steps)
+		e.Cov.Visit(pc, root.Steps)
 		if _, err := e.Loop.Visit(s, pc); err != nil {
 			// Leave the fault on the state: the step loop surfaces it, so
 			// it can never be attributed to a different path however the
@@ -244,9 +222,7 @@ func (e *Engine) NewBootState() *vm.State {
 	return workload.Boot(e.M, e.Img, e.EffectiveRegistry())
 }
 
-// recordBug deduplicates, solves the input model, and stores a bug. Safe
-// for concurrent use: the solve runs on the worker's own solver, only the
-// dedup/store is serialized.
+// recordBug deduplicates, solves the input model, and stores a bug.
 func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 	b := &Bug{
 		Class:       checkers.Classify(fault, s),
@@ -263,7 +239,7 @@ func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 
 	b.Trace = s.Trace.Path()
 	b.Trace = append(b.Trace, vm.Event{Kind: vm.EvBug, Seq: s.ICount, PC: fault.PC, Name: b.Class + ": " + fault.Msg})
-	model := e.M.SolverFor(s).Model(s.Constraints)
+	model := e.M.Solver.Model(s.Constraints)
 	if model == nil {
 		model = expr.Assignment{}
 	}
@@ -284,13 +260,6 @@ func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 	e.mu.Unlock()
 }
 
-// bugCount returns the number of recorded bugs (thread-safe).
-func (e *Engine) bugCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.bugs)
-}
-
 // PhaseResult is what one entry-phase exploration returns.
 type PhaseResult struct {
 	// Succeeded are exited states whose R0 was StatusSuccess (capped at
@@ -304,48 +273,22 @@ type PhaseResult struct {
 
 // Explore runs all queued states to completion, recording coverage and
 // bugs. Initial states must already be pushed (via e.Sched.Push) and set up
-// with kernel.InvokeSym. The frontier is drained by a campaign.Runner over a
-// barrierFrontier: with Opts.Workers > 1 a concurrent worker pool, each
-// worker stepping on its own engine-lifetime vm.ExecContext (the per-phase
-// path budget can overshoot by at most Workers-1 in-flight paths);
-// otherwise a single worker on the machine's root context, bit-identical
-// to the original single-threaded engine. ctx cancels the phase mid-run.
+// with kernel.InvokeSym. A one-worker campaign.Runner drains the frontier
+// (barrierFrontier) on the machine's root context, so the walk is
+// deterministic; the runner is where ctx cancels the phase mid-run and
+// where StopAtFirstBug ends it.
 func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 	var res PhaseResult
 	dbgStart := time.Now()
-	bugsBefore := e.bugCount()
-
-	ectxs := e.workers
-	if ectxs == nil {
-		ectxs = []*vm.ExecContext{e.M.Root()}
-	}
-	workers := len(ectxs)
+	bugsBefore := len(e.bugs)
 
 	r := campaign.NewRunner(
-		campaign.Options{Workers: workers, StopAtFirstBug: e.Opts.StopAtFirstBug},
+		campaign.Options{StopAtFirstBug: e.Opts.StopAtFirstBug},
 		&barrierFrontier{e: e, res: &res},
-		func(w int, st *vm.State) { e.runPath(ectxs[w], st, entryName, &res) },
+		func(_ int, st *vm.State) { e.runPath(st, entryName, &res) },
 	)
 	r.BindFindings(e.findings)
-	if workers > 1 {
-		// A single worker is never parked while it executes, so pushes only
-		// need wake-ups when other workers may be waiting.
-		e.notify = r.Wake
-	}
 	r.Run(ctx)
-	e.notify = nil
-
-	if workers > 1 {
-		e.mu.Lock()
-		// Completion order is schedule-dependent; canonicalize by state ID
-		// so KeepStates selection (and everything downstream) is ordered by
-		// a property of the path, not of the race.
-		sort.Slice(res.Succeeded, func(i, j int) bool {
-			return res.Succeeded[i].ID < res.Succeeded[j].ID
-		})
-		e.mu.Unlock()
-		dbgPhases.workerPaths(r.Summary().PerWorker)
-	}
 
 	// Frontier left over when the path budget is hit is abandoned —
 	// bounded-exploration coverage loss, never unsoundness.
@@ -356,23 +299,20 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 		}
 		st.Status = vm.StatusKilled
 	}
-	res.BugsFound = e.bugCount() - bugsBefore
-	e.mu.Lock()
+	res.BugsFound = len(e.bugs) - bugsBefore
 	e.phaseStats = append(e.phaseStats, PhaseStat{
 		Name:      entryName,
 		Exited:    res.Exited,
 		Succeeded: len(res.Succeeded),
 	})
-	e.mu.Unlock()
 	dbgPhases.printf("phase %-20s exited=%-4d succ=%-3d elapsed=%v\n",
 		entryName, res.Exited, len(res.Succeeded), time.Since(dbgStart))
 	return res
 }
 
 // barrierFrontier is the barriered engine's frontier policy: one entry
-// phase over the shared scheduler, stopping when the per-phase path budget
-// trips. The campaign runner owns all pool coordination; runPath does the
-// result accounting.
+// phase over the scheduler, stopping when the per-phase path budget trips.
+// runPath does the result accounting.
 type barrierFrontier struct {
 	e   *Engine
 	res *PhaseResult
@@ -380,10 +320,7 @@ type barrierFrontier struct {
 
 // Next pops the next frontier state, or stops the phase at its budget.
 func (f *barrierFrontier) Next(w int) (*vm.State, campaign.Verdict) {
-	f.e.mu.Lock()
-	exited := f.res.Exited
-	f.e.mu.Unlock()
-	if exited >= f.e.Opts.MaxPathsPerEntry {
+	if f.res.Exited >= f.e.Opts.MaxPathsPerEntry {
 		return nil, campaign.Stop
 	}
 	if st := f.e.Sched.Pop(); st != nil {
@@ -392,26 +329,18 @@ func (f *barrierFrontier) Next(w int) (*vm.State, campaign.Verdict) {
 	return nil, campaign.Drained
 }
 
-// pushState queues a forked sibling and, during a parallel explore, wakes
-// a blocked worker for it.
-func (e *Engine) pushState(n *vm.State) {
-	e.Sched.Push(n)
-	if f := e.notify; f != nil {
-		f()
-	}
-}
-
 // runPath steps one state until it terminates or forks; forked siblings go
-// back to the scheduler. ctx is the calling worker's execution context.
-// A state that ends here and is not carried into the next phase is retired
-// on this worker, so its pooled storage serves the paths that follow.
-func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, res *PhaseResult) {
+// back to the scheduler. A state that ends here and is not carried into the
+// next phase is retired on the root context, so its pooled storage serves
+// the paths that follow.
+func (e *Engine) runPath(st *vm.State, entryName string, res *PhaseResult) {
+	root := e.M.Root()
 	// Deferred ISR injection (marked at a boundary crossing).
 	if ks := kernel.Of(st); ks.InjectPending {
 		ks.InjectPending = false
 		if !e.K.InjectInterrupt(st) {
 			st.Status = vm.StatusKilled
-			ctx.Retire(st)
+			root.Retire(st)
 			return
 		}
 	}
@@ -420,10 +349,10 @@ func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, re
 	for cur.Status == vm.StatusRunning {
 		if cur.ICount-start >= e.Opts.MaxStepsPerPath {
 			cur.Status = vm.StatusKilled
-			ctx.Retire(cur)
+			root.Retire(cur)
 			return
 		}
-		next, err := ctx.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
+		next, err := root.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
 		// A fault left pending on the stepped state by a hook (the loop
 		// checker) fails the path right here, keeping the original engine's
 		// timing; forked children of the same step die with their parent.
@@ -438,20 +367,20 @@ func (e *Engine) runPath(ctx *vm.ExecContext, st *vm.State, entryName string, re
 			} else {
 				e.recordBug(cur, vm.Faultf("engine", cur.PC, "%v", err))
 			}
-			ctx.Retire(cur)
+			root.Retire(cur)
 			return
 		}
 		switch len(next) {
 		case 0:
 			if !e.finishPath(cur, res) {
-				ctx.Retire(cur)
+				root.Retire(cur)
 			}
 			return
 		case 1:
 			cur = next[0]
 		default:
 			for _, n := range next[1:] {
-				e.pushState(n)
+				e.Sched.Push(n)
 			}
 			cur = next[0]
 			// Keep running the first child without rescheduling: cheap
@@ -466,10 +395,8 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) bool {
 	if s.Status != vm.StatusExited {
 		return false
 	}
-	e.mu.Lock()
 	e.paths++
 	res.Exited++
-	e.mu.Unlock()
 	status, ok := s.RegConcrete(isa.R0)
 	if !ok {
 		// A symbolic entry status: concretize for bookkeeping.
@@ -486,8 +413,6 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) bool {
 		}
 		return false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	kept := status == kernel.StatusSuccess && len(res.Succeeded) < e.Opts.KeepStates*4
 	if kept {
 		res.Succeeded = append(res.Succeeded, s)
@@ -499,26 +424,22 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) bool {
 func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	bugs := append([]*Bug(nil), e.bugs...)
-	paths := e.paths
-	phases := append([]PhaseStat(nil), e.phaseStats...)
 	e.mu.Unlock()
-	cs := e.cache.Stats()
+	root := e.M.Root()
+	cs := root.Solver.Cache().Stats()
 	r := &Report{
 		Driver:               e.Img.Name,
 		Bugs:                 bugs,
-		PathsExplored:        paths,
+		PathsExplored:        e.paths,
+		StatesForked:         root.Forks,
+		Instructions:         root.Steps,
 		BlocksCovered:        e.Cov.Blocks(),
 		BlocksStatic:         e.Cov.TotalStatic,
+		SolverQueries:        root.Solver.Stats.Queries,
+		SymbolsMade:          e.M.Syms.Len(),
 		SolverCacheHits:      cs.Hits,
 		SolverCacheEvictions: cs.Evictions,
-		Workers:              max(len(e.workers), 1),
-		Phases:               phases,
-		SymbolsMade:          e.M.Syms.Len(),
-	}
-	for _, c := range append([]*vm.ExecContext{e.M.Root()}, e.workers...) {
-		r.StatesForked += c.Forks
-		r.Instructions += c.Steps
-		r.SolverQueries += c.Solver.Stats.Queries
+		Phases:               append([]PhaseStat(nil), e.phaseStats...),
 	}
 	for _, p := range e.Cov.Series() {
 		r.CoverageSeries = append(r.CoverageSeries, CoveragePointOut{p.Instructions, p.Blocks})
@@ -535,7 +456,7 @@ func (e *Engine) Bugs() []*Bug {
 
 func (e *Engine) String() string {
 	e.mu.Lock()
-	bugs, paths := len(e.bugs), e.paths
+	bugs := len(e.bugs)
 	e.mu.Unlock()
-	return fmt.Sprintf("ddt engine for %q (%d bugs, %d paths)", e.Img.Name, bugs, paths)
+	return fmt.Sprintf("ddt engine for %q (%d bugs, %d paths)", e.Img.Name, bugs, e.paths)
 }

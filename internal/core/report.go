@@ -85,15 +85,10 @@ type Report struct {
 	// SolverQueries etc. for the efficiency section.
 	SolverQueries uint64
 	SymbolsMade   int
-	// SolverCacheHits / SolverCacheEvictions measure the shared query
-	// cache: under parallel exploration one worker's Sat/Unsat answer is a
-	// hit for every other worker, which is where the shared-cache speedup
-	// comes from.
+	// SolverCacheHits / SolverCacheEvictions measure the solver's query
+	// cache.
 	SolverCacheHits      uint64
 	SolverCacheEvictions uint64
-	// Workers is how many exploration workers the run used (1 =
-	// sequential).
-	Workers int
 	// Phases is the per-phase outcome ledger in workload order: one row
 	// per explored phase (a DPC drain adds one row per round), so the
 	// Exited column sums to PathsExplored.
@@ -137,8 +132,8 @@ func (r *Report) CountByClass() map[string]int {
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "DDT report for driver %q\n", r.Driver)
-	fmt.Fprintf(&sb, "  paths explored: %d, forks: %d, instructions: %d, workers: %d\n",
-		r.PathsExplored, r.StatesForked, r.Instructions, r.Workers)
+	fmt.Fprintf(&sb, "  paths explored: %d, forks: %d, instructions: %d\n",
+		r.PathsExplored, r.StatesForked, r.Instructions)
 	fmt.Fprintf(&sb, "  coverage: %d/%d basic blocks (%.0f%%)\n",
 		r.BlocksCovered, r.BlocksStatic, 100*r.RelativeCoverage())
 	fmt.Fprintf(&sb, "  solver: %d queries, %d cache hits, %d evictions\n",

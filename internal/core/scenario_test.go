@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -37,39 +36,34 @@ func storageBugClasses(t *testing.T, rep *Report) []string {
 }
 
 // TestStorageScenarioFindsBothBugs: the barriered engine walks the PnP
-// scenario graph and finds exactly the two planted bugs, sequentially and
-// with a worker pool (under -race in CI this is the scenario walk's race
-// regression test). The "kernel crash" half FAILS if drainDPCs regresses
-// to one-shot (it lives in the second queued DPC); the "memory corruption"
-// half fails if the surprise-removal path is unreachable.
+// scenario graph and finds exactly the two planted bugs. The "kernel
+// crash" half FAILS if drainDPCs regresses to one-shot (it lives in the
+// second queued DPC); the "memory corruption" half fails if the
+// surprise-removal path is unreachable.
 func TestStorageScenarioFindsBothBugs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Workers = workers
-			rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
-			want := []string{"kernel crash", "memory corruption"}
-			if got := storageBugClasses(t, rep); !reflect.DeepEqual(got, want) {
-				t.Fatalf("bug classes = %v, want %v\n%s", got, want, rep)
-			}
-		})
-	}
+	t.Run("workers=1", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
+		want := []string{"kernel crash", "memory corruption"}
+		if got := storageBugClasses(t, rep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bug classes = %v, want %v\n%s", got, want, rep)
+		}
+	})
 }
 
 // TestStorageScenarioFixedIsClean: the corrected variant survives the
 // full scenario graph with zero reports (no false positives from the
-// removal/power machinery itself), sequentially and with a worker pool.
+// removal/power machinery itself).
 func TestStorageScenarioFixedIsClean(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Workers = workers
-			rep := runDDT(t, "promise-ultra133", corpus.Fixed, opts)
-			if len(rep.Bugs) != 0 {
-				t.Fatalf("fixed promise-ultra133 reported %d bug(s):\n%s", len(rep.Bugs), rep)
-			}
-		})
-	}
+	t.Run("workers=1", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		rep := runDDT(t, "promise-ultra133", corpus.Fixed, opts)
+		if len(rep.Bugs) != 0 {
+			t.Fatalf("fixed promise-ultra133 reported %d bug(s):\n%s", len(rep.Bugs), rep)
+		}
+	})
 }
 
 // TestStorageScenarioLinearOverride: Options.Scenario = ScenarioLinear
@@ -79,7 +73,6 @@ func TestStorageScenarioFixedIsClean(t *testing.T) {
 // linear phase ever yanks the device.
 func TestStorageScenarioLinearOverride(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Workers = 1
 	opts.Scenario = ScenarioLinear
 	rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
 	got := classSet(rep)
@@ -91,12 +84,11 @@ func TestStorageScenarioLinearOverride(t *testing.T) {
 	}
 }
 
-// TestStorageScenarioDeterministic: two sequential runs over the graph
-// are bit-identical — the scenario walker preserves the workers<=1
-// determinism contract.
+// TestStorageScenarioDeterministic: two runs over the graph are
+// bit-identical — the scenario walker preserves the engine's determinism
+// contract.
 func TestStorageScenarioDeterministic(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Workers = 1
 	a := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
 	b := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
 	if a.PathsExplored != b.PathsExplored || a.Instructions != b.Instructions ||
@@ -162,7 +154,6 @@ func TestInterruptBudgetAccrues(t *testing.T) {
 func TestInterruptBudgetBindsAcrossPhases(t *testing.T) {
 	run := func(budget uint64, symIntr bool) *Report {
 		opts := DefaultOptions()
-		opts.Workers = 1
 		opts.MaxIntrInjections = budget
 		opts.SymbolicInterrupts = symIntr
 		return runDDT(t, "amd-pcnet", corpus.Buggy, opts)

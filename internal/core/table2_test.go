@@ -155,11 +155,40 @@ func TestBugEvidenceCompleteness(t *testing.T) {
 	}
 }
 
+// TestStopAtFirstBug: StopAtFirstBug ends the walk of each golden driver at
+// its first bug. The run reports exactly one bug and explores fewer paths
+// than the full walk (seedGolden).
 func TestStopAtFirstBug(t *testing.T) {
-	opts := DefaultOptions()
-	opts.StopAtFirstBug = true
-	rep := runDDT(t, "rtl8029", corpus.Buggy, opts)
-	if len(rep.Bugs) > 1 {
-		t.Errorf("stop-at-first-bug run reported %d bugs", len(rep.Bugs))
+	for driver, want := range seedGolden {
+		opts := DefaultOptions()
+		opts.StopAtFirstBug = true
+		rep := runDDT(t, driver, corpus.Buggy, opts)
+		if len(rep.Bugs) != 1 {
+			t.Errorf("%s: stop-at-first-bug run reported %d bugs, want 1", driver, len(rep.Bugs))
+		}
+		if rep.PathsExplored >= want.paths {
+			t.Errorf("%s: StopAtFirstBug explored %d paths, full walk %d: the stop did not end the walk early",
+				driver, rep.PathsExplored, want.paths)
+		}
+	}
+}
+
+// TestPipelinedStopAtFirstBug: StopAtFirstBug ends the phase pipeline of
+// every corpus driver outside seedGolden, the storage scenario graph
+// included, at its first bug: no later phase is seeded once a bug is
+// reported. The run reports exactly one bug and explores fewer paths than
+// the full walk (otherGolden).
+func TestPipelinedStopAtFirstBug(t *testing.T) {
+	for driver, want := range otherGolden {
+		opts := DefaultOptions()
+		opts.StopAtFirstBug = true
+		rep := runDDT(t, driver, corpus.Buggy, opts)
+		if len(rep.Bugs) != 1 {
+			t.Errorf("%s: stop-at-first-bug run reported %d bugs, want 1", driver, len(rep.Bugs))
+		}
+		if rep.PathsExplored >= want.paths {
+			t.Errorf("%s: StopAtFirstBug explored %d paths, full walk %d: the stop did not end the walk early",
+				driver, rep.PathsExplored, want.paths)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func (c *Coverage) Visit(pc uint32, instructions uint64) bool {
 	}
 	c.seen[pc] = true
 	// Concurrent visitors may present slightly out-of-order instruction
-	// counts; clamp so the series stays ascending for SampleAt.
+	// counts; clamp so the series stays ascending.
 	if n := len(c.series); n > 0 && instructions < c.series[n-1].Instructions {
 		instructions = c.series[n-1].Instructions
 	}
@@ -115,19 +115,4 @@ func (c *Coverage) CoveredBlocks() []uint32 {
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// SampleAt returns the covered-block count at or before the given
-// instruction count (stair-step interpolation of the series).
-func (c *Coverage) SampleAt(instructions uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, p := range c.series {
-		if p.Instructions > instructions {
-			break
-		}
-		n = p.Blocks
-	}
-	return n
 }

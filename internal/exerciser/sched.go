@@ -3,28 +3,19 @@
 // heuristic) and the coverage recorder behind the paper's Figures 2 and 3.
 package exerciser
 
-import (
-	"sync"
-
-	"repro/internal/vm"
-)
+import "repro/internal/vm"
 
 // Scheduler maintains the frontier of runnable execution states and a
-// global per-block execution count the pick reads. It is safe for
-// concurrent use: parallel exploration workers Push forked siblings, Pop
-// their next state, and Record block executions from many goroutines; one
-// mutex guards the queue, the counts, and the pick together, so a pick
-// sees a consistent snapshot of the counts.
+// global per-block execution count the pick reads. It is not safe for
+// concurrent use: one session's walk pushes, pops and records on one
+// goroutine at a time.
 type Scheduler struct {
-	mu    sync.Mutex
 	queue []*vm.State
 	// blockCounts is the global execution counter per basic block leader.
 	blockCounts map[uint32]uint64
 	// MaxStates caps the frontier; beyond it, newly forked states are
 	// dropped (coverage loss, never unsoundness). Set before use.
 	MaxStates int
-	// dropped counts states discarded due to the cap.
-	dropped uint64
 }
 
 // NewScheduler returns an empty scheduler.
@@ -36,15 +27,12 @@ func NewScheduler(maxStates int) *Scheduler {
 }
 
 // Push queues a runnable state; past the MaxStates cap the state is
-// dropped and counted (see Dropped).
+// dropped.
 func (s *Scheduler) Push(st *vm.State) {
 	if st == nil || st.Status != vm.StatusRunning {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.MaxStates > 0 && len(s.queue) >= s.MaxStates {
-		s.dropped++
 		return
 	}
 	s.queue = append(s.queue, st)
@@ -53,8 +41,6 @@ func (s *Scheduler) Push(st *vm.State) {
 // Pop removes and returns the next state per the min-block-count pick, or
 // nil when the frontier is empty.
 func (s *Scheduler) Pop() *vm.State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.queue) == 0 {
 		return nil
 	}
@@ -68,30 +54,17 @@ func (s *Scheduler) Pop() *vm.State {
 
 // Len returns the frontier size.
 func (s *Scheduler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.queue)
 }
 
-// Dropped returns how many states the MaxStates cap discarded.
-func (s *Scheduler) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Record notes that a basic block executed (fed by the machine's OnBlock,
-// possibly from many workers at once).
+// Record notes that a basic block executed (fed by the machine's OnBlock).
 func (s *Scheduler) Record(pc uint32) {
-	s.mu.Lock()
 	s.blockCounts[pc]++
-	s.mu.Unlock()
 }
 
 // minBlockCount picks the state whose current block has been executed the
 // fewest times globally (the first such state on a tie). It naturally
-// avoids states stuck in polling loops — the exact rationale of §4.3. The
-// caller holds s.mu.
+// avoids states stuck in polling loops — the exact rationale of §4.3.
 func (s *Scheduler) minBlockCount() int {
 	best := 0
 	bestCount := s.blockCounts[s.queue[0].PC]

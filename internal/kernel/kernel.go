@@ -14,7 +14,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/isa"
@@ -143,10 +142,8 @@ type Kernel struct {
 	// slotNames caches import-slot -> API name for the loaded image.
 	slotNames []string
 
-	// Symbol sequence counter for naming. Atomic: parallel workers mint
-	// symbols concurrently (a single-worker run sees the exact sequential
-	// numbering).
-	symSeq atomic.Uint64
+	// Symbol sequence counter for naming.
+	symSeq uint64
 
 	// VerifierChecks enables the in-guest Driver Verifier-style checks
 	// (IRQL rules, spinlock ownership, pool sanity). This is the knob the
@@ -213,7 +210,8 @@ func (k *Kernel) FreshSymbol(s *vm.State, name string, origin expr.Origin) *expr
 	if k.SymbolPolicy != nil {
 		return k.SymbolPolicy(s, name, origin)
 	}
-	seq := k.symSeq.Add(1)
+	k.symSeq++
+	seq := k.symSeq
 	e := k.M.Syms.Fresh(fmt.Sprintf("%s#%d", name, seq), origin, s.PC, s.ICount)
 	s.Trace.Append(vm.Event{Kind: vm.EvNewSym, Seq: s.ICount, PC: s.PC, Sym: e.Sym, Name: name})
 	if k.SymbolSeed != nil {

@@ -364,19 +364,15 @@ wait:
 	})
 }
 
-// runSymbolicLease executes one symbolic-mode lease: a (optionally
-// multi-worker) engine session, heartbeating while it runs, and
-// a final report converting every bug into a crash entry with a
-// bridge-derived reproducer feed.
+// runSymbolicLease executes one symbolic-mode lease: an engine session,
+// heartbeating while it runs, and a final report converting every bug into
+// a crash entry with a bridge-derived reproducer feed.
 func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *CampaignLease, syncEvery time.Duration) error {
 	img, err := corpus.Build(lease.Driver, variantOf(lease.Fixed))
 	if err != nil {
 		return err
 	}
 	opts := core.DefaultOptions()
-	if lease.EngineWorkers > 0 {
-		opts.Workers = lease.EngineWorkers
-	}
 	cov := exerciser.NewCoverage(len(binimg.StaticBlocks(img)))
 	opts.Coverage = cov
 

@@ -97,8 +97,6 @@ type CampaignLease struct {
 	Seed       int64  `json:"seed,omitempty"`
 	Persist    bool   `json:"persist,omitempty"`
 	Dict       bool   `json:"dict,omitempty"`
-	// EngineWorkers is the symbolic-mode engine worker count.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 	// Seeds is the manager's current corpus for the driver, shipped as
 	// initial seeds so a fresh worker starts from fleet knowledge instead
 	// of from scratch.
@@ -198,8 +196,6 @@ type CampaignSpec struct {
 	Seed    int64 `json:"seed,omitempty"`
 	Persist bool  `json:"persist,omitempty"`
 	Dict    bool  `json:"dict,omitempty"`
-	// EngineWorkers is the symbolic-mode engine worker count.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 }
 
 // Config is the ddtd campaign config file format.

@@ -159,18 +159,17 @@ func (s *Scheduler) Poll(workerID string) *CampaignLease {
 	spec := sl.campaign
 	dur, _ := spec.duration()
 	return &CampaignLease{
-		LeaseID:       l.id,
-		Campaign:      spec.ID,
-		Slot:          sl.index,
-		Driver:        spec.Driver,
-		Fixed:         spec.Fixed,
-		Mode:          spec.Mode,
-		Execs:         spec.Execs,
-		DurationMS:    dur.Milliseconds(),
-		Seed:          spec.Seed + int64(sl.index),
-		Persist:       spec.Persist,
-		Dict:          spec.Dict,
-		EngineWorkers: spec.EngineWorkers,
+		LeaseID:    l.id,
+		Campaign:   spec.ID,
+		Slot:       sl.index,
+		Driver:     spec.Driver,
+		Fixed:      spec.Fixed,
+		Mode:       spec.Mode,
+		Execs:      spec.Execs,
+		DurationMS: dur.Milliseconds(),
+		Seed:       spec.Seed + int64(sl.index),
+		Persist:    spec.Persist,
+		Dict:       spec.Dict,
 	}
 }
 

@@ -135,10 +135,11 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 
 // TestFleetSymbolicSlot runs one symbolic-mode slot end to end: a config
 // as ddtd loads it (a campaign file written for the removed pipelined mode
-// still carries "pipeline": true, which must keep loading), handed out
+// still carries "pipeline": true, and one written for the removed engine
+// worker count "engine_workers"; both must keep loading), handed out
 // through the scheduler to one one-shot worker that runs the barriered
-// engine with engine_workers. The slot completes and the merged crash set
-// holds exactly rtl8029's Table 2 classes.
+// engine. The slot completes and the merged crash set holds exactly
+// rtl8029's Table 2 classes.
 func TestFleetSymbolicSlot(t *testing.T) {
 	const raw = `{"campaigns": [{"id": "sym", "driver": "rtl8029", "mode": "symbolic",
 		"engine_workers": 2, "pipeline": true}]}`

@@ -32,10 +32,10 @@ type CacheStats struct {
 	Entries int
 }
 
-// Cache is a sharded, mutex-guarded, bounded store of solver query results,
-// shared by the per-worker Solver instances of a parallel exploration: one
-// worker's Sat/Unsat answer is a hit for every other worker. Eviction is
-// coarse FIFO per shard — oldest insertions go first — which is cheap,
+// Cache is a sharded, mutex-guarded, bounded store of solver query results.
+// It is safe for concurrent use, so several Solvers may share one
+// (NewWithCache): one Solver's Sat/Unsat answer is a hit for the others.
+// Eviction is coarse FIFO per shard — oldest insertions go first — which is cheap,
 // deterministic, and good enough for the workload (query keys recur within
 // a phase, rarely across a whole session).
 type Cache struct {

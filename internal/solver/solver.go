@@ -62,9 +62,8 @@ type Stats struct {
 // constraint is an expression required to evaluate to a non-zero value.
 //
 // A Solver itself is single-goroutine scratch (its probe RNG and Stats are
-// unsynchronized); parallel exploration gives each worker its own Solver.
-// The query cache behind it IS thread-safe and can be shared across workers
-// with NewWithCache, so one worker's Sat/Unsat answers are hits for all.
+// unsynchronized). The query cache behind it IS thread-safe and can be
+// shared between Solvers with NewWithCache.
 type Solver struct {
 	cache *Cache
 	rng   uint64

