@@ -34,7 +34,7 @@ func main() {
 		OnReturn: func(ctx *kernel.AnnotCtx) {
 			ks := kernel.Of(ctx.S)
 			live := 0
-			for _, a := range ks.Allocs {
+			for _, a := range ks.LiveAllocs() {
 				if a.Kind == "pool" {
 					live++
 				}

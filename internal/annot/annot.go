@@ -146,13 +146,7 @@ func ndisAllocatePacketReturn(ctx *kernel.AnnotCtx) {
 		return
 	}
 	if altState := forkAllocFailure(ctx); altState != nil {
-		aks := kernel.Of(altState)
-		if pi, ok := aks.Packets[pkt.ConstVal()]; ok {
-			delete(aks.Packets, pkt.ConstVal())
-			if pool, ok := aks.PacketPools[pi.Pool]; ok {
-				pool.Live--
-			}
-		}
+		kernel.Of(altState).FreePacket(pkt.ConstVal())
 		altState.Mem.Write(statusPtr.ConstVal(), 4, expr.Const(kernel.StatusResources))
 		altState.Mem.Write(pktPtr.ConstVal(), 4, expr.Const(0))
 		altState.SetRegConcrete(isa.R0, kernel.StatusResources)
@@ -206,7 +200,7 @@ func pcNewInterruptSyncReturn(ctx *kernel.AnnotCtx) {
 	if altState := forkAllocFailure(ctx); altState != nil {
 		sync := ctx.ReadMem(syncPtrPtr.ConstVal(), 4)
 		if sync.IsConst() {
-			delete(kernel.Of(altState).IntrSyncs, sync.ConstVal())
+			kernel.Of(altState).DropIntrSync(sync.ConstVal())
 		}
 		altState.Mem.Write(syncPtrPtr.ConstVal(), 4, expr.Const(0))
 		altState.SetRegConcrete(isa.R0, kernel.StatusFailure)

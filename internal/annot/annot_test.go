@@ -23,7 +23,7 @@ func harness(t *testing.T, src string) (*kernel.Kernel, *vm.State) {
 	s := m.NewRootState()
 	ks := kernel.NewKState()
 	ks.Grant(kernel.Region{Lo: isa.ImageBase, Hi: img.LimitVA(), Kind: kernel.RegionImage, Writable: true})
-	ks.Registry["Speed"] = 100
+	ks.SetRegistry("Speed", 100)
 	s.Kernel = ks
 	k.InvokeSym(s, "DriverEntry", img.Entry)
 	return k, s
@@ -201,7 +201,7 @@ e:
 			sawNull = true
 		} else {
 			sawValid = true
-			if !kernel.Of(f).IntrSyncs[ptr] {
+			if !kernel.Of(f).IntrSync(ptr) {
 				t.Error("valid sync not registered")
 			}
 		}

@@ -14,8 +14,8 @@ const (
 	Dispatch Verdict = iota
 	// Drained reports the frontier empty. While other items are still
 	// running the runner parks the worker (in-flight work may refill the
-	// frontier; Runner.Wake unparks it); once nothing is running the
-	// campaign ends.
+	// frontier; each finishing item unparks it); once nothing is running
+	// the campaign ends.
 	Drained
 	// Stop ends the whole campaign now (a frontier-owned budget tripped).
 	Stop
@@ -24,7 +24,8 @@ const (
 // Frontier is a campaign's work-selection policy. Next is invoked under
 // the Runner's coordinator lock, so an implementation needs no locking of
 // its own for state touched only there. Executors do their own result
-// accounting; an executor that refills the frontier calls Runner.Wake.
+// accounting; work an executor pushes reaches parked workers when its item
+// finishes.
 type Frontier[T any] interface {
 	// Next picks the next work item for worker w.
 	Next(w int) (T, Verdict)
@@ -209,15 +210,6 @@ func (r *Runner[T]) Canceled() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.canceled
-}
-
-// Wake unparks workers waiting for frontier work. Call after pushing work
-// from outside the coordinator lock (e.g. a fork landing in the frontier
-// from an execution hook).
-func (r *Runner[T]) Wake() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
 }
 
 // Summary assembles the runner-owned report fields. Valid after Run

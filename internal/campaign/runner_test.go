@@ -150,19 +150,14 @@ func TestRunnerDuration(t *testing.T) {
 }
 
 func TestRunnerWaitWake(t *testing.T) {
-	// Work an executor pushes from outside the coordinator lock must reach
-	// workers parked on a drained frontier as soon as the executor calls
-	// Wake, while the pushing executor keeps running. Item k pushes k+1 and
-	// blocks until another worker has started it, so no retirement can wake
-	// the pool in its place.
+	// Work a finishing item pushed must reach workers parked on the drained
+	// frontier with no call from the executor: the item's retirement wakes
+	// them. Item 1 runs while the other workers park, then pushes items 2
+	// and 3 and returns. Items 2 and 3 each wait until the other has
+	// started, so a parked worker must take one of them.
 	const workers = 4
-	var mu sync.Mutex // guards pending and produced
+	var mu sync.Mutex // guards pending
 	pending := []int{1}
-	produced := 0
-	started := make([]chan struct{}, workers+1)
-	for i := range started {
-		started[i] = make(chan struct{})
-	}
 	f := frontierFunc(func(w int) (int, Verdict) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -173,30 +168,28 @@ func TestRunnerWaitWake(t *testing.T) {
 		}
 		return 0, Drained
 	})
-	var r *Runner[int]
-	var execs atomic.Int64
-	r = NewRunner(Options{Workers: workers}, f, func(w, item int) {
+	var execs, arrived atomic.Int64
+	r := NewRunner(Options{Workers: workers}, f, func(w, item int) {
 		execs.Add(1)
-		close(started[item])
-		if item == workers {
+		if item == 1 {
+			// Give the idle workers time to park on the drained frontier.
+			time.Sleep(20 * time.Millisecond)
+			mu.Lock()
+			pending = append(pending, 2, 3)
+			mu.Unlock()
 			return
 		}
-		// Give the idle workers time to park on the drained frontier.
-		time.Sleep(20 * time.Millisecond)
-		mu.Lock()
-		pending = append(pending, item+1)
-		produced++
-		mu.Unlock()
-		r.Wake()
-		select {
-		case <-started[item+1]:
-		case <-time.After(5 * time.Second):
-			t.Errorf("item %d: no parked worker picked up item %d after Wake", item, item+1)
+		arrived.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); arrived.Load() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("item %d: no parked worker picked up the other refilled item", item)
+				return
+			}
 		}
 	})
 	r.Run(context.Background())
-	if execs.Load() != workers || produced != workers-1 {
-		t.Fatalf("execs=%d produced=%d, want %d and %d", execs.Load(), produced, workers, workers-1)
+	if execs.Load() != 3 {
+		t.Fatalf("execs=%d, want 3", execs.Load())
 	}
 }
 

@@ -89,7 +89,7 @@ func TestMemoryCheckerPageableAtDispatch(t *testing.T) {
 
 func TestLeakCheckerConfigHandle(t *testing.T) {
 	s, ks := stateWithKernel()
-	ks.ConfigHandles[1] = kernel.ConfigHandle{Label: "NdisOpenConfiguration", PC: 0x1234}
+	ks.OpenConfig("NdisOpenConfiguration", 0x1234)
 	var lc LeakChecker
 	// Successful init: handles may stay open (driver keeps them... actually
 	// our kernel model closes them; but the checker only gates failures).
@@ -116,7 +116,9 @@ func TestLeakCheckerAllocsAfterHalt(t *testing.T) {
 // tag word, and the leak message formats it as "tag%08x".
 func TestLeakCheckerNamesPoolTag(t *testing.T) {
 	s, ks := stateWithKernel()
-	ks.Allocs[0x3000] = kernel.Alloc{Addr: 0x3000, Size: 64, Kind: "pool", PoolTag: 0x4e445349, PC: 0x2000}
+	if _, err := ks.HeapAllocRecord(kernel.Alloc{Size: 64, Kind: "pool", PoolTag: 0x4e445349, PC: 0x2000}); err != nil {
+		t.Fatal(err)
+	}
 	var lc LeakChecker
 	err := lc.CheckEntryExit(s, "Halt", kernel.StatusSuccess)
 	want := `1 allocation(s) not freed after Halt (first: pool "tag4e445349", 64 bytes, allocated at pc 0x2000)`
@@ -127,7 +129,7 @@ func TestLeakCheckerNamesPoolTag(t *testing.T) {
 
 func TestLeakCheckerHeldSpinlockAnyEntry(t *testing.T) {
 	s, ks := stateWithKernel()
-	ks.Spinlocks[0x500] = kernel.Spin{Held: true}
+	ks.SetSpinlock(0x500, kernel.Spin{Held: true})
 	var lc LeakChecker
 	err := lc.CheckEntryExit(s, "Send", kernel.StatusSuccess)
 	if err == nil || !strings.Contains(err.Error(), "spinlock") {

@@ -355,7 +355,7 @@ func (e *Engine) runPath(st *vm.State, entryName string, res *PhaseResult) {
 		next, err := root.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
 		// A fault left pending on the stepped state by a hook (the loop
 		// checker) fails the path right here, keeping the original engine's
-		// timing; forked children of the same step die with their parent.
+		// timing; a sibling forked in the same step dies with it.
 		if err == nil && cur.PendFault != nil {
 			err = cur.PendFault
 			cur.PendFault = nil

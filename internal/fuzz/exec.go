@@ -647,8 +647,8 @@ func (e *Executor) runEntry(s *vm.State, name string, pc uint32, args []*expr.Ex
 		default:
 			// Concrete execution cannot fork; if it ever does (a stray
 			// symbolic value), the execution ends killed, as at the step
-			// bound. Following a child would lose the path's block counts,
-			// which Fork does not carry.
+			// bound. Following either side would lose the path's block
+			// counts, which a fork restarts.
 			for _, n := range next {
 				n.Status = vm.StatusKilled
 				n.Retire()

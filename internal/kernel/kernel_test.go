@@ -168,7 +168,7 @@ e:
 .data
 name: .asciz "Speed"
 `)
-	Of(s).Registry["Speed"] = 100
+	Of(s).SetRegistry("Speed", 100)
 	finals, faults := drain(t, k, s)
 	if len(faults) != 0 {
 		t.Fatalf("faults: %v", faults)
@@ -587,8 +587,8 @@ e:
 		t.Fatalf("faults: %v", faults)
 	}
 	ks := Of(finals[0])
-	if len(ks.PacketPools) != 0 || ks.LivePackets() != 0 {
-		t.Errorf("pool state leaked: %+v", ks.PacketPools)
+	if len(ks.packetPools.m) != 0 || ks.LivePackets() != 0 {
+		t.Errorf("pool state leaked: %+v", ks.packetPools.m)
 	}
 }
 
@@ -625,19 +625,19 @@ e:
 
 func TestKStateForkIsolation(t *testing.T) {
 	ks := NewKState()
-	ks.Registry["X"] = 1
+	ks.SetRegistry("X", 1)
 	a, _ := ks.HeapAlloc(64, "t", "pool", 0, 0)
 	child := ks.Fork().(*KState)
-	child.Registry["X"] = 2
+	child.SetRegistry("X", 2)
 	child.HeapFree(a)
-	child.Spinlocks[0x100] = Spin{Held: true}
-	if ks.Registry["X"] != 1 {
+	child.SetSpinlock(0x100, Spin{Held: true})
+	if v, _ := ks.registry.get("X"); v != 1 {
 		t.Error("registry leaked across fork")
 	}
-	if len(ks.Allocs) != 1 {
+	if len(ks.LiveAllocs()) != 1 {
 		t.Error("alloc table leaked across fork")
 	}
-	if sp, ok := ks.Spinlocks[0x100]; ok && sp.Held {
+	if sp, ok := ks.spinlocks.get(0x100); ok && sp.Held {
 		t.Error("spinlock leaked across fork")
 	}
 }

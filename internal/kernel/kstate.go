@@ -165,7 +165,8 @@ type StorageChars struct {
 
 // KState is the concrete kernel state attached to one execution state. It
 // forks with the machine state so each explored path sees its own kernel
-// world — handles, IRQL, lock ownership, live allocations.
+// world — handles, IRQL, lock ownership, live allocations. Its maps are
+// shared copy-on-write between forks (kmaps).
 type KState struct {
 	IRQL uint8
 
@@ -177,15 +178,7 @@ type KState struct {
 	NextHeap   uint32
 	NextHandle uint32
 
-	Allocs        map[uint32]Alloc
-	Spinlocks     map[uint32]Spin
-	ConfigHandles map[uint32]ConfigHandle
-	Timers        map[uint32]*Timer
-	PacketPools   map[uint32]*Pool
-	BufferPools   map[uint32]*Pool
-	Packets       map[uint32]PacketInfo
-
-	Registry map[string]uint32
+	kmaps
 
 	Miniport *MiniportChars
 	Audio    *AudioChars
@@ -193,10 +186,6 @@ type KState struct {
 
 	ISRRegistered bool
 	ISRPC         uint32
-	IntrSyncs     map[uint32]bool // PcNewInterruptSync objects
-
-	// Dpcs tracks driver-embedded KDPC objects by guest address.
-	Dpcs map[uint32]*DpcObj
 
 	PendingDPCs []DPC
 
@@ -231,64 +220,190 @@ type KState struct {
 	SeedCursor uint64
 }
 
+// kmaps is the kernel's keyed bookkeeping. Every map holds values, not
+// pointers, so a write never reaches another state through a shared
+// struct, and every write goes through cowMap.set or cowMap.del with the
+// writing state's key.
+type kmaps struct {
+	// key identifies this state to its maps: a map whose owner is key is
+	// this state's private copy, any other is shared with forks.
+	key *cowKey
+
+	allocs        cowMap[uint32, Alloc]
+	spinlocks     cowMap[uint32, Spin]
+	configHandles cowMap[uint32, ConfigHandle]
+	timers        cowMap[uint32, Timer]
+	packetPools   cowMap[uint32, Pool]
+	bufferPools   cowMap[uint32, Pool]
+	packets       cowMap[uint32, PacketInfo]
+	registry      cowMap[string, uint32]
+	intrSyncs     cowMap[uint32, bool]   // PcNewInterruptSync objects
+	dpcs          cowMap[uint32, DpcObj] // driver-embedded KDPC objects by guest address
+}
+
+// cowKey is a state's identity as a map owner. Only its address matters;
+// the field gives each key an address of its own.
+type cowKey struct{ _ byte }
+
+func newKMaps() kmaps {
+	key := new(cowKey)
+	return kmaps{
+		key:           key,
+		allocs:        newCowMap[uint32, Alloc](key),
+		spinlocks:     newCowMap[uint32, Spin](key),
+		configHandles: newCowMap[uint32, ConfigHandle](key),
+		timers:        newCowMap[uint32, Timer](key),
+		packetPools:   newCowMap[uint32, Pool](key),
+		bufferPools:   newCowMap[uint32, Pool](key),
+		packets:       newCowMap[uint32, PacketInfo](key),
+		registry:      newCowMap[string, uint32](key),
+		intrSyncs:     newCowMap[uint32, bool](key),
+		dpcs:          newCowMap[uint32, DpcObj](key),
+	}
+}
+
+// share returns the maps for a fork under a new key, so the fork owns none
+// of them, and gives m a new key too when it owned any: from here on the
+// first write on either side copies the map it writes. A state that owns
+// no map is not written, which lets fabric executors fork one frozen
+// snapshot's kernel state concurrently.
+func (m *kmaps) share() kmaps {
+	n := *m
+	n.key = new(cowKey)
+	if k := m.key; m.allocs.owner == k || m.spinlocks.owner == k || m.configHandles.owner == k ||
+		m.timers.owner == k || m.packetPools.owner == k || m.bufferPools.owner == k ||
+		m.packets.owner == k || m.registry.owner == k || m.intrSyncs.owner == k || m.dpcs.owner == k {
+		m.key = new(cowKey)
+	}
+	return n
+}
+
+// restore makes every map of m a private copy of src's (cowMap.restore).
+func (m *kmaps) restore(src *kmaps) {
+	k := m.key
+	m.allocs.restore(k, src.allocs)
+	m.spinlocks.restore(k, src.spinlocks)
+	m.configHandles.restore(k, src.configHandles)
+	m.timers.restore(k, src.timers)
+	m.packetPools.restore(k, src.packetPools)
+	m.bufferPools.restore(k, src.bufferPools)
+	m.packets.restore(k, src.packets)
+	m.registry.restore(k, src.registry)
+	m.intrSyncs.restore(k, src.intrSyncs)
+	m.dpcs.restore(k, src.dpcs)
+}
+
+// cowMap is a map shared read-only between a state and its forks until the
+// first write on either side copies it, as KLEE shares object states
+// between forked states. owner is the key of the state that may write m in
+// place; m is never nil.
+type cowMap[K comparable, V comparable] struct {
+	m     map[K]V
+	owner *cowKey
+}
+
+func newCowMap[K comparable, V comparable](owner *cowKey) cowMap[K, V] {
+	return cowMap[K, V]{m: make(map[K]V), owner: owner}
+}
+
+// get returns k's value and whether k is present.
+func (c *cowMap[K, V]) get(k K) (V, bool) {
+	v, ok := c.m[k]
+	return v, ok
+}
+
+// set stores v under k for the state keyed key, first copying a map it
+// does not own.
+func (c *cowMap[K, V]) set(key *cowKey, k K, v V) {
+	c.own(key)
+	c.m[k] = v
+}
+
+// del removes k for the state keyed key, first copying a map it does not
+// own; an absent k writes nothing.
+func (c *cowMap[K, V]) del(key *cowKey, k K) {
+	if _, ok := c.m[k]; ok {
+		c.own(key)
+		delete(c.m, k)
+	}
+}
+
+// own makes c's map private to the state keyed key before it writes.
+func (c *cowMap[K, V]) own(key *cowKey) {
+	if c.owner != key {
+		c.m, c.owner = maps.Clone(c.m), key
+	}
+}
+
+// restore makes c a map private to the state keyed key holding exactly
+// src's entries. An owned map is rewritten in place, and left untouched
+// when it already equals src, which spares the common restore from a
+// snapshot of the same boot (the string-keyed registry above all) any
+// write. A shared map is replaced, never written.
+func (c *cowMap[K, V]) restore(key *cowKey, src cowMap[K, V]) {
+	switch {
+	case c.owner != key:
+		c.m, c.owner = make(map[K]V, len(src.m)), key
+	case maps.Equal(c.m, src.m):
+		return
+	default:
+		clear(c.m)
+	}
+	for k, v := range src.m {
+		c.m[k] = v
+	}
+}
+
 // NewKState builds the boot-time kernel state for a freshly loaded driver
 // image: image and stack grants, kernel globals, and registry defaults.
 func NewKState() *KState {
 	ks := &KState{
-		NextHeap:      isa.HeapBase,
-		NextHandle:    0x8000_0001,
-		Allocs:        make(map[uint32]Alloc),
-		Spinlocks:     make(map[uint32]Spin),
-		ConfigHandles: make(map[uint32]ConfigHandle),
-		Timers:        make(map[uint32]*Timer),
-		PacketPools:   make(map[uint32]*Pool),
-		BufferPools:   make(map[uint32]*Pool),
-		Packets:       make(map[uint32]PacketInfo),
-		Registry:      make(map[string]uint32),
-		IntrSyncs:     make(map[uint32]bool),
-		Dpcs:          make(map[uint32]*DpcObj),
+		NextHeap:   isa.HeapBase,
+		NextHandle: 0x8000_0001,
+		kmaps:      newKMaps(),
 	}
 	ks.Grant(Region{Lo: isa.KGlobals, Hi: isa.KGlobals + isa.KGlobalsSz, Kind: RegionKGlobals, Writable: false})
 	ks.Grant(Region{Lo: isa.StackBase - isa.StackSize, Hi: isa.StackBase, Kind: RegionStack, Writable: true})
 	return ks
 }
 
-// Fork deep-copies the kernel state (vm.Forkable): a restore into a zero
-// value.
+// Fork returns a copy of the kernel state (vm.Forkable) that shares every
+// map with ks until either side writes it. Slices and characteristics
+// tables are copied.
 func (ks *KState) Fork() vm.Forkable {
 	n := new(KState)
-	n.RestoreFrom(ks)
+	n.copyFrom(ks, ks.kmaps.share())
 	return n
 }
 
-// RestoreFrom overwrites ks with a deep copy of src, a *KState
-// (vm.Forkable). ks keeps its slices' backing arrays, its maps and the
-// structs its pointer-valued map entries point to, and shares none of
-// them with src afterwards. This is the one list of KState fields a copy
-// carries: Fork restores into a zero value.
+// RestoreFrom overwrites ks with a copy of src, a *KState (vm.Forkable).
+// ks keeps its slices' backing arrays, the maps it owns and its
+// characteristics tables, and shares none of them with src afterwards; a
+// map ks shares is replaced by a private one, never written.
 func (ks *KState) RestoreFrom(f vm.Forkable) {
 	src := f.(*KState)
+	m := ks.kmaps
+	m.restore(&src.kmaps)
+	ks.copyFrom(src, m)
+}
+
+// copyFrom overwrites ks with src's fields and the maps m, reusing ks's
+// slices and characteristics tables. This is the one list of KState fields
+// a copy carries: Fork and RestoreFrom differ only in how they carry the
+// maps.
+func (ks *KState) copyFrom(src *KState, m kmaps) {
 	*ks = KState{
 		IRQL:           src.IRQL,
 		IRQLStack:      append(ks.IRQLStack[:0], src.IRQLStack...),
 		Regions:        append(ks.Regions[:0], src.Regions...),
 		NextHeap:       src.NextHeap,
 		NextHandle:     src.NextHandle,
-		Allocs:         restoreMap(ks.Allocs, src.Allocs),
-		Spinlocks:      restoreMap(ks.Spinlocks, src.Spinlocks),
-		ConfigHandles:  restoreMap(ks.ConfigHandles, src.ConfigHandles),
-		Timers:         restorePtrMap(ks.Timers, src.Timers),
-		PacketPools:    restorePtrMap(ks.PacketPools, src.PacketPools),
-		BufferPools:    restorePtrMap(ks.BufferPools, src.BufferPools),
-		Packets:        restoreMap(ks.Packets, src.Packets),
-		Registry:       restoreMap(ks.Registry, src.Registry),
+		kmaps:          m,
 		Miniport:       restorePtr(ks.Miniport, src.Miniport),
 		Audio:          restorePtr(ks.Audio, src.Audio),
 		Storage:        restorePtr(ks.Storage, src.Storage),
 		ISRRegistered:  src.ISRRegistered,
 		ISRPC:          src.ISRPC,
-		IntrSyncs:      restoreMap(ks.IntrSyncs, src.IntrSyncs),
-		Dpcs:           restorePtrMap(ks.Dpcs, src.Dpcs),
 		PendingDPCs:    append(ks.PendingDPCs[:0], src.PendingDPCs...),
 		PowerState:     src.PowerState,
 		Removed:        src.Removed,
@@ -301,52 +416,6 @@ func (ks *KState) RestoreFrom(f vm.Forkable) {
 		InjectPending:  src.InjectPending,
 		SeedCursor:     src.SeedCursor,
 	}
-}
-
-// restoreMap makes dst (allocated when nil) hold exactly src's entries. A
-// map that already does is left untouched, which spares the common restore
-// from a snapshot of the same boot (the string-keyed registry above all)
-// any write.
-func restoreMap[K comparable, V comparable](dst, src map[K]V) map[K]V {
-	switch {
-	case dst == nil:
-		dst = make(map[K]V, len(src))
-	case len(dst) == 0 && len(src) == 0, maps.Equal(dst, src):
-		return dst
-	default:
-		clear(dst)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
-}
-
-// restorePtrMap makes dst (allocated when nil) hold a copy of each of
-// src's entries, reusing the structs dst already points to for the keys
-// both hold.
-func restorePtrMap[K comparable, V any](dst, src map[K]*V) map[K]*V {
-	switch {
-	case dst == nil:
-		dst = make(map[K]*V, len(src))
-	case len(dst) == 0 && len(src) == 0:
-		return dst
-	default:
-		for k, v := range dst {
-			if sv, ok := src[k]; ok {
-				*v = *sv
-			} else {
-				delete(dst, k)
-			}
-		}
-	}
-	for k, sv := range src {
-		if _, ok := dst[k]; !ok {
-			c := *sv
-			dst[k] = &c
-		}
-	}
-	return dst
 }
 
 // restorePtr returns a copy of *src, written into dst when there is one.
@@ -369,8 +438,9 @@ func (ks *KState) TakeDPC() DPC {
 	d := ks.PendingDPCs[0]
 	ks.PendingDPCs = ks.PendingDPCs[1:]
 	if d.Obj != 0 {
-		if o := ks.Dpcs[d.Obj]; o != nil {
+		if o, ok := ks.dpcs.get(d.Obj); ok {
 			o.Queued = false
+			ks.dpcs.set(ks.key, d.Obj, o)
 		}
 	}
 	return d
@@ -407,30 +477,43 @@ func (ks *KState) FindRegion(addr, size uint32) (Region, bool) {
 // HeapAlloc carves size bytes out of the kernel heap window, records the
 // allocation (attributed to driver call site pc), and grants access.
 func (ks *KState) HeapAlloc(size uint32, tag, kind string, seq uint64, pc uint32) (uint32, error) {
-	return ks.heapAlloc(Alloc{Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc})
+	return ks.HeapAllocRecord(Alloc{Size: size, Tag: tag, Kind: kind, Seq: seq, PC: pc})
 }
 
-// heapAlloc is HeapAlloc for a prepared record; it fills in a.Addr.
-func (ks *KState) heapAlloc(a Alloc) (uint32, error) {
-	sz := (a.Size + 15) &^ 15
+// HeapAllocRecord is HeapAlloc for a prepared record; it fills in a.Addr.
+func (ks *KState) HeapAllocRecord(a Alloc) (uint32, error) {
+	addr, err := ks.KernelAlloc(a.Size)
+	if err != nil {
+		return 0, err
+	}
+	a.Addr = addr
+	ks.allocs.set(ks.key, addr, a)
+	return addr, nil
+}
+
+// KernelAlloc carves size bytes out of the kernel heap window and grants
+// access without recording an allocation: the block is kernel-owned
+// (parameter blocks, packets, workload buffers), so the driver cannot leak
+// or free it.
+func (ks *KState) KernelAlloc(size uint32) (uint32, error) {
+	sz := (size + 15) &^ 15
 	if ks.NextHeap+sz > isa.HeapLimit {
 		return 0, fmt.Errorf("kernel heap exhausted")
 	}
-	a.Addr = ks.NextHeap
+	addr := ks.NextHeap
 	ks.NextHeap += sz
-	ks.Allocs[a.Addr] = a
-	ks.Grant(Region{Lo: a.Addr, Hi: a.Addr + a.Size, Kind: RegionAlloc, Writable: true})
-	return a.Addr, nil
+	ks.Grant(Region{Lo: addr, Hi: addr + size, Kind: RegionAlloc, Writable: true})
+	return addr, nil
 }
 
 // HeapFree releases an allocation; it reports false for an address that is
 // not a live allocation (double free / bad pointer).
 func (ks *KState) HeapFree(addr uint32) bool {
-	a, ok := ks.Allocs[addr]
+	a, ok := ks.allocs.get(addr)
 	if !ok {
 		return false
 	}
-	delete(ks.Allocs, addr)
+	ks.allocs.del(ks.key, addr)
 	ks.Revoke(addr, addr+a.Size)
 	return true
 }
@@ -442,11 +525,51 @@ func (ks *KState) NewHandle() uint32 {
 	return h
 }
 
+// OpenConfig mints a configuration handle opened by label at driver call
+// site pc, for the leak checker to attribute if it is never closed.
+func (ks *KState) OpenConfig(label string, pc uint32) uint32 {
+	h := ks.NewHandle()
+	ks.configHandles.set(ks.key, h, ConfigHandle{Label: label, PC: pc})
+	return h
+}
+
+// SetSpinlock records the state of the spinlock at addr.
+func (ks *KState) SetSpinlock(addr uint32, sp Spin) { ks.spinlocks.set(ks.key, addr, sp) }
+
+// SetRegistry sets a registry value the driver reads back through
+// NdisReadConfiguration.
+func (ks *KState) SetRegistry(name string, v uint32) { ks.registry.set(ks.key, name, v) }
+
+// FreePacket returns the live packet at addr to its pool; it reports false
+// when addr is not a live packet.
+func (ks *KState) FreePacket(addr uint32) bool {
+	pi, ok := ks.packets.get(addr)
+	if !ok {
+		return false
+	}
+	ks.packets.del(ks.key, addr)
+	if pool, ok := ks.packetPools.get(pi.Pool); ok {
+		pool.Live--
+		ks.packetPools.set(ks.key, pi.Pool, pool)
+	}
+	return true
+}
+
+// IntrSync reports whether addr is a live interrupt-sync object
+// (PcNewInterruptSync).
+func (ks *KState) IntrSync(addr uint32) bool {
+	v, _ := ks.intrSyncs.get(addr)
+	return v
+}
+
+// DropIntrSync forgets the interrupt-sync object at addr.
+func (ks *KState) DropIntrSync(addr uint32) { ks.intrSyncs.del(ks.key, addr) }
+
 // LiveAllocs returns allocations that were never freed, ordered by
 // allocation time, for the resource leak checker.
 func (ks *KState) LiveAllocs() []Alloc {
 	var out []Alloc
-	for _, a := range ks.Allocs {
+	for _, a := range ks.allocs.m {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
@@ -454,13 +577,13 @@ func (ks *KState) LiveAllocs() []Alloc {
 }
 
 // LivePackets counts packets never freed back to their pool.
-func (ks *KState) LivePackets() int { return len(ks.Packets) }
+func (ks *KState) LivePackets() int { return len(ks.packets.m) }
 
 // OpenConfigHandles returns configuration handles never closed, ordered by
 // open site.
 func (ks *KState) OpenConfigHandles() []ConfigHandle {
 	var out []ConfigHandle
-	for _, h := range ks.ConfigHandles {
+	for _, h := range ks.configHandles.m {
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
@@ -470,7 +593,7 @@ func (ks *KState) OpenConfigHandles() []ConfigHandle {
 // HeldSpinlocks returns addresses of spinlocks still held, sorted.
 func (ks *KState) HeldSpinlocks() []uint32 {
 	var out []uint32
-	for addr, sp := range ks.Spinlocks {
+	for addr, sp := range ks.spinlocks.m {
 		if sp.Held {
 			out = append(out, addr)
 		}
@@ -482,7 +605,7 @@ func (ks *KState) HeldSpinlocks() []uint32 {
 // LivePacketList returns live packets ordered by allocation site.
 func (ks *KState) LivePacketList() []PacketInfo {
 	var out []PacketInfo
-	for _, p := range ks.Packets {
+	for _, p := range ks.packets.m {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })

@@ -106,8 +106,7 @@ func ndisOpenConfiguration(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	h := ks.NewHandle()
-	ks.ConfigHandles[h] = ConfigHandle{Label: "NdisOpenConfiguration", PC: s.PC}
+	h := ks.OpenConfig("NdisOpenConfiguration", s.PC)
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, handlePtr, h)
 	k.SetRet(s, StatusSuccess)
@@ -137,7 +136,7 @@ func ndisReadConfiguration(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	if _, open := ks.ConfigHandles[handle]; !open {
+	if _, open := ks.configHandles.get(handle); !open {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisReadConfiguration on closed or invalid handle %#x", handle)
 	}
@@ -145,18 +144,17 @@ func ndisReadConfiguration(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	if !ok {
 		return nil, vm.Faultf("memory", s.PC, "unterminated or symbolic configuration name at %#x", namePtr)
 	}
-	val, present := ks.Registry[name]
+	val, present := ks.registry.get(name)
 	if !present {
 		k.writeU32(s, statusPtr, StatusFailure)
 		k.SetRet(s, StatusFailure)
 		return nil, nil
 	}
-	block, err := ks.HeapAlloc(8, "cfgparam:"+name, "param", s.ICount, s.PC)
+	// Parameter blocks are kernel bookkeeping, not driver-leakable memory.
+	block, err := ks.KernelAlloc(8)
 	if err != nil {
 		return nil, vm.Faultf("engine", s.PC, "%v", err)
 	}
-	// Parameter blocks are kernel bookkeeping, not driver-leakable memory.
-	delete(ks.Allocs, block)
 	k.writeU32(s, block, ParamInteger)
 	k.writeU32(s, block+4, val)
 	k.writeU32(s, statusPtr, StatusSuccess)
@@ -171,11 +169,11 @@ func ndisCloseConfiguration(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	if _, open := ks.ConfigHandles[handle]; !open {
+	if _, open := ks.configHandles.get(handle); !open {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisCloseConfiguration on invalid handle %#x", handle)
 	}
-	delete(ks.ConfigHandles, handle)
+	ks.configHandles.del(ks.key, handle)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -195,7 +193,7 @@ func ndisAllocateMemoryWithTag(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	addr, aerr := ks.heapAlloc(Alloc{Size: length, PoolTag: tag, Kind: "pool", Seq: s.ICount, PC: s.PC})
+	addr, aerr := ks.HeapAllocRecord(Alloc{Size: length, PoolTag: tag, Kind: "pool", Seq: s.ICount, PC: s.PC})
 	if aerr != nil {
 		k.writeU32(s, ptrPtr, 0)
 		k.SetRet(s, StatusResources)
@@ -227,9 +225,9 @@ func ndisAllocateSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := ks.Spinlocks[addr]
+	sp, _ := ks.spinlocks.get(addr)
 	sp.Inited = true
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -240,11 +238,11 @@ func ndisFreeSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	if sp, ok := ks.Spinlocks[addr]; ok && sp.Held {
+	if sp, ok := ks.spinlocks.get(addr); ok && sp.Held {
 		return nil, k.verifierBug(s, BugCheckSpinlockNotOwned,
 			"NdisFreeSpinLock of held lock %#x", addr)
 	}
-	delete(ks.Spinlocks, addr)
+	ks.spinlocks.del(ks.key, addr)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -255,7 +253,7 @@ func ndisAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := ks.Spinlocks[addr]
+	sp, _ := ks.spinlocks.get(addr)
 	if sp.Held {
 		// Single-CPU model: re-acquiring a held spinlock never returns.
 		return nil, vm.Faultf("deadlock", s.PC,
@@ -264,7 +262,7 @@ func ndisAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	sp.Held = true
 	sp.DprOwned = false
 	sp.OldIrql = ks.IRQL
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	ks.IRQL = DispatchLevel
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
@@ -276,7 +274,7 @@ func ndisReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp, ok := ks.Spinlocks[addr]
+	sp, ok := ks.spinlocks.get(addr)
 	if !ok || !sp.Held {
 		return nil, k.verifierBug(s, BugCheckSpinlockNotOwned,
 			"NdisReleaseSpinLock of lock %#x that is not held", addr)
@@ -295,7 +293,7 @@ func ndisReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 			"NdisReleaseSpinLock of lock %#x at %s (out-of-order spinlock release)", addr, IrqlName(ks.IRQL))
 	}
 	sp.Held = false
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	ks.IRQL = sp.OldIrql
 	if ks.InDpc && ks.IRQL < DispatchLevel {
 		return nil, k.verifierBug(s, BugCheckIrqlNotLessOrEqual,
@@ -315,14 +313,14 @@ func ndisDprAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, k.verifierBug(s, BugCheckIrqlNotLessOrEqual,
 			"NdisDprAcquireSpinLock called at %s (requires DISPATCH_LEVEL)", IrqlName(ks.IRQL))
 	}
-	sp := ks.Spinlocks[addr]
+	sp, _ := ks.spinlocks.get(addr)
 	if sp.Held {
 		return nil, vm.Faultf("deadlock", s.PC,
 			"NdisDprAcquireSpinLock self-deadlock on lock %#x", addr)
 	}
 	sp.Held = true
 	sp.DprOwned = true
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -333,7 +331,7 @@ func ndisDprReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp, ok := ks.Spinlocks[addr]
+	sp, ok := ks.spinlocks.get(addr)
 	if !ok || !sp.Held {
 		return nil, k.verifierBug(s, BugCheckSpinlockNotOwned,
 			"NdisDprReleaseSpinLock of lock %#x that is not held", addr)
@@ -344,7 +342,7 @@ func ndisDprReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	}
 	sp.Held = false
 	sp.DprOwned = false
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -363,7 +361,8 @@ func ndisMInitializeTimer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	Of(s).Timers[timerPtr] = &Timer{Initialized: true, FuncPC: funcPC, Ctx: ctx}
+	ks := Of(s)
+	ks.timers.set(ks.key, timerPtr, Timer{Initialized: true, FuncPC: funcPC, Ctx: ctx})
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -375,7 +374,7 @@ func ndisMSetTimer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	t, ok := ks.Timers[timerPtr]
+	t, ok := ks.timers.get(timerPtr)
 	if !ok || !t.Initialized {
 		// The RTL8029 race of Table 2: an interrupt arriving before
 		// NdisMInitializeTimer hands the kernel an uninitialized timer.
@@ -383,6 +382,7 @@ func ndisMSetTimer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 			"NdisMSetTimer on uninitialized timer descriptor %#x", timerPtr)
 	}
 	t.Queued = true
+	ks.timers.set(ks.key, timerPtr, t)
 	ks.PendingDPCs = append(ks.PendingDPCs, DPC{FuncPC: t.FuncPC, Ctx: t.Ctx, Label: "timer"})
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
@@ -399,8 +399,9 @@ func ndisMCancelTimer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	}
 	ks := Of(s)
 	was := uint32(0)
-	if t, ok := ks.Timers[timerPtr]; ok && t.Queued {
+	if t, ok := ks.timers.get(timerPtr); ok && t.Queued {
 		t.Queued = false
+		ks.timers.set(ks.key, timerPtr, t)
 		was = 1
 	}
 	if canceledPtr != 0 {
@@ -471,7 +472,7 @@ func ndisAllocatePacketPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	}
 	ks := Of(s)
 	h := ks.NewHandle()
-	ks.PacketPools[h] = &Pool{Capacity: n}
+	ks.packetPools.set(ks.key, h, Pool{Capacity: n})
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, poolPtr, h)
 	k.SetRet(s, StatusSuccess)
@@ -484,7 +485,7 @@ func ndisFreePacketPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	pool, ok := ks.PacketPools[h]
+	pool, ok := ks.packetPools.get(h)
 	if !ok {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreePacketPool of invalid pool %#x", h)
@@ -493,7 +494,7 @@ func ndisFreePacketPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreePacketPool with %d packets outstanding", pool.Live)
 	}
-	delete(ks.PacketPools, h)
+	ks.packetPools.del(ks.key, h)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -513,7 +514,7 @@ func ndisAllocatePacket(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	pool, ok := ks.PacketPools[h]
+	pool, ok := ks.packetPools.get(h)
 	if !ok {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisAllocatePacket from invalid pool %#x", h)
@@ -524,14 +525,14 @@ func ndisAllocatePacket(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		k.SetRet(s, StatusResources)
 		return nil, nil
 	}
-	addr, aerr := ks.HeapAlloc(64, "packet", "packet", s.ICount, s.PC)
+	// Packets are tracked separately from pool allocations.
+	addr, aerr := ks.KernelAlloc(64)
 	if aerr != nil {
 		return nil, vm.Faultf("engine", s.PC, "%v", aerr)
 	}
-	// Packets are tracked separately from pool allocations.
-	delete(ks.Allocs, addr)
 	pool.Live++
-	ks.Packets[addr] = PacketInfo{Pool: h, PC: s.PC}
+	ks.packetPools.set(ks.key, h, pool)
+	ks.packets.set(ks.key, addr, PacketInfo{Pool: h, PC: s.PC})
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, pktPtr, addr)
 	k.SetRet(s, StatusSuccess)
@@ -544,14 +545,9 @@ func ndisFreePacket(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	pi, ok := ks.Packets[pkt]
-	if !ok {
+	if !ks.FreePacket(pkt) {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreePacket of invalid packet %#x", pkt)
-	}
-	delete(ks.Packets, pkt)
-	if pool, ok := ks.PacketPools[pi.Pool]; ok {
-		pool.Live--
 	}
 	ks.Revoke(pkt, pkt+64)
 	k.SetRet(s, StatusSuccess)
@@ -574,7 +570,7 @@ func ndisAllocateBufferPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	}
 	ks := Of(s)
 	h := ks.NewHandle()
-	ks.BufferPools[h] = &Pool{Capacity: n}
+	ks.bufferPools.set(ks.key, h, Pool{Capacity: n})
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, poolPtr, h)
 	k.SetRet(s, StatusSuccess)
@@ -587,7 +583,7 @@ func ndisFreeBufferPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	pool, ok := ks.BufferPools[h]
+	pool, ok := ks.bufferPools.get(h)
 	if !ok {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreeBufferPool of invalid pool %#x", h)
@@ -596,7 +592,7 @@ func ndisFreeBufferPool(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreeBufferPool with %d buffers outstanding", pool.Live)
 	}
-	delete(ks.BufferPools, h)
+	ks.bufferPools.del(ks.key, h)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -616,7 +612,7 @@ func ndisAllocateBuffer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	pool, ok := ks.BufferPools[h]
+	pool, ok := ks.bufferPools.get(h)
 	if !ok {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisAllocateBuffer from invalid pool %#x", h)
@@ -626,6 +622,7 @@ func ndisAllocateBuffer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, vm.Faultf("engine", s.PC, "%v", aerr)
 	}
 	pool.Live++
+	ks.bufferPools.set(ks.key, h, pool)
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, bufPtr, addr)
 	k.SetRet(s, StatusSuccess)
@@ -638,15 +635,16 @@ func ndisFreeBuffer(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	a, ok := ks.Allocs[buf]
+	a, ok := ks.allocs.get(buf)
 	if !ok || a.Kind != "buffer" {
 		return nil, k.verifierBug(s, BugCheckBadPoolCaller,
 			"NdisFreeBuffer of invalid buffer %#x", buf)
 	}
 	ks.HeapFree(buf)
-	for _, pool := range ks.BufferPools {
+	for h, pool := range ks.bufferPools.m {
 		if pool.Live > 0 {
 			pool.Live--
+			ks.bufferPools.set(ks.key, h, pool)
 			break
 		}
 	}
@@ -712,11 +710,10 @@ func ndisReadNetworkAddress(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	block, aerr := ks.HeapAlloc(8, "netaddr", "param", s.ICount, s.PC)
+	block, aerr := ks.KernelAlloc(8)
 	if aerr != nil {
 		return nil, vm.Faultf("engine", s.PC, "%v", aerr)
 	}
-	delete(ks.Allocs, block)
 	s.Mem.WriteBytes(block, []byte{0x02, 0x11, 0x22, 0x33, 0x44, 0x55, 0, 0})
 	k.writeU32(s, statusPtr, StatusSuccess)
 	k.writeU32(s, addrPtrPtr, block)

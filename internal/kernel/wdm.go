@@ -90,9 +90,9 @@ func keInitializeSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := ks.Spinlocks[addr]
+	sp, _ := ks.spinlocks.get(addr)
 	sp.Inited = true
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -108,7 +108,7 @@ func keAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp := ks.Spinlocks[addr]
+	sp, _ := ks.spinlocks.get(addr)
 	if sp.Held {
 		return nil, vm.Faultf("deadlock", s.PC,
 			"KeAcquireSpinLock self-deadlock on lock %#x", addr)
@@ -116,7 +116,7 @@ func keAcquireSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	sp.Held = true
 	sp.DprOwned = false
 	sp.OldIrql = ks.IRQL
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	if oldIrqlPtr != 0 {
 		k.writeU32(s, oldIrqlPtr, uint32(ks.IRQL))
 	}
@@ -136,13 +136,13 @@ func keReleaseSpinLock(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	sp, ok := ks.Spinlocks[addr]
+	sp, ok := ks.spinlocks.get(addr)
 	if !ok || !sp.Held {
 		return nil, k.verifierBug(s, BugCheckSpinlockNotOwned,
 			"KeReleaseSpinLock of lock %#x that is not held", addr)
 	}
 	sp.Held = false
-	ks.Spinlocks[addr] = sp
+	ks.SetSpinlock(addr, sp)
 	ks.IRQL = uint8(newIrql)
 	if ks.InDpc && ks.IRQL < DispatchLevel {
 		// The Intel Pro/100 bug class: lowering IRQL below DISPATCH inside
@@ -240,14 +240,13 @@ func pcNewInterruptSync(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	// The sync object lives in guest memory so the driver can embed and
 	// dereference it (and so a NULL alternative dereferences the null
 	// page, as the Ensoniq AudioPCI bug of Table 2 does).
-	addr, aerr := ks.HeapAlloc(16, "intrsync", "param", s.ICount, s.PC)
+	addr, aerr := ks.KernelAlloc(16) // kernel-owned object, not driver-leakable
 	if aerr != nil {
 		k.writeU32(s, syncPtrPtr, 0)
 		k.SetRet(s, StatusFailure)
 		return nil, nil
 	}
-	delete(ks.Allocs, addr) // kernel-owned object, not driver-leakable
-	ks.IntrSyncs[addr] = true
+	ks.intrSyncs.set(ks.key, addr, true)
 	k.writeU32(s, syncPtrPtr, addr)
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
@@ -307,7 +306,8 @@ func keInitializeDpc(k *Kernel, s *vm.State) ([]*vm.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	Of(s).Dpcs[ptr] = &DpcObj{Inited: true, FuncPC: funcPC, Ctx: ctx}
+	ks := Of(s)
+	ks.dpcs.set(ks.key, ptr, DpcObj{Inited: true, FuncPC: funcPC, Ctx: ctx})
 	k.SetRet(s, StatusSuccess)
 	return nil, nil
 }
@@ -321,7 +321,7 @@ func keInsertQueueDpc(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	o, ok := ks.Dpcs[ptr]
+	o, ok := ks.dpcs.get(ptr)
 	if !ok || !o.Inited {
 		return nil, k.verifierBug(s, BugCheckTimerNotInitialized,
 			"KeInsertQueueDpc of uninitialized DPC object %#x", ptr)
@@ -331,6 +331,7 @@ func keInsertQueueDpc(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, nil
 	}
 	o.Queued = true
+	ks.dpcs.set(ks.key, ptr, o)
 	ks.PendingDPCs = append(ks.PendingDPCs, DPC{FuncPC: o.FuncPC, Ctx: o.Ctx, Label: "kdpc", Obj: ptr})
 	k.SetRet(s, 1)
 	return nil, nil
@@ -373,7 +374,7 @@ func pcRegisterServiceRoutine(k *Kernel, s *vm.State) ([]*vm.State, error) {
 		return nil, err
 	}
 	ks := Of(s)
-	if !ks.IntrSyncs[sync] {
+	if !ks.IntrSync(sync) {
 		return nil, k.verifierBug(s, BugCheckDriverFault,
 			"PcRegisterServiceRoutine on invalid interrupt sync %#x", sync)
 	}

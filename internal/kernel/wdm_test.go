@@ -187,7 +187,7 @@ chars: .word init, play, stop, isr, halt
 		t.Error("service routine not attached")
 	}
 	// The sync object lives in guest memory and is dereferenceable.
-	for sync := range ks.IntrSyncs {
+	for sync := range ks.intrSyncs.m {
 		if _, ok := ks.FindRegion(sync, 4); !ok {
 			t.Errorf("sync object %#x not granted", sync)
 		}
@@ -327,8 +327,8 @@ stage: .space 64
 		t.Fatalf("faults: %v", faults)
 	}
 	ks := Of(finals[0])
-	if len(ks.BufferPools) != 0 || len(ks.LiveAllocs()) != 0 {
-		t.Errorf("buffer state leaked: %v / %v", ks.BufferPools, ks.LiveAllocs())
+	if len(ks.bufferPools.m) != 0 || len(ks.LiveAllocs()) != 0 {
+		t.Errorf("buffer state leaked: %v / %v", ks.bufferPools.m, ks.LiveAllocs())
 	}
 }
 

@@ -335,24 +335,30 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 
 	switch {
 	case okTaken && okNot:
+		// One fork: s carries on as the taken child under the first new
+		// ID, restarting its block counts as a forked child does, and the
+		// not-taken side is the one copy.
 		c.Forks++
-		tk := s.Fork(c.M.newID())
+		pc, tkID := s.PC, c.M.newID()
 		nt := s.Fork(c.M.newID())
-		tk.AddConstraint(cond)
-		tk.setModel(taken.Model)
-		tk.PC = target
-		tk.Trace.Append(Event{Kind: EvBranch, Seq: tk.ICount, PC: s.PC, Cond: cond, Taken: true, Forked: true})
-		c.M.MarkBlockStart(tk)
+		s.ID, s.Parent = tkID, s.ID
+		s.Depth++
+		s.blocks.release()
+		s.AddConstraint(cond)
+		s.setModel(taken.Model)
+		s.PC = target
+		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: pc, Cond: cond, Taken: true, Forked: true})
+		c.M.MarkBlockStart(s)
 		nt.AddConstraint(notCond)
 		nt.setModel(notTaken.Model)
 		nt.PC = next
-		nt.Trace.Append(Event{Kind: EvBranch, Seq: nt.ICount, PC: s.PC, Cond: cond, Taken: false, Forked: true})
+		nt.Trace.Append(Event{Kind: EvBranch, Seq: nt.ICount, PC: pc, Cond: cond, Taken: false, Forked: true})
 		c.M.MarkBlockStart(nt)
-		s.Status = StatusKilled // retired; children carry on
+		out := []*State{s, nt}
 		if c.M.OnFork != nil {
-			c.M.OnFork(s, []*State{tk, nt}, cond)
+			c.M.OnFork(s, out, cond)
 		}
-		return []*State{tk, nt}, nil
+		return out, nil
 	case okTaken:
 		// The one feasible side adds no constraint, so its model is one of
 		// the unchanged path condition.

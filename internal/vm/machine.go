@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/binimg"
 	"repro/internal/expr"
@@ -72,7 +71,9 @@ type Machine struct {
 	// OnBlock is invoked when execution enters a basic block (coverage).
 	OnBlock func(s *State, pc uint32)
 
-	// OnFork is invoked after a branch fork with both children.
+	// OnFork is invoked after a two-way symbolic branch with both sides.
+	// parent is the branching state, which carries on as the taken side,
+	// children[0]; children[1] is its one fork, the not-taken side.
 	OnFork func(parent *State, children []*State, cond *expr.Expr)
 
 	// OnInterruptReturn is invoked after an injected interrupt context is
@@ -109,7 +110,8 @@ type Machine struct {
 	// the fast path (runSpan) owes hooks nothing until it ends or bails.
 	spanLen []uint32
 
-	nextID atomic.Uint64
+	// nextID is the last state ID minted; one goroutine steps a machine.
+	nextID uint64
 
 	root *ExecContext
 }
@@ -216,7 +218,8 @@ func (m *Machine) NewRootState() *State {
 }
 
 func (m *Machine) newID() uint64 {
-	return m.nextID.Add(1)
+	m.nextID++
+	return m.nextID
 }
 
 // ForkState clones s with a fresh ID (used by kernel annotations that fork
@@ -346,9 +349,10 @@ func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
 }
 
 // Step executes one instruction of s and returns the runnable successor
-// states. Usually that is s itself; a symbolic branch returns two forked
-// children (s is retired); termination returns none, with s.Status and, for
-// bugs, the returned Fault explaining why.
+// states. Usually that is s itself; a two-way symbolic branch returns s,
+// carrying on as the taken side, and its one fork, the not-taken side;
+// termination returns none, with s.Status and, for bugs, the returned Fault
+// explaining why.
 //
 // A single-successor result is backed by storage the context owns, so the
 // returned slice is valid only until the next step on this context: consume

@@ -196,7 +196,9 @@ func TestResumedChildCountsOnItsOwnTable(t *testing.T) {
 
 // TestConcurrentResumesKeepSnapshotCounts: one snapshot resumed from 100
 // goroutines at once, each child counting visits on shared and new blocks,
-// leaves the snapshot's counts exactly as they were (run under -race).
+// leaves the snapshot's counts exactly as they were (run under -race). Each
+// goroutine resumes through ForkFrozen with an ID of its own, as fabric
+// executors do: a machine, and its ID counter, is stepped by one goroutine.
 func TestConcurrentResumesKeepSnapshotCounts(t *testing.T) {
 	img, err := asm.Assemble(".entry e\n.text\ne: movi r1, 0x11\n ret\n")
 	if err != nil {
@@ -218,7 +220,7 @@ func TestConcurrentResumesKeepSnapshotCounts(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := m.ResumeState(snap)
+			c := snap.ForkFrozen(uint64(100 + g))
 			for i := 0; i < 20; i++ {
 				c.VisitBlock(0x100000 + uint32((g+i)%16)*isa.InstrSize)
 				c.VisitBlock(0x300000 + uint32(g)*isa.InstrSize)

@@ -21,7 +21,10 @@ const (
 // snapshot" (paper §4.1.2); guest memory forks by COW, and Forkable covers
 // the host-side concrete structures.
 type Forkable interface {
-	// Fork returns a deep copy of the receiver.
+	// Fork returns a copy of the receiver. The two may share storage
+	// copy-on-write, but neither observes the other's later writes. Forking
+	// a frozen snapshot's environment (one nothing writes any more) must
+	// not write it: fabric executors fork one snapshot concurrently.
 	Fork() Forkable
 	// RestoreFrom overwrites the receiver with a deep copy of src, a value
 	// of the receiver's own type, reusing the receiver's storage. Neither
@@ -29,8 +32,8 @@ type Forkable interface {
 	RestoreFrom(src Forkable)
 }
 
-// restoreInto returns a deep copy of src, written into dst when there is
-// one to reuse.
+// restoreInto returns a copy of src: src.Fork(), or src restored into dst
+// when there is one to reuse.
 func restoreInto(dst, src Forkable) Forkable {
 	switch {
 	case src == nil:
@@ -83,7 +86,7 @@ type intrFrame struct {
 
 // State is one execution state: registers, PC, COW memory, path
 // constraints, and forked concrete environment. States form a tree; Fork
-// produces children and the parent is never stepped again.
+// produces a child, and the forking state carries on beside it.
 type State struct {
 	ID     uint64
 	Parent uint64 // parent state ID, 0 for the root

@@ -330,7 +330,7 @@ func infoArgs(concreteOID uint32) func(Env, *vm.State) Args {
 		if env.Annotations {
 			oid = env.K.FreshSymbol(s, "oid", expr.OriginArgument)
 		}
-		buf := kernelBuffer(s, 64, "infobuf", "param")
+		buf := kernelBuffer(s, 64)
 		return argsOf(expr.Const(adapterHandle), oid, expr.Const(buf), expr.Const(64))
 	}
 }
@@ -345,13 +345,8 @@ func playArgs(env Env, s *vm.State) Args {
 
 // kernelBuffer allocates a kernel-owned buffer (the driver must not free
 // it), or returns 0 when the heap is exhausted.
-func kernelBuffer(s *vm.State, size uint32, tag, kind string) uint32 {
-	ks := kernel.Of(s)
-	addr, err := ks.HeapAlloc(size, tag, kind, s.ICount, 0)
-	if err != nil {
-		return 0
-	}
-	delete(ks.Allocs, addr)
+func kernelBuffer(s *vm.State, size uint32) uint32 {
+	addr, _ := kernel.Of(s).KernelAlloc(size)
 	return addr
 }
 
@@ -363,7 +358,7 @@ func kernelBuffer(s *vm.State, size uint32, tag, kind string) uint32 {
 // clamps its feed word to the same range.
 func packet(env Env, s *vm.State) uint32 {
 	const payload = 64
-	addr := kernelBuffer(s, 8+payload, "sendpkt", "packet")
+	addr := kernelBuffer(s, 8+payload)
 	if addr == 0 {
 		return 0
 	}
@@ -389,7 +384,7 @@ func packet(env Env, s *vm.State) uint32 {
 // blockBuffer allocates a 128-byte block-I/O buffer whose leading 8 bytes
 // are injection points.
 func blockBuffer(env Env, s *vm.State) uint32 {
-	addr := kernelBuffer(s, 128, "blkbuf", "param")
+	addr := kernelBuffer(s, 128)
 	if addr != 0 {
 		injectBytes(env, s, addr, blkByteNames, 0, 9)
 	}
@@ -399,7 +394,7 @@ func blockBuffer(env Env, s *vm.State) uint32 {
 // audioBuffer allocates a 256-byte playback buffer whose leading 8 samples
 // are injection points.
 func audioBuffer(env Env, s *vm.State) uint32 {
-	addr := kernelBuffer(s, 256, "audiobuf", "param")
+	addr := kernelBuffer(s, 256)
 	if addr != 0 {
 		injectBytes(env, s, addr, sampleNames, 0, 17)
 	}
@@ -464,7 +459,7 @@ func Boot(m *vm.Machine, img *binimg.Image, registry map[string]uint32) *vm.Stat
 		Kind: kernel.RegionImage, Writable: true,
 	})
 	for k, v := range registry {
-		ks.Registry[k] = v
+		ks.SetRegistry(k, v)
 	}
 	s.Kernel = ks
 	s.HW = &hw.DeviceState{}
