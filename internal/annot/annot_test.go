@@ -263,8 +263,8 @@ e:
 		if got := s.Mem.Depth(); got != depth {
 			t.Errorf("takeAlt=%v: live memory depth %d -> %d", takeAlt, depth, got)
 		}
-		if got := k.M.Root().Forks; got != 0 {
-			t.Errorf("takeAlt=%v: root context Forks = %d, want 0", takeAlt, got)
+		if got := k.M.Forks; got != 0 {
+			t.Errorf("takeAlt=%v: machine Forks = %d, want 0", takeAlt, got)
 		}
 		if next := k.M.NewRootState().ID; next != s.ID+1 {
 			t.Errorf("takeAlt=%v: next state ID %d, want %d (an ID was consumed)", takeAlt, next, s.ID+1)

@@ -1,16 +1,14 @@
-// Package campaign is the single campaign-runner core shared by every
-// exploration mode in the tree. DDT is one loop — pick a state, execute,
-// fork at injection points, record findings — and this package owns the
-// loop's machinery exactly once: the condvar-coordinated worker pool with
-// context-based cancellation (Runner), the campaign envelope configuration
-// embedded by every mode's options (Options), fleet-safe finding
-// deduplication (Findings), and the uniform CLI flag surface (Flags).
+// Package campaign holds what every exploration mode shares: the campaign
+// envelope embedded by every mode's options (Options), the finding key
+// and deduplication ledger (FindingKey, Findings), and the uniform CLI
+// flag surface (Flags).
 //
-// The exploration modes plug in as frontier policies: the barriered
-// symbolic engine and the coverage-guided fuzzer are each a one-method
-// Frontier plus an executor callback over one Runner. New frontiers —
-// distributed, directed — slot in the same way and inherit the pool,
-// budgets, stop conditions, and cancellation for free.
+// It also holds the budgeted worker pool the fuzzer runs on (Runner):
+// Options.Workers goroutines calling an executor callback until the
+// envelope's budgets, stop condition or context end the campaign. The
+// symbolic engine walks a session on one goroutine and checks the same
+// envelope in its own loop (core.Engine.Explore), because its
+// min-block-count pick needs the whole frontier.
 package campaign
 
 import (
@@ -30,10 +28,10 @@ type Options struct {
 	// session with one worker and ignores it.
 	Workers int
 	// Seed makes the campaign's random streams deterministic (the fuzzer
-	// derives per-worker streams as Seed+workerID). Frontiers without
-	// randomness ignore it; directed/mutation frontiers must honor it.
+	// derives per-worker streams as Seed+workerID). Modes without
+	// randomness (the symbolic engine) ignore it.
 	Seed int64
-	// MaxExecs bounds the total work items the runner hands out
+	// MaxExecs bounds the total work items the runner starts
 	// (0: no item bound). For the fuzzer one item is one execution.
 	MaxExecs uint64
 	// Duration bounds campaign wall-clock time (0: no time bound).
@@ -57,20 +55,4 @@ func (o Options) Normalized() Options {
 		o.Workers = 1
 	}
 	return o
-}
-
-// Summary is the runner-owned slice of a campaign report: the fields every
-// mode's report shares, assembled in exactly one place.
-type Summary struct {
-	// Workers is the worker count the campaign actually ran with.
-	Workers int
-	// Started counts work items handed to workers.
-	Started uint64
-	// Retired counts work items completed.
-	Retired uint64
-	// Elapsed is the campaign wall-clock time.
-	Elapsed time.Duration
-	// Canceled reports whether the campaign ended by context cancellation
-	// rather than by draining its work or budgets.
-	Canceled bool
 }

@@ -15,7 +15,7 @@ func FindingKey(class string, site uint32) string {
 // Findings is the campaign-wide finding-deduplication ledger. Every mode
 // keys its findings by FindingKey and admits them through one ledger, so
 // a bug or crash is counted once per campaign regardless of which worker
-// hit it. The runner watches the ledger for the StopAtFirstBug condition.
+// hit it. The StopAtFirstBug condition watches the ledger.
 type Findings struct {
 	mu   sync.Mutex
 	seen map[string]bool
@@ -38,13 +38,6 @@ func (f *Findings) Admit(key string) bool {
 	f.seen[key] = true
 	f.n++
 	return true
-}
-
-// Seen reports whether the key has been admitted.
-func (f *Findings) Seen(key string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seen[key]
 }
 
 // Count returns the number of distinct findings admitted so far.

@@ -3,121 +3,81 @@ package campaign
 import (
 	"context"
 	"flag"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// listFrontier hands out a fixed list of ints in order.
-type listFrontier struct {
-	items []int
-	next  int
-}
-
-func (f *listFrontier) Next(w int) (int, Verdict) {
-	if f.next < len(f.items) {
-		it := f.items[f.next]
-		f.next++
-		return it, Dispatch
-	}
-	return 0, Drained
-}
-
 func TestRunnerSingleWorkerOrder(t *testing.T) {
-	f := &listFrontier{items: []int{3, 1, 4, 1, 5, 9}}
-	var got []int
-	r := NewRunner(Options{Workers: 1}, f, func(w, item int) { got = append(got, item) })
+	items := []int{3, 1, 4, 1, 5, 9}
+	var got, workers []int
+	r := NewRunner(Options{Workers: 1, MaxExecs: uint64(len(items))}, func(w int) {
+		got = append(got, items[len(got)])
+		workers = append(workers, w)
+	})
 	r.Run(context.Background())
 
-	want := []int{3, 1, 4, 1, 5, 9}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("exec order = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, items) {
+		t.Fatalf("exec order = %v, want %v", got, items)
 	}
-	s := r.Summary()
-	if s.Started != 6 || s.Retired != 6 || s.Workers != 1 || s.Canceled {
-		t.Fatalf("summary = %+v", s)
+	if !slices.Equal(workers, []int{0, 0, 0, 0, 0, 0}) {
+		t.Fatalf("workers = %v, want worker 0 only", workers)
 	}
 }
 
 func TestRunnerWorkersClampedToOne(t *testing.T) {
-	f := &listFrontier{items: []int{1, 2}}
-	r := NewRunner(Options{Workers: 0}, f, func(w, item int) {})
+	var calls []int
+	r := NewRunner(Options{Workers: 0, MaxExecs: 2}, func(w int) { calls = append(calls, w) })
 	r.Run(context.Background())
-	if s := r.Summary(); s.Workers != 1 || s.Retired != 2 {
-		t.Fatalf("summary = %+v", s)
-	}
-}
-
-func TestRunnerParallelDrains(t *testing.T) {
-	const n = 500
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	f := &listFrontier{items: items}
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	r := NewRunner(Options{Workers: 8}, f, func(w, item int) {
-		mu.Lock()
-		seen[item] = true
-		mu.Unlock()
-	})
-	r.Run(context.Background())
-	if len(seen) != n {
-		t.Fatalf("executed %d distinct items, want %d", len(seen), n)
-	}
-	s := r.Summary()
-	if s.Retired != n {
-		t.Fatalf("retired = %d, want %d", s.Retired, n)
+	if !slices.Equal(calls, []int{0, 0}) {
+		t.Fatalf("calls by worker = %v, want [0 0]", calls)
 	}
 }
 
 func TestRunnerMaxExecs(t *testing.T) {
-	// An endless frontier: MaxExecs must be the thing that stops it.
-	endless := frontierFunc(func(w int) (int, Verdict) { return 7, Dispatch })
-	r := NewRunner(Options{Workers: 4, MaxExecs: 100}, endless, func(w, item int) {})
+	// An endless campaign: MaxExecs must be the thing that stops it.
+	var calls atomic.Int64
+	r := NewRunner(Options{Workers: 4, MaxExecs: 100}, func(w int) { calls.Add(1) })
 	r.Run(context.Background())
-	if s := r.Summary(); s.Started != 100 || s.Retired != 100 {
-		t.Fatalf("summary = %+v, want exactly 100 started and retired", s)
+	if n := calls.Load(); n != 100 {
+		t.Fatalf("calls = %d, want exactly 100", n)
 	}
 }
 
 func TestRunnerStopAtFirstBug(t *testing.T) {
 	findings := NewFindings()
-	endless := frontierFunc(func(w int) (int, Verdict) { return 0, Dispatch })
-	r := NewRunner(Options{Workers: 1, StopAtFirstBug: true}, endless, nil)
-	r.BindFindings(findings)
 	execs := 0
-	r.exec = func(w, item int) {
+	r := NewRunner(Options{Workers: 1, StopAtFirstBug: true}, func(w int) {
 		execs++
-		if execs == 3 {
-			findings.Admit("bug@0x1000")
+		if execs == 3 && !findings.Admit("bug@0x1000") {
+			t.Error("first Admit of bug@0x1000 reported a duplicate")
 		}
-	}
+	})
+	r.BindFindings(findings)
 	r.Run(context.Background())
 	if execs != 3 {
 		t.Fatalf("executed %d items, want 3 (stop after first finding)", execs)
 	}
-	if !findings.Seen("bug@0x1000") || findings.Count() != 1 {
+	if findings.Count() != 1 {
 		t.Fatalf("findings ledger corrupted: count=%d", findings.Count())
 	}
 }
 
 func TestRunnerContextCancel(t *testing.T) {
+	// The tenth call cancels; workers already past their envelope check
+	// finish their call, and no call starts after that.
+	const workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once sync.Once
-	endless := frontierFunc(func(w int) (int, Verdict) { return 0, Dispatch })
-	r := NewRunner(Options{Workers: 4}, endless, func(w, item int) {
-		once.Do(func() { close(started) })
+	var calls, afterCancel atomic.Int64
+	r := NewRunner(Options{Workers: workers}, func(w int) {
+		if ctx.Err() != nil {
+			afterCancel.Add(1)
+		}
+		if calls.Add(1) == 10 {
+			cancel()
+		}
 	})
-	go func() {
-		<-started
-		cancel()
-	}()
 	done := make(chan struct{})
 	go func() { r.Run(ctx); close(done) }()
 	select {
@@ -125,18 +85,24 @@ func TestRunnerContextCancel(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after context cancellation")
 	}
-	if s := r.Summary(); !s.Canceled {
-		t.Fatalf("summary = %+v, want Canceled", s)
+	if n := calls.Load(); n < 10 || n > 10+workers-1 {
+		t.Fatalf("calls = %d, want 10 to %d", n, 10+workers-1)
 	}
-	if !r.Canceled() {
-		t.Fatal("Canceled() = false after cancel")
+	if n := afterCancel.Load(); n > workers-1 {
+		t.Fatalf("%d calls saw the canceled context, want at most %d in flight", n, workers-1)
+	}
+	final := calls.Load()
+	time.Sleep(10 * time.Millisecond)
+	if calls.Load() != final {
+		t.Fatal("a call ran after Run returned")
 	}
 }
 
 func TestRunnerDuration(t *testing.T) {
-	endless := frontierFunc(func(w int) (int, Verdict) { return 0, Dispatch })
-	r := NewRunner(Options{Workers: 2, Duration: 50 * time.Millisecond}, endless,
-		func(w, item int) { time.Sleep(time.Millisecond) })
+	var calls atomic.Int64
+	r := NewRunner(Options{Workers: 2, Duration: 50 * time.Millisecond},
+		func(w int) { calls.Add(1); time.Sleep(time.Millisecond) })
+	start := time.Now()
 	done := make(chan struct{})
 	go func() { r.Run(context.Background()); close(done) }()
 	select {
@@ -144,66 +110,20 @@ func TestRunnerDuration(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after the duration bound")
 	}
-	if s := r.Summary(); s.Elapsed < 50*time.Millisecond {
-		t.Fatalf("elapsed = %v, want >= 50ms", s.Elapsed)
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+		t.Fatalf("elapsed = %v, want >= 50ms", elapsed)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("no calls within the duration bound")
 	}
 }
-
-func TestRunnerWaitWake(t *testing.T) {
-	// Work a finishing item pushed must reach workers parked on the drained
-	// frontier with no call from the executor: the item's retirement wakes
-	// them. Item 1 runs while the other workers park, then pushes items 2
-	// and 3 and returns. Items 2 and 3 each wait until the other has
-	// started, so a parked worker must take one of them.
-	const workers = 4
-	var mu sync.Mutex // guards pending
-	pending := []int{1}
-	f := frontierFunc(func(w int) (int, Verdict) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(pending) > 0 {
-			it := pending[0]
-			pending = pending[1:]
-			return it, Dispatch
-		}
-		return 0, Drained
-	})
-	var execs, arrived atomic.Int64
-	r := NewRunner(Options{Workers: workers}, f, func(w, item int) {
-		execs.Add(1)
-		if item == 1 {
-			// Give the idle workers time to park on the drained frontier.
-			time.Sleep(20 * time.Millisecond)
-			mu.Lock()
-			pending = append(pending, 2, 3)
-			mu.Unlock()
-			return
-		}
-		arrived.Add(1)
-		for deadline := time.Now().Add(5 * time.Second); arrived.Load() < 2; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Errorf("item %d: no parked worker picked up the other refilled item", item)
-				return
-			}
-		}
-	})
-	r.Run(context.Background())
-	if execs.Load() != 3 {
-		t.Fatalf("execs=%d, want 3", execs.Load())
-	}
-}
-
-// frontierFunc adapts a Next func into a Frontier.
-type frontierFunc func(w int) (int, Verdict)
-
-func (f frontierFunc) Next(w int) (int, Verdict) { return f(w) }
 
 func TestFindingsDedup(t *testing.T) {
 	f := NewFindings()
 	if !f.Admit("a@1") || f.Admit("a@1") || !f.Admit("b@2") {
 		t.Fatal("Admit dedup broken")
 	}
-	if f.Count() != 2 || !f.Seen("a@1") || f.Seen("c@3") {
+	if f.Count() != 2 || !f.Admit("c@3") || f.Count() != 3 {
 		t.Fatalf("count=%d", f.Count())
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/vm"
 )
 
 func runDDT(t *testing.T, driver string, v corpus.Variant, opts Options) *Report {
@@ -65,4 +67,65 @@ func TestRTL8029CoverageReasonable(t *testing.T) {
 	if len(rep.CoverageSeries) == 0 {
 		t.Error("no coverage series recorded")
 	}
+}
+
+// TestTestDriverHonoursContext: the walk checks its context before every
+// pop. A context canceled before the session explores nothing; one
+// canceled mid-session, from OnBlock or by Opts.Duration, ends the session
+// short of rtl8029's full walk (seedGolden).
+func TestTestDriverHonoursContext(t *testing.T) {
+	full := seedGolden["rtl8029"].paths
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(e *Engine, ctx context.Context) *Report {
+		t.Helper()
+		rep, err := e.TestDriver(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	t.Run("precanceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rep := run(NewEngine(img, DefaultOptions()), ctx)
+		if rep.PathsExplored != 0 || len(rep.Bugs) != 0 {
+			t.Errorf("canceled session explored %d paths, found %d bugs; want 0 and 0",
+				rep.PathsExplored, len(rep.Bugs))
+		}
+	})
+
+	t.Run("OnBlock", func(t *testing.T) {
+		const blocks = 500
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e := NewEngine(img, DefaultOptions())
+		onBlock, n := e.M.OnBlock, 0
+		e.M.OnBlock = func(s *vm.State, pc uint32) {
+			onBlock(s, pc)
+			if n++; n == blocks {
+				cancel()
+			}
+		}
+		rep := run(e, ctx)
+		if n < blocks {
+			t.Fatalf("session entered %d blocks, cancel was due at %d", n, blocks)
+		}
+		if rep.PathsExplored >= full {
+			t.Errorf("session canceled after %d blocks explored %d paths, full walk %d",
+				blocks, rep.PathsExplored, full)
+		}
+	})
+
+	t.Run("Duration", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.Duration = time.Nanosecond
+		rep := run(NewEngine(img, opts), context.Background())
+		if rep.PathsExplored >= full {
+			t.Errorf("1ns session explored %d paths, full walk %d", rep.PathsExplored, full)
+		}
+	})
 }

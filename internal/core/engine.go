@@ -111,8 +111,8 @@ type Engine struct {
 	Sched *exerciser.Scheduler
 	Cov   *exerciser.Coverage
 
-	// findings is the campaign-wide bug-deduplication ledger; the campaign
-	// runner watches it for the StopAtFirstBug condition.
+	// findings is the session's bug-deduplication ledger; Explore watches
+	// it for the StopAtFirstBug condition.
 	findings *campaign.Findings
 
 	// mu guards bugs, which Bugs, Report and String may read from another
@@ -163,10 +163,9 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	if opts.Annotations {
 		annot.InstallAll(e.K)
 	}
-	root := m.Root()
 	m.OnBlock = func(s *vm.State, pc uint32) {
 		e.Sched.Record(pc)
-		e.Cov.Visit(pc, root.Steps)
+		e.Cov.Visit(pc, m.Steps)
 		if _, err := e.Loop.Visit(s, pc); err != nil {
 			// Leave the fault on the state: the step loop surfaces it, so
 			// it can never be attributed to a different path however the
@@ -273,24 +272,26 @@ type PhaseResult struct {
 
 // Explore runs all queued states to completion, recording coverage and
 // bugs. Initial states must already be pushed (via e.Sched.Push) and set up
-// with kernel.InvokeSym. A one-worker campaign.Runner drains the frontier
-// (barrierFrontier) on the machine's root context, so the walk is
-// deterministic; the runner is where ctx cancels the phase mid-run and
-// where StopAtFirstBug ends it.
+// with kernel.InvokeSym. The walk runs on the calling goroutine and the
+// machine, so it is deterministic. Before each pop it stops when ctx is
+// done, when StopAtFirstBug has a recorded bug, or when the phase has
+// finished MaxPathsPerEntry paths.
 func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 	var res PhaseResult
 	dbgStart := time.Now()
 	bugsBefore := len(e.bugs)
 
-	r := campaign.NewRunner(
-		campaign.Options{StopAtFirstBug: e.Opts.StopAtFirstBug},
-		&barrierFrontier{e: e, res: &res},
-		func(_ int, st *vm.State) { e.runPath(st, entryName, &res) },
-	)
-	r.BindFindings(e.findings)
-	r.Run(ctx)
+	for ctx.Err() == nil &&
+		!(e.Opts.StopAtFirstBug && e.findings.Count() > 0) &&
+		res.Exited < e.Opts.MaxPathsPerEntry {
+		st := e.Sched.Pop()
+		if st == nil {
+			break
+		}
+		e.runPath(st, entryName, &res)
+	}
 
-	// Frontier left over when the path budget is hit is abandoned —
+	// Frontier left over when the walk stops early is abandoned —
 	// bounded-exploration coverage loss, never unsoundness.
 	for {
 		st := e.Sched.Pop()
@@ -310,37 +311,18 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 	return res
 }
 
-// barrierFrontier is the barriered engine's frontier policy: one entry
-// phase over the scheduler, stopping when the per-phase path budget trips.
-// runPath does the result accounting.
-type barrierFrontier struct {
-	e   *Engine
-	res *PhaseResult
-}
-
-// Next pops the next frontier state, or stops the phase at its budget.
-func (f *barrierFrontier) Next(w int) (*vm.State, campaign.Verdict) {
-	if f.res.Exited >= f.e.Opts.MaxPathsPerEntry {
-		return nil, campaign.Stop
-	}
-	if st := f.e.Sched.Pop(); st != nil {
-		return st, campaign.Dispatch
-	}
-	return nil, campaign.Drained
-}
-
 // runPath steps one state until it terminates or forks; forked siblings go
 // back to the scheduler. A state that ends here and is not carried into the
-// next phase is retired on the root context, so its pooled storage serves
-// the paths that follow.
+// next phase is retired on the machine, so its pooled storage serves the
+// paths that follow.
 func (e *Engine) runPath(st *vm.State, entryName string, res *PhaseResult) {
-	root := e.M.Root()
+	m := e.M
 	// Deferred ISR injection (marked at a boundary crossing).
 	if ks := kernel.Of(st); ks.InjectPending {
 		ks.InjectPending = false
 		if !e.K.InjectInterrupt(st) {
 			st.Status = vm.StatusKilled
-			root.Retire(st)
+			m.Retire(st)
 			return
 		}
 	}
@@ -349,10 +331,10 @@ func (e *Engine) runPath(st *vm.State, entryName string, res *PhaseResult) {
 	for cur.Status == vm.StatusRunning {
 		if cur.ICount-start >= e.Opts.MaxStepsPerPath {
 			cur.Status = vm.StatusKilled
-			root.Retire(cur)
+			m.Retire(cur)
 			return
 		}
-		next, err := root.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
+		next, err := m.StepSpan(cur, e.Opts.MaxStepsPerPath-(cur.ICount-start))
 		// A fault left pending on the stepped state by a hook (the loop
 		// checker) fails the path right here, keeping the original engine's
 		// timing; a sibling forked in the same step dies with it.
@@ -367,13 +349,13 @@ func (e *Engine) runPath(st *vm.State, entryName string, res *PhaseResult) {
 			} else {
 				e.recordBug(cur, vm.Faultf("engine", cur.PC, "%v", err))
 			}
-			root.Retire(cur)
+			m.Retire(cur)
 			return
 		}
 		switch len(next) {
 		case 0:
 			if !e.finishPath(cur, res) {
-				root.Retire(cur)
+				m.Retire(cur)
 			}
 			return
 		case 1:
@@ -425,20 +407,19 @@ func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	bugs := append([]*Bug(nil), e.bugs...)
 	e.mu.Unlock()
-	root := e.M.Root()
-	cs := root.Solver.Cache().Stats()
+	st := e.M.Solver.Stats
 	r := &Report{
 		Driver:               e.Img.Name,
 		Bugs:                 bugs,
 		PathsExplored:        e.paths,
-		StatesForked:         root.Forks,
-		Instructions:         root.Steps,
+		StatesForked:         e.M.Forks,
+		Instructions:         e.M.Steps,
 		BlocksCovered:        e.Cov.Blocks(),
 		BlocksStatic:         e.Cov.TotalStatic,
-		SolverQueries:        root.Solver.Stats.Queries,
+		SolverQueries:        st.Queries,
 		SymbolsMade:          e.M.Syms.Len(),
-		SolverCacheHits:      cs.Hits,
-		SolverCacheEvictions: cs.Evictions,
+		SolverCacheHits:      st.CacheHits,
+		SolverCacheEvictions: st.CacheEvictions,
 		Phases:               append([]PhaseStat(nil), e.phaseStats...),
 	}
 	for _, p := range e.Cov.Series() {

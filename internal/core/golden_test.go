@@ -9,9 +9,10 @@ import (
 )
 
 // seedGolden pins the exact results of the engine. A run must reproduce
-// them bit-for-bit: same bug set, same path count, same
-// coverage, same fork/instruction/query totals. Any drift here means a
-// change altered sequential semantics, not just structure. series and last
+// them bit-for-bit: same bug set, same path count, same coverage, same
+// fork/instruction/query totals and solver cache hits, and no cache
+// evictions. Any drift here means a change altered sequential semantics,
+// not just structure. series and last
 // pin the coverage clock: the number of CoverageSeries points and the last
 // one. Its times are the session's running instruction count, so a clock
 // that restarted per phase or per context would end far earlier (the
@@ -29,12 +30,13 @@ var seedGolden = map[string]struct {
 	forks   uint64
 	instr   uint64
 	queries uint64
+	hits    uint64
 	series  int
 	last    CoveragePointOut
 }{
 	"amd-pcnet": {
 		bugs:  []string{"resource leak@0x1000f8", "resource leak@0x100298"},
-		paths: 91, covered: 339, static: 413, forks: 91, instr: 4729, queries: 102,
+		paths: 91, covered: 339, static: 413, forks: 91, instr: 4729, queries: 102, hits: 8,
 		series: 339, last: CoveragePointOut{4678, 339},
 	},
 	"rtl8029": {
@@ -45,14 +47,14 @@ var seedGolden = map[string]struct {
 			"segmentation fault@0x1004b0",
 			"segmentation fault@0x100630",
 		},
-		paths: 473, covered: 222, static: 265, forks: 652, instr: 12734, queries: 1229,
+		paths: 473, covered: 222, static: 265, forks: 652, instr: 12734, queries: 1229, hits: 151,
 		series: 222, last: CoveragePointOut{11665, 222},
 	},
 }
 
 // otherGolden pins the sequential engine's results on the corpus drivers
-// outside seedGolden: bug keys, paths, coverage and the fork, instruction
-// and query totals.
+// outside seedGolden: bug keys, paths, coverage, the fork, instruction
+// and query totals and the solver cache hits, with no cache evictions.
 var otherGolden = map[string]struct {
 	bugs    []string
 	paths   int
@@ -61,18 +63,19 @@ var otherGolden = map[string]struct {
 	forks   uint64
 	instr   uint64
 	queries uint64
+	hits    uint64
 }{
 	"intel-pro1000": {
 		bugs:  []string{"resource leak@0x100170"},
-		paths: 131, covered: 2119, static: 2638, forks: 131, instr: 17308, queries: 161,
+		paths: 131, covered: 2119, static: 2638, forks: 131, instr: 17308, queries: 161, hits: 12,
 	},
 	"intel-pro100": {
 		bugs:  []string{"kernel crash@0x100588"},
-		paths: 130, covered: 459, static: 566, forks: 132, instr: 9708, queries: 255,
+		paths: 130, covered: 459, static: 566, forks: 132, instr: 9708, queries: 255, hits: 14,
 	},
 	"intel-ac97": {
 		bugs:  []string{"race condition@0x100388"},
-		paths: 73, covered: 510, static: 630, forks: 82, instr: 4251, queries: 63,
+		paths: 73, covered: 510, static: 630, forks: 82, instr: 4251, queries: 63, hits: 1,
 	},
 	"ensoniq-audiopci": {
 		bugs: []string{
@@ -81,7 +84,7 @@ var otherGolden = map[string]struct {
 			"segmentation fault@0x1000f0",
 			"segmentation fault@0x1001d8",
 		},
-		paths: 195, covered: 855, static: 1064, forks: 253, instr: 6351, queries: 308,
+		paths: 195, covered: 855, static: 1064, forks: 253, instr: 6351, queries: 308, hits: 1,
 	},
 	"ddk-sample": {
 		bugs: []string{
@@ -94,7 +97,7 @@ var otherGolden = map[string]struct {
 			"segmentation fault@0x100070",
 			"segmentation fault@0x1002b8",
 		},
-		paths: 14, covered: 140, static: 175, forks: 21, instr: 632, queries: 35,
+		paths: 14, covered: 140, static: 175, forks: 21, instr: 632, queries: 35, hits: 2,
 	},
 	"ddk-sample-synthetic": {
 		bugs: []string{
@@ -104,11 +107,11 @@ var otherGolden = map[string]struct {
 			"kernel crash@0x1004f8",
 			"kernel crash@0x100528",
 		},
-		paths: 27, covered: 152, static: 182, forks: 35, instr: 778, queries: 49,
+		paths: 27, covered: 152, static: 182, forks: 35, instr: 778, queries: 49, hits: 0,
 	},
 	"promise-ultra133": {
 		bugs:  []string{"kernel crash@0x100608", "memory corruption@0x100588"},
-		paths: 95, covered: 299, static: 373, forks: 105, instr: 6467, queries: 90,
+		paths: 95, covered: 299, static: 373, forks: 105, instr: 6467, queries: 90, hits: 2,
 	},
 }
 
@@ -146,6 +149,12 @@ func TestSequentialMatchesSeedEngine(t *testing.T) {
 		if rep.SolverQueries != want.queries {
 			t.Errorf("%s: solver queries = %d, seed %d", driver, rep.SolverQueries, want.queries)
 		}
+		if rep.SolverCacheHits != want.hits {
+			t.Errorf("%s: solver cache hits = %d, seed %d", driver, rep.SolverCacheHits, want.hits)
+		}
+		if rep.SolverCacheEvictions != 0 {
+			t.Errorf("%s: solver cache evicted %d results, want 0", driver, rep.SolverCacheEvictions)
+		}
 		if n := len(rep.CoverageSeries); n != want.series || rep.CoverageSeries[n-1] != want.last {
 			t.Errorf("%s: coverage series of %d points ending %v, seed %d ending %v",
 				driver, n, rep.CoverageSeries[n-1], want.series, want.last)
@@ -181,6 +190,12 @@ func TestSequentialMatchesOtherGolden(t *testing.T) {
 		}
 		if rep.SolverQueries != want.queries {
 			t.Errorf("%s: solver queries = %d, pinned %d", driver, rep.SolverQueries, want.queries)
+		}
+		if rep.SolverCacheHits != want.hits {
+			t.Errorf("%s: solver cache hits = %d, pinned %d", driver, rep.SolverCacheHits, want.hits)
+		}
+		if rep.SolverCacheEvictions != 0 {
+			t.Errorf("%s: solver cache evicted %d results, want 0", driver, rep.SolverCacheEvictions)
 		}
 	}
 }

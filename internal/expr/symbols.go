@@ -46,9 +46,9 @@ type SymbolInfo struct {
 }
 
 // SymbolTable allocates and describes symbolic variables for one DDT run.
-// It is shared by every execution context of a session and safe for
-// concurrent use: parallel workers mint symbols under one mutex, so IDs
-// stay dense and unique across the whole run.
+// Each vm.Machine has its own, and its one stepping goroutine mints the
+// symbols, so IDs are dense and unique across the run. The table is safe
+// for concurrent use: minting and reads take one mutex.
 type SymbolTable struct {
 	mu   sync.Mutex
 	syms []SymbolInfo

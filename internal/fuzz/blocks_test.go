@@ -30,10 +30,10 @@ func TestForkingExecEndsKilled(t *testing.T) {
 		}
 
 		e.reader.reset(feed)
-		forks := e.m.Root().Forks
+		forks := e.m.Forks
 		res := &ExecResult{}
 		fin := e.walk(workload.Boot(e.m, e.img, workload.Registry(e.opts.Registry)), 0, res)
-		if e.m.Root().Forks == forks {
+		if e.m.Forks == forks {
 			continue
 		}
 		forked++

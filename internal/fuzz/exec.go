@@ -267,10 +267,10 @@ func (e *Executor) flushCoverage() {
 }
 
 // steps is the execution's logical instruction count so far: what its
-// root context stepped since Run reset it, plus the boot steps a snapshot
+// machine stepped since Run reset it, plus the boot steps a snapshot
 // resume skipped.
 func (e *Executor) steps() uint64 {
-	return e.m.Root().Steps + e.stepsBase
+	return e.m.Steps + e.stepsBase
 }
 
 func (e *Executor) now() uint64 {
@@ -376,7 +376,7 @@ func (e *Executor) maybeInject(s *vm.State) bool {
 // independent of whether it ran cold or resumed from a snapshot.
 func (e *Executor) Run(feed *Feed) *ExecResult {
 	e.reader.reset(feed)
-	e.m.Root().Steps = 0
+	e.m.Steps = 0
 	e.stepsBase = 0
 	e.curNew = 0
 	e.covBatch = e.covBatch[:0]

@@ -327,16 +327,14 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 		mus[w] = mu
 	}
 
-	var r *campaign.Runner[*Feed]
-	r = campaign.NewRunner(
+	r := campaign.NewRunner(
 		campaign.Options{
 			Workers:        f.cfg.Workers,
 			MaxExecs:       f.cfg.MaxExecs,
 			Duration:       f.cfg.Duration,
 			StopAtFirstBug: f.cfg.StopAtFirstBug,
 		},
-		fuzzFrontier{f},
-		func(w int, feed *Feed) { f.execOne(r, execs[w], mus[w], w, feed) },
+		func(w int) { f.execOne(ctx, execs[w], mus[w], w) },
 	)
 	r.BindFindings(f.findings)
 	r.Run(ctx)
@@ -388,25 +386,15 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// fuzzFrontier is the fuzzer's campaign.Frontier: the triage queue first
-// (fresh seeds and neighbors of fresh coverage); a nil item tells the
-// executor to synthesize a feed itself (corpus mutation or generation),
-// outside the coordinator lock so mutation stays parallel. The frontier
-// never drains — the campaign ends on a budget or cancellation.
-type fuzzFrontier struct{ f *Fuzzer }
-
-// Next pops the worker's triage shard (stealing when empty); nil means
-// "synthesize".
-func (q fuzzFrontier) Next(w int) (*Feed, campaign.Verdict) {
-	feed, _ := q.f.queue.Pop(w)
-	return feed, campaign.Dispatch
-}
-
-// execOne runs one campaign execution: synthesize the feed if the
-// frontier handed none, execute, and admit the results — unless the
-// campaign was canceled while the execution was in flight (the quiescence
-// contract: post-cancel results are dropped, not admitted).
-func (f *Fuzzer) execOne(r *campaign.Runner[*Feed], exec *Executor, mu *Mutator, worker int, feed *Feed) {
+// execOne runs one campaign execution on worker: pop the worker's triage
+// shard (fresh seeds and neighbors of fresh coverage, stealing when it is
+// empty), or synthesize a feed when there is none (corpus mutation or
+// generation), execute, and admit the results — unless ctx was canceled
+// while the execution was in flight (the quiescence contract: post-cancel
+// results are dropped, not admitted). The campaign ends on a budget or
+// cancellation, never on an empty queue.
+func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator, worker int) {
+	feed, _ := f.queue.Pop(worker)
 	if feed == nil {
 		if base := f.corpus.Choose(mu.rng); base != nil {
 			feed = mu.Mutate(base, f.corpus.RandomDonor(mu.rng))
@@ -438,7 +426,7 @@ func (f *Fuzzer) execOne(r *campaign.Runner[*Feed], exec *Executor, mu *Mutator,
 		f.shareCoverage()
 	}
 
-	if r.Canceled() {
+	if ctx.Err() != nil {
 		return
 	}
 	if res.Crash != nil {

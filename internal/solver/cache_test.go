@@ -1,40 +1,10 @@
 package solver
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/expr"
 )
-
-// TestSharedCacheCrossSolverHit: a query answered by one solver must be a
-// cache hit for a different solver sharing the same cache.
-func TestSharedCacheCrossSolverHit(t *testing.T) {
-	cache := NewCache(0)
-	a := NewWithCache(cache)
-	b := NewWithCache(cache)
-
-	x := expr.Sym(0)
-	cs := []*expr.Expr{expr.Eq(x, expr.Const(7))}
-
-	if res, _ := a.Check(cs); res != Sat {
-		t.Fatalf("solver a: %v", res)
-	}
-	if a.Stats.CacheHits != 0 {
-		t.Fatalf("first query hit the cache")
-	}
-	if res, m := b.Check(cs); res != Sat || m[0] != 7 {
-		t.Fatalf("solver b: %v %v", res, m)
-	}
-	if b.Stats.CacheHits != 1 {
-		t.Fatalf("cross-solver query missed the shared cache (hits=%d)", b.Stats.CacheHits)
-	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
 
 // TestCacheModelIsolation: mutating a model returned from the cache must
 // not corrupt the cached copy.
@@ -48,14 +18,17 @@ func TestCacheModelIsolation(t *testing.T) {
 	if m2[0] != 3 {
 		t.Fatalf("cached model was mutated through a returned copy: %v", m2)
 	}
+	if s.Stats.CacheHits != 1 {
+		t.Fatalf("cache hits = %d, want 1", s.Stats.CacheHits)
+	}
 }
 
 // TestCacheBoundAndEviction: the cache must stay within its bound and
-// count evictions once distinct queries exceed it.
+// count evictions in Stats once distinct queries exceed it.
 func TestCacheBoundAndEviction(t *testing.T) {
 	const bound = 64
-	cache := NewCache(bound)
-	s := NewWithCache(cache)
+	s := New()
+	s.cache.max = bound
 
 	x := expr.Sym(0)
 	const queries = bound * 4
@@ -65,54 +38,26 @@ func TestCacheBoundAndEviction(t *testing.T) {
 			t.Fatalf("query %d unsat", i)
 		}
 	}
-	st := cache.Stats()
-	if st.Entries > bound {
-		t.Fatalf("cache holds %d entries, bound %d", st.Entries, bound)
+	if n := len(s.cache.entries); n != bound {
+		t.Fatalf("cache holds %d entries, bound %d", n, bound)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after %d distinct queries into a %d-entry cache", queries, bound)
+	if s.Stats.CacheEvictions != queries-bound {
+		t.Fatalf("evictions = %d after %d distinct queries into a %d-entry cache, want %d",
+			s.Stats.CacheEvictions, queries, bound, queries-bound)
+	}
+	// The oldest keys went first: query 0 was evicted, the newest is cached.
+	if _, ok := s.cache.entries[hashConstraints([]*expr.Expr{expr.Eq(x, expr.Const(0))})]; ok {
+		t.Fatal("FIFO kept the oldest entry")
+	}
+	hits := s.Stats.CacheHits
+	if res, m := s.Check([]*expr.Expr{expr.Eq(x, expr.Const(queries-1))}); res != Sat || m[0] != queries-1 {
+		t.Fatalf("newest re-query: %v %v", res, m)
+	}
+	if s.Stats.CacheHits != hits+1 {
+		t.Fatal("newest entry missed the cache")
 	}
 	// Evicted or not, every answer must still be correct on re-query.
 	if res, m := s.Check([]*expr.Expr{expr.Eq(x, expr.Const(0))}); res != Sat || m[0] != 0 {
 		t.Fatalf("post-eviction re-query: %v %v", res, m)
-	}
-}
-
-// TestCacheConcurrentSolvers hammers one shared cache from many solvers
-// (run under -race): answers must stay correct and every query accounted.
-func TestCacheConcurrentSolvers(t *testing.T) {
-	cache := NewCache(0)
-	const workers = 8
-	const perWorker = 200
-
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := NewWithCache(cache)
-			x := expr.Sym(0)
-			for i := 0; i < perWorker; i++ {
-				want := uint32(i % 50) // plenty of cross-worker overlap
-				res, m := s.Check([]*expr.Expr{expr.Eq(x, expr.Const(want))})
-				if res != Sat || m[0] != want {
-					errs <- fmt.Errorf("worker %d query %d: %v %v", w, i, res, m)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Hits+st.Misses != workers*perWorker {
-		t.Fatalf("hits %d + misses %d != %d queries", st.Hits, st.Misses, workers*perWorker)
-	}
-	if st.Entries != 50 {
-		t.Fatalf("entries = %d, want 50 distinct keys", st.Entries)
 	}
 }

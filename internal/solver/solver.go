@@ -56,16 +56,17 @@ type Stats struct {
 	UnsatAnswers uint64
 	UnknownAns   uint64
 	Probes       uint64
+	// CacheEvictions counts query results the cache bound dropped.
+	CacheEvictions uint64
 }
 
 // Solver answers satisfiability queries over sets of constraints. Each
 // constraint is an expression required to evaluate to a non-zero value.
 //
-// A Solver itself is single-goroutine scratch (its probe RNG and Stats are
-// unsynchronized). The query cache behind it IS thread-safe and can be
-// shared between Solvers with NewWithCache.
+// A Solver is single-goroutine scratch: its query cache, probe RNG and
+// Stats are unsynchronized, and every vm.Machine has its own Solver.
 type Solver struct {
-	cache *Cache
+	cache cache
 	rng   uint64
 	// MaxProbes bounds randomized probing per query.
 	MaxProbes int
@@ -74,27 +75,16 @@ type Solver struct {
 	Stats      Stats
 }
 
-// New returns a Solver with default limits and a private query cache.
+// New returns a Solver with default limits and an empty query cache
+// bounded to DefaultCacheSize results.
 func New() *Solver {
-	return NewWithCache(NewCache(0))
-}
-
-// NewWithCache returns a Solver backed by the given (possibly shared)
-// query cache.
-func NewWithCache(c *Cache) *Solver {
-	if c == nil {
-		c = NewCache(0)
-	}
 	return &Solver{
-		cache:      c,
+		cache:      cache{entries: make(map[uint64]cacheEntry), max: DefaultCacheSize},
 		rng:        0x9E3779B97F4A7C15,
 		MaxProbes:  4096,
 		MaxProduct: 8192,
 	}
 }
-
-// Cache returns the query cache backing this solver.
-func (s *Solver) Cache() *Cache { return s.cache }
 
 func (s *Solver) rand() uint64 {
 	x := s.rng
@@ -140,7 +130,7 @@ func (s *Solver) check(cs []*expr.Expr) (Result, expr.Assignment) {
 	}
 
 	res, model := s.solve(live)
-	s.cache.put(key, cacheEntry{res, cloneAssignment(model)})
+	s.Stats.CacheEvictions += s.cache.put(key, cacheEntry{res, cloneAssignment(model)})
 	switch res {
 	case Sat:
 		s.Stats.SatAnswers++

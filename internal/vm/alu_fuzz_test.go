@@ -36,7 +36,7 @@ var aluFuzzEdges = [...]uint32{0, 1, 2, 7, 8, 31, 32, 33, 0x7FFFFFFF, 0x80000000
 // all agree with the constant fold of the oracle's expression.
 func checkAluFold(t *testing.T, x, y uint32) {
 	t.Helper()
-	c := &ExecContext{}
+	m := &Machine{}
 	for op, fold := range aluFoldOracle {
 		want := fold(expr.Const(x), expr.Const(y))
 		if !want.IsConst() {
@@ -52,7 +52,7 @@ func checkAluFold(t *testing.T, x, y uint32) {
 		s.SetRegConcrete(isa.R1, x)
 		s.SetRegConcrete(isa.R2, y)
 		in := isa.Instr{Op: op, Rd: isa.R3, Rs1: isa.R1, Rs2: isa.R2, Imm: y}
-		if _, err := c.exec(s, in); err != nil {
+		if _, err := m.exec(s, in); err != nil {
 			t.Fatal(err)
 		}
 		if got, ok := s.RegConcrete(isa.R3); !ok || got != want.ConstVal() {
@@ -76,7 +76,7 @@ func checkAluFold(t *testing.T, x, y uint32) {
 			t.Fatalf("branchCond %s(%#x, %#x) = %v, fold %v", op.Name(), x, y, cond, want)
 		}
 		s.PC = 0x100000
-		if _, err := c.exec(s, in); err != nil {
+		if _, err := m.exec(s, in); err != nil {
 			t.Fatal(err)
 		}
 		wantPC := uint32(0x100000 + isa.InstrSize)

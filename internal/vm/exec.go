@@ -9,7 +9,7 @@ import (
 // exec executes the decoded instruction in on s. The PC still points at in;
 // exec advances it. Concrete operands run on the register words; an
 // expression is built only when an operand is symbolic.
-func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
+func (m *Machine) exec(s *State, in isa.Instr) ([]*State, error) {
 	next := s.PC + isa.InstrSize
 
 	switch in.Op {
@@ -33,14 +33,14 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.PC = next
 
 	case isa.LDW, isa.LDH, isa.LDB:
-		if err := c.load(s, in.Rd, in.Rs1, in.Imm, loadStoreSize(in.Op)); err != nil {
+		if err := m.load(s, in.Rd, in.Rs1, in.Imm, loadStoreSize(in.Op)); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
 		s.PC = next
 
 	case isa.STW, isa.STH, isa.STB:
-		if err := c.store(s, in.Rs1, in.Imm, loadStoreSize(in.Op), in.Rd); err != nil {
+		if err := m.store(s, in.Rs1, in.Imm, loadStoreSize(in.Op), in.Rd); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
@@ -48,13 +48,13 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 
 	case isa.PUSH:
 		s.alu(isa.SUB, isa.SP, isa.SP, 4, nil)
-		if err := c.store(s, isa.SP, 0, 4, in.Rd); err != nil {
+		if err := m.store(s, isa.SP, 0, 4, in.Rd); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
 		s.PC = next
 	case isa.POP:
-		if err := c.load(s, in.Rd, isa.SP, 0, 4); err != nil {
+		if err := m.load(s, in.Rd, isa.SP, 0, 4); err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
@@ -62,47 +62,47 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.PC = next
 
 	case isa.BEQ, isa.BNE, isa.BLTU, isa.BGEU, isa.BLT, isa.BGE:
-		return c.branch(s, in)
+		return m.branch(s, in)
 
 	case isa.JMP:
 		s.PC = in.Imm
-		c.M.MarkBlockStart(s)
+		m.MarkBlockStart(s)
 	case isa.JR:
-		return c.jumpIndirect(s, in.Rs1, false)
+		return m.jumpIndirect(s, in.Rs1, false)
 
 	case isa.CALL:
 		s.SetRegConcrete(isa.LR, next)
 		if slot, ok := isa.InTrapWindow(in.Imm); ok {
-			return c.apiCall(s, slot)
+			return m.apiCall(s, slot)
 		}
 		s.PC = in.Imm
-		c.M.MarkBlockStart(s)
+		m.MarkBlockStart(s)
 	case isa.CALLR:
 		s.SetRegConcrete(isa.LR, next)
-		return c.jumpIndirect(s, in.Rs1, true)
+		return m.jumpIndirect(s, in.Rs1, true)
 	case isa.RET:
-		return c.jumpIndirect(s, isa.LR, false)
+		return m.jumpIndirect(s, isa.LR, false)
 
 	case isa.IN:
-		port, err := c.regValue(s, in.Rs1, "port")
+		port, err := m.regValue(s, in.Rs1, "port")
 		if err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
-		if c.M.ReadPort != nil {
-			s.SetReg(in.Rd, c.M.ReadPort(s, port))
+		if m.ReadPort != nil {
+			s.SetReg(in.Rd, m.ReadPort(s, port))
 		} else {
 			s.SetRegConcrete(in.Rd, 0)
 		}
 		s.PC = next
 	case isa.OUT:
-		port, err := c.regValue(s, in.Rs1, "port")
+		port, err := m.regValue(s, in.Rs1, "port")
 		if err != nil {
 			s.Status = StatusBug
 			return nil, err
 		}
-		if c.M.WritePort != nil {
-			c.M.WritePort(s, port, s.Reg(in.Rd))
+		if m.WritePort != nil {
+			m.WritePort(s, port, s.Reg(in.Rd))
 		}
 		s.PC = next
 
@@ -114,7 +114,7 @@ func (c *ExecContext) exec(s *State, in isa.Instr) ([]*State, error) {
 		s.Status = StatusBug
 		return nil, Faultf("memory", s.PC, "unimplemented opcode %s", in.Op.Name())
 	}
-	return c.only(s), nil
+	return m.only(s), nil
 }
 
 // alu sets rd to rs1 op y, where y is a word or, when ySym is non-nil, a
@@ -164,9 +164,9 @@ func aluExpr(op isa.Opcode) func(x, y *expr.Expr) *expr.Expr {
 
 // regValue returns register r's value, concretizing a symbolic one under
 // the name what.
-func (c *ExecContext) regValue(s *State, r uint8, what string) (uint32, error) {
+func (m *Machine) regValue(s *State, r uint8, what string) (uint32, error) {
 	if e := s.sym[r]; e != nil {
-		return c.Concretize(s, e, what)
+		return m.Concretize(s, e, what)
 	}
 	return s.regs[r], nil
 }
@@ -182,13 +182,13 @@ func loadStoreSize(op isa.Opcode) uint32 {
 	}
 }
 
-func (c *ExecContext) effectiveAddr(s *State, base uint8, imm uint32, size uint32, write bool) (uint32, error) {
+func (m *Machine) effectiveAddr(s *State, base uint8, imm uint32, size uint32, write bool) (uint32, error) {
 	if s.sym[base] == nil {
 		return s.regs[base] + imm, nil
 	}
 	addr := expr.Add(s.sym[base], expr.Const(imm))
-	if c.M.PinAddress != nil {
-		if val, ok := c.M.PinAddress(s, addr, size, write); ok {
+	if m.PinAddress != nil {
+		if val, ok := m.PinAddress(s, addr, size, write); ok {
 			s.AddConstraint(expr.Eq(addr, expr.Const(val)))
 			s.Trace.Append(Event{
 				Kind: EvConcretize, Seq: s.ICount, PC: s.PC,
@@ -197,26 +197,26 @@ func (c *ExecContext) effectiveAddr(s *State, base uint8, imm uint32, size uint3
 			return val, nil
 		}
 	}
-	return c.Concretize(s, addr, "address")
+	return m.Concretize(s, addr, "address")
 }
 
 // load sets rd to the size bytes at base+imm. Concrete bytes land in the
 // register word directly.
-func (c *ExecContext) load(s *State, rd, base uint8, imm, size uint32) error {
-	addr, err := c.effectiveAddr(s, base, imm, size, false)
+func (m *Machine) load(s *State, rd, base uint8, imm, size uint32) error {
+	addr, err := m.effectiveAddr(s, base, imm, size, false)
 	if err != nil {
 		return err
 	}
 	if addr >= isa.MMIOBase && addr < isa.MMIOLimit {
-		if c.M.ReadDevice != nil {
-			s.SetReg(rd, c.M.ReadDevice(s, addr, size))
+		if m.ReadDevice != nil {
+			s.SetReg(rd, m.ReadDevice(s, addr, size))
 		} else {
 			s.SetRegConcrete(rd, 0)
 		}
 		return nil
 	}
-	if c.M.OnMemAccess != nil {
-		if err := c.M.OnMemAccess(s, s.PC, addr, size, false, nil); err != nil {
+	if m.OnMemAccess != nil {
+		if err := m.OnMemAccess(s, s.PC, addr, size, false, nil); err != nil {
 			return err
 		}
 	}
@@ -234,25 +234,25 @@ func (c *ExecContext) load(s *State, rd, base uint8, imm, size uint32) error {
 // store writes the low size bytes of register rd to base+imm. A concrete
 // value goes to the page bytes as a word; it is boxed, once, only for the
 // hooks and the trace that take an expression.
-func (c *ExecContext) store(s *State, base uint8, imm, size uint32, rd uint8) error {
-	addr, err := c.effectiveAddr(s, base, imm, size, true)
+func (m *Machine) store(s *State, base uint8, imm, size uint32, rd uint8) error {
+	addr, err := m.effectiveAddr(s, base, imm, size, true)
 	if err != nil {
 		return err
 	}
 	mmio := addr >= isa.MMIOBase && addr < isa.MMIOLimit
 	v := s.sym[rd]
 	concrete := v == nil
-	if concrete && (mmio || c.M.OnMemAccess != nil || s.Trace != nil) {
+	if concrete && (mmio || m.OnMemAccess != nil || s.Trace != nil) {
 		v = expr.Const(s.regs[rd])
 	}
 	if mmio {
-		if c.M.WriteDevice != nil {
-			c.M.WriteDevice(s, addr, size, v)
+		if m.WriteDevice != nil {
+			m.WriteDevice(s, addr, size, v)
 		}
 		return nil
 	}
-	if c.M.OnMemAccess != nil {
-		if err := c.M.OnMemAccess(s, s.PC, addr, size, true, v); err != nil {
+	if m.OnMemAccess != nil {
+		if err := m.OnMemAccess(s, s.PC, addr, size, true, v); err != nil {
 			return err
 		}
 	}
@@ -303,7 +303,7 @@ func branchCond(s *State, in isa.Instr) *expr.Expr {
 	}
 }
 
-func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
+func (m *Machine) branch(s *State, in isa.Instr) ([]*State, error) {
 	next := s.PC + isa.InstrSize
 	target := in.Imm
 
@@ -323,14 +323,14 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		} else {
 			s.PC = next
 		}
-		c.M.MarkBlockStart(s)
-		return c.only(s), nil
+		m.MarkBlockStart(s)
+		return m.only(s), nil
 	}
 
 	// Symbolic condition: explore all feasible alternatives (§2).
 	notCond := expr.LogicalNot(cond)
 	model, ok := s.pathModel()
-	taken, notTaken := c.Solver.Branch(s.Constraints, model, ok, cond, notCond)
+	taken, notTaken := m.Solver.Branch(s.Constraints, model, ok, cond, notCond)
 	okTaken, okNot := taken.Res == solver.Sat, notTaken.Res == solver.Sat
 
 	switch {
@@ -338,9 +338,9 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		// One fork: s carries on as the taken child under the first new
 		// ID, restarting its block counts as a forked child does, and the
 		// not-taken side is the one copy.
-		c.Forks++
-		pc, tkID := s.PC, c.M.newID()
-		nt := s.Fork(c.M.newID())
+		m.Forks++
+		pc, tkID := s.PC, m.newID()
+		nt := s.Fork(m.newID())
 		s.ID, s.Parent = tkID, s.ID
 		s.Depth++
 		s.blocks.release()
@@ -348,15 +348,15 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		s.setModel(taken.Model)
 		s.PC = target
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: pc, Cond: cond, Taken: true, Forked: true})
-		c.M.MarkBlockStart(s)
+		m.MarkBlockStart(s)
 		nt.AddConstraint(notCond)
 		nt.setModel(notTaken.Model)
 		nt.PC = next
 		nt.Trace.Append(Event{Kind: EvBranch, Seq: nt.ICount, PC: pc, Cond: cond, Taken: false, Forked: true})
-		c.M.MarkBlockStart(nt)
+		m.MarkBlockStart(nt)
 		out := []*State{s, nt}
-		if c.M.OnFork != nil {
-			c.M.OnFork(s, out, cond)
+		if m.OnFork != nil {
+			m.OnFork(s, out, cond)
 		}
 		return out, nil
 	case okTaken:
@@ -365,14 +365,14 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 		s.setModel(taken.Model)
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: true})
 		s.PC = target
-		c.M.MarkBlockStart(s)
-		return c.only(s), nil
+		m.MarkBlockStart(s)
+		return m.only(s), nil
 	case okNot:
 		s.setModel(notTaken.Model)
 		s.Trace.Append(Event{Kind: EvBranch, Seq: s.ICount, PC: s.PC, Cond: cond, Taken: false})
 		s.PC = next
-		c.M.MarkBlockStart(s)
-		return c.only(s), nil
+		m.MarkBlockStart(s)
+		return m.only(s), nil
 	default:
 		// Both sides unsolvable: the path constraints are themselves
 		// undecidable for our solver. Drop the path (coverage loss only).
@@ -381,32 +381,32 @@ func (c *ExecContext) branch(s *State, in isa.Instr) ([]*State, error) {
 	}
 }
 
-func (c *ExecContext) jumpIndirect(s *State, target uint8, isCall bool) ([]*State, error) {
-	pc, err := c.regValue(s, target, "jump target")
+func (m *Machine) jumpIndirect(s *State, target uint8, isCall bool) ([]*State, error) {
+	pc, err := m.regValue(s, target, "jump target")
 	if err != nil {
 		s.Status = StatusBug
 		return nil, err
 	}
 	if slot, ok := isa.InTrapWindow(pc); ok && isCall {
-		return c.apiCall(s, slot)
+		return m.apiCall(s, slot)
 	}
 	s.PC = pc
-	c.M.MarkBlockStart(s)
-	return c.only(s), nil
+	m.MarkBlockStart(s)
+	return m.only(s), nil
 }
 
-func (c *ExecContext) apiCall(s *State, slot int) ([]*State, error) {
-	if slot >= len(c.M.Img.Imports) {
+func (m *Machine) apiCall(s *State, slot int) ([]*State, error) {
+	if slot >= len(m.Img.Imports) {
 		s.Status = StatusBug
 		return nil, Faultf("memory", s.PC, "call to unresolved import slot %d", slot)
 	}
-	name := c.M.Img.Imports[slot]
+	name := m.Img.Imports[slot]
 	s.Trace.Append(Event{Kind: EvAPICall, Seq: s.ICount, PC: s.PC, Name: name})
-	if c.M.APICall == nil {
+	if m.APICall == nil {
 		s.Status = StatusBug
 		return nil, Faultf("engine", s.PC, "no kernel attached for %s", name)
 	}
-	extra, err := c.M.APICall(s, slot)
+	extra, err := m.APICall(s, slot)
 	if err != nil {
 		s.Status = StatusBug
 		return nil, err
@@ -418,10 +418,10 @@ func (c *ExecContext) apiCall(s *State, slot int) ([]*State, error) {
 		}
 		st.PC = lr
 		st.Trace.Append(Event{Kind: EvAPIReturn, Seq: st.ICount, PC: lr, Name: name})
-		c.M.MarkBlockStart(st)
+		m.MarkBlockStart(st)
 		return nil
 	}
-	out := c.slot[:0:1] // the common case: no alternatives, s returns
+	out := m.slot[:0:1] // the common case: no alternatives, s returns
 	if len(extra) > 0 {
 		out = make([]*State, 0, 1+len(extra))
 	}

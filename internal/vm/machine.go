@@ -33,11 +33,11 @@ func Faultf(class string, pc uint32, format string, args ...any) *Fault {
 // concrete domain (the simulated kernel) via the APICall hook — the
 // selective-symbolic-execution boundary.
 //
-// A Machine holds the decoded image, the symbol table, and the hook wiring,
-// all of which are immutable once execution starts. The mutable half is its
-// root ExecContext (Root), which also keeps the step and fork counts; the
-// Machine's own Step/Run/Concretize methods delegate to it. A Machine is
-// stepped by one goroutine at a time: parallel campaigns give each worker a
+// A Machine holds the decoded image, the symbol table, the solver and the
+// hook wiring, all of which are immutable once execution starts, and the
+// step loop's own mutable half: the step and fork counts, the successor
+// slot and the page list retired states recycle into. A Machine is stepped
+// by one goroutine at a time: parallel campaigns give each worker a
 // Machine of its own.
 //
 // All hooks are optional except APICall (required once the driver calls an
@@ -45,7 +45,7 @@ func Faultf(class string, pc uint32, format string, args ...any) *Fault {
 type Machine struct {
 	Img    *binimg.Image
 	Syms   *expr.SymbolTable
-	Solver *solver.Solver // the root context's solver
+	Solver *solver.Solver
 
 	// APICall dispatches an import-table call. It may modify s, fork it
 	// (returning extra runnable states), or raise a Fault.
@@ -110,46 +110,30 @@ type Machine struct {
 	// the fast path (runSpan) owes hooks nothing until it ends or bails.
 	spanLen []uint32
 
-	// nextID is the last state ID minted; one goroutine steps a machine.
-	nextID uint64
-
-	root *ExecContext
-}
-
-// ExecContext is a Machine's execution context (Machine.Root): the step
-// loop, the solver, the step and fork counts, and the page list retired
-// states recycle into. It steps one state at a time.
-type ExecContext struct {
-	M      *Machine
-	Solver *solver.Solver
-
-	// Steps counts the instructions executed on this context, including the
-	// one about to run when OnBlock fires. Forks counts the states forked on
-	// it: symbolic branches and ForkState.
+	// Steps counts the instructions executed on this machine, including
+	// the one about to run when OnBlock fires. Forks counts the states
+	// forked on it: symbolic branches and ForkState.
 	Steps uint64
 	Forks uint64
+
+	// nextID is the last state ID minted; one goroutine steps a machine.
+	nextID uint64
 
 	// slot backs every single-successor step result (only), so the common
 	// dispatch allocates nothing. See Step for the lifetime contract this
 	// imposes.
 	slot [1]*State
 
-	// pages recycles the pages of leaf overlays retired on this context
-	// (State.Retire) into the next copy-on-write of a state it steps.
+	// pages recycles the pages of leaf overlays retired on this machine
+	// (Retire) into the next copy-on-write of a state it steps.
 	pages pageList
 }
 
-// bind makes c the context executing s: the pages s's memory copies on
-// write come from c's page list.
-func (c *ExecContext) bind(s *State) {
-	s.Mem.free = &c.pages
-}
-
 // only returns the one-element successor slice [s], backed by the
-// context's slot.
-func (c *ExecContext) only(s *State) []*State {
-	c.slot[0] = s
-	return c.slot[:1:1]
+// machine's slot.
+func (m *Machine) only(s *State) []*State {
+	m.slot[0] = s
+	return m.slot[:1:1]
 }
 
 // NewMachine decodes the image and prepares an interpreter.
@@ -188,21 +172,14 @@ func NewMachine(img *binimg.Image, syms *expr.SymbolTable, sol *solver.Solver) *
 		}
 		m.uops[i] = lowerUop(&m.instrs[i])
 	}
-	m.root = &ExecContext{M: m, Solver: sol}
 	return m
 }
 
-// Retire retires s into this context's page list; call it only on the
-// goroutine stepping this context.
-func (c *ExecContext) Retire(s *State) {
-	c.bind(s)
+// Retire retires s into this machine's page list; call it only on the
+// goroutine stepping the machine.
+func (m *Machine) Retire(s *State) {
+	s.Mem.free = &m.pages
 	s.Retire()
-}
-
-// Root returns the machine's root context: the one Machine.Step, Run and
-// Concretize use.
-func (m *Machine) Root() *ExecContext {
-	return m.root
 }
 
 // NewRootState allocates the initial state with the image loaded.
@@ -223,9 +200,9 @@ func (m *Machine) newID() uint64 {
 }
 
 // ForkState clones s with a fresh ID (used by kernel annotations that fork
-// over alternative API results) and counts the fork on the root context.
+// over alternative API results) and counts the fork.
 func (m *Machine) ForkState(s *State) *State {
-	m.root.Forks++
+	m.Forks++
 	return s.Fork(m.newID())
 }
 
@@ -253,7 +230,7 @@ func (m *Machine) SnapshotState(s *State) *State {
 // ResumeState clones a frozen snapshot into a fresh runnable state. The
 // snapshot itself is not mutated, so any number of executions can resume
 // from it without deepening its overlay chain (State.ForkFrozen). The clone
-// is rebound to this machine's root context immediately: the snapshot may
+// is rebound to this machine's page list immediately: the snapshot may
 // have been recorded by another executor (shared snapshot fabric), and its
 // memory must not take pages from the recorder's page list before the first
 // Step rebinds it.
@@ -273,7 +250,7 @@ func (m *Machine) ResumeInto(dst, snap *State) *State {
 		dst = new(State)
 	}
 	s := snap.forkFrozenInto(dst, m.newID())
-	m.root.bind(s)
+	s.Mem.free = &m.pages
 	return s
 }
 
@@ -284,20 +261,14 @@ func (m *Machine) inText(pc uint32) bool {
 }
 
 // Concretize pins a symbolic expression to a concrete value consistent with
-// the path constraints, on the root context.
-func (m *Machine) Concretize(s *State, e *expr.Expr, what string) (uint32, error) {
-	return m.root.Concretize(s, e, what)
-}
-
-// Concretize pins a symbolic expression to a concrete value consistent with
 // the path constraints, records the concretization (so traces can explain
 // it and replays reproduce it), and adds the equality constraint. This is
 // the paper's on-demand concretization at the symbolic/concrete boundary.
-func (c *ExecContext) Concretize(s *State, e *expr.Expr, what string) (uint32, error) {
+func (m *Machine) Concretize(s *State, e *expr.Expr, what string) (uint32, error) {
 	if e.IsConst() {
 		return e.ConstVal(), nil
 	}
-	model := c.Solver.Model(s.Constraints)
+	model := m.Solver.Model(s.Constraints)
 	if model == nil && len(s.Constraints) > 0 {
 		return 0, Faultf("engine", s.PC, "cannot concretize %s: path constraints unsolvable", what)
 	}
@@ -336,36 +307,23 @@ func (m *Machine) FaultSite(s *State, pc uint32) uint32 {
 	return s.lastBlock
 }
 
-// Step executes one instruction of s under the machine's root context.
-func (m *Machine) Step(s *State) ([]*State, error) {
-	return m.root.step(s, 1)
-}
-
-// StepSpan is Step with an instruction budget: it may execute up to budget
-// instructions in one dispatch when the state sits on a straight-line span
-// (see runSpan), under the machine's root context.
-func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
-	return m.root.step(s, budget)
-}
-
 // Step executes one instruction of s and returns the runnable successor
 // states. Usually that is s itself; a two-way symbolic branch returns s,
 // carrying on as the taken side, and its one fork, the not-taken side;
 // termination returns none, with s.Status and, for bugs, the returned Fault
 // explaining why.
 //
-// A single-successor result is backed by storage the context owns, so the
-// returned slice is valid only until the next step on this context: consume
-// it (or copy it) before stepping again. Multi-successor results are
-// freshly allocated. Machine.Step and StepSpan follow the same contract for
-// the root context.
+// A single-successor result is backed by storage the machine owns, so the
+// returned slice is valid only until the next step on this machine:
+// consume it (or copy it) before stepping again. Multi-successor results
+// are freshly allocated. StepSpan follows the same contract.
 //
 // A fault left pending on the state by a hook (State.PendFault, e.g. the
 // loop checker firing from OnBlock) is surfaced before anything else runs,
 // so the fault stays attributed to the exact state that raised it however
 // the scheduler interleaves paths.
-func (c *ExecContext) Step(s *State) ([]*State, error) {
-	return c.step(s, 1)
+func (m *Machine) Step(s *State) ([]*State, error) {
+	return m.step(s, 1)
 }
 
 // StepSpan executes at least one and at most budget instructions of s in a
@@ -373,22 +331,21 @@ func (c *ExecContext) Step(s *State) ([]*State, error) {
 // injection instants, path budgets) pass the distance to their next
 // decision point; semantics are bit-identical to calling Step budget times
 // with no interleaved work. A budget of 0 is treated as 1.
-func (c *ExecContext) StepSpan(s *State, budget uint64) ([]*State, error) {
-	return c.step(s, budget)
+func (m *Machine) StepSpan(s *State, budget uint64) ([]*State, error) {
+	return m.step(s, budget)
 }
 
-func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
+func (m *Machine) step(s *State, budget uint64) ([]*State, error) {
 	if s.Status != StatusRunning {
 		return nil, nil
 	}
-	c.bind(s)
+	s.Mem.free = &m.pages
 	if f := s.PendFault; f != nil {
 		s.PendFault = nil
 		s.Status = StatusBug
 		return nil, f
 	}
-	m := c.M
-	c.Steps++
+	m.Steps++
 
 	// Magic return addresses.
 	switch s.PC {
@@ -406,7 +363,7 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 			m.OnInterruptReturn(s)
 		}
 		m.MarkBlockStart(s)
-		return c.only(s), nil
+		return m.only(s), nil
 	}
 
 	if !m.inText(s.PC) {
@@ -430,18 +387,12 @@ func (c *ExecContext) step(s *State, budget uint64) ([]*State, error) {
 	}
 
 	if budget > 1 && !m.DisableSuperblocks && m.spanLen[idx] > 1 {
-		return c.runSpan(s, idx, budget)
+		return m.runSpan(s, idx, budget)
 	}
 
 	in := m.instrs[idx]
 	s.ICount++
-	return c.exec(s, in)
-}
-
-// Run steps s until the path stops or maxSteps instructions execute, under
-// the machine's root context.
-func (m *Machine) Run(s *State, maxSteps uint64) (final *State, forked []*State, fault error) {
-	return m.root.Run(s, maxSteps)
+	return m.exec(s, in)
 }
 
 // Run steps s until the path stops or maxSteps instructions execute,
@@ -449,7 +400,7 @@ func (m *Machine) Run(s *State, maxSteps uint64) (final *State, forked []*State,
 // path ended on (which may differ from s after forks), the sibling states
 // produced by forks (for a scheduler to explore), and the Fault if the path
 // ended in a bug.
-func (c *ExecContext) Run(s *State, maxSteps uint64) (final *State, forked []*State, fault error) {
+func (m *Machine) Run(s *State, maxSteps uint64) (final *State, forked []*State, fault error) {
 	start := s.ICount
 	cur := s
 	for cur.Status == StatusRunning {
@@ -457,7 +408,7 @@ func (c *ExecContext) Run(s *State, maxSteps uint64) (final *State, forked []*St
 			cur.Status = StatusKilled
 			return cur, forked, nil
 		}
-		next, err := c.StepSpan(cur, maxSteps-(cur.ICount-start))
+		next, err := m.StepSpan(cur, maxSteps-(cur.ICount-start))
 		if err != nil {
 			return cur, forked, err
 		}

@@ -17,14 +17,14 @@ type page struct {
 	sym  map[uint16]*expr.Expr
 }
 
-// pageListCap bounds one context's list of recycled pages (128 KiB), so
-// what a context keeps around does not depend on how many executions it
+// pageListCap bounds one machine's list of recycled pages (128 KiB), so
+// what a machine keeps around does not depend on how many executions it
 // retired.
 const pageListCap = 32
 
 // pageList holds pages released by retired leaf overlays for reuse by the
-// next copy-on-write on the same execution context. It is not locked: one
-// list belongs to one ExecContext, which steps one state at a time.
+// next copy-on-write on the same machine. It is not locked: one list
+// belongs to one vm.Machine, which steps one state at a time.
 type pageList struct {
 	pages []*page
 }
@@ -111,9 +111,9 @@ type Memory struct {
 	depth  int
 	kids   atomic.Int32 // overlays forked off this one; gates Retire
 
-	// free is the page list of the execution context this overlay is
-	// bound to (ExecContext.bind); forks inherit it. Nil means pages are
-	// allocated fresh and left to the collector.
+	// free is the page list of the machine stepping this overlay (set by
+	// each step, Retire and ResumeInto); forks inherit it. Nil means pages
+	// are allocated fresh and left to the collector.
 	free *pageList
 }
 
@@ -226,7 +226,7 @@ func (m *Memory) lookup(idx uint32) *page {
 // pageForWrite returns a locally owned page, copying the nearest ancestor
 // version on first write (or materializing a zero page for untouched
 // memory — guest physical memory is zero-filled). The page comes from the
-// bound context's list when one is free; its stale data is overwritten or
+// bound machine's list when one is free; its stale data is overwritten or
 // zeroed here, and take already cleared its overlay.
 func (m *Memory) pageForWrite(idx uint32) *page {
 	if p, ok := m.pages[idx]; ok {

@@ -201,7 +201,7 @@ func TestSnapshotSurvivesRecycledResumes(t *testing.T) {
 				}
 				r.Retire()
 			}
-			if len(m.root.pages.pages) == 0 {
+			if len(m.pages.pages) == 0 {
 				t.Errorf("machine %d recycled no pages", w)
 			}
 		}(w)

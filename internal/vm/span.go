@@ -138,8 +138,7 @@ func lowerUop(in *isa.Instr) uop {
 // instruction (mirroring the per-instruction path); runSpan credits the
 // rest. Net effect: executing N span instructions is bit-identical to N
 // Step calls, with one dispatch instead of N.
-func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, error) {
-	m := c.M
+func (m *Machine) runSpan(s *State, idx uint32, budget uint64) ([]*State, error) {
 	maxN := uint64(m.spanLen[idx])
 	if budget < maxN {
 		maxN = budget
@@ -147,7 +146,7 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 	base := s.ICount
 	i := idx
 	executed := uint64(0) // instructions completed in this dispatch
-	steps := c.Steps - 1  // the count before the preamble credited one
+	steps := m.Steps - 1  // the count before the preamble credited one
 
 	for executed < maxN {
 		if u := &m.uops[i]; u.fn(u, s) {
@@ -164,8 +163,8 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 		s.ICount = base + executed
 		s.ICount++
 		executed++
-		c.Steps = steps + executed
-		out, err := c.exec(s, *in)
+		m.Steps = steps + executed
+		out, err := m.exec(s, *in)
 		if err != nil || len(out) != 1 || out[0] != s ||
 			s.Status != StatusRunning || s.BlockStart || s.PendFault != nil ||
 			s.PC != isa.ImageBase+(i+1)*isa.InstrSize {
@@ -181,6 +180,6 @@ func (c *ExecContext) runSpan(s *State, idx uint32, budget uint64) ([]*State, er
 
 	s.PC = isa.ImageBase + i*isa.InstrSize
 	s.ICount = base + executed
-	c.Steps = steps + executed
-	return c.only(s), nil
+	m.Steps = steps + executed
+	return m.only(s), nil
 }

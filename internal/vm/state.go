@@ -295,11 +295,11 @@ func (s *State) BlockCount() int {
 // once a cold run replaced it). It is an optimization, never a
 // correctness requirement: unreferenced states are collected either way,
 // Retire just returns their overlay maps and block table to their pools
-// and their pages to the page list of the context the memory is bound to.
+// and their pages to the page list of the machine the memory is bound to.
 // Only leaf memory retires — Memory.Retire refuses if the overlay has
 // forked children; the block table is never shared. The page list is
 // unlocked, so retire a state only on the goroutine that steps that
-// context's states (the fuzz executor retires on its own machine).
+// machine's states (the fuzz executor retires on its own machine).
 func (s *State) Retire() {
 	if s == nil {
 		return

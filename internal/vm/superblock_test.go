@@ -71,8 +71,8 @@ func sbRunAll(t *testing.T, m *Machine, s *State) (sigs []string, faults []strin
 }
 
 // sbCompare runs src in both modes, optionally preparing each root state,
-// and fails on any observable divergence (including the root context's
-// Steps count after the full drain).
+// and fails on any observable divergence (including the machine's Steps
+// count after the full drain).
 func sbCompare(t *testing.T, src string, prep func(m *Machine, s *State)) {
 	t.Helper()
 	run := func(disable bool) (sigs, faults []string, steps uint64) {
@@ -81,7 +81,7 @@ func sbCompare(t *testing.T, src string, prep func(m *Machine, s *State)) {
 			prep(m, s)
 		}
 		sigs, faults = sbRunAll(t, m, s)
-		return sigs, faults, m.Root().Steps
+		return sigs, faults, m.Steps
 	}
 	onSigs, onFaults, onSteps := run(false)
 	offSigs, offFaults, offSteps := run(true)
@@ -268,8 +268,8 @@ e:
 	if want := isa.ImageBase + 3*isa.InstrSize; s.PC != want {
 		t.Fatalf("PC = %#x mid-span, want %#x", s.PC, want)
 	}
-	if got := m.Root().Steps; got != 3 {
-		t.Fatalf("root context Steps = %d after budget 3, want 3", got)
+	if got := m.Steps; got != 3 {
+		t.Fatalf("machine Steps = %d after budget 3, want 3", got)
 	}
 	// Resume mid-span to completion and compare against per-instruction.
 	final, forked, err := m.Run(s, 100000)

@@ -259,7 +259,7 @@ b:
 	if exits != 2 {
 		t.Errorf("exit states = %d, want 2 (second branch must not fork)", exits)
 	}
-	if got := m.Root().Forks; got != 1 {
+	if got := m.Forks; got != 1 {
 		t.Errorf("forks = %d, want 1", got)
 	}
 }
@@ -723,10 +723,9 @@ func TestDisassembleListing(t *testing.T) {
 	}
 }
 
-// TestExecContextsStepIndependently: a state run on the machine's root
-// context computes the loop's result, and the context counts exactly that
-// state's steps and no forks.
-func TestExecContextsStepIndependently(t *testing.T) {
+// TestMachineStepCounts: a state run on a machine computes the loop's
+// result, and the machine counts exactly that state's steps and no forks.
+func TestMachineStepCounts(t *testing.T) {
 	m, s := newTestMachine(t, `
 .entry e
 .text
@@ -740,8 +739,7 @@ loop:
 `)
 	const n = 40
 	s.SetReg(isa.R1, expr.Const(n))
-	root := m.Root()
-	final, _, err := root.Run(s, 100000)
+	final, _, err := m.Run(s, 100000)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -757,11 +755,11 @@ loop:
 	if final.ICount != instrs {
 		t.Errorf("ICount = %d, want %d", final.ICount, instrs)
 	}
-	if root.Steps != instrs+1 {
-		t.Errorf("Steps = %d, want %d", root.Steps, instrs+1)
+	if m.Steps != instrs+1 {
+		t.Errorf("Steps = %d, want %d", m.Steps, instrs+1)
 	}
-	if root.Forks != 0 {
-		t.Errorf("Forks = %d, want 0", root.Forks)
+	if m.Forks != 0 {
+		t.Errorf("Forks = %d, want 0", m.Forks)
 	}
 }
 
