@@ -65,7 +65,6 @@ func main() {
 	}
 
 	cfg := ddt.DefaultConfig()
-	cfg.Options = cf.Options()
 	cfg.Annotations = !*noAnnot
 	cfg.SymbolicInterrupts = !*noIntr
 	switch *scenario {
@@ -75,8 +74,14 @@ func main() {
 		fatal(fmt.Errorf("-scenario must be \"linear\" or \"pnp\", got %q", *scenario))
 	}
 
+	ctx := context.Background()
+	if cf.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cf.Timeout)
+		defer cancel()
+	}
 	sess := ddt.NewSession(img, cfg)
-	rep, err := sess.Run(context.Background())
+	rep, err := sess.Run(ctx)
 	if err != nil {
 		fatal(err)
 	}

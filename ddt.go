@@ -63,15 +63,10 @@ import (
 )
 
 // Config selects DDT's testing options, mirroring the paper's setup. The
-// campaign envelope (workers, wall-clock bound, stop conditions) is the
-// embedded campaign.Options — the same envelope FuzzConfig embeds, so
-// every mode is configured the same way. The symbolic workload runs on
-// one worker, phase by phase in OS order, and is fully deterministic.
-// Duration bounds the whole session; StopAtFirstBug stops at the first
-// recorded bug. Workers, Seed and MaxExecs are accepted for envelope
-// uniformity and unused by the symbolic engine.
+// symbolic workload runs on one goroutine, phase by phase in OS order, and
+// is fully deterministic. The context passed to Test or Session.Run bounds
+// the session's wall-clock time.
 type Config struct {
-	campaign.Options
 	// Annotations enables the stock NDIS/WDM interface annotations (§3.4):
 	// symbolic registry values, forked allocation failures, symbolic entry
 	// arguments. Disabling them is the §5.1 ablation: races and
@@ -98,9 +93,8 @@ type Config struct {
 	Scenario string
 }
 
-// CampaignOptions is the shared campaign execution envelope embedded by
-// Config and FuzzConfig (workers, budgets, seed, stop conditions, shared
-// coverage).
+// CampaignOptions is the fuzz campaign envelope FuzzConfig embeds
+// (workers, budgets, seed, stop condition, shared coverage).
 type CampaignOptions = campaign.Options
 
 // DefaultConfig mirrors the paper's evaluation configuration.
@@ -118,7 +112,6 @@ func DefaultConfig() Config {
 
 func (c Config) options() core.Options {
 	o := core.DefaultOptions()
-	o.Options = c.Options
 	o.Annotations = c.Annotations
 	o.SymbolicInterrupts = c.SymbolicInterrupts
 	o.VerifierChecks = c.VerifierChecks

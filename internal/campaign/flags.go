@@ -32,8 +32,8 @@ const (
 )
 
 // Flags holds the parsed uniform campaign flags. Register the surface
-// with RegisterFlags, then fold the result into mode options with
-// Options.
+// with RegisterFlags; a fuzz command folds the result into its envelope
+// with Options, and other commands read the fields they registered.
 type Flags struct {
 	// Workers is the parsed -workers value.
 	Workers int
@@ -60,7 +60,7 @@ func RegisterFlags(fs *flag.FlagSet, mask FlagMask) *Flags {
 	return f
 }
 
-// Options folds the parsed flags into a campaign options envelope.
+// Options folds the parsed flags into a fuzz campaign envelope.
 func (f *Flags) Options() Options {
 	return Options{
 		Workers:  f.Workers,

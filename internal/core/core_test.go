@@ -71,8 +71,8 @@ func TestRTL8029CoverageReasonable(t *testing.T) {
 
 // TestTestDriverHonoursContext: the walk checks its context before every
 // pop. A context canceled before the session explores nothing; one
-// canceled mid-session, from OnBlock or by Opts.Duration, ends the session
-// short of rtl8029's full walk (seedGolden).
+// canceled mid-session, from OnBlock or by a 1ns deadline, ends the
+// session short of rtl8029's full walk (seedGolden).
 func TestTestDriverHonoursContext(t *testing.T) {
 	full := seedGolden["rtl8029"].paths
 	img, err := corpus.Build("rtl8029", corpus.Buggy)
@@ -121,9 +121,9 @@ func TestTestDriverHonoursContext(t *testing.T) {
 	})
 
 	t.Run("Duration", func(t *testing.T) {
-		opts := DefaultOptions()
-		opts.Duration = time.Nanosecond
-		rep := run(NewEngine(img, opts), context.Background())
+		ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+		defer cancel()
+		rep := run(NewEngine(img, DefaultOptions()), ctx)
 		if rep.PathsExplored >= full {
 			t.Errorf("1ns session explored %d paths, full walk %d", rep.PathsExplored, full)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/annot"
 	"repro/internal/binimg"
-	"repro/internal/campaign"
 	"repro/internal/checkers"
 	"repro/internal/exerciser"
 	"repro/internal/expr"
@@ -20,19 +19,15 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configure one DDT run. The campaign envelope (workers, stop
-// conditions, wall-clock bound, shared coverage) is the embedded
-// campaign.Options — the same envelope fuzz.Config and ddt.Config embed —
-// and the remaining fields are the symbolic engine's own knobs.
-//
-// Envelope semantics for the symbolic engine: one walk explores the
-// session, so a run is deterministic. It walks the workload phase by
-// phase: a phase's paths all finish before the next phase starts.
-// Duration bounds the whole TestDriver session, and StopAtFirstBug ends it
-// at the first recorded bug. Workers, Seed and MaxExecs are accepted for
-// envelope uniformity and unused here.
+// Options configure one DDT run. One walk explores the session on the
+// calling goroutine, so a run is deterministic. It walks the workload
+// phase by phase: a phase's paths all finish before the next phase starts.
+// The caller's context bounds the session's wall-clock time, and the
+// session's coverage is Engine.Cov.
 type Options struct {
-	campaign.Options
+	// StopAtFirstBug ends the session at its first recorded bug — Driver
+	// Verifier's crash-on-first-failure behaviour (§5.1).
+	StopAtFirstBug bool
 	// Annotations enables the stock NDIS/WDM annotation sets. Off is DDT's
 	// default mode (§3.4); the §5.1 ablation toggles this.
 	Annotations bool
@@ -49,8 +44,6 @@ type Options struct {
 	MaxPathsPerEntry int
 	// MaxIntrInjections bounds interrupt injections per path.
 	MaxIntrInjections uint64
-	// KeepStates is how many successful outcomes seed the next phase.
-	KeepStates int
 	// LoopThreshold is the infinite-loop heuristic's per-block repeat bound.
 	LoopThreshold uint64
 	// Registry overrides/extends the default registry hive.
@@ -74,6 +67,9 @@ type Options struct {
 	Scenario string
 }
 
+// keepStates is how many successful outcomes of a phase seed the next one.
+const keepStates = 2
+
 // Scenario values for Options.Scenario.
 const (
 	ScenarioLinear = workload.ScenarioLinear
@@ -91,7 +87,6 @@ func DefaultOptions() Options {
 		MaxStepsPerPath:    60_000,
 		MaxPathsPerEntry:   256,
 		MaxIntrInjections:  2,
-		KeepStates:         2,
 		LoopThreshold:      2_000,
 	}
 }
@@ -111,9 +106,9 @@ type Engine struct {
 	Sched *exerciser.Scheduler
 	Cov   *exerciser.Coverage
 
-	// findings is the session's bug-deduplication ledger; Explore watches
-	// it for the StopAtFirstBug condition.
-	findings *campaign.Findings
+	// seen holds the finding keys of bugs already recorded; only the walk
+	// touches it.
+	seen map[string]bool
 
 	// mu guards bugs, which Bugs, Report and String may read from another
 	// goroutine while the walk runs (a time-to-bug watcher polls Bugs). The
@@ -131,19 +126,16 @@ type Engine struct {
 func NewEngine(img *binimg.Image, opts Options) *Engine {
 	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
 	e := &Engine{
-		Img:      img,
-		Opts:     opts,
-		M:        m,
-		K:        kernel.New(m),
-		Dev:      hw.New(img.Device),
-		Mem:      checkers.NewMemoryChecker(),
-		Loop:     checkers.NewLoopChecker(opts.LoopThreshold),
-		Sched:    exerciser.NewScheduler(opts.MaxStates),
-		Cov:      exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
-		findings: campaign.NewFindings(),
-	}
-	if opts.Coverage != nil {
-		e.Cov = opts.Coverage
+		Img:   img,
+		Opts:  opts,
+		M:     m,
+		K:     kernel.New(m),
+		Dev:   hw.New(img.Device),
+		Mem:   checkers.NewMemoryChecker(),
+		Loop:  checkers.NewLoopChecker(opts.LoopThreshold),
+		Sched: exerciser.NewScheduler(opts.MaxStates),
+		Cov:   exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
+		seen:  make(map[string]bool),
 	}
 	e.K.VerifierChecks = opts.VerifierChecks
 	e.K.SymbolSeed = opts.SymbolSeed
@@ -232,9 +224,11 @@ func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 		ICount:      s.ICount,
 		InInterrupt: s.InInterrupt > 0,
 	}
-	if !e.findings.Admit(b.Key()) {
+	k := b.Key()
+	if e.seen[k] {
 		return
 	}
+	e.seen[k] = true
 
 	b.Trace = s.Trace.Path()
 	b.Trace = append(b.Trace, vm.Event{Kind: vm.EvBug, Seq: s.ICount, PC: fault.PC, Name: b.Class + ": " + fault.Msg})
@@ -261,8 +255,8 @@ func (e *Engine) recordBug(s *vm.State, fault *vm.Fault) {
 
 // PhaseResult is what one entry-phase exploration returns.
 type PhaseResult struct {
-	// Succeeded are exited states whose R0 was StatusSuccess (capped at
-	// Opts.KeepStates), used to seed the next phase.
+	// Succeeded are exited states whose R0 was StatusSuccess, used to seed
+	// the next phase.
 	Succeeded []*vm.State
 	// Exited counts all completed paths.
 	Exited int
@@ -282,7 +276,7 @@ func (e *Engine) Explore(ctx context.Context, entryName string) PhaseResult {
 	bugsBefore := len(e.bugs)
 
 	for ctx.Err() == nil &&
-		!(e.Opts.StopAtFirstBug && e.findings.Count() > 0) &&
+		!(e.Opts.StopAtFirstBug && len(e.bugs) > 0) &&
 		res.Exited < e.Opts.MaxPathsPerEntry {
 		st := e.Sched.Pop()
 		if st == nil {
@@ -395,7 +389,7 @@ func (e *Engine) finishPath(s *vm.State, res *PhaseResult) bool {
 		}
 		return false
 	}
-	kept := status == kernel.StatusSuccess && len(res.Succeeded) < e.Opts.KeepStates*4
+	kept := status == kernel.StatusSuccess && len(res.Succeeded) < keepStates*4
 	if kept {
 		res.Succeeded = append(res.Succeeded, s)
 	}

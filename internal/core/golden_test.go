@@ -200,32 +200,6 @@ func TestSequentialMatchesOtherGolden(t *testing.T) {
 	}
 }
 
-// TestWorkersZeroIsSequential: the symbolic engine ignores Workers. The
-// zero value and Workers=4 both reproduce amd-pcnet's seedGolden walk
-// exactly, so no worker count reaches a second code path.
-func TestWorkersZeroIsSequential(t *testing.T) {
-	want := seedGolden["amd-pcnet"]
-	for _, workers := range []int{0, 4} {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		rep := runDDT(t, "amd-pcnet", corpus.Buggy, opts)
-		if got := sortedBugKeys(rep); !reflect.DeepEqual(got, want.bugs) {
-			t.Errorf("workers=%d: bug set %v, want %v", workers, got, want.bugs)
-		}
-		if rep.PathsExplored != want.paths || rep.StatesForked != want.forks ||
-			rep.Instructions != want.instr || rep.SolverQueries != want.queries ||
-			rep.BlocksCovered != want.covered {
-			t.Errorf("workers=%d: paths/forks/instr/queries/covered = %d/%d/%d/%d/%d, want %d/%d/%d/%d/%d",
-				workers, rep.PathsExplored, rep.StatesForked, rep.Instructions, rep.SolverQueries, rep.BlocksCovered,
-				want.paths, want.forks, want.instr, want.queries, want.covered)
-		}
-		if n := len(rep.CoverageSeries); n != want.series || rep.CoverageSeries[n-1] != want.last {
-			t.Errorf("workers=%d: coverage series of %d points ending %v, want %d ending %v",
-				workers, n, rep.CoverageSeries[n-1], want.series, want.last)
-		}
-	}
-}
-
 // TestPhaseLedgerSumsToPaths: on every corpus driver the report's
 // per-phase ledger starts at DriverEntry, no phase exceeds its path
 // budget, and the Exited column accounts for every explored path exactly

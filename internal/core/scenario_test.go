@@ -43,7 +43,6 @@ func storageBugClasses(t *testing.T, rep *Report) []string {
 func TestStorageScenarioFindsBothBugs(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
 		opts := DefaultOptions()
-		opts.Workers = 1
 		rep := runDDT(t, "promise-ultra133", corpus.Buggy, opts)
 		want := []string{"kernel crash", "memory corruption"}
 		if got := storageBugClasses(t, rep); !reflect.DeepEqual(got, want) {
@@ -58,7 +57,6 @@ func TestStorageScenarioFindsBothBugs(t *testing.T) {
 func TestStorageScenarioFixedIsClean(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
 		opts := DefaultOptions()
-		opts.Workers = 1
 		rep := runDDT(t, "promise-ultra133", corpus.Fixed, opts)
 		if len(rep.Bugs) != 0 {
 			t.Fatalf("fixed promise-ultra133 reported %d bug(s):\n%s", len(rep.Bugs), rep)

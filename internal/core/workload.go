@@ -19,13 +19,8 @@ import (
 
 // TestDriver runs the complete workload against the image and returns the
 // bug report. This is the top-level "Test Now button" (§1). ctx cancels
-// the session mid-run; Opts.Duration, when set, bounds its wall-clock time.
+// the session mid-run; a deadline on it bounds its wall-clock time.
 func (e *Engine) TestDriver(ctx context.Context) (*Report, error) {
-	if e.Opts.Duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.Opts.Duration)
-		defer cancel()
-	}
 	boot := e.NewBootState()
 
 	// Phase: DriverEntry — the load-time entry named in the binary header.
@@ -113,7 +108,7 @@ func fresh(states []*vm.State) []routed {
 }
 
 // runNode runs plan node i over its input states: invoke, explore, then
-// carry forward at most KeepStates successes. It returns the inputs and
+// carry forward at most keepStates successes. It returns the inputs and
 // false when nothing applied or nothing succeeded.
 func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases []routed) ([]routed, bool) {
 	any := false
@@ -136,8 +131,8 @@ func (e *Engine) runNode(ctx context.Context, plan workload.Plan, i int, bases [
 	sort.SliceStable(res.Succeeded, func(i, j int) bool {
 		return len(kernel.Of(res.Succeeded[i]).PendingDPCs) > len(kernel.Of(res.Succeeded[j]).PendingDPCs)
 	})
-	if len(res.Succeeded) > e.Opts.KeepStates {
-		res.Succeeded = res.Succeeded[:e.Opts.KeepStates]
+	if len(res.Succeeded) > keepStates {
+		res.Succeeded = res.Succeeded[:keepStates]
 	}
 	normalize(res.Succeeded...)
 	return fresh(res.Succeeded), true

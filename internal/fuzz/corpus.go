@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"repro/internal/campaign"
 )
 
 // Entry is one admitted corpus feed with its admission metadata. It doubles
@@ -218,33 +216,38 @@ func LoadDir(dir string) ([]*Feed, error) {
 	return out, nil
 }
 
-// crashStore stores deduplicated crashes by fault site and checker class.
-// The dedup authority is the campaign findings ledger, shared with the
-// campaign runner so StopAtFirstBug fires on the first admitted crash.
+// crashStore stores deduplicated crashes by finding key (checker class and
+// fault site), in discovery order. Safe for concurrent use by the worker
+// pool.
 type crashStore struct {
-	findings *campaign.Findings
-	mu       sync.Mutex
-	byKey    map[string]*Crash
-	order    []string
+	mu    sync.Mutex
+	byKey map[string]*Crash
+	order []string
 }
 
-func newCrashStore(findings *campaign.Findings) *crashStore {
-	return &crashStore{findings: findings, byKey: make(map[string]*Crash)}
+func newCrashStore() *crashStore {
+	return &crashStore{byKey: make(map[string]*Crash)}
 }
 
-// add records a crash; it reports whether the key was new. Admission goes
-// through the findings ledger, so only one goroutine ever stores a given
-// key.
+// add records a crash; it reports whether the key was new. Only the first
+// goroutine to add a key stores it.
 func (cs *crashStore) add(c *Crash) bool {
 	k := c.Key()
-	if !cs.findings.Admit(k) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.byKey[k] != nil {
 		return false
 	}
-	cs.mu.Lock()
 	cs.byKey[k] = c
 	cs.order = append(cs.order, k)
-	cs.mu.Unlock()
 	return true
+}
+
+// count returns the number of distinct crashes recorded so far.
+func (cs *crashStore) count() int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return len(cs.order)
 }
 
 // finalize publishes triage results (the minimized feed and the

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"context"
 	"path/filepath"
-	"repro/internal/campaign"
 	"testing"
 
 	"repro/internal/core"
@@ -207,7 +206,7 @@ func TestCorpusEnergyDecay(t *testing.T) {
 }
 
 func TestCrashDedup(t *testing.T) {
-	cs := newCrashStore(campaign.NewFindings())
+	cs := newCrashStore()
 	a := &Crash{Class: "segmentation fault", Site: 0x100100, PC: 0x0}
 	b := &Crash{Class: "segmentation fault", Site: 0x100100, PC: 0xdeadbeef} // other wild target, same site
 	c := &Crash{Class: "memory corruption", Site: 0x100100}
@@ -218,8 +217,8 @@ func TestCrashDedup(t *testing.T) {
 	if !cs.add(c) || !cs.add(d) {
 		t.Fatal("distinct class or site must not dedup")
 	}
-	if got := len(cs.list()); got != 3 {
-		t.Fatalf("crashes = %d, want 3", got)
+	if got := len(cs.list()); got != 3 || cs.count() != 3 {
+		t.Fatalf("crashes = %d, count = %d, want 3", got, cs.count())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,27 +17,25 @@ import (
 )
 
 // Config configures one fuzzing campaign. The campaign envelope (workers,
-// exec/time budgets, seed, stop conditions, shared coverage) is the
-// embedded campaign.Options — the same envelope core.Options and
-// ddt.Config embed — and the remaining fields are the fuzzer's own knobs.
+// exec/time budgets, seed, stop condition, shared coverage) is the
+// embedded campaign.Options, and the remaining fields are the fuzzer's
+// own knobs.
 //
-// Envelope semantics for the fuzzer: Workers is the parallel fuzzing
-// goroutine count; MaxExecs bounds total executions (0 with Duration also
-// 0 applies a default exec budget); Duration bounds wall-clock time; Seed
-// derives the per-worker random streams (Seed+workerID — a single-worker
-// run with a fixed seed is fully reproducible); StopAtFirstBug ends the
-// campaign at the first deduplicated crash; Coverage, when non-nil,
-// receives every block the campaign covers. The campaign still judges
-// novelty (corpus admission) and reports coverage on its own map, so a map
-// another campaign or a symbolic pass already filled does not change what
-// the campaign explores.
+// Envelope semantics: Workers is the parallel fuzzing goroutine count;
+// MaxExecs bounds total executions (0 with Duration also 0 applies a
+// default exec budget); Duration bounds wall-clock time; Seed derives the
+// per-worker random streams (Seed+workerID — a single-worker run with a
+// fixed seed is fully reproducible); StopAtFirstBug ends the campaign at
+// the first deduplicated crash; Coverage, when non-nil, receives every
+// block the campaign covers. The campaign still judges novelty (corpus
+// admission) and reports coverage on its own map, so a map another
+// campaign or a symbolic pass already filled does not change what the
+// campaign explores.
 type Config struct {
 	campaign.Options
 	// CorpusDir, when set, is loaded as initial seeds and receives the
 	// final corpus plus every crash reproducer.
 	CorpusDir string
-	// CorpusMax bounds the in-memory corpus (0: default).
-	CorpusMax int
 	// Seeds are additional initial feeds (e.g. from the concolic bridge).
 	Seeds []*Feed
 	// MinimizeBudget bounds the per-crash feed-minimization executions.
@@ -192,11 +191,14 @@ type Fuzzer struct {
 	// receives its blocks as they are found (shareCoverage).
 	Cov *exerciser.Coverage
 
-	corpus   *Corpus
-	crashes  *crashStore
-	queue    *stealQueue[*Feed]
-	dict     *Dictionary
-	findings *campaign.Findings
+	corpus  *Corpus
+	crashes *crashStore
+	queue   stack[*Feed]
+	dict    *Dictionary
+
+	// mu guards started, the number of executions the envelope admitted.
+	mu      sync.Mutex
+	started uint64
 
 	execsDone    atomic.Uint64
 	triageExecs  atomic.Uint64
@@ -207,7 +209,6 @@ type Fuzzer struct {
 	coldNS       atomic.Uint64
 	warmNS       atomic.Uint64
 	skippedSteps atomic.Uint64
-	injectShard  atomic.Uint64
 
 	// fabric is the campaign-wide snapshot store every worker executor
 	// shares (nil unless Persist).
@@ -249,16 +250,13 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 		}
 		fabric = cfg.Exec.Fabric
 	}
-	findings := campaign.NewFindings()
 	f := &Fuzzer{
-		img:      img,
-		cfg:      cfg,
-		Cov:      exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
-		corpus:   NewCorpus(cfg.CorpusMax),
-		crashes:  newCrashStore(findings),
-		queue:    newStealQueue[*Feed](cfg.Workers),
-		findings: findings,
-		fabric:   fabric,
+		img:     img,
+		cfg:     cfg,
+		Cov:     exerciser.NewCoverage(len(binimg.StaticBlocks(img))),
+		corpus:  NewCorpus(0),
+		crashes: newCrashStore(),
+		fabric:  fabric,
 	}
 	if cfg.Dict {
 		f.dict = MineDictionary(img)
@@ -270,14 +268,12 @@ func New(img *binimg.Image, cfg Config) *Fuzzer {
 // it to the fleet).
 func (f *Fuzzer) Corpus() *Corpus { return f.corpus }
 
-// InjectSeeds queues feeds into the running campaign (round-robin across
-// worker shards). Safe for concurrent use while Run is in flight — this is
-// how a manager-attached worker folds fleet corpus deltas into its own
-// search without restarting the campaign.
+// InjectSeeds queues feeds into the running campaign. Safe for concurrent
+// use while Run is in flight — this is how a manager-attached worker folds
+// fleet corpus deltas into its own search without restarting the campaign.
 func (f *Fuzzer) InjectSeeds(feeds []*Feed) {
 	for _, feed := range feeds {
-		shard := int(f.injectShard.Add(1))
-		f.queue.Push(shard, feed)
+		f.queue.Push(feed)
 	}
 }
 
@@ -292,10 +288,12 @@ func (f *Fuzzer) Stats() (execs, instructions uint64) {
 	return f.execsDone.Load(), f.steps.Load()
 }
 
-// Run executes the campaign over a campaign.Runner and returns its
-// report. Cancelling ctx stops the campaign mid-run: in-flight executions
-// finish but their results are not admitted, so corpus, crashes, and
-// coverage are frozen when Run returns.
+// Run executes the campaign on Config.Workers goroutines and returns its
+// report. Each worker checks the envelope (ctx, MaxExecs, Duration,
+// StopAtFirstBug) before every execution. Run returns only after every
+// worker has quiesced. Cancelling ctx stops the campaign mid-run:
+// in-flight executions finish but their results are not admitted, so
+// corpus, crashes, and coverage are frozen when Run returns.
 func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	start := time.Now()
 
@@ -310,34 +308,31 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 		seeds = append(seeds, loaded...)
 	}
 	seeds = append(seeds, &Feed{Data: make([]byte, 64)})
-	for i, s := range seeds {
-		f.queue.Push(i, s)
+	for _, s := range seeds {
+		f.queue.Push(s)
 	}
 
-	// Per-worker executors and mutators, allocated up front: worker w's
-	// random stream is Seed+w regardless of scheduling.
+	// Per-worker executors and mutators, allocated up front.
 	execs := make([]*Executor, f.cfg.Workers)
 	mus := make([]*Mutator, f.cfg.Workers)
 	for w := range execs {
-		ex := NewExecutor(f.img, f.Cov, f.cfg.Exec)
-		ex.TimeBase = f.steps.Load
-		execs[w] = ex
-		mu := NewMutator(f.cfg.Seed + int64(w))
-		mu.Dict = f.dict
-		mus[w] = mu
+		execs[w], mus[w] = f.newWorker(w)
 	}
-
-	r := campaign.NewRunner(
-		campaign.Options{
-			Workers:        f.cfg.Workers,
-			MaxExecs:       f.cfg.MaxExecs,
-			Duration:       f.cfg.Duration,
-			StopAtFirstBug: f.cfg.StopAtFirstBug,
-		},
-		func(w int) { f.execOne(ctx, execs[w], mus[w], w) },
-	)
-	r.BindFindings(f.findings)
-	r.Run(ctx)
+	var deadline time.Time
+	if f.cfg.Duration > 0 {
+		deadline = time.Now().Add(f.cfg.Duration)
+	}
+	var wg sync.WaitGroup
+	for w := range execs {
+		wg.Add(1)
+		go func(exec *Executor, mu *Mutator) {
+			defer wg.Done()
+			for f.admit(ctx, deadline) {
+				f.execOne(ctx, exec, mu)
+			}
+		}(execs[w], mus[w])
+	}
+	wg.Wait()
 	f.shareCoverage()
 
 	elapsed := time.Since(start)
@@ -386,15 +381,40 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// execOne runs one campaign execution on worker: pop the worker's triage
-// shard (fresh seeds and neighbors of fresh coverage, stealing when it is
-// empty), or synthesize a feed when there is none (corpus mutation or
-// generation), execute, and admit the results — unless ctx was canceled
-// while the execution was in flight (the quiescence contract: post-cancel
-// results are dropped, not admitted). The campaign ends on a budget or
-// cancellation, never on an empty queue.
-func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator, worker int) {
-	feed, _ := f.queue.Pop(worker)
+// newWorker builds worker w's executor and mutator. Its random stream is
+// Seed+w regardless of scheduling.
+func (f *Fuzzer) newWorker(w int) (*Executor, *Mutator) {
+	ex := NewExecutor(f.img, f.Cov, f.cfg.Exec)
+	ex.TimeBase = f.steps.Load
+	mu := NewMutator(f.cfg.Seed + int64(w))
+	mu.Dict = f.dict
+	return ex, mu
+}
+
+// admit reports whether the envelope lets a worker start one more
+// execution, and counts the execution when it does.
+func (f *Fuzzer) admit(ctx context.Context, deadline time.Time) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case ctx.Err() != nil,
+		f.cfg.StopAtFirstBug && f.crashes.count() > 0,
+		f.cfg.MaxExecs > 0 && f.started >= f.cfg.MaxExecs,
+		!deadline.IsZero() && time.Now().After(deadline):
+		return false
+	}
+	f.started++
+	return true
+}
+
+// execOne runs one campaign execution: pop the triage stack (fresh seeds
+// and neighbors of fresh coverage), or synthesize a feed when it is empty
+// (corpus mutation or generation), execute, and admit the results — unless
+// ctx was canceled while the execution was in flight (the quiescence
+// contract: post-cancel results are dropped, not admitted). The campaign
+// ends on a budget or cancellation, never on an empty queue.
+func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator) {
+	feed, _ := f.queue.Pop()
 	if feed == nil {
 		if base := f.corpus.Choose(mu.rng); base != nil {
 			feed = mu.Mutate(base, f.corpus.RandomDonor(mu.rng))
@@ -430,16 +450,15 @@ func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator, worke
 		return
 	}
 	if res.Crash != nil {
-		f.triageCrash(exec, mu, worker, feed, res)
+		f.triageCrash(exec, feed, res)
 		return
 	}
 	if res.NewBlocks > 0 {
 		admitted := trimFeed(feed, res)
 		if f.corpus.Add(admitted, res.NewBlocks) {
-			// Focused follow-up: queue close mutants of the novel feed
-			// on this worker's shard (peers steal when idle).
+			// Focused follow-up: queue close mutants of the novel feed.
 			for i := 0; i < 3; i++ {
-				f.queue.Push(worker, mu.Mutate(admitted, nil))
+				f.queue.Push(mu.Mutate(admitted, nil))
 			}
 		}
 	}
@@ -456,7 +475,7 @@ func (f *Fuzzer) shareCoverage() {
 }
 
 // triageCrash verifies, deduplicates, minimizes, and records one crash.
-func (f *Fuzzer) triageCrash(exec *Executor, mu *Mutator, worker int, feed *Feed, res *ExecResult) {
+func (f *Fuzzer) triageCrash(exec *Executor, feed *Feed, res *ExecResult) {
 	c := res.Crash
 	c.Exec = f.execsDone.Load()
 	c.Feed = trimFeed(feed, res)

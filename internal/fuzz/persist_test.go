@@ -282,8 +282,8 @@ func TestSnapshotInvalidation(t *testing.T) {
 	})
 
 	t.Run("no stale novelty under a shared coverage map", func(t *testing.T) {
-		// core.Options.Coverage lets a symbolic engine share the fuzzer's
-		// coverage map mid-run. A snapshot must never replay its recorded
+		// Executors can share one coverage map (NewExecutor's cov, as a
+		// fuzz campaign's workers do). A snapshot must never replay its recorded
 		// admission novelty: once the recording run marked the boot blocks,
 		// every later execution — warm from the snapshot, or cold from a
 		// fresh executor sharing the map — must report zero novelty for them.

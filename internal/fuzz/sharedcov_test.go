@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/exerciser"
@@ -22,12 +21,11 @@ func TestSharedCoverageDoesNotStarveCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := exerciser.NewCoverage(len(binimg.StaticBlocks(img)))
-	opts := core.DefaultOptions()
-	opts.Coverage = shared
-	if _, err := core.NewEngine(img, opts).TestDriver(context.Background()); err != nil {
+	eng := core.NewEngine(img, core.DefaultOptions())
+	if _, err := eng.TestDriver(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	shared := eng.Cov
 	filled := shared.Blocks()
 	if filled == 0 {
 		t.Fatal("the symbolic pass covered no blocks")

@@ -10,10 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/exerciser"
 	"repro/internal/fuzz"
 )
 
@@ -372,9 +370,7 @@ func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *
 	if err != nil {
 		return err
 	}
-	opts := core.DefaultOptions()
-	cov := exerciser.NewCoverage(len(binimg.StaticBlocks(img)))
-	opts.Coverage = cov
+	eng := core.NewEngine(img, core.DefaultOptions())
 
 	type result struct {
 		rep *core.Report
@@ -382,7 +378,6 @@ func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *
 	}
 	done := make(chan result, 1)
 	go func() {
-		eng := core.NewEngine(img, opts)
 		rep, err := eng.TestDriver(ctx)
 		done <- result{rep, err}
 	}()
@@ -436,8 +431,8 @@ wait:
 			Driver:       lease.Driver,
 			Final:        true,
 			Crashes:      crashes,
-			NewBlocks:    cov.CoveredBlocks(),
-			BlocksStatic: cov.TotalStatic,
+			NewBlocks:    eng.Cov.CoveredBlocks(),
+			BlocksStatic: eng.Cov.TotalStatic,
 			Execs:        uint64(res.rep.PathsExplored),
 			Instructions: res.rep.Instructions,
 		})
