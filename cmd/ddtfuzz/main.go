@@ -30,8 +30,8 @@
 //	-cpuprofile f  write a pprof CPU profile of the campaign to f
 //	-expect        compare found classes against the driver's Table 2 set
 //	-manager url   attach to a ddtd campaign manager as a fleet worker:
-//	               lease campaigns, sync corpus deltas both ways, report
-//	               crashes and coverage (most local flags are ignored — the
+//	               lease campaigns and report crashes, coverage and corpus
+//	               deltas both ways (most local flags are ignored — the
 //	               lease carries the campaign parameters)
 //	-name s        worker name reported to the manager (default host-pid)
 //	-oneshot       with -manager: exit after the first completed lease (CI)

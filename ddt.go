@@ -94,7 +94,7 @@ type Config struct {
 }
 
 // CampaignOptions is the fuzz campaign envelope FuzzConfig embeds
-// (workers, budgets, seed, stop condition, shared coverage).
+// (workers, budgets, seed, stop condition).
 type CampaignOptions = campaign.Options
 
 // DefaultConfig mirrors the paper's evaluation configuration.

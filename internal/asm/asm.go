@@ -99,16 +99,6 @@ func Assemble(src string) (*binimg.Image, error) {
 	return a.finish()
 }
 
-// MustAssemble is Assemble that panics on error; for in-tree corpus sources
-// that are validated by tests.
-func MustAssemble(src string) *binimg.Image {
-	im, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return im
-}
-
 func (a *assembler) errf(format string, args ...any) error {
 	return &Error{Line: a.line, Msg: fmt.Sprintf(format, args...)}
 }

@@ -10,14 +10,10 @@
 // wall-clock bound from the caller's context.
 package campaign
 
-import (
-	"time"
+import "time"
 
-	"repro/internal/exerciser"
-)
-
-// Options is the fuzz campaign envelope: workers, budgets, seed, stop
-// condition and shared coverage. fuzz.Config embeds it.
+// Options is the fuzz campaign envelope: workers, budgets, seed and stop
+// condition. fuzz.Config embeds it.
 type Options struct {
 	// Workers is the number of parallel fuzzing goroutines; 0 or 1 runs
 	// the campaign on a single worker.
@@ -34,11 +30,4 @@ type Options struct {
 	// deduplicated crash — Driver Verifier's crash-on-first-failure
 	// behaviour (§5.1).
 	StopAtFirstBug bool
-	// Coverage, when non-nil, receives the campaign's coverage: passing one
-	// shared thread-safe recorder to several campaigns accumulates their
-	// coverage into one map. A fuzz campaign keeps its own map for novelty
-	// and merges its blocks into this one, so a map another campaign (or a
-	// symbolic session's Engine.Cov) already filled does not starve its
-	// corpus.
-	Coverage *exerciser.Coverage
 }

@@ -402,7 +402,7 @@ func (e *Engine) Report() *Report {
 	bugs := append([]*Bug(nil), e.bugs...)
 	e.mu.Unlock()
 	st := e.M.Solver.Stats
-	r := &Report{
+	return &Report{
 		Driver:               e.Img.Name,
 		Bugs:                 bugs,
 		PathsExplored:        e.paths,
@@ -415,11 +415,8 @@ func (e *Engine) Report() *Report {
 		SolverCacheHits:      st.CacheHits,
 		SolverCacheEvictions: st.CacheEvictions,
 		Phases:               append([]PhaseStat(nil), e.phaseStats...),
+		CoverageSeries:       e.Cov.Series(),
 	}
-	for _, p := range e.Cov.Series() {
-		r.CoverageSeries = append(r.CoverageSeries, CoveragePointOut{p.Instructions, p.Blocks})
-	}
-	return r
 }
 
 // Bugs returns the bugs recorded so far.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/exerciser"
 )
 
 // seedGolden pins the exact results of the engine. A run must reproduce
@@ -32,12 +33,12 @@ var seedGolden = map[string]struct {
 	queries uint64
 	hits    uint64
 	series  int
-	last    CoveragePointOut
+	last    exerciser.CoveragePoint
 }{
 	"amd-pcnet": {
 		bugs:  []string{"resource leak@0x1000f8", "resource leak@0x100298"},
 		paths: 91, covered: 339, static: 413, forks: 91, instr: 4729, queries: 102, hits: 8,
-		series: 339, last: CoveragePointOut{4678, 339},
+		series: 339, last: exerciser.CoveragePoint{Instructions: 4678, Blocks: 339},
 	},
 	"rtl8029": {
 		bugs: []string{
@@ -48,7 +49,7 @@ var seedGolden = map[string]struct {
 			"segmentation fault@0x100630",
 		},
 		paths: 473, covered: 222, static: 265, forks: 652, instr: 12734, queries: 1229, hits: 151,
-		series: 222, last: CoveragePointOut{11665, 222},
+		series: 222, last: exerciser.CoveragePoint{Instructions: 11665, Blocks: 222},
 	},
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/exerciser"
 	"repro/internal/expr"
 	"repro/internal/vm"
 )
@@ -81,7 +82,7 @@ type Report struct {
 	BlocksCovered int
 	BlocksStatic  int
 	// CoverageSeries is the Figure 2/3 time series.
-	CoverageSeries []CoveragePointOut
+	CoverageSeries []exerciser.CoveragePoint
 	// SolverQueries etc. for the efficiency section.
 	SolverQueries uint64
 	SymbolsMade   int
@@ -103,12 +104,6 @@ type PhaseStat struct {
 	Exited int
 	// Succeeded counts paths that exited with StatusSuccess.
 	Succeeded int
-}
-
-// CoveragePointOut mirrors exerciser.CoveragePoint in the public report.
-type CoveragePointOut struct {
-	Instructions uint64
-	Blocks       int
 }
 
 // RelativeCoverage returns covered/static, in [0,1].

@@ -15,6 +15,7 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/exerciser"
 )
 
 // Table1Drivers lists the evaluation drivers in the paper's Table 1 order.
@@ -122,7 +123,7 @@ func FormatTable2(rows []Table2Row) string {
 type CoverageRun struct {
 	Driver   string
 	Static   int // total basic blocks (denominator of Figure 2)
-	Series   []core.CoveragePointOut
+	Series   []exerciser.CoveragePoint
 	Covered  int
 	Relative float64
 	Elapsed  time.Duration
@@ -183,11 +184,11 @@ func FormatCoverage(runs []CoverageRun, relative bool) string {
 	return b.String()
 }
 
-func sampled(s []core.CoveragePointOut, n int) []core.CoveragePointOut {
+func sampled(s []exerciser.CoveragePoint, n int) []exerciser.CoveragePoint {
 	if len(s) <= n {
 		return s
 	}
-	out := make([]core.CoveragePointOut, 0, n)
+	out := make([]exerciser.CoveragePoint, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, s[i*len(s)/n])
 	}

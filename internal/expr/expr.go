@@ -164,9 +164,6 @@ func (e *Expr) ConstVal() uint32 {
 	return e.C
 }
 
-// IsTrue reports whether e is the constant 1 (or any non-zero constant).
-func (e *Expr) IsTrue() bool { return e.Op == OpConst && e.C != 0 }
-
 // IsFalse reports whether e is the constant 0.
 func (e *Expr) IsFalse() bool { return e.Op == OpConst && e.C == 0 }
 
@@ -506,12 +503,6 @@ func SLt(x, y *Expr) *Expr {
 	}
 	return newNode(OpSLt, x, y, nil)
 }
-
-// SLe returns x <= y (signed) ? 1 : 0.
-func SLe(x, y *Expr) *Expr { return LogicalNot(SLt(y, x)) }
-
-// SGt returns x > y (signed) ? 1 : 0.
-func SGt(x, y *Expr) *Expr { return SLt(y, x) }
 
 // SGe returns x >= y (signed) ? 1 : 0.
 func SGe(x, y *Expr) *Expr { return LogicalNot(SLt(x, y)) }

@@ -17,20 +17,15 @@ import (
 )
 
 // Config configures one fuzzing campaign. The campaign envelope (workers,
-// exec/time budgets, seed, stop condition, shared coverage) is the
-// embedded campaign.Options, and the remaining fields are the fuzzer's
-// own knobs.
+// exec/time budgets, seed, stop condition) is the embedded
+// campaign.Options, and the remaining fields are the fuzzer's own knobs.
 //
 // Envelope semantics: Workers is the parallel fuzzing goroutine count;
 // MaxExecs bounds total executions (0 with Duration also 0 applies a
 // default exec budget); Duration bounds wall-clock time; Seed derives the
 // per-worker random streams (Seed+workerID — a single-worker run with a
 // fixed seed is fully reproducible); StopAtFirstBug ends the campaign at
-// the first deduplicated crash; Coverage, when non-nil, receives every
-// block the campaign covers. The campaign still judges novelty (corpus
-// admission) and reports coverage on its own map, so a map another
-// campaign or a symbolic pass already filled does not change what the
-// campaign explores.
+// the first deduplicated crash.
 type Config struct {
 	campaign.Options
 	// CorpusDir, when set, is loaded as initial seeds and receives the
@@ -186,9 +181,8 @@ type Fuzzer struct {
 	img *binimg.Image
 	cfg Config
 
-	// Cov is the campaign's own thread-safe coverage map: corpus novelty
-	// and the report's coverage come from it. Config.Coverage, when set,
-	// receives its blocks as they are found (shareCoverage).
+	// Cov is the campaign's thread-safe coverage map: corpus novelty and
+	// the report's coverage come from it.
 	Cov *exerciser.Coverage
 
 	corpus  *Corpus
@@ -333,7 +327,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Report, error) {
 		}(execs[w], mus[w])
 	}
 	wg.Wait()
-	f.shareCoverage()
 
 	elapsed := time.Since(start)
 	rep := &Report{
@@ -442,9 +435,6 @@ func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator) {
 	}
 	f.execsDone.Add(1)
 	f.steps.Add(res.Steps)
-	if res.NewBlocks > 0 {
-		f.shareCoverage()
-	}
 
 	if ctx.Err() != nil {
 		return
@@ -461,16 +451,6 @@ func (f *Fuzzer) execOne(ctx context.Context, exec *Executor, mu *Mutator) {
 				f.queue.Push(mu.Mutate(admitted, nil))
 			}
 		}
-	}
-}
-
-// shareCoverage folds the campaign's covered blocks into the caller's map
-// (Config.Coverage), if any. It runs after each execution that found new
-// blocks and once more when the campaign ends, which catches blocks that
-// only triage re-executions reached.
-func (f *Fuzzer) shareCoverage() {
-	if f.cfg.Coverage != nil {
-		f.cfg.Coverage.Merge(f.Cov.CoveredBlocks(), f.steps.Load())
 	}
 }
 

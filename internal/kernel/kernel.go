@@ -195,9 +195,6 @@ func New(m *vm.Machine) *Kernel {
 // Register installs (or replaces) an API handler.
 func (k *Kernel) Register(name string, h Handler) { k.api[name] = h }
 
-// Has reports whether the kernel implements the named API.
-func (k *Kernel) Has(name string) bool { _, ok := k.api[name]; return ok }
-
 // Annotate adds an annotation for an API.
 func (k *Kernel) Annotate(a Annotation) {
 	k.Annotations[a.API] = append(k.Annotations[a.API], a)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fuzz"
@@ -28,9 +29,6 @@ type WorkerConfig struct {
 	// (tests use milliseconds; 0 keeps the server's values).
 	PollInterval time.Duration
 	SyncInterval time.Duration
-	// MaxBackoff caps the exponential retry backoff for failed RPCs
-	// (default 30s).
-	MaxBackoff time.Duration
 	// OneShot makes RunWorker return after the first completed lease plus
 	// one idle poll — CI attaches workers for a bounded job rather than a
 	// daemon.
@@ -102,7 +100,7 @@ func (c *Client) Poll(ctx context.Context) (*CampaignLease, error) {
 	return resp.Lease, nil
 }
 
-// Report sends results; any report renews the lease.
+// Report sends results and the corpus delta; any report renews the lease.
 func (c *Client) Report(ctx context.Context, req *ReportRequest) (*ReportResponse, error) {
 	req.WorkerID = c.workerID
 	var resp ReportResponse
@@ -112,26 +110,17 @@ func (c *Client) Report(ctx context.Context, req *ReportRequest) (*ReportRespons
 	return &resp, nil
 }
 
-// Sync exchanges corpus deltas; any sync renews the lease.
-func (c *Client) Sync(ctx context.Context, req *SyncRequest) (*SyncResponse, error) {
-	req.WorkerID = c.workerID
-	var resp SyncResponse
-	if err := c.call(ctx, PathSync, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
+// maxBackoff caps the exponential retry backoff for failed connects and
+// polls.
+const maxBackoff = 30 * time.Second
 
 // RunWorker is the ddtfuzz -manager main loop: connect (with retry),
-// poll for leases, execute them, sync and report until the context is
+// poll for leases, execute them and report until the context is
 // canceled. Cancellation is the graceful-shutdown path: an in-flight
-// campaign is stopped, its final report sent, and RunWorker returns.
+// campaign is stopped, its last report sent, and RunWorker returns.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Procs < 1 {
 		cfg.Procs = 4
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -141,7 +130,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// Connect, with exponential backoff: the worker may start before the
 	// manager finishes binding its listener.
 	var conn *ConnectResponse
-	err := withBackoff(ctx, cfg.MaxBackoff, func() error {
+	err := withBackoff(ctx, maxBackoff, func() error {
 		var err error
 		conn, err = c.Connect(ctx, cfg.Name)
 		return err
@@ -165,7 +154,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			return nil
 		}
 		var lease *CampaignLease
-		err := withBackoff(ctx, cfg.MaxBackoff, func() error {
+		err := withBackoff(ctx, maxBackoff, func() error {
 			var err error
 			lease, err = c.Poll(ctx)
 			return err
@@ -183,17 +172,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			continue
 		}
 		cfg.Logf("lease %s: %s %s (slot %d)", lease.LeaseID, lease.Mode, lease.Driver, lease.Slot)
-		var lerr error
-		switch lease.Mode {
-		case ModeSymbolic:
-			lerr = c.runSymbolicLease(ctx, cfg, lease, sync)
-		default:
-			lerr = c.runFuzzLease(ctx, cfg, lease, sync)
-		}
-		if lerr != nil {
+		if err := c.runLease(ctx, cfg, lease, sync); err != nil {
 			// A lease this worker cannot execute (unknown driver, build
 			// failure) is left to expire and be re-issued elsewhere.
-			cfg.Logf("lease %s failed: %v", lease.LeaseID, lerr)
+			cfg.Logf("lease %s failed: %v", lease.LeaseID, err)
 			if !sleepCtx(ctx, poll) {
 				return nil
 			}
@@ -203,16 +185,108 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 }
 
-// runFuzzLease executes one fuzz-mode lease: a local campaign with the
-// manager's corpus as seeds, a sync/report loop at the advertised cadence,
-// and a final report carrying the full triaged crash set.
-func (c *Client) runFuzzLease(ctx context.Context, cfg WorkerConfig, lease *CampaignLease, syncEvery time.Duration) error {
+// leaseJob is what one campaign mode supplies to runLease.
+type leaseJob struct {
+	// run executes the campaign until its budget is spent or ctx ends.
+	run func(ctx context.Context) error
+	// fill writes into req what the next report carries: at least every
+	// result the manager has not acknowledged yet. last marks the report
+	// sent after run returned. The returned function, if any, marks those
+	// results as delivered; runLease calls it only once the manager has
+	// answered the report.
+	fill func(req *ReportRequest, last bool) (ack func())
+	// seeds, if set, takes the fleet corpus feeds a report's answer
+	// carried.
+	seeds func([]*fuzz.Feed)
+}
+
+// runLease executes one lease: the mode's campaign on its own goroutine,
+// one report per tick of the advertised cadence, and a last report once
+// the campaign has returned. A manager-directed stop cancels the
+// campaign. The last report completes the slot (Final) only if the worker
+// context is still live: a worker shut down mid-campaign ships its
+// results but leaves the slot to expire and be re-issued to a surviving
+// worker, since the slot's budget was not spent.
+func (c *Client) runLease(ctx context.Context, cfg WorkerConfig, lease *CampaignLease, every time.Duration) error {
 	img, err := corpus.Build(lease.Driver, variantOf(lease.Fixed))
 	if err != nil {
 		return err
 	}
+	var job leaseJob
+	if lease.Mode == ModeSymbolic {
+		job = symbolicJob(img)
+	} else {
+		job = fuzzJob(img, cfg.Procs, lease)
+	}
+
+	runCtx, stopRun := context.WithCancel(ctx)
+	defer stopRun()
+	done := make(chan error, 1)
+	go func() { done <- job.run(runCtx) }()
+
+	send := func(ctx context.Context, last, final bool) error {
+		req := &ReportRequest{LeaseID: lease.LeaseID, Driver: lease.Driver, Final: final}
+		ack := job.fill(req, last)
+		resp, err := c.Report(ctx, req)
+		if err != nil {
+			return err
+		}
+		if ack != nil {
+			ack()
+		}
+		if job.seeds != nil && len(resp.Seeds) > 0 {
+			job.seeds(resp.Seeds)
+		}
+		if resp.Stop {
+			stopRun()
+		}
+		return nil
+	}
+
+	ticker := time.NewTicker(every)
+	defer ticker.Stop()
+wait:
+	for {
+		select {
+		case err = <-done:
+			break wait
+		case <-ctx.Done():
+			// Worker shutdown: runCtx inherits the cancellation, so the
+			// campaign is already winding down.
+			err = <-done
+			break wait
+		case <-ticker.C:
+			if err := send(ctx, false, false); err != nil {
+				cfg.Logf("report failed (will retry): %v", err)
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	// The select may observe the returned campaign before the canceled
+	// context, so decide from the context itself. An interrupted worker's
+	// last report must survive the canceled context.
+	final := ctx.Err() == nil
+	if !final {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+		defer cancel()
+	}
+	return withBackoff(ctx, 5*time.Second, func() error {
+		return send(ctx, true, final)
+	})
+}
+
+// fuzzJob runs a fuzz-mode lease: a local campaign seeded with the
+// manager's corpus, whose reports carry the crash, coverage and corpus
+// deltas both ways. The last report re-sends the complete crash set:
+// mid-campaign reports carry each crash as first found, and by the end
+// every entry holds its minimized, verification-replayed feed, which the
+// manager attaches as an extra reproducer.
+func fuzzJob(img *binimg.Image, procs int, lease *CampaignLease) leaseJob {
 	fcfg := fuzz.DefaultConfig()
-	fcfg.Workers = cfg.Procs
+	fcfg.Workers = procs
 	fcfg.MaxExecs = lease.Execs
 	fcfg.Duration = time.Duration(lease.DurationMS) * time.Millisecond
 	fcfg.Seed = lease.Seed
@@ -221,223 +295,107 @@ func (c *Client) runFuzzLease(ctx context.Context, cfg WorkerConfig, lease *Camp
 	fcfg.Seeds = lease.Seeds
 	f := fuzz.New(img, fcfg)
 
-	// Delta bookkeeping: what this worker already exchanged with the fleet.
+	// What the manager has acknowledged: the corpus hashes both sides
+	// hold, and the crashes and blocks delivered.
 	have := make(map[string]bool)
 	for _, s := range lease.Seeds {
 		have[FeedHash(s)] = true
 	}
 	sentCrash := make(map[string]bool)
 	sentBlocks := make(map[uint32]bool)
-	static := f.Cov.TotalStatic
 
-	// The campaign context: canceled when the manager directs a stop
-	// (scheduler rebalance) or the worker itself shuts down. Cancellation is
-	// the only stop path — the fuzzer quiesces and Run returns.
-	runCtx, stopRun := context.WithCancel(ctx)
-	defer stopRun()
-
-	type result struct {
-		rep *fuzz.Report
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		rep, err := f.Run(runCtx)
-		done <- result{rep, err}
-	}()
-
-	// interrupted is set when the worker is shut down mid-campaign: the
-	// final flush then still ships every result, but without the Final flag —
-	// the slot's remaining budget was not spent, so the lease is left to
-	// expire and the campaign re-issued to a surviving worker.
-	interrupted := false
-
-	flush := func(ctx context.Context, final bool) error {
-		// Corpus delta, both directions.
-		var added []fuzz.Entry
-		haveList := make([]string, 0, len(have))
-		for h := range have {
-			haveList = append(haveList, h)
-		}
-		for _, e := range f.Corpus().Export() {
-			if h := FeedHash(e.Feed); !have[h] {
-				have[h] = true
-				haveList = append(haveList, h)
-				added = append(added, e)
-			}
-		}
-		sresp, err := c.Sync(ctx, &SyncRequest{LeaseID: lease.LeaseID, Driver: lease.Driver, Added: added, Have: haveList})
-		if err != nil {
+	return leaseJob{
+		run: func(ctx context.Context) error {
+			_, err := f.Run(ctx)
 			return err
-		}
-		var fresh []*fuzz.Feed
-		for _, s := range sresp.Seeds {
-			if h := FeedHash(s); !have[h] {
-				have[h] = true
-				fresh = append(fresh, s)
+		},
+		fill: func(req *ReportRequest, last bool) func() {
+			var added []string
+			for _, e := range f.Corpus().Export() {
+				if h := FeedHash(e.Feed); !have[h] {
+					added = append(added, h)
+					req.Added = append(req.Added, e)
+				}
 			}
-		}
-		if len(fresh) > 0 && !final {
+			if !last {
+				req.Have = make([]string, 0, len(have)+len(added))
+				for h := range have {
+					req.Have = append(req.Have, h)
+				}
+				req.Have = append(req.Have, added...)
+			}
+			for _, cr := range f.Crashes() {
+				if last || !sentCrash[cr.Key()] {
+					req.Crashes = append(req.Crashes, cr)
+				}
+			}
+			for _, pc := range f.Cov.CoveredBlocks() {
+				if !sentBlocks[pc] {
+					req.NewBlocks = append(req.NewBlocks, pc)
+				}
+			}
+			req.BlocksStatic = f.Cov.TotalStatic
+			req.Execs, req.Instructions = f.Stats()
+			return func() {
+				for _, h := range added {
+					have[h] = true
+				}
+				for _, cr := range req.Crashes {
+					sentCrash[cr.Key()] = true
+				}
+				for _, pc := range req.NewBlocks {
+					sentBlocks[pc] = true
+				}
+			}
+		},
+		seeds: func(seeds []*fuzz.Feed) {
+			var fresh []*fuzz.Feed
+			for _, s := range seeds {
+				if h := FeedHash(s); !have[h] {
+					have[h] = true
+					fresh = append(fresh, s)
+				}
+			}
 			f.InjectSeeds(fresh)
-		}
-
-		// Results: new crashes, the coverage delta, progress counters.
-		var crashes []CrashReport
-		for _, cr := range f.Crashes() {
-			if final || !sentCrash[cr.Key()] {
-				sentCrash[cr.Key()] = true
-				crashes = append(crashes, CrashReport{Crash: cr})
-			}
-		}
-		var newBlocks []uint32
-		for _, pc := range f.Cov.CoveredBlocks() {
-			if !sentBlocks[pc] {
-				sentBlocks[pc] = true
-				newBlocks = append(newBlocks, pc)
-			}
-		}
-		execs, instrs := f.Stats()
-		rresp, err := c.Report(ctx, &ReportRequest{
-			LeaseID:      lease.LeaseID,
-			Driver:       lease.Driver,
-			Final:        final && !interrupted,
-			Crashes:      crashes,
-			NewBlocks:    newBlocks,
-			BlocksStatic: static,
-			Execs:        execs,
-			Instructions: instrs,
-		})
-		if err != nil {
-			return err
-		}
-		if (sresp.Stop || rresp.Stop) && !final {
-			stopRun()
-		}
-		return nil
+		},
 	}
-
-	ticker := time.NewTicker(syncEvery)
-	defer ticker.Stop()
-	var res result
-wait:
-	for {
-		select {
-		case <-ctx.Done():
-			// Graceful shutdown: runCtx inherits the cancellation, so the
-			// campaign is already quiescing — wait for the workers to drain,
-			// then send the final report below.
-			res = <-done
-			break wait
-		case <-ticker.C:
-			if err := flush(ctx, false); err != nil {
-				cfg.Logf("sync failed (will retry): %v", err)
-			}
-		case res = <-done:
-			break wait
-		}
-	}
-	// Worker shutdown, not a manager-directed stop: the select may observe
-	// the drained campaign before the canceled context, so decide from the
-	// context itself.
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-	if res.err != nil {
-		return res.err
-	}
-	// Campaign finished (budget exhausted, Stop, or shutdown): the final
-	// report re-sends the complete crash set — mid-campaign reports carry
-	// the crash as first found; by now every entry holds its minimized,
-	// verification-replayed feed, which the manager attaches as an extra
-	// reproducer (dedup by content hash keeps exactly the distinct ones).
-	// The final flush must survive a canceled worker context.
-	fctx := ctx
-	if fctx.Err() != nil {
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-	}
-	return withBackoff(fctx, 5*time.Second, func() error {
-		return flush(fctx, true)
-	})
 }
 
-// runSymbolicLease executes one symbolic-mode lease: an engine session,
-// heartbeating while it runs, and a final report converting every bug into
-// a crash entry with a bridge-derived reproducer feed.
-func (c *Client) runSymbolicLease(ctx context.Context, cfg WorkerConfig, lease *CampaignLease, syncEvery time.Duration) error {
-	img, err := corpus.Build(lease.Driver, variantOf(lease.Fixed))
-	if err != nil {
-		return err
-	}
+// symbolicJob runs a symbolic-mode lease: an engine session whose
+// periodic reports only renew the lease, and whose last report converts
+// every bug into a crash entry with a bridge-derived reproducer feed.
+func symbolicJob(img *binimg.Image) leaseJob {
 	eng := core.NewEngine(img, core.DefaultOptions())
-
-	type result struct {
-		rep *core.Report
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		rep, err := eng.TestDriver(ctx)
-		done <- result{rep, err}
-	}()
-
-	ticker := time.NewTicker(syncEvery)
-	defer ticker.Stop()
-	ctxDone := ctx.Done()
-	var res result
-wait:
-	for {
-		select {
-		case <-ctxDone:
-			// The engine observes the context mid-run and returns its
-			// partial report; wait for that result below. Disarm the channel
-			// so the wait doesn't spin on the closed Done.
-			ctxDone = nil
-		case <-ticker.C:
-			if _, err := c.Report(ctx, &ReportRequest{LeaseID: lease.LeaseID, Driver: lease.Driver}); err != nil {
-				cfg.Logf("heartbeat failed (will retry): %v", err)
+	var rep *core.Report
+	return leaseJob{
+		run: func(ctx context.Context) error {
+			var err error
+			rep, err = eng.TestDriver(ctx)
+			return err
+		},
+		fill: func(req *ReportRequest, last bool) func() {
+			if !last {
+				return nil
 			}
-			continue
-		case res = <-done:
-			break wait
-		}
+			for _, b := range rep.Bugs {
+				req.Crashes = append(req.Crashes, &fuzz.Crash{
+					Class:       b.Class,
+					PC:          b.Fault.PC,
+					Site:        b.Site,
+					Entry:       b.Entry,
+					Msg:         b.Fault.Msg,
+					InInterrupt: b.InInterrupt,
+					Feed:        fuzz.FromBug(b),
+					Reproduced:  true,
+				})
+			}
+			req.NewBlocks = eng.Cov.CoveredBlocks()
+			req.BlocksStatic = eng.Cov.TotalStatic
+			req.Execs = uint64(rep.PathsExplored)
+			req.Instructions = rep.Instructions
+			return nil
+		},
 	}
-	if res.err != nil {
-		return res.err
-	}
-	var crashes []CrashReport
-	for _, b := range res.rep.Bugs {
-		crashes = append(crashes, CrashReport{Crash: &fuzz.Crash{
-			Class:       b.Class,
-			PC:          b.Fault.PC,
-			Site:        b.Site,
-			Entry:       b.Entry,
-			Msg:         b.Fault.Msg,
-			InInterrupt: b.InInterrupt,
-			Feed:        fuzz.FromBug(b),
-			Reproduced:  true,
-		}})
-	}
-	fctx := ctx
-	if fctx.Err() != nil {
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-	}
-	return withBackoff(fctx, 5*time.Second, func() error {
-		_, err := c.Report(fctx, &ReportRequest{
-			LeaseID:      lease.LeaseID,
-			Driver:       lease.Driver,
-			Final:        true,
-			Crashes:      crashes,
-			NewBlocks:    eng.Cov.CoveredBlocks(),
-			BlocksStatic: eng.Cov.TotalStatic,
-			Execs:        uint64(res.rep.PathsExplored),
-			Instructions: res.rep.Instructions,
-		})
-		return err
-	})
 }
 
 func variantOf(fixed bool) corpus.Variant {

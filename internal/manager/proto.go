@@ -9,8 +9,8 @@
 // number of stateless worker processes (ddtfuzz -manager <addr>) connect
 // over an HTTP/JSON RPC protocol:
 //
-//	connect → poll (lease a campaign) → [run] → periodic sync (corpus
-//	deltas both ways) + report (crashes, coverage, progress) → final report
+//	connect → poll (lease a campaign) → [run] → periodic report (crashes,
+//	coverage, progress, corpus deltas both ways) → final report
 //
 // Work hand-out is lease-based: a worker that stops heartbeating (its
 // process crashed, its host died) has its lease expired and the campaign
@@ -32,7 +32,6 @@ const (
 	PathConnect = "/rpc/connect"
 	PathPoll    = "/rpc/poll"
 	PathReport  = "/rpc/report"
-	PathSync    = "/rpc/sync"
 )
 
 // ConnectRequest introduces a worker to the manager.
@@ -49,8 +48,8 @@ type ConnectResponse struct {
 	WorkerID string `json:"worker_id"`
 	// PollIntervalMS is how long an idle worker should wait between polls.
 	PollIntervalMS int64 `json:"poll_interval_ms"`
-	// SyncIntervalMS is the cadence of mid-campaign sync/report calls; it is
-	// well below the lease TTL, so a live worker's lease never expires.
+	// SyncIntervalMS is the cadence of mid-campaign reports; it is well
+	// below the lease TTL, so a live worker's lease never expires.
 	SyncIntervalMS int64 `json:"sync_interval_ms"`
 }
 
@@ -73,7 +72,7 @@ const (
 )
 
 // CampaignLease is one unit of handed-out work: a campaign slot bound to a
-// worker for as long as the worker keeps heartbeating (report/sync renew
+// worker for as long as the worker keeps heartbeating (every report renews
 // the lease).
 type CampaignLease struct {
 	// LeaseID identifies this hand-out; reports must echo it. A re-issued
@@ -103,17 +102,9 @@ type CampaignLease struct {
 	Seeds []*fuzz.Feed `json:"seeds,omitempty"`
 }
 
-// CrashReport is one worker-observed crash: the dedup identity plus the
-// replayable reproducer feed. The manager dedups fleet-wide by
-// Crash.Key() (checker class @ fault site) and attaches every distinct
-// reproducer to the one entry.
-type CrashReport struct {
-	Crash *fuzz.Crash `json:"crash"`
-}
-
-// ReportRequest carries results: crashes, the coverage delta, and progress
-// counters. Sent periodically during a campaign and once more with Final
-// set when the lease's work is done. Any report renews the lease.
+// ReportRequest carries results: crashes, the coverage delta, progress
+// counters and the corpus delta. Sent periodically during a campaign and
+// once more when the lease's work is done. Any report renews the lease.
 type ReportRequest struct {
 	WorkerID string `json:"worker_id"`
 	LeaseID  string `json:"lease_id"`
@@ -125,11 +116,12 @@ type ReportRequest struct {
 	// Final marks lease completion: the slot is done and will not be
 	// re-issued.
 	Final bool `json:"final,omitempty"`
-	// Crashes are the crashes found since the last report (deduplicated
-	// worker-side; the manager dedups again fleet-wide).
-	Crashes []CrashReport `json:"crashes,omitempty"`
-	// NewBlocks is the covered-block delta since the last report, merged
-	// into the manager's fleet coverage map for the driver.
+	// Crashes are the crashes found since the last acknowledged report
+	// (deduplicated worker-side; the manager dedups again fleet-wide by
+	// Crash.Key() and attaches every distinct reproducer feed to one entry).
+	Crashes []*fuzz.Crash `json:"crashes,omitempty"`
+	// NewBlocks is the covered-block delta since the last acknowledged
+	// report, merged into the manager's fleet coverage map for the driver.
 	NewBlocks []uint32 `json:"new_blocks,omitempty"`
 	// BlocksStatic is the driver's static block denominator (constant per
 	// driver; sent so the manager can report relative coverage).
@@ -137,6 +129,13 @@ type ReportRequest struct {
 	// Execs / Instructions are cumulative campaign progress counters.
 	Execs        uint64 `json:"execs,omitempty"`
 	Instructions uint64 `json:"instructions,omitempty"`
+	// Added are corpus entries the worker admitted since its last
+	// acknowledged report.
+	Added []fuzz.Entry `json:"added,omitempty"`
+	// Have lists content hashes of feeds the worker already holds (its own
+	// admissions and previously downloaded ones), so the manager ships only
+	// the difference. A report without Have gets no seeds back.
+	Have []string `json:"have,omitempty"`
 }
 
 // ReportResponse acknowledges a report.
@@ -144,30 +143,9 @@ type ReportResponse struct {
 	// Stop asks the worker to wind the campaign down (lease re-issued
 	// elsewhere or manager shutting down).
 	Stop bool `json:"stop,omitempty"`
-}
-
-// SyncRequest is the periodic two-way corpus exchange: the worker uploads
-// entries it admitted since the last sync, and tells the manager which
-// content hashes it already has. Any sync renews the lease.
-type SyncRequest struct {
-	WorkerID string `json:"worker_id"`
-	LeaseID  string `json:"lease_id"`
-	// Driver names the corpus being synced (see ReportRequest.Driver).
-	Driver string `json:"driver"`
-	// Added are corpus entries the worker admitted since its last sync.
-	Added []fuzz.Entry `json:"added,omitempty"`
-	// Have lists content hashes of feeds the worker already holds (its own
-	// admissions and previously downloaded ones), so the manager ships only
-	// the difference.
-	Have []string `json:"have,omitempty"`
-}
-
-// SyncResponse ships the manager→worker half of the corpus delta.
-type SyncResponse struct {
-	// Seeds are fleet corpus feeds the worker does not have yet.
+	// Seeds are fleet corpus feeds the worker does not have yet (only for
+	// a report that lists Have).
 	Seeds []*fuzz.Feed `json:"seeds,omitempty"`
-	// Stop mirrors ReportResponse.Stop.
-	Stop bool `json:"stop,omitempty"`
 }
 
 // errorResponse is the JSON body of a non-200 RPC answer.

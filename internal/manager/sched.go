@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// DefaultLeaseTTL is how long a lease survives without a heartbeat
-// (report/sync both renew). Workers sync every SyncInterval — well under
-// the TTL — so only a dead or partitioned worker loses its lease.
+// DefaultLeaseTTL is how long a lease survives without a report. Workers
+// report every SyncInterval — well under the TTL — so only a dead or
+// partitioned worker loses its lease.
 const DefaultLeaseTTL = 30 * time.Second
 
 // Default worker cadences handed out at connect.
@@ -191,10 +191,10 @@ func (s *Scheduler) pickLocked(w *workerInfo) *slot {
 	return first
 }
 
-// Renew extends a lease on a heartbeat (report or sync). It returns false
-// when the lease is no longer live — expired and re-issued, or the manager
-// is stopping — which tells the worker to wind down. The cumulative
-// progress counters are converted to deltas against the last heartbeat.
+// Renew extends a lease on a report. It returns false when the lease is no
+// longer live — expired and re-issued, or the manager is stopping — which
+// tells the worker to wind down. The cumulative progress counters are
+// converted to deltas against the last report.
 func (s *Scheduler) Renew(workerID, leaseID string, execs, instrs uint64) (execsDelta, instrsDelta uint64, live bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,22 +216,6 @@ func (s *Scheduler) Renew(workerID, leaseID string, execs, instrs uint64) (execs
 	}
 	l.lastExecs, l.lastInstrs = execs, instrs
 	return execsDelta, instrsDelta, !s.stopping
-}
-
-// Heartbeat renews a lease without progress counters (the sync endpoint).
-// It returns false when the worker should wind down.
-func (s *Scheduler) Heartbeat(workerID, leaseID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	s.touchLocked(workerID, now)
-	s.expireLocked(now)
-	l, ok := s.leases[leaseID]
-	if !ok || l.worker != workerID {
-		return false
-	}
-	l.expires = now.Add(s.ttl)
-	return !s.stopping
 }
 
 // Complete marks a lease's slot done (final report). A stale lease cannot

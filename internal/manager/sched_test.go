@@ -147,8 +147,9 @@ func TestSchedulerLeaseReassignment(t *testing.T) {
 	}
 }
 
-// TestSchedulerHeartbeatKeepsLease: sync-path heartbeats renew just like
-// reports, so a worker between coverage finds never expires.
+// TestSchedulerHeartbeatKeepsLease: reports that carry no progress (a
+// symbolic lease's heartbeats, or a fuzz worker between coverage finds)
+// renew the lease, so a live worker never expires.
 func TestSchedulerHeartbeatKeepsLease(t *testing.T) {
 	cfg := Config{Campaigns: []CampaignSpec{{ID: "net", Driver: "rtl8029", Workers: 1, Execs: 1000}}}
 	s, ck := newTestSched(t, cfg, 10*time.Second)
@@ -156,7 +157,7 @@ func TestSchedulerHeartbeatKeepsLease(t *testing.T) {
 	l := s.Poll(w)
 	for i := 0; i < 5; i++ {
 		ck.advance(8 * time.Second)
-		if !s.Heartbeat(w, l.LeaseID) {
+		if _, _, live := s.Renew(w, l.LeaseID, 0, 0); !live {
 			t.Fatalf("heartbeat %d lost a renewed lease", i)
 		}
 	}

@@ -37,7 +37,6 @@ func NewManager(state *State, sched *Scheduler) *Manager {
 	mux.HandleFunc("POST "+PathConnect, m.handleConnect)
 	mux.HandleFunc("POST "+PathPoll, m.handlePoll)
 	mux.HandleFunc("POST "+PathReport, m.handleReport)
-	mux.HandleFunc("POST "+PathSync, m.handleSync)
 	mux.HandleFunc("GET /status", m.handleStatus)
 	mux.HandleFunc("GET /corpus", m.handleCorpus)
 	mux.HandleFunc("GET /crashes", m.handleCrashes)
@@ -98,8 +97,11 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	// Merge evidence FIRST, lease bookkeeping second: results from a stale
 	// lease (a worker we presumed dead that was merely slow) are still
 	// results.
-	for _, cr := range req.Crashes {
-		m.State.AddCrash(req.Driver, req.WorkerID, cr.Crash)
+	for _, c := range req.Crashes {
+		m.State.AddCrash(req.Driver, req.WorkerID, c)
+	}
+	for _, e := range req.Added {
+		m.State.AddCorpus(req.Driver, e, req.WorkerID)
 	}
 	execsDelta, instrsDelta, live := m.Sched.Renew(req.WorkerID, req.LeaseID, req.Execs, req.Instructions)
 	if len(req.NewBlocks) > 0 || execsDelta > 0 || instrsDelta > 0 {
@@ -108,26 +110,11 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	if req.Final {
 		m.Sched.Complete(req.WorkerID, req.LeaseID)
 	}
-	writeJSONResp(w, &ReportResponse{Stop: !live && !req.Final})
-}
-
-func (m *Manager) handleSync(w http.ResponseWriter, r *http.Request) {
-	var req SyncRequest
-	if !decode(w, r, &req) {
-		return
+	resp := &ReportResponse{Stop: !live && !req.Final}
+	if len(req.Have) > 0 {
+		resp.Seeds = m.State.CorpusDiff(req.Driver, req.Have)
 	}
-	if req.Driver == "" {
-		httpError(w, http.StatusBadRequest, "sync without driver")
-		return
-	}
-	for _, e := range req.Added {
-		m.State.AddCorpus(req.Driver, e, req.WorkerID)
-	}
-	live := m.Sched.Heartbeat(req.WorkerID, req.LeaseID)
-	writeJSONResp(w, &SyncResponse{
-		Seeds: m.State.CorpusDiff(req.Driver, req.Have),
-		Stop:  !live,
-	})
+	writeJSONResp(w, resp)
 }
 
 // --- status API -----------------------------------------------------------
@@ -224,10 +211,10 @@ func (m *Manager) handleTrends(w http.ResponseWriter, r *http.Request) {
 // --- plumbing ---------------------------------------------------------------
 
 // maxRPCBody bounds one worker RPC request body. The largest bodies a
-// fleet sends are report and sync requests carrying new crashes and corpus
-// entries, about 17 KB at most in a two-worker loopback fleet on the
-// evaluation drivers; the bound is three orders of magnitude above that,
-// so only a broken or hostile client reaches it.
+// fleet sends are reports carrying new crashes and corpus entries, about
+// 20 KB at most in a two-worker loopback fleet on the evaluation drivers;
+// the bound is three orders of magnitude above that, so only a broken or
+// hostile client reaches it.
 const maxRPCBody = 16 << 20
 
 // decode reads one JSON request body of at most maxRPCBody bytes. An

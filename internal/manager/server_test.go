@@ -48,8 +48,8 @@ func getJSON(t *testing.T, url string, v any) {
 }
 
 // TestServerRPCFlow drives the whole worker protocol over real HTTP:
-// connect → poll → sync (corpus up, diff down) → report (crash, coverage)
-// → final report, then checks every status endpoint reflects it.
+// connect → poll → report (corpus up, diff down) → report (crash,
+// coverage) → final report, then checks every status endpoint reflects it.
 func TestServerRPCFlow(t *testing.T) {
 	cfg := Config{Campaigns: []CampaignSpec{{ID: "net", Driver: "rtl8029", Workers: 1, Execs: 100}}}
 	m, srv := newTestServer(t, cfg, time.Minute)
@@ -71,8 +71,8 @@ func TestServerRPCFlow(t *testing.T) {
 		t.Fatalf("lease = %+v", lease)
 	}
 
-	// Corpus sync: upload one entry, and the diff must NOT echo it back.
-	sresp, err := c.Sync(ctx, &SyncRequest{
+	// Corpus upload: one entry, and the diff must NOT echo it back.
+	sresp, err := c.Report(ctx, &ReportRequest{
 		LeaseID: lease.LeaseID,
 		Driver:  lease.Driver,
 		Added:   []fuzz.Entry{{Feed: feed(1, 2, 3, 4), Gain: 2}},
@@ -82,19 +82,27 @@ func TestServerRPCFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sresp.Stop || len(sresp.Seeds) != 0 {
-		t.Fatalf("sync response = %+v, want no echo of our own feed", sresp)
+		t.Fatalf("report response = %+v, want no echo of our own feed", sresp)
 	}
-	// A second connected worker shows up in /status below.
+	// A second connected worker shows up in /status below. Its report
+	// lists a have set without that feed, so the feed comes back.
 	c2 := NewClient(srv.URL, nil)
 	if _, err := c2.Connect(ctx, "peer"); err != nil {
 		t.Fatal(err)
+	}
+	presp, err := c2.Report(ctx, &ReportRequest{Driver: lease.Driver, Have: []string{FeedHash(feed(5))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(presp.Seeds) != 1 || !presp.Seeds[0].Equal(feed(1, 2, 3, 4)) {
+		t.Fatalf("peer report got seeds %+v, want the uploaded feed", presp.Seeds)
 	}
 
 	// Crash + coverage report.
 	rresp, err := c.Report(ctx, &ReportRequest{
 		LeaseID:      lease.LeaseID,
 		Driver:       lease.Driver,
-		Crashes:      []CrashReport{{Crash: crash("race condition", 0x44, feed(9, 9, 9, 9))}},
+		Crashes:      []*fuzz.Crash{crash("race condition", 0x44, feed(9, 9, 9, 9))},
 		NewBlocks:    []uint32{0x10, 0x20, 0x30},
 		BlocksStatic: 50,
 		Execs:        60,
@@ -102,6 +110,10 @@ func TestServerRPCFlow(t *testing.T) {
 	})
 	if err != nil || rresp.Stop {
 		t.Fatalf("report: %v, %+v", err, rresp)
+	}
+	// A report without a have set gets no seeds.
+	if len(rresp.Seeds) != 0 {
+		t.Fatalf("report without have got seeds %+v", rresp.Seeds)
 	}
 	if _, err := c.Report(ctx, &ReportRequest{
 		LeaseID: lease.LeaseID, Driver: lease.Driver, Final: true,
@@ -229,22 +241,20 @@ func (b repeatByte) Read(p []byte) (int, error) {
 
 // TestServerRejectsOversizedBody streams a request body one byte over
 // maxRPCBody, generated on the fly rather than held in memory, at the
-// report and sync endpoints: the server must stop reading at the bound
-// and answer 413.
+// report endpoint: the server must stop reading at the bound and answer
+// 413.
 func TestServerRejectsOversizedBody(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, time.Minute)
 	const prefix = `{"driver":"`
-	for _, path := range []string{PathReport, PathSync} {
-		body := io.MultiReader(strings.NewReader(prefix),
-			io.LimitReader(repeatByte('a'), maxRPCBody+1-int64(len(prefix))))
-		resp, err := http.Post(srv.URL+path, "application/json", body)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: oversized body = HTTP %d, want 413", path, resp.StatusCode)
-		}
+	body := io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatByte('a'), maxRPCBody+1-int64(len(prefix))))
+	resp, err := http.Post(srv.URL+PathReport, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = HTTP %d, want 413", resp.StatusCode)
 	}
 }
 
@@ -273,15 +283,11 @@ func TestServerConcurrent(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				b := byte(w*20 + i)
-				if _, err := c.Sync(ctx, &SyncRequest{
-					LeaseID: lease.LeaseID, Driver: lease.Driver,
-					Added: []fuzz.Entry{{Feed: feed(b, b, b, b), Gain: 1}},
-				}); err != nil {
-					t.Errorf("worker %d: sync: %v", w, err)
-				}
 				if _, err := c.Report(ctx, &ReportRequest{
 					LeaseID: lease.LeaseID, Driver: lease.Driver,
-					Crashes:      []CrashReport{{Crash: crash("race condition", uint32(0x40+w%2*4), feed(b))}},
+					Added:        []fuzz.Entry{{Feed: feed(b, b, b, b), Gain: 1}},
+					Have:         []string{FeedHash(feed(b, b, b, b))},
+					Crashes:      []*fuzz.Crash{crash("race condition", uint32(0x40+w%2*4), feed(b))},
 					NewBlocks:    []uint32{uint32(b)},
 					BlocksStatic: 100,
 					Execs:        uint64(i * 10),

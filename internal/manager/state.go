@@ -248,7 +248,7 @@ func (s *State) CorpusFeeds(driver string) []*fuzz.Feed {
 
 // CorpusDiff returns the corpus feeds the caller does not already hold
 // (have = content hashes), admission order — the manager→worker half of
-// the sync exchange.
+// the corpus exchange a report carries.
 func (s *State) CorpusDiff(driver string, have []string) []*fuzz.Feed {
 	haveSet := make(map[string]bool, len(have))
 	for _, h := range have {

@@ -3,11 +3,15 @@ package manager
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -265,7 +269,7 @@ func TestWorkerLeaseReassignment(t *testing.T) {
 		LeaseID: lease.LeaseID,
 		Driver:  lease.Driver,
 		Final:   true,
-		Crashes: []CrashReport{{Crash: crash("resource leak", 0xdead, feed(0xaa))}},
+		Crashes: []*fuzz.Crash{crash("resource leak", 0xdead, feed(0xaa))},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,18 +328,108 @@ func TestWorkerGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownContextSignal injects a real SIGINT and checks
-// ShutdownContext cancels — the signal half of the graceful-shutdown path
-// shared by ddtd and ddtfuzz.
-func TestShutdownContextSignal(t *testing.T) {
-	ctx, cancel := ShutdownContext(context.Background())
-	defer cancel()
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+// failFirst is an RPC transport whose first request to path fails before
+// it reaches the manager.
+type failFirst struct {
+	path   string
+	failed atomic.Bool
+}
+
+func (t *failFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == t.path && t.failed.CompareAndSwap(false, true) {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errors.New("injected transport failure")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWorkerFailedReportKeepsDeltas: a periodic report the manager never
+// receives loses nothing. A one-proc campaign (deterministic) runs twice,
+// once with its first report failing in transport; the manager must end
+// with the same covered blocks and corpus both times.
+func TestWorkerFailedReportKeepsDeltas(t *testing.T) {
+	run := func(hc *http.Client) (blocks int, corpus []string) {
+		cfg := Config{Campaigns: []CampaignSpec{{ID: "net", Driver: "rtl8029", Execs: 8000, Seed: 1}}}
+		m, srv := startManager(t, cfg, time.Minute)
+		wcfg := workerCfg(srv, "w")
+		wcfg.Procs = 1
+		wcfg.SyncInterval = 20 * time.Millisecond
+		wcfg.HTTP = hc
+		if err := RunWorker(context.Background(), wcfg); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Sched.Done() {
+			t.Fatal("slot not completed")
+		}
+		sums := m.State.Summaries()
+		if len(sums) != 1 {
+			t.Fatalf("summaries = %+v, want one driver", sums)
+		}
+		for _, e := range m.State.CorpusEntries("rtl8029") {
+			corpus = append(corpus, e.Hash)
+		}
+		sort.Strings(corpus)
+		return sums[0].BlocksCovered, corpus
+	}
+	ft := &failFirst{path: PathReport}
+	blocks, corpus := run(&http.Client{Timeout: 30 * time.Second, Transport: ft})
+	if !ft.failed.Load() {
+		t.Fatal("the worker sent no report")
+	}
+	wantBlocks, wantCorpus := run(nil)
+	if blocks != wantBlocks {
+		t.Errorf("manager holds %d blocks after a failed report, %d without", blocks, wantBlocks)
+	}
+	if !reflect.DeepEqual(corpus, wantCorpus) {
+		t.Errorf("manager holds %d corpus entries after a failed report, %d without", len(corpus), len(wantCorpus))
+	}
+}
+
+// TestWorkerInterruptedSymbolicLeaseStaysOpen: a symbolic lease run by a
+// worker that is shutting down reports without completing its slot, so
+// the slot is re-issued rather than lost.
+func TestWorkerInterruptedSymbolicLeaseStaysOpen(t *testing.T) {
+	cfg := Config{Campaigns: []CampaignSpec{{ID: "sym", Driver: "rtl8029", Mode: ModeSymbolic}}}
+	m, srv := startManager(t, cfg, time.Minute)
+	ctx := context.Background()
+	c := NewClient(srv.URL, nil)
+	if _, err := c.Connect(ctx, "w"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ctx.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("SIGINT did not cancel the shutdown context")
+	lease, err := c.Poll(ctx)
+	if err != nil || lease == nil {
+		t.Fatalf("poll: %v %+v", err, lease)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	wcfg := workerCfg(srv, "w")
+	wcfg.Logf = t.Logf
+	if err := c.runLease(canceled, wcfg, lease, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if m.Sched.Done() {
+		t.Fatal("interrupted symbolic lease completed its slot")
+	}
+}
+
+// TestShutdownContextSignal injects a real SIGINT and checks
+// ShutdownContext cancels — the signal half of the graceful-shutdown path
+// shared by ddtd and ddtfuzz. It does so twice: once a context's cancel
+// has returned, a later signal must not reach its handler, which would
+// read it as the second, force-exit signal.
+func TestShutdownContextSignal(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		ctx, cancel := ShutdownContext(context.Background())
+		if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatal("SIGINT did not cancel the shutdown context")
+		}
+		cancel()
 	}
 }

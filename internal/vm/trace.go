@@ -188,14 +188,6 @@ func (t *TraceNode) Parent() *TraceNode {
 	return t.parent
 }
 
-// Local returns the events recorded in this node only.
-func (t *TraceNode) Local() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
 // Path returns the full event sequence from the root to this node,
 // unwinding the chain (the paper's trace reconstruction). The result is
 // sized once from Len and filled back-to-front.
