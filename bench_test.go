@@ -396,3 +396,34 @@ func BenchmarkFullRunPro1000(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFuzzCampaignPro1000 is one 1-worker persistent campaign on the
+// largest corpus driver, whose boot (2,077 blocks) dwarfs rtl8029's 175:
+// the per-exec cost of snapshot capture and warm resume when the boot
+// prefix is large. Reported: us/exec and, with -benchmem, B/op and
+// allocs/op per campaign.
+func BenchmarkFuzzCampaignPro1000(b *testing.B) {
+	img, err := corpus.Build("intel-pro1000", corpus.Buggy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := fuzz.DefaultConfig()
+	cfg.Workers = 1
+	cfg.MaxExecs = 3_000
+	cfg.Seed = 1
+	cfg.Persist = true
+	var execs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		rep, err := fuzz.New(img, cfg).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		execs += rep.Execs
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(elapsed.Nanoseconds())/1e3/float64(execs), "us/exec")
+}

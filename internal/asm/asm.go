@@ -203,6 +203,9 @@ func (a *assembler) directive(line string) error {
 	case ".data":
 		a.sec = secData
 	case ".name":
+		if len(rest) > binimg.MaxName {
+			return a.errf(".name longer than %d bytes", binimg.MaxName)
+		}
 		a.name = rest
 	case ".entry":
 		a.entry = rest
@@ -210,6 +213,9 @@ func (a *assembler) directive(line string) error {
 		name := rest
 		if name == "" {
 			return a.errf(".import requires a name")
+		}
+		if len(name) > binimg.MaxName {
+			return a.errf(".import name longer than %d bytes", binimg.MaxName)
 		}
 		if _, dup := a.impIdx[name]; dup {
 			return a.errf("duplicate import %q", name)
@@ -279,7 +285,13 @@ func (a *assembler) directive(line string) error {
 				}
 			}
 		}
-		a.bss += (n + 3) &^ 3
+		// Sum in 64 bits: word-rounded sizes near 4 GiB would otherwise
+		// wrap the total to a small bss the image limit cannot catch.
+		bss := uint64(a.bss) + (uint64(n)+3)&^3
+		if bss > binimg.MaxSection {
+			return a.errf(".space %d: bss exceeds %d bytes", n, binimg.MaxSection)
+		}
+		a.bss = uint32(bss)
 	default:
 		return a.errf("unknown directive %q", dir)
 	}

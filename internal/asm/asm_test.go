@@ -173,6 +173,10 @@ func TestErrors(t *testing.T) {
 		{"data after space", ".entry e\n.text\ne: ret\n.data\n.space 8\n.word 1\n", "bss must come last"},
 		{"bad device class", ".device class=quantum\n.entry e\n.text\ne: ret\n", "unknown device class"},
 		{"missing operand", ".entry e\n.text\ne: add r0, r1\n", "missing operand"},
+		{"bss wraps", ".entry e\n.text\ne: ret\n.data\nx: .space 0xFFFFFFFC\ny: .space 8\n", "bss exceeds"},
+		{"bss too large", ".entry e\n.text\ne: ret\n.data\n.space 0x1000001\n", "bss exceeds"},
+		{"long import", ".import " + strings.Repeat("x", 256) + "\n.entry e\n.text\ne: ret\n", "longer than 255"},
+		{"long name", ".name " + strings.Repeat("x", 256) + "\n.entry e\n.text\ne: ret\n", "longer than 255"},
 	}
 	for _, tc := range cases {
 		_, err := Assemble(tc.src)

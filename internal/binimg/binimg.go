@@ -102,8 +102,8 @@ func (im *Image) Marshal() []byte {
 	w32 := func(v uint32) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	w16 := func(v uint16) { _ = binary.Write(&buf, binary.LittleEndian, v) }
 	wstr := func(s string) {
-		if len(s) > 255 {
-			s = s[:255]
+		if len(s) > MaxName {
+			s = s[:MaxName]
 		}
 		buf.WriteByte(byte(len(s)))
 		buf.WriteString(s)
@@ -131,6 +131,13 @@ func (im *Image) Marshal() []byte {
 	return buf.Bytes()
 }
 
+// Image limits: the largest text, data or bss section, and the longest
+// driver or import name (a one-byte length; Marshal truncates longer ones).
+const (
+	MaxSection = 16 << 20
+	MaxName    = 255
+)
+
 // Parse deserializes a DXE image, validating structure and limits.
 func Parse(b []byte) (*Image, error) {
 	r := &reader{b: b}
@@ -147,8 +154,7 @@ func Parse(b []byte) (*Image, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("binimg: truncated header: %w", r.err)
 	}
-	const maxSection = 16 << 20
-	if textLen > maxSection || dataLen > maxSection || im.BSSSize > maxSection {
+	if textLen > MaxSection || dataLen > MaxSection || im.BSSSize > MaxSection {
 		return nil, fmt.Errorf("binimg: section too large (text=%d data=%d bss=%d)", textLen, dataLen, im.BSSSize)
 	}
 	if textLen%isa.InstrSize != 0 {

@@ -274,18 +274,7 @@ func TestRecycledPagesKeepSharedSnapshots(t *testing.T) {
 		execs[0].Run(f)
 	}
 
-	var snaps []*snapshot
-	shards := []*snapShard{&opts.Fabric.wild}
-	for i := range opts.Fabric.shards {
-		shards = append(shards, &opts.Fabric.shards[i])
-	}
-	for _, sh := range shards {
-		for _, sn := range sh.snaps {
-			if sn.state != nil {
-				snaps = append(snaps, sn)
-			}
-		}
-	}
+	snaps := resumableSnaps(opts.Fabric)
 	if len(snaps) == 0 {
 		t.Fatal("no resumable snapshot was recorded")
 	}
@@ -333,4 +322,123 @@ func TestRecycledPagesKeepSharedSnapshots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// resumableSnaps lists the fabric's snapshots that hold a state. It reads
+// the shards unlocked: call it only while no executor runs on the fabric.
+func resumableSnaps(f *SnapFabric) []*snapshot {
+	var snaps []*snapshot
+	shards := []*snapShard{&f.wild}
+	for i := range f.shards {
+		shards = append(shards, &f.shards[i])
+	}
+	for _, sh := range shards {
+		for _, sn := range sh.snaps {
+			if sn.state != nil {
+				snaps = append(snaps, sn)
+			}
+		}
+	}
+	return snaps
+}
+
+// TestConcurrentResumesOfLayeredSnapshot: several executors on one fabric
+// resume the same two-layer snapshot at once. The snapshot was recorded
+// after Initialize by an execution that resumed from the boot snapshot, so
+// its block counts are a layer of the blocks visited since that resume
+// over the boot snapshot's layer, and every resume counts on top of both.
+// Each execution must report the blocks and the crash a cold traced
+// execution of its feed reports. Runs under -race in CI.
+func TestConcurrentResumesOfLayeredSnapshot(t *testing.T) {
+	img, err := corpus.Build("rtl8029", corpus.Buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Persist = true
+	opts.Fabric = NewSnapFabric()
+	rec := NewExecutor(img, nil, opts)
+
+	// Record until an execution resumed from the boot snapshot publishes
+	// an Initialize snapshot of its own.
+	var layered *snapshot
+	var recFeed *Feed
+	for _, f := range persistFeeds(NewMutator(7), 40) {
+		before := map[*snapshot]bool{}
+		for _, sn := range resumableSnaps(opts.Fabric) {
+			before[sn] = true
+		}
+		if !rec.Run(f).Warm {
+			continue
+		}
+		for _, sn := range resumableSnaps(opts.Fabric) {
+			if !before[sn] && sn.stage == stageInitialized {
+				layered, recFeed = sn, f
+			}
+		}
+		if layered != nil {
+			break
+		}
+	}
+	if layered == nil {
+		t.Fatal("no warm execution recorded an Initialize snapshot")
+	}
+
+	// Executor 0 runs the recording feed. The others keep its consumed
+	// prefix and append a tail of their own, read only after the resume.
+	const workers = 4
+	feeds := make([]*Feed, workers)
+	want := make([]*ExecResult, workers)
+	cold := NewExecutor(img, nil, opts)
+	mu := NewMutator(3)
+	for g := range feeds {
+		f := recFeed
+		if g > 0 {
+			data := make([]byte, 4*layered.words)
+			copy(data, recFeed.Data)
+			f = &Feed{Data: append(data, mu.Generate().Data...), Forks: recFeed.Forks, IRQ: recFeed.IRQ}
+		}
+		feeds[g] = f
+		if want[g] = cold.RunTraced(f); want[g].Warm {
+			t.Fatalf("feed %d: traced reference run resumed a snapshot", g)
+		}
+	}
+
+	execs := make([]*Executor, workers)
+	for g := range execs {
+		execs[g] = NewExecutor(img, nil, opts)
+	}
+	got := make([][]*ExecResult, workers)
+	var wg sync.WaitGroup
+	for g := range execs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ { // the later runs restore into the kept state
+				got[g] = append(got[g], execs[g].Run(feeds[g]))
+			}
+		}(g)
+	}
+	wg.Wait()
+	crashes := 0
+	for g, runs := range got {
+		for i, res := range runs {
+			tag := fmt.Sprintf("executor %d run %d", g, i)
+			if !res.Warm || res.SkippedSteps != layered.steps {
+				t.Fatalf("%s: did not resume the layered snapshot (warm %v, skipped %d of %d steps)",
+					tag, res.Warm, res.SkippedSteps, layered.steps)
+			}
+			w := want[g]
+			if res.Blocks != w.Blocks || res.Steps != w.Steps {
+				t.Fatalf("%s: %d blocks in %d steps, cold traced run %d in %d", tag, res.Blocks, res.Steps, w.Blocks, w.Steps)
+			}
+			if (res.Crash == nil) != (w.Crash == nil) || res.Crash != nil && res.Crash.Key() != w.Crash.Key() {
+				t.Fatalf("%s: crash %v, cold traced run %v", tag, res.Crash, w.Crash)
+			}
+			if res.Crash != nil {
+				crashes++
+			}
+		}
+	}
+	t.Logf("layered snapshot after %d steps; %d of %d resumed executions crashed", layered.steps, crashes, workers*3)
 }

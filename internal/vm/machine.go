@@ -211,12 +211,15 @@ func (m *Machine) ForkState(s *State) *State {
 // the snapshot is never stepped — it exists to serve ResumeState children.
 // Unlike ForkState it does not count toward the fork statistics (a snapshot
 // is a replay optimization, not an explored branch), and the snapshot keeps
-// a frozen copy of the path's block counts so resumed children replay
-// exactly as the original path would have continued. The running state
-// keeps its own counts untouched.
+// the path's block counts so resumed children replay exactly as the
+// original path would have continued: it freezes only the blocks the
+// running state counts privately, as a read-only layer over the running
+// state's base layer, so a capture costs the blocks visited since the
+// path's last resume, not the whole boot. The running state keeps its own
+// counts untouched.
 func (m *Machine) SnapshotState(s *State) *State {
 	snap := s.Fork(m.newID())
-	snap.frozenBlocks = s.blocks.compact()
+	snap.blocks.base = s.blocks.freeze()
 	// Freeze the snapshot's trace node now, while capture is still
 	// single-threaded: every ForkFrozen resume hangs a child off it, and
 	// with a shared fabric those resumes run concurrently — the flag must
@@ -239,12 +242,13 @@ func (m *Machine) ResumeState(snap *State) *State { return m.ResumeInto(nil, sna
 // ResumeInto is ResumeState restoring the snapshot into dst in place: a
 // finished state of this machine that nothing references any more (the
 // fuzz executor keeps its last execution's final state for this). dst's
-// leaf memory overlay, block table, kernel and device state keep their
-// storage and are overwritten from the snapshot, which is still never
-// written: the only shared field the restore touches is the fork count of
-// the snapshot's frozen memory. A nil dst, or one whose memory overlay has
-// forked children or was retired, is replaced by a new State. The resumed
-// state is returned.
+// leaf memory overlay, kernel and device state keep their storage and are
+// overwritten from the snapshot; its block table keeps its private slots,
+// emptied, and counts on top of the snapshot's layer. The snapshot is
+// still never written: the only shared field the restore touches is the
+// fork count of the snapshot's frozen memory. A nil dst, or one whose
+// memory overlay has forked children or was retired, is replaced by a new
+// State. The resumed state is returned.
 func (m *Machine) ResumeInto(dst, snap *State) *State {
 	if dst == nil || !dst.Mem.reusable() {
 		dst = new(State)

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -295,5 +297,119 @@ func TestResumeIntoLeavesNothingStale(t *testing.T) {
 	}
 	if snapA.Kernel.(*forkable).n != 1 || snapA.BlockCount() != 1 {
 		t.Fatal("restoring into the state changed snapshot A")
+	}
+}
+
+// TestSnapshotLayers pins the block table's layering. A snapshot of a
+// resumed path freezes, in its own layer, only the blocks the path visited
+// since that resume, over the layer it resumed from. Resuming it, and
+// resuming its parent snapshot and replaying the visits between the two,
+// counts exactly as one path that was never snapshotted does. And no
+// resume's visits ever change a snapshot's counts.
+func TestSnapshotLayers(t *testing.T) {
+	img, err := asm.Assemble(".entry e\n.text\ne: ret\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(img, expr.NewSymbolTable(), nil)
+	pc := func(i uint32) uint32 { return 0x100000 + i*isa.InstrSize }
+	var boot, mid, tail []uint32
+	for i := uint32(0); i < 40; i++ { // 40 blocks, block i visited i%4+1 times
+		for k := uint32(0); k <= i%4; k++ {
+			boot = append(boot, pc(i))
+		}
+	}
+	for i := uint32(30); i < 50; i++ { // 10 old blocks, 10 new ones
+		mid = append(mid, pc(i), pc(i))
+	}
+	for i := uint32(0); i < 60; i += 3 {
+		tail = append(tail, pc(i), pc(i+1), pc(i))
+	}
+
+	// layerCounts returns the counts a snapshot's own layer holds.
+	layerCounts := func(snap *State) map[uint32]uint32 {
+		out := map[uint32]uint32{}
+		for _, e := range snap.blocks.base.slots {
+			if e.n != 0 {
+				out[e.pc] = e.n
+			}
+		}
+		return out
+	}
+	// counts reads every block the test visits through LoopCount.
+	counts := func(s *State) []uint64 {
+		out := []uint64{uint64(s.BlockCount())}
+		for i := uint32(0); i < 62; i++ {
+			out = append(out, s.LoopCount(pc(i)))
+		}
+		return out
+	}
+	// replay visits seq on s and on the unsnapshotted reference path ref,
+	// requiring the same VisitBlock return at every visit.
+	replay := func(tag string, s, ref *State, seq []uint32) {
+		t.Helper()
+		for _, p := range seq {
+			if got, want := s.VisitBlock(p), ref.VisitBlock(p); got != want {
+				t.Fatalf("%s: VisitBlock(%#x) = %d, unsnapshotted path %d", tag, p, got, want)
+			}
+		}
+		if got, want := counts(s), counts(ref); !slices.Equal(got, want) {
+			t.Fatalf("%s: counts %v, unsnapshotted path %v", tag, got, want)
+		}
+	}
+	fresh := func(seqs ...[]uint32) *State {
+		s := NewState(m.newID())
+		for _, seq := range seqs {
+			for _, p := range seq {
+				s.VisitBlock(p)
+			}
+		}
+		return s
+	}
+
+	run := fresh(boot)
+	snapA := m.SnapshotState(run) // layer 1: the boot
+	if snapA.blocks.base.below != nil || len(layerCounts(snapA)) != 40 || snapA.BlockCount() != 40 {
+		t.Fatalf("boot snapshot: layer of %d blocks over %p, %d counted; want 40 over nil",
+			len(layerCounts(snapA)), snapA.blocks.base.below, snapA.BlockCount())
+	}
+	r := m.ResumeState(snapA)
+	replay("resume of A, mid visits", r, fresh(boot), mid)
+	snapB := m.SnapshotState(r) // layer 2: only what r visited since the resume
+	want := map[uint32]uint32{}
+	for i := uint32(30); i < 50; i++ {
+		n := uint32(2)
+		if i < 40 {
+			n += i%4 + 1
+		}
+		want[pc(i)] = n
+	}
+	if got := layerCounts(snapB); !maps.Equal(got, want) {
+		t.Fatalf("snapshot of a resumed path holds %v in its layer, want only the visits since the resume %v", got, want)
+	}
+	if snapB.blocks.base.below != snapA.blocks.base || snapB.BlockCount() != 50 {
+		t.Fatalf("snapshot B: layer over %p (A's is %p), %d blocks; want A's layer, 50",
+			snapB.blocks.base.below, snapA.blocks.base, snapB.BlockCount())
+	}
+	r2 := m.ResumeState(snapB)
+	snapC := m.SnapshotState(r2) // nothing visited since the resume: B's layer again
+	if snapC.blocks.base != snapB.blocks.base {
+		t.Fatal("a snapshot with no visits since its resume made a layer of its own")
+	}
+
+	beforeA, beforeB, beforeC := counts(snapA), counts(snapB), counts(snapC)
+	replay("resume of B", m.ResumeState(snapB), fresh(boot, mid), tail)
+	replay("resume of C", m.ResumeState(snapC), fresh(boot, mid), tail)
+	a := m.ResumeState(snapA)
+	replay("resume of A, mid and tail", a, fresh(boot), append(append([]uint32(nil), mid...), tail...))
+	// The same resumes again, restored in place into finished states whose
+	// private tables hold stale counts.
+	replay("resume of B into A's resume", m.ResumeInto(a, snapB), fresh(boot, mid), tail)
+	replay("resume of A into the running state", m.ResumeInto(run, snapA), fresh(boot), mid)
+	replay("resume of B into the first resume", m.ResumeInto(r, snapB), fresh(boot, mid), tail)
+
+	if !slices.Equal(counts(snapA), beforeA) || !slices.Equal(counts(snapB), beforeB) ||
+		!slices.Equal(counts(snapC), beforeC) {
+		t.Fatal("resumes' visits changed a snapshot's counts")
 	}
 }

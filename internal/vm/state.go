@@ -150,16 +150,17 @@ type State struct {
 	// loop heuristic (VisitBlock, LoopCount) and the fuzz executor's per-
 	// execution coverage (BlockCount). It lives on the state, not in the
 	// checker, so the checker keeps no shared bookkeeping, and no other
-	// state shares its storage. Forks
-	// deliberately start with an empty table: loop detection is per
-	// contiguous path segment, and resetting at a fork only delays
-	// detection. A snapshot resume continues the segment (ForkFrozen).
+	// state shares its private table. Forks deliberately start with an
+	// empty table and no layer: loop detection is per contiguous path
+	// segment, and resetting at a fork only delays detection. A snapshot
+	// resume continues the segment (ForkFrozen): the snapshot's counts are
+	// a read-only layer the resumed table counts on top of, shared by every
+	// resume. Layers are immutable once published, so executors sharing
+	// one snapshot fabric read them concurrently without a lock. A
+	// snapshot of a resumed path adds one layer over its base, so a chain
+	// is as deep as the snapshots one walk takes (the fuzz executor's gate
+	// nodes, DriverEntry and Initialize today) and is never flattened.
 	blocks blockTable
-
-	// frozenBlocks is a snapshot's block counts as an exact-size, read-
-	// only list (Machine.SnapshotState); nil on every runnable state.
-	// Resumes copy it into a table of their own.
-	frozenBlocks []blockEntry
 
 	// PendFault is a fault raised asynchronously for this state by a hook
 	// (e.g. the loop checker firing from OnBlock mid-step). The step loop
@@ -183,8 +184,8 @@ func NewState(id uint64) *State {
 // interrupt stack and block-table storage are reused. The memory and trace
 // differ between the two fork flavours — Fork freezes the running parent
 // onto fresh overlays, ForkFrozen forks a frozen parent in place — so the
-// caller supplies them, and fills the block table (Fork leaves it empty,
-// ForkFrozen loads the snapshot's counts). Everything else lives here
+// caller supplies them, and sets up the block table (Fork leaves it empty,
+// ForkFrozen points it at the snapshot's layer). Everything else lives here
 // exactly once, and every field of c is overwritten, so a new State field
 // cannot be cloned by one flavour and silently dropped (or left stale) by
 // another.
@@ -243,8 +244,9 @@ func (s *State) Fork(id uint64) *State {
 // counts: a snapshot resume continues the same contiguous path segment,
 // and bit-identical replay of a cold execution (the persistent-mode fuzz
 // executor's contract) needs the boot segment's loop counts. The child
-// loads the snapshot's counts into a table sized for twice as many
-// blocks, so the execution that follows rarely grows it.
+// counts on top of the snapshot's read-only layer with an empty private
+// table, so a resume costs the same whatever the boot's size, and the
+// child's visits never write the snapshot's counts.
 func (s *State) ForkFrozen(id uint64) *State { return s.forkFrozenInto(new(State), id) }
 
 // forkFrozenInto is ForkFrozen writing the child into c: a new State, or a
@@ -259,7 +261,7 @@ func (s *State) forkFrozenInto(c *State, id uint64) *State {
 		childTrace = &TraceNode{parent: s.Trace}
 	}
 	s.cloneInto(c, id, s.Mem.forkInto(c.Mem), childTrace)
-	c.blocks.load(s.frozenBlocks)
+	c.blocks.resume(s.blocks.base)
 	return c
 }
 
@@ -269,26 +271,11 @@ func (s *State) forkFrozenInto(c *State, id uint64) *State {
 func (s *State) VisitBlock(pc uint32) uint64 { return s.blocks.visit(pc) }
 
 // LoopCount returns how often block pc was visited on this path segment.
-func (s *State) LoopCount(pc uint32) uint64 {
-	if s.frozenBlocks != nil {
-		for _, e := range s.frozenBlocks {
-			if e.pc == pc {
-				return uint64(e.n)
-			}
-		}
-		return 0
-	}
-	return s.blocks.count(pc)
-}
+func (s *State) LoopCount(pc uint32) uint64 { return s.blocks.count(pc) }
 
 // BlockCount returns the number of distinct blocks visited on this path
 // segment.
-func (s *State) BlockCount() int {
-	if s.frozenBlocks != nil {
-		return len(s.frozenBlocks)
-	}
-	return s.blocks.n
-}
+func (s *State) BlockCount() int { return s.blocks.distinct() }
 
 // Retire releases pooled resources held by a state that no caller will
 // touch again (a discarded fork sibling, the fuzz executor's kept state
@@ -297,8 +284,9 @@ func (s *State) BlockCount() int {
 // Retire just returns their overlay maps and block table to their pools
 // and their pages to the page list of the machine the memory is bound to.
 // Only leaf memory retires — Memory.Retire refuses if the overlay has
-// forked children; the block table is never shared. The page list is
-// unlocked, so retire a state only on the goroutine that steps that
+// forked children; a block table's private slots are never shared (its
+// layers are, and stay with the snapshots that froze them). The page list
+// is unlocked, so retire a state only on the goroutine that steps that
 // machine's states (the fuzz executor retires on its own machine).
 func (s *State) Retire() {
 	if s == nil {
