@@ -32,42 +32,19 @@ import (
 // forked per path, keeping the failure-path exploration finite.
 const MaxAllocFailForks = 16
 
-// InstallNDIS adds the network API annotation set.
-func InstallNDIS(k *kernel.Kernel) {
-	k.Annotate(kernel.Annotation{
-		API:      "NdisReadConfiguration",
-		OnReturn: ndisReadConfigurationReturn,
-	})
-	k.Annotate(kernel.Annotation{
-		API:      "NdisAllocateMemoryWithTag",
-		OnReturn: ndisAllocateMemoryWithTagReturn,
-	})
-	k.Annotate(kernel.Annotation{
-		API:      "NdisAllocatePacket",
-		OnReturn: ndisAllocatePacketReturn,
-	})
-	k.Annotate(kernel.Annotation{
-		API:      "NdisMAllocateSharedMemory",
-		OnReturn: ndisMAllocateSharedMemoryReturn,
-	})
-}
-
-// InstallWDM adds the Ex/Ke/PortCls annotation set used by sound drivers.
-func InstallWDM(k *kernel.Kernel) {
-	k.Annotate(kernel.Annotation{
-		API:      "ExAllocatePoolWithTag",
-		OnReturn: exAllocatePoolWithTagReturn,
-	})
-	k.Annotate(kernel.Annotation{
-		API:      "PcNewInterruptSync",
-		OnReturn: pcNewInterruptSyncReturn,
-	})
-}
-
-// InstallAll adds every stock annotation set.
+// InstallAll adds the stock annotations of the NDIS and the
+// Ex/Ke/PortCls APIs.
 func InstallAll(k *kernel.Kernel) {
-	InstallNDIS(k)
-	InstallWDM(k)
+	for _, a := range []kernel.Annotation{
+		{API: "NdisReadConfiguration", OnReturn: ndisReadConfigurationReturn},
+		{API: "NdisAllocateMemoryWithTag", OnReturn: ndisAllocateMemoryWithTagReturn},
+		{API: "NdisAllocatePacket", OnReturn: ndisAllocatePacketReturn},
+		{API: "NdisMAllocateSharedMemory", OnReturn: ndisMAllocateSharedMemoryReturn},
+		{API: "ExAllocatePoolWithTag", OnReturn: exAllocatePoolWithTagReturn},
+		{API: "PcNewInterruptSync", OnReturn: pcNewInterruptSyncReturn},
+	} {
+		k.Annotate(a)
+	}
 }
 
 // ndisReadConfigurationReturn is the paper's flagship example (§3.4.1,

@@ -211,25 +211,6 @@ e:
 	}
 }
 
-// TestInstallersAreIdempotentEnough: installing only the NDIS set leaves
-// WDM APIs un-annotated.
-func TestInstallersSeparate(t *testing.T) {
-	img, _ := asm.Assemble(".entry e\n.text\ne: ret\n")
-	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
-	k := kernel.New(m)
-	InstallNDIS(k)
-	if len(k.Annotations["ExAllocatePoolWithTag"]) != 0 {
-		t.Error("NDIS installer touched WDM APIs")
-	}
-	if len(k.Annotations["NdisReadConfiguration"]) == 0 {
-		t.Error("NDIS annotation missing")
-	}
-	InstallWDM(k)
-	if len(k.Annotations["ExAllocatePoolWithTag"]) == 0 {
-		t.Error("WDM annotation missing")
-	}
-}
-
 // TestForkPolicyPrimaryOutcomeForksNothing: under a replay ForkPolicy that
 // keeps the primary outcome, an alloc-failure annotation charges the fork
 // budget and nothing else — no throwaway clone, so the live state's memory

@@ -98,7 +98,7 @@ type Engine struct {
 
 	M    *vm.Machine
 	K    *kernel.Kernel
-	Dev  *hw.SymbolicDevice
+	Dev  *hw.Device
 	Mem  *checkers.MemoryChecker
 	Loop *checkers.LoopChecker
 	Leak checkers.LeakChecker
@@ -125,12 +125,13 @@ type Engine struct {
 // NewEngine builds a fully wired DDT session for the image.
 func NewEngine(img *binimg.Image, opts Options) *Engine {
 	m := vm.NewMachine(img, expr.NewSymbolTable(), solver.New())
+	k := kernel.New(m)
 	e := &Engine{
 		Img:   img,
 		Opts:  opts,
 		M:     m,
-		K:     kernel.New(m),
-		Dev:   hw.New(img.Device),
+		K:     k,
+		Dev:   hw.New(hw.Symbols(k.FreshSymbol)),
 		Mem:   checkers.NewMemoryChecker(),
 		Loop:  checkers.NewLoopChecker(opts.LoopThreshold),
 		Sched: exerciser.NewScheduler(opts.MaxStates),
@@ -139,7 +140,6 @@ func NewEngine(img *binimg.Image, opts Options) *Engine {
 	}
 	e.K.VerifierChecks = opts.VerifierChecks
 	e.K.SymbolSeed = opts.SymbolSeed
-	e.Dev.FreshSymbol = e.K.FreshSymbol
 	e.Dev.Attach(m)
 	if opts.ConcreteHardware {
 		// Deterministic concrete device: reads return a pattern derived

@@ -209,8 +209,7 @@ func NewExecutor(img *binimg.Image, cov *exerciser.Coverage, opts Options) *Exec
 	e.loop.Threshold = opts.LoopThreshold
 	e.mem = checkers.NewMemoryChecker()
 	e.mem.Install(e.m)
-	dev := hw.NewConcrete(img.Device, e)
-	dev.Attach(e.m)
+	hw.New(e.deviceRead).Attach(e.m)
 	if opts.Annotations {
 		annot.InstallAll(e.k)
 	}
@@ -281,9 +280,9 @@ func (e *Executor) now() uint64 {
 	return t
 }
 
-// ReadRegister implements hw.FeedSource: device reads consume feed words.
-func (e *Executor) ReadRegister(port bool, addr, size uint32) uint32 {
-	return e.reader.word()
+// deviceRead is the device's hw.Source: each read consumes a feed word.
+func (e *Executor) deviceRead(s *vm.State, port bool, addr uint32) (*expr.Expr, uint32) {
+	return nil, e.reader.word()
 }
 
 // clampWord maps a raw feed word to the value range the symbolic engine's

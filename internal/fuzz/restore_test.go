@@ -138,7 +138,7 @@ func restoreSequence(t *testing.T, img *binimg.Image, warmFeeds []*Feed) []resto
 	)
 }
 
-// sameValue is reflect.DeepEqual for the kernel and device state, except
+// sameValue is reflect.DeepEqual for the kernel state, except
 // that a nil slice or map equals an empty one: a restore reuses the kept
 // state's emptied storage where a fresh copy has none, and no code tells
 // the two apart.
@@ -181,8 +181,8 @@ func sameValue(a, b reflect.Value) bool {
 }
 
 // compareFinal asserts two executions ended in the same state: registers,
-// path context, kernel and device state, block counts, and the bytes of
-// the stack, the driver's data and bss, and the kernel heap. It sees what a
+// path context, kernel state, block counts, and the bytes of the stack,
+// the driver's data and bss, and the kernel heap. It sees what a
 // restore left stale even where the execution's result happens not to.
 func compareFinal(t *testing.T, tag string, img *binimg.Image, a, b *vm.State) {
 	t.Helper()
@@ -196,9 +196,8 @@ func compareFinal(t *testing.T, tag string, img *binimg.Image, a, b *vm.State) {
 			t.Fatalf("%s: r%d = %v vs %v", tag, r, a.Reg(r), b.Reg(r))
 		}
 	}
-	if !sameValue(reflect.ValueOf(a.Kernel), reflect.ValueOf(b.Kernel)) ||
-		!sameValue(reflect.ValueOf(a.HW), reflect.ValueOf(b.HW)) {
-		t.Fatalf("%s: kernel or device state differs:\n%+v\n%+v", tag, a.Kernel, b.Kernel)
+	if !sameValue(reflect.ValueOf(a.Kernel), reflect.ValueOf(b.Kernel)) {
+		t.Fatalf("%s: kernel state differs:\n%+v\n%+v", tag, a.Kernel, b.Kernel)
 	}
 	for pc := uint32(isa.ImageBase); pc < isa.ImageBase+uint32(len(img.Text)); pc += isa.InstrSize {
 		if a.LoopCount(pc) != b.LoopCount(pc) {

@@ -128,7 +128,6 @@ func mutateChild(c *KState) {
 	}
 	for k, p := range c.packetPools.m {
 		p.Live = 100
-		p.Freed = true
 		c.packetPools.set(c.key, k, p)
 	}
 	for k, p := range c.bufferPools.m {

@@ -20,9 +20,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Handler implements one kernel API. It may modify s, return forked
-// alternative states, or raise a Fault (which fails the path as a bug).
-type Handler func(k *Kernel, s *vm.State) ([]*vm.State, error)
+// Handler implements one kernel API. It may modify s, or raise a Fault
+// (which fails the path as a bug).
+type Handler func(k *Kernel, s *vm.State) error
 
 // Annotation hooks run around an API handler, in the spirit of §3.4: they
 // inject symbolic values (concrete-to-symbolic hints), verify argument
@@ -303,9 +303,7 @@ func (k *Kernel) dispatch(s *vm.State, slot int) ([]*vm.State, error) {
 		}
 	}
 
-	more, err := h(k, s)
-	extra = append(extra, more...)
-	if err != nil {
+	if err := h(k, s); err != nil {
 		s.Status = vm.StatusBug
 		return extra, err
 	}

@@ -67,6 +67,8 @@ type Alloc struct {
 	// PoolTag is the driver's tag word (NdisAllocateMemoryWithTag), kept
 	// raw: only the leak checker's message formats it.
 	PoolTag uint32
+	// Pool is the NDIS buffer pool a "buffer" allocation was drawn from.
+	Pool uint32
 }
 
 // Spin tracks one spinlock's concrete state.
@@ -89,7 +91,6 @@ type Timer struct {
 type Pool struct {
 	Capacity uint32
 	Live     int
-	Freed    bool
 }
 
 // ConfigHandle records an open configuration handle and where it was
@@ -548,10 +549,7 @@ func (ks *KState) FreePacket(addr uint32) bool {
 		return false
 	}
 	ks.packets.del(ks.key, addr)
-	if pool, ok := ks.packetPools.get(pi.Pool); ok {
-		pool.Live--
-		ks.packetPools.set(ks.key, pi.Pool, pool)
-	}
+	ks.release(packetPool, pi.Pool)
 	return true
 }
 

@@ -332,6 +332,82 @@ stage: .space 64
 	}
 }
 
+// TestFreeBufferReturnsToItsOwnPool: a freed buffer goes back to the pool
+// it was drawn from, whatever other buffer pools hold. With two pools of
+// one buffer each, freeing pool B's buffer lets NdisFreeBufferPool(B)
+// succeed every time; charging the free to whichever pool a map walk
+// meets first failed it in most runs.
+func TestFreeBufferReturnsToItsOwnPool(t *testing.T) {
+	src := `
+.import NdisAllocateBufferPool
+.import NdisAllocateBuffer
+.import NdisFreeBuffer
+.import NdisFreeBufferPool
+.entry e
+.text
+e:
+    push lr
+    addi sp, sp, -20     ; status, pool A, pool B, buffer A, buffer B
+    mov  r0, sp
+    addi r1, sp, 4
+    movi r2, 4
+    call NdisAllocateBufferPool
+    mov  r0, sp
+    addi r1, sp, 8
+    movi r2, 4
+    call NdisAllocateBufferPool
+    mov  r0, sp
+    addi r1, sp, 12
+    ldw  r2, [sp+4]
+    movi r3, stage
+    push r12
+    movi r12, 32
+    stw  [sp+0], r12
+    call NdisAllocateBuffer
+    pop  r12
+    mov  r0, sp
+    addi r1, sp, 16
+    ldw  r2, [sp+8]
+    movi r3, stage
+    push r12
+    movi r12, 32
+    stw  [sp+0], r12
+    call NdisAllocateBuffer
+    pop  r12
+    ldw  r0, [sp+16]
+    call NdisFreeBuffer
+    ldw  r0, [sp+8]
+    call NdisFreeBufferPool
+    addi sp, sp, 20
+    pop  lr
+    ret
+.data
+stage: .space 32
+`
+	failed := 0
+	for i := 0; i < 40; i++ {
+		k, s := harness(t, src)
+		finals, faults := drain(t, k, s)
+		if len(faults) != 0 || len(finals) != 1 {
+			failed++
+			if failed == 1 {
+				t.Errorf("run %d: faults %v", i, faults)
+			}
+			continue
+		}
+		if v, _ := finals[0].RegConcrete(isa.R0); v != StatusSuccess {
+			t.Fatalf("NdisFreeBufferPool status = %#x", v)
+		}
+		ks := Of(finals[0])
+		if len(ks.bufferPools.m) != 1 || len(ks.LiveAllocs()) != 1 {
+			t.Fatalf("pools %v, live buffers %v: want pool A with its buffer", ks.bufferPools.m, ks.LiveAllocs())
+		}
+	}
+	if failed > 0 {
+		t.Errorf("NdisFreeBufferPool of the emptied pool failed in %d of 40 runs", failed)
+	}
+}
+
 func TestInvokeSetsUpEntryState(t *testing.T) {
 	k, s := harness(t, ".entry e\n.text\ne: ret\n")
 	// harness already invoked; verify the conventions.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/fuzz"
 )
 
@@ -92,6 +93,12 @@ func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Driver == "" {
 		httpError(w, http.StatusBadRequest, "report without driver")
+		return
+	}
+	// The driver names the state directory's corpus and crash folders, so
+	// only a corpus driver may reach them.
+	if _, ok := corpus.Get(req.Driver); !ok {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("report for unknown driver %q", req.Driver))
 		return
 	}
 	// Merge evidence FIRST, lease bookkeeping second: results from a stale

@@ -401,3 +401,42 @@ func TestTrendWriteErrorsCounted(t *testing.T) {
 		t.Fatal("a trend sample whose write-through failed was dropped from memory")
 	}
 }
+
+// TestReportRejectsUnknownDriver: a report's driver names the state
+// directory's corpus and crash folders, so a report for a driver outside
+// the corpus, such as one that climbs out of the directory with "..", is
+// answered 400 and writes nothing.
+func TestReportRejectsUnknownDriver(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "state")
+	state, err := OpenState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := NewScheduler(Config{}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewManager(state, sched).Handler()
+	for _, driver := range []string{"../../escaped", "no-such-driver"} {
+		body, err := json.Marshal(&ReportRequest{
+			Driver:  driver,
+			Added:   []fuzz.Entry{{Feed: feed(1, 2, 3, 4), Gain: 1}},
+			Crashes: []*fuzz.Crash{crash("race condition", 0x44, feed(9, 9, 9, 9))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathReport, strings.NewReader(string(body))))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("report for driver %q = HTTP %d, want 400", driver, rec.Code)
+		}
+	}
+	if stray := strayFiles(t, root, dir); len(stray) > 0 {
+		t.Fatalf("files written outside the state directory: %v", stray)
+	}
+	if d := state.Summaries(); len(d) != 0 {
+		t.Fatalf("unknown drivers reached the state: %+v", d)
+	}
+}

@@ -36,7 +36,6 @@ func TestForkFrozenDoesNotMutateSnapshot(t *testing.T) {
 	run.PC = 0x100008
 	run.ICount = 500
 	run.Kernel = &forkable{n: 1}
-	run.HW = &forkable{n: 2}
 	for i := 0; i < 9; i++ {
 		run.VisitBlock(0x100000)
 	}

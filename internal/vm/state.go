@@ -16,10 +16,10 @@ const (
 )
 
 // Forkable is implemented by concrete environment state (the simulated
-// kernel, the symbolic hardware) that must be snapshotted when an execution
-// state forks. Each execution state conceptually is "a complete system
-// snapshot" (paper §4.1.2); guest memory forks by COW, and Forkable covers
-// the host-side concrete structures.
+// kernel) that must be snapshotted when an execution state forks. Each
+// execution state conceptually is "a complete system snapshot" (paper
+// §4.1.2); guest memory forks by COW, and Forkable covers the host-side
+// concrete structures.
 type Forkable interface {
 	// Fork returns a copy of the receiver. The two may share storage
 	// copy-on-write, but neither observes the other's later writes. Forking
@@ -114,9 +114,8 @@ type State struct {
 	model  expr.Assignment
 	modelN int
 
-	// Kernel and HW are the forked concrete environments.
+	// Kernel is the forked concrete environment.
 	Kernel Forkable
-	HW     Forkable
 
 	// ICount is the number of instructions executed on this path — the
 	// deterministic "time" axis for the coverage figures.
@@ -180,7 +179,7 @@ func NewState(id uint64) *State {
 
 // cloneInto makes c a child of s carrying every inherited field, and
 // returns it. c is either a new State or a finished state nothing else
-// references any more (Machine.ResumeInto), whose kernel and device state,
+// references any more (Machine.ResumeInto), whose kernel state,
 // interrupt stack and block-table storage are reused. The memory and trace
 // differ between the two fork flavours — Fork freezes the running parent
 // onto fresh overlays, ForkFrozen forks a frozen parent in place — so the
@@ -199,7 +198,6 @@ func (s *State) cloneInto(c *State, id uint64, mem *Memory, trace *TraceNode) *S
 		model:       s.model,
 		modelN:      s.modelN,
 		Kernel:      restoreInto(c.Kernel, s.Kernel),
-		HW:          restoreInto(c.HW, s.HW),
 		ICount:      s.ICount,
 		Depth:       s.Depth + 1,
 		intrStack:   append(c.intrStack[:0], s.intrStack...),

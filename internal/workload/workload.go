@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/binimg"
 	"repro/internal/expr"
-	"repro/internal/hw"
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/vm"
@@ -274,7 +273,6 @@ func storage(pnp bool) []Node {
 	removal := entry("SurpriseRemoval", false, pnpPC, constArgs(kernel.IrpMnSurpriseRemoval))
 	removal.prep = func(s *vm.State) {
 		// The card is gone before the driver hears about it.
-		hw.Of(s).Removed = true
 		kernel.Of(s).Removed = true
 	}
 	nodes = append(nodes,
@@ -450,7 +448,7 @@ func Registry(overrides map[string]uint32) map[string]uint32 {
 }
 
 // Boot builds the state in which the OS just loaded the driver: image
-// mapped and granted, kernel booted, registry populated, device attached.
+// mapped and granted, kernel booted, registry populated.
 func Boot(m *vm.Machine, img *binimg.Image, registry map[string]uint32) *vm.State {
 	s := m.NewRootState()
 	ks := kernel.NewKState()
@@ -462,6 +460,5 @@ func Boot(m *vm.Machine, img *binimg.Image, registry map[string]uint32) *vm.Stat
 		ks.SetRegistry(k, v)
 	}
 	s.Kernel = ks
-	s.HW = &hw.DeviceState{}
 	return s
 }
